@@ -2,18 +2,22 @@
 history, merging of gossiped tables, and gradient assembly.
 
 Two implementations live here. `InfoTable` plus the module functions
-are the transparent per-agent reference used by tests and small runs;
-`SwarmTables` holds every agent's table in one pair of (n, n) arrays so
+are the transparent per-agent reference the engine is tested against;
+`SwarmTables` holds every agent's table in one (n, n) stamp array so
 the simulator can process a round with a handful of vector operations.
 Both follow the same rules:
 
 * an entry is (quotient, stamp); stamp -1 means "never heard";
 * own entries are rewritten every round with the fresh local quotient;
 * merging adopts an incoming entry only if its stamp is strictly newer,
-  so the incumbent wins stamp ties; among strictly newer candidates the
-  highest stamp wins and remaining ties go to the lowest sender id;
+  so the incumbent wins stamp ties, and the highest stamp wins;
 * assembly pairs each column's quotient with this agent's own
   perturbation from the stamped round, skipping never-heard columns.
+
+A quotient is computed once by its owner and only forwarded, so column
+and stamp fix its value: `SwarmTables` gossips stamps alone and reads
+values from the owners' quotient ring; the reference's lowest-sender
+tie-break cannot change a value.
 """
 from __future__ import annotations
 
@@ -125,87 +129,86 @@ def assemble_gradient(
 
 
 class SwarmTables:
-    """All agents' tables as (n, n) arrays: row i is agent i's table.
+    """All agents' tables as one (n, n) stamp array: row i is agent i's
+    table.  `record_own` keeps each round's own quotients (n,) and
+    perturbations (n, d_max) in rings of `capacity` rounds; entry (i, j)
+    reads column j's quotient of round stamps[i, j].
 
     `tracked` marks the columns each row maintains; untracked entries
-    stay at stamp -1 / quotient 0 forever, which is how reduced tables
+    stay at stamp -1 forever, which is how reduced tables
     (dependence-aware communication) are represented.
     """
 
-    def __init__(self, n: int, tracked: np.ndarray | None = None):
+    def __init__(self, n: int, tracked: np.ndarray, capacity: int, d_max: int):
         self.n = int(n)
-        if tracked is None:
-            tracked = np.ones((n, n), dtype=bool)
         tracked = np.asarray(tracked, dtype=bool)
         if tracked.shape != (n, n):
             raise ConfigurationError("tracked mask must be (n, n)")
         if not np.all(np.diag(tracked)):
             raise ConfigurationError("every agent must track its own column")
         self.tracked = tracked
-        self.quotients = np.zeros((n, n))
+        self.capacity = int(capacity)
         self.stamps = np.full((n, n), -1, dtype=np.int64)
+        self._q_ring = np.zeros((self.capacity + 1, n))
+        self._z_ring = np.zeros((self.capacity + 1, n, int(d_max)))
+        self._ring_rounds = np.full(self.capacity + 1, -1, dtype=np.int64)
         self._diag = np.arange(n)
-        self._rows = self._diag[:, None]
         self._diag_flat = self._diag * (n + 1)  # flat (C-order) positions of (i, i)
 
-    def record_own(self, t: int, quotients: np.ndarray) -> None:
-        self.quotients.put(self._diag_flat, quotients)
+    def record_own(self, t: int, quotients: np.ndarray, z: np.ndarray) -> None:
+        slot = t % self.capacity
+        self._q_ring[slot] = quotients
+        self._z_ring[slot] = z
+        self._ring_rounds[slot] = t
         self.stamps.put(self._diag_flat, t)
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.quotients.copy(), self.stamps.copy()
+    def _slots(self) -> np.ndarray:
+        """Ring row of each entry; never heard reads the zero last row."""
+        return np.where(self.stamps >= 0, self.stamps % self.capacity, self.capacity)
+
+    @property
+    def quotients(self) -> np.ndarray:
+        """Derived (n, n) values, 0 where never heard (read-only; a stamp
+        that left the ring reads the round now in its slot)."""
+        return self._q_ring[self._slots(), self._diag]
+
+    def snapshot(self) -> np.ndarray:
+        return self.stamps.copy()
 
     def merge_from(
         self,
-        snapshot: tuple[np.ndarray, np.ndarray],
+        snapshot: np.ndarray,
         neighbor_matrix: np.ndarray,
         drop_mask: np.ndarray | None = None,
     ) -> None:
-        """Merge the previous round's snapshot along the graph.
+        """Raise each tracked entry to the newest stamp delivered from the
+        previous round's snapshot.
 
         `neighbor_matrix` is (n, max_deg), row i listing agent i's
-        neighbors ascending, padded with i itself (a harmless candidate:
-        an agent's old stamps can never strictly beat its current ones).
-        `drop_mask` (n, max_deg) suppresses dropped directed messages.
+        neighbors, padded with i itself (a harmless candidate: an agent's
+        old stamps can never beat its current ones).  `drop_mask`
+        (n, max_deg) suppresses dropped directed messages.
         """
-        q_prev, s_prev = snapshot
-        cand_s = s_prev[neighbor_matrix]  # (n, deg, n)
+        candidates = snapshot[neighbor_matrix]  # (n, deg, n)
         if drop_mask is not None:
-            cand_s = np.where(drop_mask[:, :, None], np.int64(-2), cand_s)
-        best = cand_s.max(axis=1)
-        take = (best > self.stamps) & self.tracked
-        src = cand_s.argmax(axis=1)  # first max = lowest sender id
-        sender = neighbor_matrix[self._rows, src]
-        chosen_q = q_prev[sender, self._diag]
-        self.stamps = np.where(take, best, self.stamps)
-        self.quotients = np.where(take, chosen_q, self.quotients)
+            candidates[drop_mask] = -1
+        np.maximum(self.stamps, candidates.max(axis=1), out=self.stamps, where=self.tracked)
 
     def staleness(self, t: int) -> np.ndarray:
         """Per-entry age t - stamp over tracked columns (never-heard
         entries read t + 1); untracked entries report 0."""
         return np.where(self.tracked, t - self.stamps, 0)
 
-    def assemble(
-        self,
-        z_hist: np.ndarray,
-        hist_rounds: np.ndarray,
-        use_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Gradient blocks (n, d_max): row i is agent i's estimator.
-
-        `z_hist` is the shared ring of past perturbation rows of shape
-        (capacity, n, d_max) stamped by `hist_rounds` (capacity,).
+    def assemble(self, use_mask: np.ndarray | None = None) -> np.ndarray:
+        """Gradient blocks (n, d_max): row i is agent i's estimator, the
+        sum over the columns j in `use_mask` (default: all) of quotient j
+        times agent i's own perturbation of the stamped round, over n.
+        Raises ProtocolViolation if a used stamp left the ring.
         """
-        valid = self.stamps >= 0
+        idx = self._slots()
+        ok = self._ring_rounds[idx] == self.stamps
         if use_mask is not None:
-            valid &= use_mask
-        everywhere = valid.all()  # no entry to skip: no masking needed
-        idx = self.stamps % z_hist.shape[0]
-        if not everywhere:
-            idx = np.where(valid, idx, 0)
-        ok = hist_rounds[idx] == self.stamps
-        if not everywhere:
-            ok |= ~valid
+            ok |= ~use_mask
         if not ok.all():
             bad = np.argwhere(~ok)[0]
             raise ProtocolViolation(
@@ -213,7 +216,8 @@ class SwarmTables:
                 f"for column {bad[1] + 1}, which left the history window; "
                 "the staleness bound was exceeded"
             )
-        # pair column j's quotient with the OWNER's perturbation z^i(stamp)
-        zr = z_hist[idx, self._rows, :]
-        q = self.quotients if everywhere else np.where(valid, self.quotients, 0.0)
+        q = self._q_ring[idx, self._diag]
+        if use_mask is not None:
+            q = np.where(use_mask, q, 0.0)
+        zr = self._z_ring[idx, self._diag[:, None], :]
         return np.einsum("ij,ijk->ik", q, zr) / self.n

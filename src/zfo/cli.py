@@ -167,10 +167,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     build_run_config(doc)  # validate once before spawning workers
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
+    workers = args.workers
+    if not workers:
+        raw = os.environ.get(_WORKERS_ENV) or "0"
+        if not raw.isdecimal():
+            raise ConfigurationError(f"{_WORKERS_ENV} must be a non-negative integer, got {raw!r}")
+        workers = int(raw)
+    elif workers < 0:
+        raise ConfigurationError(f"--workers must be >= 0, got {workers}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
     os.makedirs(args.out_dir, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
-    workers = args.workers or int(os.environ.get(_WORKERS_ENV, 0)) or os.cpu_count() or 1
-    workers = max(1, min(workers, len(seeds)))
     payloads = [(doc, seed, args.out_dir) for seed in seeds]
     results = []
     if workers == 1:
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--workers",
         type=int,
-        help=f"parallel workers (default: ${_WORKERS_ENV} or CPU count)",
+        help=f"parallel workers, capped at the usable CPUs (default: ${_WORKERS_ENV} or all)",
     )
     _add_override_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -360,14 +360,6 @@ def _check_delta(delta: float) -> None:
         raise ConfigurationError(f"shrink factor must lie in [0, 1), got {delta}")
 
 
-def project(set_: ConvexSet, y: np.ndarray) -> np.ndarray:
-    return set_.project(y)
-
-
-def shrink(set_: ConvexSet, delta: float) -> ConvexSet:
-    return set_.shrink(delta)
-
-
 def mirror_step(x: np.ndarray, grad: np.ndarray, eta: float, feasible: ConvexSet) -> np.ndarray:
     """Mirror-descent update for the squared-Euclidean mirror map:
     a plain projected gradient step onto `feasible`."""

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .agents import SwarmTables
-from .errors import ConfigurationError, DomainError, OracleError, ProtocolViolation
+from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
 from .geometry import (
     Ball,
     Box,
@@ -302,9 +302,9 @@ def run(config: RunConfig) -> RunTrace:
     """Execute one seeded run and return its trace.
 
     Aborts with ``DomainError`` if any round would take an infeasible action
-    (hard-constraint model), and with ``ProtocolViolation`` if a quotient's
-    generation round has already left the perturbation history window (the
-    staleness bound plus slack was exceeded).
+    (hard-constraint model), ``AssumptionViolation`` on a non-finite cost,
+    and ``ProtocolViolation`` if a quotient's generation round has left the
+    perturbation history window (the staleness bound plus slack was exceeded).
     """
     started = time.perf_counter()
     _validate(config)
@@ -362,7 +362,8 @@ def run(config: RunConfig) -> RunTrace:
         np.fill_diagonal(tracked, True)
     else:
         tracked = np.ones((n, n), dtype=bool)
-    swarm = SwarmTables(n, tracked)
+    cap = staleness_bound + int(config.history_slack)
+    swarm = SwarmTables(n, tracked, cap, d_max)
     use_mask = aff_mask if config.mode == "dependence" else None
 
     # --- neighbor matrix (rows padded with the agent itself) --------------
@@ -371,11 +372,6 @@ def run(config: RunConfig) -> RunTrace:
     for i in range(n):
         nb = graph.neighbors[i]
         neighbor_matrix[i, : len(nb)] = nb
-
-    # --- perturbation history ring ----------------------------------------
-    cap = staleness_bound + int(config.history_slack)
-    z_hist = np.zeros((cap, n, d_max))
-    hist_rounds = np.full(cap, -1, dtype=np.int64)
 
     # --- random streams -----------------------------------------------------
     perturb_gens = [_stream(config.seed, _PURPOSE_PERTURBATION, i) for i in range(n)]
@@ -472,10 +468,6 @@ def run(config: RunConfig) -> RunTrace:
                     f"agent {agent + 1} would act outside its feasible set at round {t}"
                 )
 
-        slot = t % cap
-        z_hist[slot] = z
-        hist_rounds[slot] = t
-
         # (2)-(3) synchronous signed actions; every agent observes its cost
         f_plus = np.asarray(problem.local_costs(flatten(signed[0]), check=False), dtype=float)
         f_minus = np.asarray(problem.local_costs(flatten(signed[1]), check=False), dtype=float)
@@ -485,7 +477,10 @@ def run(config: RunConfig) -> RunTrace:
 
         # (4) difference quotients, stamped with the current round
         quotients = (f_plus - f_minus) / (2.0 * u)
-        swarm.record_own(t, quotients)
+        if not np.isfinite(quotients).all():
+            bad = int(np.argmin(np.isfinite(quotients))) + 1
+            raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {t}")
+        swarm.record_own(t, quotients, z)
 
         # (5) merge the tables neighbors sent at the end of the previous round
         if t > 0 and max_deg > 0:
@@ -507,7 +502,7 @@ def run(config: RunConfig) -> RunTrace:
                 )
 
         # (7) assemble gradient blocks and take the projected step
-        gradient = swarm.assemble(z_hist, hist_rounds, use_mask)
+        gradient = swarm.assemble(use_mask)
         x_next = np.zeros((n, d_max))
         for g in set_groups:
             x_next[g.index] = g.shrunk.project_batch(x[g.index] - eta * gradient[g.index])

@@ -5,6 +5,8 @@ against the transparent per-agent reference implementation.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfo.agents import (
     InfoTable,
@@ -171,25 +173,30 @@ def test_swarm_requires_own_column_tracked():
     tracked = np.ones((2, 2), dtype=bool)
     tracked[0, 0] = False
     with pytest.raises(ConfigurationError):
-        SwarmTables(2, tracked)
+        SwarmTables(2, tracked, 1, 1)
 
 
 def test_swarm_staleness_semantics():
-    s = SwarmTables(2)
-    s.record_own(3, np.array([1.0, 2.0]))
+    s = SwarmTables(2, np.ones((2, 2)), 4, 1)
+    s.record_own(3, np.array([1.0, 2.0]), np.zeros((2, 1)))
     stale = s.staleness(3)
     assert stale[0, 0] == 0
     assert stale[0, 1] == 4  # never heard reads t + 1
 
 
 def test_swarm_assemble_detects_window_overrun():
-    s = SwarmTables(2)
-    s.stamps[0, 1] = 0
-    s.quotients[0, 1] = 1.0
-    z_hist = np.zeros((2, 2, 1))
-    hist_rounds = np.array([2, 1])  # round 0 already evicted
+    s = SwarmTables(2, np.ones((2, 2)), 2, 1)
+    nb = np.array([[1], [0]])
+    s.record_own(0, np.array([1.0, 2.0]), np.ones((2, 1)))
+    snapshot = s.snapshot()
+    s.record_own(1, np.array([1.0, 2.0]), np.ones((2, 1)))
+    s.merge_from(snapshot, nb, np.ones((2, 1), dtype=bool))  # round 1's messages are lost
+    s.record_own(2, np.array([1.0, 2.0]), np.ones((2, 1)))  # evicts round 0
+    assert s.stamps[0, 1] == -1
+    s.merge_from(snapshot, nb)  # round 0's tables, delivered late
+    assert s.stamps[0, 1] == 0
     with pytest.raises(ProtocolViolation, match="staleness"):
-        s.assemble(z_hist, hist_rounds)
+        s.assemble()
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +211,19 @@ def _neighbor_matrix(graph):
     return nb
 
 
-def _run_reference(graph, tracked_sets, T, quotient_fn, z_rows, drops):
-    """Per-agent protocol simulation; returns stamps/quotients/gradients
+def _run_reference(graph, tracked_sets, values, z_rows, drops):
+    """Per-agent protocol simulation of the quotients `values` (T, n) and
+    perturbations `z_rows` (T, n, d); returns stamps/quotients/gradients
     per round."""
-    n = graph.n
+    T, n, d = z_rows.shape
     tables = [InfoTable(sorted(tracked_sets[i])) for i in range(n)]
-    histories = [PerturbationHistory(capacity=T + 1, dim=z_rows.shape[2]) for _ in range(n)]
+    histories = [PerturbationHistory(capacity=T + 1, dim=d) for _ in range(n)]
     outbox = None
     rounds = []
     for t in range(T):
         for i in range(n):
             histories[i].store(t, z_rows[t, i])
-            tables[i].record_own(i, quotient_fn(i, t), t)
+            tables[i].record_own(i, float(values[t, i]), t)
         if outbox is not None:
             for i in range(n):
                 received = []
@@ -227,7 +235,7 @@ def _run_reference(graph, tracked_sets, T, quotient_fn, z_rows, drops):
         outbox = [tables[i].copy() for i in range(n)]
         stamps = np.full((n, n), -1, dtype=np.int64)
         quots = np.zeros((n, n))
-        grads = np.zeros((n, z_rows.shape[2]))
+        grads = np.zeros((n, d))
         for i in range(n):
             for pos, j in enumerate(tables[i].columns):
                 stamps[i, j] = tables[i].stamps[pos]
@@ -237,44 +245,23 @@ def _run_reference(graph, tracked_sets, T, quotient_fn, z_rows, drops):
     return rounds
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("reduced", [False, True])
-@pytest.mark.parametrize("with_drops", [False, True])
-def test_swarm_tables_match_reference(seed, reduced, with_drops):
-    rng = np.random.default_rng(1000 + seed)
-    graph = CommGraph.random_connected(6, seed=seed)
-    n, T, d = 6, 12, 2
+def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops):
+    """Run SwarmTables on the reference's inputs and compare stamps, the
+    derived quotients and the gradients every round.  Its rings hold one
+    round more than the oldest entry the reference ever holds, so they
+    wrap once the rounds outnumber them."""
+    T, n, d = z_rows.shape
+    reference = _run_reference(graph, tracked_sets, values, z_rows, drops)
+    oldest_ages = [t - int(s[s >= 0].min()) for t, (s, _, _) in enumerate(reference)]
+    capacity = 1 + max(oldest_ages)
+    tracked = np.zeros((n, n), dtype=bool)
+    for i, s in enumerate(tracked_sets):
+        tracked[i, sorted(s)] = True
     nb = _neighbor_matrix(graph)
-    max_deg = nb.shape[1]
-
-    if reduced:
-        tracked_sets = []
-        for i in range(n):
-            extras = rng.choice(n, size=3, replace=False)
-            tracked_sets.append({i} | {int(e) for e in extras})
-        tracked = np.zeros((n, n), dtype=bool)
-        for i, s in enumerate(tracked_sets):
-            tracked[i, sorted(s)] = True
-    else:
-        tracked_sets = [set(range(n)) for _ in range(n)]
-        tracked = None
-
-    z_rows = rng.normal(size=(T, n, d))
-    drops = rng.random(size=(T, n, max_deg)) < 0.35 if with_drops else None
-
-    def quotient_fn(i, t):
-        return float(i + 1) + 0.1 * t
-
-    reference = _run_reference(graph, tracked_sets, T, quotient_fn, z_rows, drops)
-
-    swarm = SwarmTables(n, tracked)
-    z_hist = np.zeros((T + 1, n, d))
-    hist_rounds = np.full(T + 1, -1, dtype=np.int64)
+    swarm = SwarmTables(n, tracked, capacity, d)
     snapshot = None
     for t in range(T):
-        z_hist[t % (T + 1)] = z_rows[t]
-        hist_rounds[t % (T + 1)] = t
-        swarm.record_own(t, np.array([quotient_fn(i, t) for i in range(n)]))
+        swarm.record_own(t, values[t], z_rows[t])
         if snapshot is not None:
             # only real neighbor slots can be dropped; pads never win anyway
             mask = None
@@ -287,19 +274,71 @@ def test_swarm_tables_match_reference(seed, reduced, with_drops):
         ref_stamps, ref_quots, ref_grads = reference[t]
         np.testing.assert_array_equal(swarm.stamps, ref_stamps)
         np.testing.assert_array_equal(swarm.quotients, ref_quots)
-        got = swarm.assemble(z_hist, hist_rounds)
-        np.testing.assert_allclose(got, ref_grads, atol=1e-14)
+        np.testing.assert_allclose(swarm.assemble(), ref_grads, atol=1e-14)
+    return capacity
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def _swarm_matches_reference_on_drawn_cases(reduced, with_drops, data):
+    """Random connected graphs of 2-9 agents, random tracked sets (when
+    `reduced`), drop rates up to 0.5 (when `with_drops`) and random
+    quotients, with rings that wrap."""
+    n = data.draw(st.integers(2, 9), label="n")
+    graph = CommGraph.random_connected(
+        n, seed=data.draw(st.integers(0, 2**32 - 1)), max_degree=data.draw(st.integers(2, 8))
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    T = data.draw(st.integers(6, 30), label="T")
+    d = data.draw(st.integers(1, 3), label="d")
+    if reduced:
+        tracked_sets = [{i} | set(np.flatnonzero(rng.random(n) < 0.5).tolist()) for i in range(n)]
+    else:
+        tracked_sets = [set(range(n)) for _ in range(n)]
+    drops = None
+    if with_drops:
+        rate = data.draw(st.floats(0.0, 0.5), label="drop rate")
+        drops = rng.random(size=(T, n, max(graph.degree(i) for i in range(n)))) < rate
+    values = rng.normal(size=(T, n))
+    z_rows = rng.normal(size=(T, n, d))
+    _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("with_drops", [False, True])
+def test_swarm_tables_match_reference(seed, reduced, with_drops):
+    rng = np.random.default_rng(1000 + seed)
+    graph = CommGraph.random_connected(6, seed=seed)
+    n, T, d = 6, 12, 2
+    max_deg = _neighbor_matrix(graph).shape[1]
+
+    if reduced:
+        tracked_sets = []
+        for i in range(n):
+            extras = rng.choice(n, size=3, replace=False)
+            tracked_sets.append({i} | {int(e) for e in extras})
+    else:
+        tracked_sets = [set(range(n)) for _ in range(n)]
+
+    z_rows = rng.normal(size=(T, n, d))
+    drops = rng.random(size=(T, n, max_deg)) < 0.35 if with_drops else None
+    values = np.arange(1.0, n + 1) + 0.1 * np.arange(T)[:, None]
+
+    capacity = _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops)
+    assert capacity < T  # the rings wrapped
+    _swarm_matches_reference_on_drawn_cases(reduced, with_drops)
 
 
 def test_no_drop_staleness_equals_distance():
     # With no drops information is exactly as old as the hop distance.
     graph = CommGraph.path(3)
     nb = _neighbor_matrix(graph)
-    swarm = SwarmTables(3)
-    snapshot = None
     T = 6
+    swarm = SwarmTables(3, np.ones((3, 3)), T, 1)
+    snapshot = None
     for t in range(T):
-        swarm.record_own(t, np.zeros(3))
+        swarm.record_own(t, np.zeros(3), np.zeros((3, 1)))
         if snapshot is not None:
             swarm.merge_from(snapshot, nb)
         snapshot = swarm.snapshot()

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -347,3 +348,55 @@ def test_workers_env_default(tmp_path, monkeypatch):
     out = tmp_path / "env"
     assert main(["sweep", "--config", cfg, "--seeds", "2", "--out-dir", str(out)]) == 0
     assert (out / "aggregate.csv").exists()
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
+    doc = _base_doc()
+    doc["params"]["horizon"] = 10
+    cfg = _write(tmp_path, doc)
+    monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    monkeypatch.delenv("ZFO_WORKERS", raising=False)
+    out = str(tmp_path / "sweep")
+    sweep = ["sweep", "--config", cfg, "--seeds", "4", "--out-dir", out]
+    assert main(sweep + ["--workers", "5000"]) == 0
+    assert main(sweep + ["--workers", "2"]) == 0
+    assert main(sweep) == 0
+    monkeypatch.setenv("ZFO_WORKERS", "5000")
+    assert main(sweep) == 0
+    assert _SerialPool.created == [3, 2, 3, 3]
+
+
+def test_sweep_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path, _base_doc())
+    monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)
+    out = tmp_path / "sweep"
+    sweep = ["sweep", "--config", cfg, "--seeds", "2", "--out-dir", str(out)]
+    assert main(sweep + ["--workers", "-1"]) == 2
+    assert "--workers must be >= 0" in capsys.readouterr().err
+    for raw in ("two", "1.5", "-3"):
+        monkeypatch.setenv("ZFO_WORKERS", raw)
+        assert main(sweep) == 2
+        assert "ZFO_WORKERS" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from zfo.errors import ConfigurationError, DomainError, ProtocolViolation
+from zfo.errors import AssumptionViolation, ConfigurationError, DomainError, ProtocolViolation
 from zfo.network import BernoulliDrops, CommGraph, NoDelay, network_stats, shortest_path_lengths
 from zfo.planner import constants_for, plan
 from zfo.problems import (
@@ -551,3 +551,35 @@ def test_feasibility_guard_names_agent_and_round(monkeypatch):
     with pytest.raises(DomainError, match=r"^agent 4 would act outside its feasible set at round 7$"):
         run(config)
     assert rounds == list(range(8))
+
+
+@pytest.mark.parametrize(
+    "problem, delta",
+    [(build_trig_sum(4, 2, seed=1), 0.0), (build_box_quadratic(4, 2, seed=0), 0.01)],
+    ids=["trig_sum", "box_quadratic"],
+)
+def test_non_finite_cost_names_agent_and_round(problem, delta):
+    # agent 3's first observation in round 5 is NaN: the run must stop there,
+    # not finish with f_final = nan or fail a later feasibility check
+    finished = []
+
+    def local_costs(flat, check=True):
+        costs = np.array(problem.local_costs(flat, check=check), dtype=float)
+        if len(finished) == 5:
+            costs[2] = np.nan
+        return costs
+
+    config = RunConfig(
+        problem=dataclasses.replace(problem, local_costs=local_costs),
+        graph=CommGraph.ring(4),
+        eta=1e-2,
+        u=1e-3,
+        delta=delta,
+        horizon=20,
+        probe=lambda view: finished.append(view.t),
+    )
+    with pytest.raises(
+        AssumptionViolation, match=r"^agent 3 observed a non-finite cost at round 5$"
+    ):
+        run(config)
+    assert finished == [0, 1, 2, 3, 4]
