@@ -24,7 +24,6 @@ from .geometry import (
     ShiftedSimplex,
     WholeSpace,
     constrain_perturbation,
-    mirror_step,
     sample_perturbation,
 )
 from .network import (
@@ -109,7 +108,6 @@ __all__ = [
     "local_quotient",
     "merge_tables",
     "metrics_snapshot",
-    "mirror_step",
     "network_stats",
     "plan",
     "routing_problem",

@@ -28,7 +28,7 @@ import numpy as np
 from .config import apply_overrides, build_run_config, load_config
 from .errors import AssumptionViolation, ConfigurationError, OracleError
 from .network import CommGraph, network_stats
-from .planner import ProblemConstants, plan, verify_plan
+from .planner import REGIMES, ProblemConstants, plan, verify_plan
 from .problems import centralized_solve
 from .runner import run, summary_dict, write_trace_csv
 
@@ -235,12 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--regime",
         required=True,
-        choices=(
-            "convex-noiseless",
-            "convex-noisy",
-            "nonconvex-noiseless",
-            "nonconvex-noisy",
-        ),
+        choices=REGIMES,
     )
     p_plan.add_argument("--eps", required=True, type=float, help="target accuracy")
     p_plan.add_argument("--constants", required=True, help="path to problem-constants JSON")

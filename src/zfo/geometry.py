@@ -360,14 +360,6 @@ def _check_delta(delta: float) -> None:
         raise ConfigurationError(f"shrink factor must lie in [0, 1), got {delta}")
 
 
-def mirror_step(x: np.ndarray, grad: np.ndarray, eta: float, feasible: ConvexSet) -> np.ndarray:
-    """Mirror-descent update for the squared-Euclidean mirror map:
-    a plain projected gradient step onto `feasible`."""
-    if eta < 0:
-        raise ConfigurationError("step size must be nonnegative")
-    return feasible.project(np.asarray(x, dtype=float) - eta * np.asarray(grad, dtype=float))
-
-
 def _project_scaled_simplex(w: np.ndarray, cap: float) -> np.ndarray:
     """Project rows of w onto {v >= 0, sum(v) = cap} (sort algorithm)."""
     srt = np.sort(w, axis=1)[:, ::-1]

@@ -14,11 +14,53 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, OracleError
-from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace
+from .geometry import Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace
+
+
+def _set_group_key(s: ConvexSet):
+    """Agents whose sets compare equal under this key share batched calls."""
+    if isinstance(s, WholeSpace):
+        return ("free", s.dim)
+    if isinstance(s, Box):
+        return ("box", s.lower.tobytes(), s.upper.tobytes())
+    if isinstance(s, Ball):
+        return ("ball", s.center.tobytes(), s.radius)
+    if isinstance(s, ShiftedSimplex):
+        return ("simplex", s.dim, s.shift.tobytes(), s.scale)
+    return ("unique", id(s))
+
+
+class _SetGroup:
+    """Agents sharing one feasible set, processed in one batched call.
+
+    `index` selects their blocks in an `(n, d_max)` block array: a view
+    when the members are consecutive, else a gather by row.
+    `signed_index` selects the same blocks in the stacked `(2, n, d_max)`
+    signed actions.
+    """
+
+    def __init__(self, set_: ConvexSet, members: list[int]):
+        self.set = set_
+        self.dim = int(set_.dim)
+        self.members = np.asarray(members, dtype=np.int64)
+        if members == list(range(members[0], members[-1] + 1)):
+            self.index = (slice(members[0], members[-1] + 1), slice(0, self.dim))
+        else:
+            self.index = (self.members, slice(0, self.dim))
+        self.signed_index = (slice(None),) + self.index
 
 
 @dataclass
 class Problem:
+    """n agents, each owning one block of the joint action and one set.
+
+    Besides the flat joint vector, actions are laid out as an `(n, d_max)`
+    block array, row i holding agent i's block zero-padded past its
+    dimension (`dim_mask` marks the real entries).  `groups` collects the
+    agents whose feasible sets are equal, ordered by their first member,
+    so every set operation is one batched call per group.
+    """
+
     name: str
     dims: list[int]
     sets: list[ConvexSet]
@@ -38,6 +80,14 @@ class Problem:
             if s.dim != d:
                 raise ConfigurationError("set dimension mismatch")
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
+        dims = np.asarray(self.dims, dtype=np.int64)
+        self.d_max = int(dims.max(initial=0))
+        self.dim_mask = np.arange(self.d_max) < dims[:, None]
+        self._uniform = bool(self.dim_mask.all())
+        members: dict = {}
+        for i, s in enumerate(self.sets):
+            members.setdefault(_set_group_key(s), (s, []))[1].append(i)
+        self.groups = [_SetGroup(s, agents) for s, agents in members.values()]
 
     @property
     def n(self) -> int:
@@ -47,31 +97,28 @@ class Problem:
     def total_dim(self) -> int:
         return int(self.offsets[-1])
 
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[self.offsets[i]:self.offsets[i + 1]] for i in range(self.n)]
+    def blocks(self, flat: np.ndarray) -> np.ndarray:
+        """The `(n, d_max)` block array of a flat joint vector."""
+        out = np.zeros((self.n, self.d_max))
+        out[self.dim_mask] = flat
+        return out
 
-    def join(self, blocks) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=float) for b in blocks])
+    def flat(self, blocks: np.ndarray) -> np.ndarray:
+        """The flat joint vector of a block array (a view when all dims are equal)."""
+        return blocks.reshape(-1) if self._uniform else blocks[self.dim_mask]
 
     def global_cost(self, flat: np.ndarray, check: bool = True) -> float:
         return float(np.mean(self.local_costs(flat, check=check)))
 
     def feasible(self, flat: np.ndarray, tol: float = 1e-9) -> bool:
-        return all(
-            s.contains(b, tol) for s, b in zip(self.sets, self.split(flat))
-        )
+        x = self.blocks(flat)
+        return all(bool(g.set.contains_batch(x[g.index], tol).all()) for g in self.groups)
 
     def project_feasible(self, flat: np.ndarray) -> np.ndarray:
-        return self.join(s.project(b) for s, b in zip(self.sets, self.split(flat)))
-
-
-def observe(problem: Problem, flat: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Noisy per-agent cost observations at a joint action. The action
-    must be feasible: evaluating outside the domain is a hard error."""
-    costs = problem.local_costs(flat, check=True)
-    if sigma > 0:
-        costs = costs + sigma * rng.standard_normal(problem.n)
-    return costs
+        x = self.blocks(flat)
+        for g in self.groups:
+            x[g.index] = g.set.project_batch(x[g.index])
+        return self.flat(x)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +298,8 @@ def eval_allocation(inst: RoutingInstance, v: np.ndarray) -> tuple[np.ndarray, f
     """Per-agent costs and the system cost of a full allocation v (n, k).
 
     The system cost is computed independently in per-route form
-    (1/n) sum_r q_r c_r(q_r) and must agree with the mean of the
-    per-agent costs; the two are the same sum in different orders.
+    (1/n) sum_r q_r c_r(q_r); it equals the mean of the per-agent costs,
+    the same sum in a different order.
     """
     v = np.asarray(v, dtype=float)
     m = inst.n_routes
@@ -262,9 +309,6 @@ def eval_allocation(inst: RoutingInstance, v: np.ndarray) -> tuple[np.ndarray, f
     unit = (inst.quad * loads + inst.lin) * loads + inst.offset
     per_agent = inst.traffic * np.einsum("ik,ik->i", v, unit[inst.routes])
     f_routes = float(np.dot(loads, unit)) / inst.n_agents
-    assert abs(per_agent.mean() - f_routes) <= 1e-12 * max(1.0, abs(f_routes)), (
-        "per-agent and per-route cost aggregation disagree"
-    )
     return per_agent, f_routes
 
 
@@ -330,12 +374,7 @@ def routing_problem(inst: RoutingInstance) -> Problem:
         v = np.concatenate([head, 1.0 - head.sum(axis=1, keepdims=True)], axis=1)
         loads = np.bincount(route_ids, weights=(v * traffic_col).ravel(), minlength=m)
         unit = (quad * loads + lin) * loads + offset
-        per_agent = traffic * np.einsum("ik,ik->i", v, unit[routes])
-        # per-agent and per-route aggregation are the same sum in two orders
-        f_routes = float(loads @ unit) / n
-        if not abs(float(per_agent.sum()) / n - f_routes) <= 1e-12 * max(1.0, abs(f_routes)):
-            raise OracleError("per-agent and per-route cost aggregation disagree")
-        return per_agent
+        return traffic * np.einsum("ik,ik->i", v, unit[routes])
 
     def grad(flat):
         x = np.asarray(flat, dtype=float).reshape(n, dim)

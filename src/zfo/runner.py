@@ -9,9 +9,9 @@ from the freshest quotients paired with its own stored perturbations, and
 performs a projected step on the shrunken feasible set.
 
 The engine is vectorized across agents: all per-agent quantities live in
-``(n, d_max)`` arrays (rows zero-padded past each agent's dimension), and
-agents whose feasible sets share the same parameters are processed in one
-batched geometry call.
+the problem's ``(n, d_max)`` block layout (rows zero-padded past each agent's
+dimension), and each of the problem's set groups (agents whose feasible sets
+are equal) is processed in one batched geometry call.
 
 Randomness is drawn from per-agent streams keyed by ``(master seed, purpose,
 agent id)``, so traces are a pure function of ``(config, seed)`` and do not
@@ -31,15 +31,7 @@ import numpy as np
 
 from .agents import SwarmTables
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
-from .geometry import (
-    Ball,
-    Box,
-    ConvexSet,
-    SampleStats,
-    ShiftedSimplex,
-    WholeSpace,
-    constrain_perturbation_batch,
-)
+from .geometry import SampleStats, constrain_perturbation_batch
 from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
 from .problems import Problem
 
@@ -70,40 +62,6 @@ _BLOCK_ROUNDS = 2048
 
 def _stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(purpose), int(index)]))
-
-
-def _set_group_key(s: ConvexSet):
-    """Agents whose sets compare equal under this key share batched calls."""
-    if isinstance(s, WholeSpace):
-        return ("free", s.dim)
-    if isinstance(s, Box):
-        return ("box", s.lower.tobytes(), s.upper.tobytes())
-    if isinstance(s, Ball):
-        return ("ball", s.center.tobytes(), s.radius)
-    if isinstance(s, ShiftedSimplex):
-        return ("simplex", s.dim, s.shift.tobytes(), s.scale)
-    return ("unique", id(s))
-
-
-class _SetGroup:
-    """Agents sharing one feasible set, processed in one batched call.
-
-    `index` selects their blocks in the engine's `(n, d_max)` arrays: a
-    view when the members are consecutive, else a gather by row.
-    `signed_index` selects the same blocks in the stacked `(2, n, d_max)`
-    signed actions.
-    """
-
-    def __init__(self, set_: ConvexSet, shrunk: ConvexSet, members: list[int]):
-        self.set = set_
-        self.shrunk = shrunk
-        self.dim = int(set_.dim)
-        self.members = np.asarray(members, dtype=np.int64)
-        if members == list(range(members[0], members[-1] + 1)):
-            self.index = (slice(members[0], members[-1] + 1), slice(0, self.dim))
-        else:
-            self.index = (self.members, slice(0, self.dim))
-        self.signed_index = (slice(None),) + self.index
 
 
 @dataclass
@@ -250,18 +208,12 @@ def metrics_snapshot(
     else:
         grad = _finite_difference_gradient(problem, flat, fd_step)
         estimated = True
-    feasible = True
-    blocks = problem.split(flat)
-    z_blocks = problem.split(np.asarray(z_flat, dtype=float)) if z_flat is not None else None
-    for i, (s, b) in enumerate(zip(problem.sets, blocks)):
-        if not s.shrink(delta).contains(b, _FEASIBILITY_TOL):
-            feasible = False
-            break
-        if z_blocks is not None and u is not None:
-            z = z_blocks[i]
-            if not (s.contains(b + u * z, _FEASIBILITY_TOL) and s.contains(b - u * z, _FEASIBILITY_TOL)):
-                feasible = False
-                break
+    x = problem.blocks(flat)
+    signed = None
+    if z_flat is not None and u is not None:
+        signed = x + problem.blocks(z_flat) * np.array([[[u]], [[-u]]])
+    shrunk = [(g, g.set.shrink(delta)) for g in problem.groups]
+    feasible = _first_infeasible(shrunk, x, signed) is None
     return {
         "t": int(t),
         "f": float(f_value),
@@ -270,6 +222,26 @@ def metrics_snapshot(
         "grad_estimated": estimated,
         "feasible": bool(feasible),
     }
+
+
+def _first_infeasible(shrunk, x: np.ndarray, signed: np.ndarray | None) -> int | None:
+    """The first agent (0-based; groups in order, then members) whose state
+    in `x` leaves its shrunken set or, when `signed` holds the stacked
+    `(x + u z, x - u z)`, whose signed actions leave its set; None when
+    every agent is feasible.  `shrunk` pairs each set group with its
+    shrunken set."""
+    for g, shrunk_set in shrunk:
+        ok = shrunk_set.contains_batch(x[g.index], _FEASIBILITY_TOL)
+        if signed is not None:
+            ok_signed = g.set.contains_batch(
+                signed[g.signed_index].reshape(-1, g.dim), _FEASIBILITY_TOL
+            )
+            if ok.all() and ok_signed.all():
+                continue
+            ok = ok & ok_signed.reshape(2, -1).all(axis=0)
+        if not ok.all():
+            return int(g.members[int(np.argmax(~ok))])
+    return None
 
 
 def _validate(config: RunConfig) -> None:
@@ -309,16 +281,11 @@ def run(config: RunConfig) -> RunTrace:
     started = time.perf_counter()
     _validate(config)
     problem, graph = config.problem, config.graph
-    n = problem.n
+    n, d_max = problem.n, problem.d_max
     dims = np.asarray(problem.dims, dtype=np.int64)
-    d_max = int(dims.max())
     eta, u, delta, sigma = config.eta, config.u, config.delta, config.sigma
     horizon = int(config.horizon)
     notes: list[str] = []
-
-    dim_mask = np.zeros((n, d_max), dtype=bool)
-    for i, d in enumerate(dims):
-        dim_mask[i, :d] = True
 
     distances = shortest_path_lengths(graph)
     declared_delta = int(config.delay.declared_delta)
@@ -329,13 +296,10 @@ def run(config: RunConfig) -> RunTrace:
             "no round would enter the ergodic window"
         )
 
-    # --- agent groups sharing one feasible set ----------------------------
-    groups: dict = {}
-    for i, s in enumerate(problem.sets):
-        groups.setdefault(_set_group_key(s), (s, []))[1].append(i)
-    set_groups = [_SetGroup(s, s.shrink(delta), members) for s, members in groups.values()]
+    # --- each set group with its shrunken set --------------------------------
+    shrunk = [(g, g.set.shrink(delta)) for g in problem.groups]
 
-    inner_radii = [g.set.inner_radius() for g in set_groups]
+    inner_radii = [g.set.inner_radius() for g in problem.groups]
     if all(np.isfinite(r) for r in inner_radii):
         hypothesis = delta * min(inner_radii) / (3.0 * np.sqrt(problem.total_dim))
         if u > hypothesis:
@@ -391,17 +355,15 @@ def run(config: RunConfig) -> RunTrace:
                 noise_block[:count, i, :] = noise_gens[i].standard_normal((count, 2))
 
     # --- initial state -------------------------------------------------------
-    x = np.zeros((n, d_max))
-    if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float)
-        if x0.shape != (problem.total_dim,):
-            raise ConfigurationError(
-                f"x0 must be a flat vector of length {problem.total_dim}, got shape {x0.shape}"
-            )
-        x[dim_mask] = x0
+    x0 = np.zeros(problem.total_dim) if config.x0 is None else np.asarray(config.x0, dtype=float)
+    if x0.shape != (problem.total_dim,):
+        raise ConfigurationError(
+            f"x0 must be a flat vector of length {problem.total_dim}, got shape {x0.shape}"
+        )
+    x = problem.blocks(x0)
     moved = 0.0
-    for g in set_groups:
-        projected = g.shrunk.project_batch(x[g.index])
+    for g, shrunk_set in shrunk:
+        projected = shrunk_set.project_batch(x[g.index])
         moved = max(moved, float(np.abs(projected - x[g.index]).max(initial=0.0)))
         x[g.index] = projected
     if moved > _FEASIBILITY_TOL:
@@ -433,13 +395,6 @@ def run(config: RunConfig) -> RunTrace:
         [np.where(tracked, 0, never), np.where(tracked, distances, never)]
     )
 
-    if bool(dim_mask.all()):
-        def flatten(a: np.ndarray) -> np.ndarray:
-            return a.reshape(-1)
-    else:
-        def flatten(a: np.ndarray) -> np.ndarray:
-            return a[dim_mask]
-
     signs_u = np.array([[[u]], [[-u]]])  # (x + u z, x - u z) = x + z * signs_u
 
     for t in range(horizon + 1):
@@ -450,27 +405,19 @@ def run(config: RunConfig) -> RunTrace:
         # (1) constrained Gaussian perturbations
         raw = zhat_block[bi]
         z = np.zeros((n, d_max))
-        for g in set_groups:
+        for g in problem.groups:
             z[g.index] = constrain_perturbation_batch(g.set, x[g.index], raw[g.index], u, stats)
 
         # hard-constraint checks: current state and both signed actions
         feasibility_checks += 1
         signed = x + z * signs_u  # (2, n, d_max): x + u z, then x - u z
-        for g in set_groups:
-            ok_state = g.shrunk.contains_batch(x[g.index], _FEASIBILITY_TOL)
-            ok_signed = g.set.contains_batch(
-                signed[g.signed_index].reshape(-1, g.dim), _FEASIBILITY_TOL
-            )
-            if not (ok_state.all() and ok_signed.all()):
-                bad = ~(ok_state & ok_signed.reshape(2, -1).all(axis=0))
-                agent = int(g.members[int(np.argmax(bad))])
-                raise DomainError(
-                    f"agent {agent + 1} would act outside its feasible set at round {t}"
-                )
+        agent = _first_infeasible(shrunk, x, signed)
+        if agent is not None:
+            raise DomainError(f"agent {agent + 1} would act outside its feasible set at round {t}")
 
         # (2)-(3) synchronous signed actions; every agent observes its cost
-        f_plus = np.asarray(problem.local_costs(flatten(signed[0]), check=False), dtype=float)
-        f_minus = np.asarray(problem.local_costs(flatten(signed[1]), check=False), dtype=float)
+        f_plus = np.asarray(problem.local_costs(problem.flat(signed[0]), check=False), dtype=float)
+        f_minus = np.asarray(problem.local_costs(problem.flat(signed[1]), check=False), dtype=float)
         if sigma > 0:
             f_plus = f_plus + sigma * noise_block[bi, :, 0]
             f_minus = f_minus + sigma * noise_block[bi, :, 1]
@@ -504,8 +451,8 @@ def run(config: RunConfig) -> RunTrace:
         # (7) assemble gradient blocks and take the projected step
         gradient = swarm.assemble(use_mask)
         x_next = np.zeros((n, d_max))
-        for g in set_groups:
-            x_next[g.index] = g.shrunk.project_batch(x[g.index] - eta * gradient[g.index])
+        for g, shrunk_set in shrunk:
+            x_next[g.index] = shrunk_set.project_batch(x[g.index] - eta * gradient[g.index])
 
         # row norms of the step and of the gradient, in one pass
         pair = np.concatenate((x_next - x, gradient))
@@ -521,7 +468,7 @@ def run(config: RunConfig) -> RunTrace:
                 f"(excess {excess:.3e}); projection output is not certified"
             )
 
-        flat = flatten(x)
+        flat = problem.flat(x)
         if t >= staleness_bound:
             x_acc += flat
             samples += 1
@@ -530,7 +477,7 @@ def run(config: RunConfig) -> RunTrace:
                 grad_sq_acc += float(np.dot(g_now, g_now))
 
         if t == 0 or t % config.metric_every == 0 or t == horizon:
-            row = metrics_snapshot(problem, flat, t, delta=delta, u=u, z_flat=flatten(z))
+            row = metrics_snapshot(problem, flat, t, delta=delta, u=u, z_flat=problem.flat(z))
             if row["grad_estimated"] and not fd_noted:
                 fd_noted = True
                 notes.append(
@@ -556,7 +503,7 @@ def run(config: RunConfig) -> RunTrace:
                     gradient=gradient,
                     x_next=x_next,
                     dims=dims,
-                    dim_mask=dim_mask,
+                    dim_mask=problem.dim_mask,
                 )
             )
 

@@ -232,23 +232,26 @@ def test_plan_subcommand(tmp_path, capsys):
         "breg_diameter": 2.0,
         "gap_max": 4.0,
     }
-    cpath = tmp_path / "constants.json"
-    cpath.write_text(json.dumps(constants))
-    out = tmp_path / "plan.json"
-    code = main([
-        "plan", "--regime", "convex-noiseless", "--eps", "0.1",
-        "--constants", str(cpath), "--out", str(out),
-    ])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["plan"]["regime"] == "convex-noiseless"
-    assert doc["report"]["satisfied"] is True
-    assert all(c["satisfied"] for c in doc["report"]["checks"])
-    # stdout variant
-    code = main(["plan", "--regime", "convex-noiseless", "--eps", "0.1",
-                 "--constants", str(cpath)])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["report"]["satisfied"] is True
+    # every regime the planner knows is reachable from the CLI; the
+    # interior regime needs noisy observations and smoothness > 0
+    for regime, sigma in (("convex-noiseless", 0.0), ("convex-noisy-interior", 0.5)):
+        cpath = tmp_path / f"constants-{regime}.json"
+        cpath.write_text(json.dumps({**constants, "sigma": sigma}))
+        out = tmp_path / f"plan-{regime}.json"
+        code = main([
+            "plan", "--regime", regime, "--eps", "0.1",
+            "--constants", str(cpath), "--out", str(out),
+        ])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["plan"]["regime"] == regime
+        assert doc["report"]["satisfied"] is True
+        assert all(c["satisfied"] for c in doc["report"]["checks"])
+        # stdout variant
+        code = main(["plan", "--regime", regime, "--eps", "0.1",
+                     "--constants", str(cpath)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["report"]["satisfied"] is True
 
 
 def test_plan_subcommand_error_paths(tmp_path, capsys):

@@ -19,7 +19,6 @@ from zfo.geometry import (
     WholeSpace,
     constrain_perturbation,
     constrain_perturbation_batch,
-    mirror_step,
     sample_perturbation,
 )
 
@@ -142,6 +141,43 @@ def test_project_batch_matches_scalar():
         batch = set_.project_batch(ys)
         for row, y in zip(batch, ys):
             np.testing.assert_allclose(row, set_.project(y), atol=1e-12)
+    _projection_properties()
+
+
+@st.composite
+def _projection_case(draw):
+    """A box, ball or simplex (random shift and scale) and rows around it."""
+    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "box":
+        lower = rng.normal(0.0, 1.0, dim)
+        set_ = Box(lower, lower + rng.uniform(0.0, 2.0, dim))
+        center = lower
+    elif kind == "ball":
+        center = rng.normal(0.0, 1.0, dim)
+        set_ = Ball(center, rng.uniform(0.01, 2.0))
+    else:
+        set_ = ShiftedSimplex(dim, rng.normal(0.0, 1.0, dim), rng.uniform(0.01, 2.0))
+        center = set_.shift
+    spread = draw(st.sampled_from([0.01, 1.0, 10.0]))
+    return set_, center + rng.normal(0.0, spread, (16, dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_projection_case())
+def _projection_properties(case):
+    set_, ys = case
+    proj = set_.project_batch(ys)
+    # idempotent
+    np.testing.assert_allclose(set_.project_batch(proj), proj, rtol=0.0, atol=1e-12)
+    # non-expansive, on the pairs (row k, row k + 8)
+    gap = np.linalg.norm(ys[:8] - ys[8:], axis=1)
+    assert np.all(np.linalg.norm(proj[:8] - proj[8:], axis=1) <= gap + 1e-12)
+    # lands in the set, by the set's own test and by its raw constraints (the
+    # former projects with the code under test, so it cannot see a wrong projection)
+    assert set_.contains_batch(proj, 1e-9).all()
+    assert all(_raw_member(set_, p, tol=1e-9) for p in proj)
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +328,6 @@ def test_outer_radius_simplex_is_max_vertex_norm():
 def test_intersection_inner_radius_is_min():
     inter = Intersection([Ball([0.0, 0.0], 1.0), Box([-0.4, -2.0], [0.7, 2.0])])
     assert inter.inner_radius() == pytest.approx(0.4)
-
-
-# ---------------------------------------------------------------------------
-# mirror step
-
-
-def test_mirror_step_unconstrained():
-    got = mirror_step(np.array([1.0, 1.0]), np.array([2.0, 0.0]), 0.5, WholeSpace(2))
-    np.testing.assert_allclose(got, [0.0, 1.0])
-
-
-def test_mirror_step_projects_onto_feasible_set():
-    got = mirror_step(np.array([0.1]), np.array([4.0]), 0.1, Box([0.0], [1.0]))
-    np.testing.assert_allclose(got, [0.0])
-
-
-def test_mirror_step_zero_eta_is_identity_on_feasible_points():
-    box = Box([-1.0], [1.0])
-    np.testing.assert_allclose(mirror_step(np.array([0.4]), np.array([9.0]), 0.0, box), [0.4])
 
 
 # ---------------------------------------------------------------------------

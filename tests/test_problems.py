@@ -4,7 +4,7 @@ trips, dependence detection, and the centralized reference solver."""
 import numpy as np
 import pytest
 
-from zfo.errors import ConfigurationError, DomainError, OracleError
+from zfo.errors import ConfigurationError, OracleError
 from zfo.problems import (
     RoutingInstance,
     alloc_to_reduced,
@@ -14,7 +14,6 @@ from zfo.problems import (
     centralized_solve,
     estimate_constants,
     eval_allocation,
-    observe,
     reduced_to_alloc,
     routing_affected_sets,
     routing_problem,
@@ -312,35 +311,6 @@ def test_solver_reports_non_convergence():
     assert not res.converged
     with pytest.raises(OracleError):
         centralized_solve(problem, max_iter=1, tol=1e-14, require_convergence=True)
-
-
-# ---------------------------------------------------------------------------
-# observations
-
-
-def test_observe_checks_domain():
-    problem = build_box_quadratic(2, 1, seed=17)
-    with pytest.raises(DomainError):
-        observe(problem, np.array([5.0, 0.0]), 0.0, np.random.default_rng(0))
-
-
-def test_observe_noise_statistics():
-    problem = build_box_quadratic(2, 1, seed=18)
-    x = np.zeros(2)
-    clean = problem.local_costs(x)
-    rng = np.random.default_rng(19)
-    draws = np.array([observe(problem, x, 0.5, rng) for _ in range(4000)])
-    err = draws - clean
-    assert abs(err.mean()) < 4 * 0.5 / np.sqrt(draws.size)
-    assert abs(err.std() - 0.5) < 0.02
-
-
-def test_observe_noiseless_is_exact():
-    problem = build_box_quadratic(2, 1, seed=20)
-    x = np.array([0.1, -0.2])
-    np.testing.assert_array_equal(
-        observe(problem, x, 0.0, np.random.default_rng(0)), problem.local_costs(x)
-    )
 
 
 def test_estimate_constants_positive_and_deterministic():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from zfo.errors import AssumptionViolation, ConfigurationError, DomainError, ProtocolViolation
+from zfo.geometry import Ball, Box, ShiftedSimplex, WholeSpace
 from zfo.network import BernoulliDrops, CommGraph, NoDelay, network_stats, shortest_path_lengths
 from zfo.planner import constants_for, plan
 from zfo.problems import (
+    Problem,
     build_box_quadratic,
     build_routing_instance,
     build_trig_sum,
@@ -583,3 +585,97 @@ def test_non_finite_cost_names_agent_and_round(problem, delta):
     ):
         run(config)
     assert finished == [0, 1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# block layout and set groups of a mixed problem
+# ---------------------------------------------------------------------------
+
+
+def _mixed_problem() -> Problem:
+    """Box (dim 2), simplex (dim 3), ball (dim 1) and free (dim 2) blocks.
+
+    Equal sets are separate objects at non-consecutive agents, so the set
+    groups gather their rows and the flat vector is a masked gather.
+    """
+    sets = [
+        Box([-1.0, -0.5], [1.0, 0.5]),
+        ShiftedSimplex(3, shift=-0.25),
+        Ball([0.1], 0.8),
+        Box([-1.0, -0.5], [1.0, 0.5]),
+        WholeSpace(2),
+        ShiftedSimplex(3, shift=-0.25),
+        Ball([0.1], 0.8),
+    ]
+    dims = [s.dim for s in sets]
+    centers = np.random.default_rng(0).uniform(-1.5, 1.5, size=(len(sets), sum(dims)))
+
+    def local_costs(flat, check=True):
+        diff = np.asarray(flat, dtype=float)[None, :] - centers
+        return 0.5 * np.einsum("ij,ij->i", diff, diff)
+
+    return Problem(
+        name="mixed",
+        dims=dims,
+        sets=sets,
+        local_costs=local_costs,
+        grad=lambda flat: np.asarray(flat, dtype=float) - centers.mean(axis=0),
+    )
+
+
+def _scalar_blocks(problem, flat):
+    return [
+        (s, flat[lo:hi]) for s, lo, hi in zip(problem.sets, problem.offsets[:-1], problem.offsets[1:])
+    ]
+
+
+def test_mixed_sets_batched_paths_match_per_agent_sets():
+    problem = _mixed_problem()
+    assert [g.members.tolist() for g in problem.groups] == [[0, 3], [1, 5], [2, 6], [4]]
+    assert not any(isinstance(g.index[0], slice) for g in problem.groups[:3])
+    assert not problem.dim_mask.all()
+    rng = np.random.default_rng(1)
+
+    # projection and membership against the per-agent scalar forms
+    for _ in range(50):
+        y = rng.normal(0.0, 1.0, problem.total_dim)
+        np.testing.assert_array_equal(problem.flat(problem.blocks(y)), y)
+        got = problem.project_feasible(y)
+        for (s, got_block), (_, y_block) in zip(_scalar_blocks(problem, got), _scalar_blocks(problem, y)):
+            if isinstance(s, Ball):  # the batch form returns center + diff for inside rows
+                np.testing.assert_allclose(got_block, s.project(y_block), rtol=0.0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(got_block, s.project(y_block))
+        assert problem.feasible(got)
+        for candidate in (y, 0.5 * y, got):
+            assert problem.feasible(candidate) == all(
+                s.contains(b) for s, b in _scalar_blocks(problem, candidate)
+            )
+
+    # the cadence feasibility flag: state in the shrunken sets, x +/- u z in the sets
+    delta, u = 0.1, 0.5
+    x = 0.5 * problem.project_feasible(rng.normal(0.0, 1.0, problem.total_dim))
+    z = 1e-3 * rng.normal(size=problem.total_dim)
+    assert metrics_snapshot(problem, x, 0, delta=delta)["feasible"]
+    assert metrics_snapshot(problem, x, 0, delta=delta, u=u, z_flat=z)["feasible"]
+    x_edge = x.copy()
+    x_edge[problem.offsets[3]] = 0.95  # agent 4: inside its box, outside the shrunken box
+    assert not metrics_snapshot(problem, x_edge, 0, delta=delta)["feasible"]
+    assert metrics_snapshot(problem, x_edge, 0)["feasible"]
+    z_far = z.copy()
+    z_far[problem.offsets[6]] = 4.0  # agent 7: x +/- u z leaves its ball
+    assert not metrics_snapshot(problem, x, 0, delta=delta, u=u, z_flat=z_far)["feasible"]
+    z_free = z.copy()
+    z_free[problem.offsets[4]] = 1e6  # agent 5 is unconstrained
+    assert metrics_snapshot(problem, x, 0, delta=delta, u=u, z_flat=z_free)["feasible"]
+
+    # a short run on a ring passes every per-round guard
+    horizon = 40
+    trace = run(
+        RunConfig(
+            problem=problem, graph=CommGraph.ring(7), eta=0.05, u=1e-3, delta=0.05,
+            horizon=horizon, seed=4, metric_every=10, x0=np.linspace(-2.0, 2.0, problem.total_dim),
+        )
+    )
+    assert trace.feasibility_checks == horizon + 1
+    assert all(row["feasible"] for row in trace.rows)
