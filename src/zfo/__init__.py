@@ -23,8 +23,6 @@ from .geometry import (
     Intersection,
     ShiftedSimplex,
     WholeSpace,
-    constrain_perturbation,
-    sample_perturbation,
 )
 from .network import (
     BernoulliDrops,
@@ -100,7 +98,6 @@ __all__ = [
     "centralized_solve",
     "check_compatibility",
     "constants_for",
-    "constrain_perturbation",
     "estimate_constants",
     "expected_gap_bound",
     "expected_stationarity_bound",
@@ -112,7 +109,6 @@ __all__ = [
     "plan",
     "routing_problem",
     "run",
-    "sample_perturbation",
     "scaling_report",
     "shortest_path_lengths",
     "summary_dict",

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -149,10 +151,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_one(payload: tuple[dict, int, str]) -> tuple[int, str, list[dict]]:
-    doc, seed, out_dir = payload
-    config, _ = build_run_config(apply_overrides(doc, seed=seed))
-    trace = run(config)
+def _sweep_one(config, out_dir: str, seed: int) -> tuple[int, str, list[dict]]:
+    trace = run(dataclasses.replace(config, seed=seed))
     trace_path = os.path.join(out_dir, f"trace_seed{seed}.csv")
     write_trace_csv(trace, trace_path)
     rows = [
@@ -162,9 +162,20 @@ def _sweep_one(payload: tuple[dict, int, str]) -> tuple[int, str, list[dict]]:
     return seed, trace_path, rows
 
 
+_worker_sweep: tuple = ()  # (config, out_dir) in a sweep's pool worker
+
+
+def _init_sweep_worker(config, out_dir: str) -> None:
+    global _worker_sweep
+    _worker_sweep = (config, out_dir)
+
+
+def _sweep_worker(seed: int) -> tuple[int, str, list[dict]]:
+    return _sweep_one(*_worker_sweep, seed)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc = apply_overrides(load_config(args.config), **_collect_overrides(args))
-    build_run_config(doc)  # validate once before spawning workers
+    config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
     workers = args.workers
@@ -179,14 +190,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
     os.makedirs(args.out_dir, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
-    payloads = [(doc, seed, args.out_dir) for seed in seeds]
-    results = []
     if workers == 1:
-        for payload in payloads:
-            results.append(_sweep_one(payload))
+        results = [_sweep_one(config, args.out_dir, seed) for seed in seeds]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, payloads))
+        # forked workers inherit the config: its problem's cost closures do not pickle
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_sweep_worker,
+            initargs=(config, args.out_dir),
+        ) as pool:
+            results = list(pool.map(_sweep_worker, seeds))
     results.sort(key=lambda item: item[0])
 
     rounds = [row["t"] for row in results[0][2]]

@@ -1,12 +1,13 @@
 """Feasible-set geometry: membership, projections, shrinking, and
 constrained perturbation sampling.
 
-All sets are closed convex subsets of R^dim. Projections are exact
-(closed form) for boxes, Euclidean balls, shifted simplices, and the
-whole space; intersections fall back to Dykstra's alternating
-projections with a post-hoc certificate.
+All sets are closed convex subsets of R^dim, and every set operation
+works on rows (one point per row). Projections are exact (closed form)
+for boxes, Euclidean balls, shifted simplices, and the whole space;
+intersections fall back to Dykstra's alternating projections with a
+post-hoc certificate.
 
-Perturbation sampling draws a standard normal and projects it onto the
+Perturbation sampling projects a standard normal draw onto the
 symmetric feasibility cap
 
     S(x, u) = (1/u)(X - x)  intersect  -(1/u)(X - x),
@@ -15,7 +16,7 @@ so that both x + u z and x - u z stay inside X for every returned z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import ConfigurationError, DomainError, OracleError
 
 DEFAULT_TOL = 1e-9
 _CERT_TOL = 1e-12  # feasibility certificate for sampled perturbations
+_DYKSTRA_SWEEPS = 500
 _EPS = float(np.finfo(float).eps)
 
 
@@ -35,46 +37,55 @@ class SampleStats:
 
 
 class ConvexSet:
-    """Base class. Subclasses provide exact `project` / `project_batch`."""
+    """Base class. A subclass defines the exact row-wise `project_batch` and,
+    where one exists, a closed-form `contains_batch` with the same verdicts;
+    the one-point `project` and `contains` are their one-row cases."""
 
     dim: int
     bounded: bool = True
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def project_batch(self, ys: np.ndarray) -> np.ndarray:
-        # Default: row-by-row. Subclasses override with vector forms.
-        return np.stack([self.project(row) for row in ys])
-
-    def contains(self, y: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Membership up to Euclidean distance `tol`."""
-        y = np.asarray(y, dtype=float)
-        return float(np.linalg.norm(y - self.project(y))) <= tol
+        raise NotImplementedError
 
     def contains_batch(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Row-wise membership up to Euclidean distance `tol`."""
         diff = ys - self.project_batch(ys)
         return np.linalg.norm(diff, axis=-1) <= tol
 
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Projection of one point."""
+        return self.project_batch(np.asarray(y, dtype=float)[None, :])[0]
+
+    def contains(self, y: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        """Membership of one point up to Euclidean distance `tol`."""
+        return bool(self.contains_batch(np.asarray(y, dtype=float)[None, :], tol)[0])
+
     # Largest distance between a row that passes a set's closed-form
     # membership test and its computed projection (rounding only).
     _inside_slack = 0.0
 
-    def _finish_contains(self, ys: np.ndarray, inside: np.ndarray, tol: float) -> np.ndarray:
+    def _finish_contains(
+        self, ys: np.ndarray, inside: np.ndarray, gap: np.ndarray, size: np.ndarray, tol: float
+    ) -> np.ndarray:
         """Complete a closed-form membership verdict.
 
         `inside` marks the rows that satisfy the set's defining
         inequalities; their projection is the row itself up to
         `_inside_slack`, so they are members whenever `tol` covers that.
-        Every other row gets the defining test ||y - P(y)|| <= tol, which
-        makes the verdict equal to `ConvexSet.contains_batch` row by row.
+        `gap` is a closed-form lower bound on each row's distance to the
+        set and `size` bounds the magnitudes it was computed from: a row
+        whose gap exceeds `tol` by more than the rounding of both the gap
+        and the projection is rejected without projecting it, so a faulty
+        projection cannot certify it.  Every other row gets the defining
+        test ||y - P(y)|| <= tol, which makes the verdict equal to
+        `ConvexSet.contains_batch` row by row.
         """
         if tol < self._inside_slack:
             inside[:] = False
         elif inside.all():
             return inside
-        rest = np.flatnonzero(~inside)
+        rounding = 4.0 * (self.dim + 4) ** 1.5 * _EPS
+        rest = np.flatnonzero(~inside & (gap - rounding * size <= tol))
         inside[rest] = ConvexSet.contains_batch(self, ys[rest], tol)
         return inside
 
@@ -109,14 +120,8 @@ class WholeSpace(ConvexSet):
             raise ConfigurationError("dim must be >= 1")
         self.dim = int(dim)
 
-    def project(self, y):
-        return np.asarray(y, dtype=float).copy()
-
     def project_batch(self, ys):
         return np.asarray(ys, dtype=float).copy()
-
-    def contains(self, y, tol=DEFAULT_TOL):
-        return True
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
         return np.ones(ys.shape[0], dtype=bool)
@@ -147,19 +152,17 @@ class Box(ConvexSet):
             raise ConfigurationError("box requires lower <= upper")
         self.dim = self.lower.size
 
-    def project(self, y):
-        return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
-
     def project_batch(self, ys):
         return np.clip(np.asarray(ys, dtype=float), self.lower, self.upper)
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
-        # clipping returns a row inside the box unchanged: distance exactly 0
+        # per coordinate, the larger excess over a bound is |y - clip(y)|
+        # bit for bit when positive, so the norm is that of ys - clip(ys)
         ys = np.asarray(ys, dtype=float)
-        inside = (ys >= self.lower) & (ys <= self.upper)
-        if tol >= 0.0 and inside.all():
+        excess = np.maximum(ys - self.upper, self.lower - ys)
+        if tol >= 0.0 and excess.max(initial=0.0) <= 0.0:
             return np.ones(ys.shape[0], dtype=bool)
-        return self._finish_contains(ys, inside.all(axis=1), tol)
+        return np.linalg.norm(np.maximum(excess, 0.0), axis=1) <= tol
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -188,16 +191,9 @@ class Ball(ConvexSet):
         if self.radius <= 0:
             raise ConfigurationError("ball radius must be positive")
         self.dim = self.center.size
+        self._size = self.radius + float(np.abs(self.center).sum())
         # an inside row projects to center + (y - center): two roundings
         self._inside_slack = 2.0 * _EPS * (2.0 * self.radius + float(np.linalg.norm(self.center)))
-
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        diff = y - self.center
-        norm = float(np.linalg.norm(diff))
-        if norm <= self.radius:
-            return y.copy()
-        return self.center + diff * (self.radius / norm)
 
     def project_batch(self, ys):
         diff = np.asarray(ys, dtype=float) - self.center
@@ -208,10 +204,13 @@ class Ball(ConvexSet):
         return self.center + diff * scale[:, None]
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
-        # the same norms project_batch compares with the radius
+        # the same norms project_batch compares with the radius; a row's
+        # distance to the ball is its norm less the radius
         ys = np.asarray(ys, dtype=float)
-        inside = np.linalg.norm(ys - self.center, axis=1) <= self.radius
-        return self._finish_contains(ys, inside, tol)
+        norms = np.linalg.norm(ys - self.center, axis=1)
+        return self._finish_contains(
+            ys, norms <= self.radius, norms - self.radius, norms + self._size, tol
+        )
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -252,11 +251,9 @@ class ShiftedSimplex(ConvexSet):
         self.scale = float(scale)
         if self.scale <= 0:
             raise ConfigurationError("simplex scale must be positive")
+        self._size = self.scale + float(np.abs(self.shift).sum())
         # an inside row projects to (y - shift) + shift: two roundings
         self._inside_slack = 2.0 * _EPS * (2.0 * self.scale + float(np.linalg.norm(self.shift)))
-
-    def project(self, y):
-        return self.project_batch(np.asarray(y, dtype=float)[None, :])[0]
 
     def project_batch(self, ys):
         w = np.asarray(ys, dtype=float) - self.shift
@@ -274,8 +271,12 @@ class ShiftedSimplex(ConvexSet):
             and sums.max(initial=0.0) <= self.scale
         ):
             return np.ones(ys.shape[0], dtype=bool)
-        inside = (w.min(axis=1) >= 0.0) & (sums <= self.scale)
-        return self._finish_contains(ys, inside, tol)
+        lows = w.min(axis=1)
+        inside = (lows >= 0.0) & (sums <= self.scale)
+        # a row is at least as far as from the orthant and from the half-space sum(v) <= scale
+        gap = np.maximum(-lows, (sums - self.scale) / np.sqrt(self.dim))
+        size = np.abs(w).sum(axis=1) + self._size
+        return self._finish_contains(ys, inside, gap, size, tol)
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -304,7 +305,7 @@ class ShiftedSimplex(ConvexSet):
 class Intersection(ConvexSet):
     """Intersection of convex sets; projection via Dykstra's algorithm."""
 
-    def __init__(self, members, n_sweeps: int = 500, tol: float = 1e-10):
+    def __init__(self, members, tol: float = 1e-10):
         members = list(members)
         if not members:
             raise ConfigurationError("intersection needs at least one member")
@@ -313,32 +314,32 @@ class Intersection(ConvexSet):
             raise ConfigurationError("intersection members must share a dimension")
         self.members = members
         self.dim = members[0].dim
-        self.n_sweeps = int(n_sweeps)
         self.tol = float(tol)
 
     @property
     def bounded(self):
         return any(m.bounded for m in self.members)
 
-    def project(self, y):
-        y = np.asarray(y, dtype=float)
-        if all(m.contains(y, _CERT_TOL) for m in self.members):
-            return y.copy()
-        x = _dykstra([m.project for m in self.members], y, self.n_sweeps, self.tol)
-        if not all(m.contains(x, DEFAULT_TOL) for m in self.members):
+    def _in_members(self, ys, tol):
+        return np.logical_and.reduce([m.contains_batch(ys, tol) for m in self.members])
+
+    def project_batch(self, ys):
+        out = np.array(ys, dtype=float)
+        rows = np.flatnonzero(~self._in_members(out, _CERT_TOL))
+        for row in rows:
+            out[row] = _dykstra([m.project for m in self.members], out[row], self.tol)
+        if not self._in_members(out[rows], DEFAULT_TOL).all():
             raise OracleError(
                 "alternating-projection oracle failed to certify a point in "
-                f"the intersection after {self.n_sweeps} sweeps"
+                f"the intersection after {_DYKSTRA_SWEEPS} sweeps"
             )
-        return x
+        return out
 
     def shrink(self, delta):
         _check_delta(delta)
         if delta == 0.0:
             return self
-        return Intersection(
-            [m.shrink(delta) for m in self.members], self.n_sweeps, self.tol
-        )
+        return Intersection([m.shrink(delta) for m in self.members], self.tol)
 
     def inner_radius(self):
         return float(min(m.inner_radius() for m in self.members))
@@ -380,12 +381,12 @@ def _project_orthant_cap(w: np.ndarray, cap: float) -> np.ndarray:
     return v
 
 
-def _dykstra(projectors, y, n_sweeps, tol):
+def _dykstra(projectors, y, tol):
     """Dykstra's alternating projections onto the intersection of the
     projectors' sets. Returns the last iterate (caller certifies)."""
     x = np.asarray(y, dtype=float).copy()
     corrections = [np.zeros_like(x) for _ in projectors]
-    for _ in range(n_sweeps):
+    for _ in range(_DYKSTRA_SWEEPS):
         shift = 0.0
         for idx, proj in enumerate(projectors):
             w = x + corrections[idx]
@@ -402,55 +403,6 @@ def _dykstra(projectors, y, n_sweeps, tol):
 # constrained perturbation sampling
 
 
-def sample_perturbation(
-    set_: ConvexSet,
-    x: np.ndarray,
-    u: float,
-    rng: np.random.Generator,
-    stats: SampleStats | None = None,
-    n_sweeps: int = 500,
-) -> np.ndarray:
-    """Draw z ~ N(0, I) projected onto the symmetric cap S(x, u), so that
-    x + u z and x - u z both lie in `set_`.
-
-    Pre: x must belong to `set_`. Raises DomainError otherwise.
-    """
-    zhat = rng.standard_normal(set_.dim)
-    return constrain_perturbation(set_, np.asarray(x, dtype=float), zhat, u, stats, n_sweeps)
-
-
-def constrain_perturbation(
-    set_: ConvexSet,
-    x: np.ndarray,
-    zhat: np.ndarray,
-    u: float,
-    stats: SampleStats | None = None,
-    n_sweeps: int = 500,
-) -> np.ndarray:
-    """Project a raw draw `zhat` onto S(x, u) (see sample_perturbation)."""
-    if u <= 0:
-        raise ConfigurationError("perturbation radius u must be positive")
-    if isinstance(set_, WholeSpace):
-        return zhat.copy()
-    if not set_.contains(x, DEFAULT_TOL):
-        raise DomainError("cannot sample a perturbation at a point outside the set")
-    if isinstance(set_, Box):  # closed form: S(x, u) is itself a box
-        margin = np.minimum(set_.upper - x, x - set_.lower) / u
-        margin = np.maximum(margin, 0.0)
-        return np.clip(zhat, -margin, margin)
-    # Fast path: the raw draw already keeps both signed actions feasible.
-    if set_.contains(x + u * zhat, _CERT_TOL) and set_.contains(x - u * zhat, _CERT_TOL):
-        return zhat.copy()
-    if stats is not None:
-        stats.projections += 1
-    z = _project_symmetric_cap(set_, x, zhat, u, n_sweeps)
-    if set_.contains(x + u * z, _CERT_TOL) and set_.contains(x - u * z, _CERT_TOL):
-        return z
-    if stats is not None:
-        stats.fallbacks += 1
-    return _bisect_feasible(set_, x, zhat, u)
-
-
 def constrain_perturbation_batch(
     set_: ConvexSet,
     xs: np.ndarray,
@@ -458,28 +410,56 @@ def constrain_perturbation_batch(
     u: float,
     stats: SampleStats | None = None,
 ) -> np.ndarray:
-    """Vectorized `constrain_perturbation` for rows sharing one set."""
+    """Project each raw draw `zhat[k]` onto the symmetric cap S(xs[k], u), so
+    that xs[k] + u z and xs[k] - u z both lie in `set_`.
+
+    A draw that already keeps both signed actions feasible comes back as
+    drawn; the others get the Dykstra cap projection, certified, with a
+    radial bisection of the draw as the fallback (both counted in `stats`).
+
+    Pre: every row of `xs` belongs to `set_`. Raises DomainError otherwise.
+    """
     if u <= 0:
         raise ConfigurationError("perturbation radius u must be positive")
     if isinstance(set_, WholeSpace):
         return zhat
-    if isinstance(set_, Box):
-        margin = np.minimum(set_.upper - xs, xs - set_.lower) / u
-        margin = np.maximum(margin, 0.0)
+    if isinstance(set_, Box):  # closed form: S(x, u) is itself a box
+        room = np.minimum(set_.upper - xs, xs - set_.lower)
+        if room.min(initial=0.0) < 0.0:
+            _require_members(set_, xs)
+        margin = np.maximum(room / u, 0.0)
         return np.clip(zhat, -margin, margin)
     # both signed actions in one membership call: rows x + u z, then x - u z
     uz = u * zhat
     ok = set_.contains_batch(np.concatenate((xs + uz, xs - uz)), _CERT_TOL)
     if ok.all():
         return zhat
-    ok = ok.reshape(2, -1).all(axis=0)
+    # x is the midpoint of x + u z and x - u z: rows passing both are members
+    rows = np.flatnonzero(~ok.reshape(2, -1).all(axis=0))
+    _require_members(set_, xs[rows])
+    stats = SampleStats() if stats is None else stats
     out = zhat.copy()
-    for row in np.flatnonzero(~ok):
-        out[row] = constrain_perturbation(set_, xs[row], zhat[row], u, stats)
+    for row in rows:
+        x = xs[row]
+        stats.projections += 1
+        z = _project_symmetric_cap(set_, x, zhat[row], u)
+        if not _signed_feasible(set_, x, u * z):
+            stats.fallbacks += 1
+            z = _bisect_feasible(set_, x, zhat[row], u)
+        out[row] = z
     return out
 
 
-def _project_symmetric_cap(set_, x, zhat, u, n_sweeps):
+def _require_members(set_, xs):
+    if not set_.contains_batch(xs, DEFAULT_TOL).all():
+        raise DomainError("cannot sample a perturbation at a point outside the set")
+
+
+def _signed_feasible(set_, x, uz):
+    return bool(set_.contains_batch(np.stack((x + uz, x - uz)), _CERT_TOL).all())
+
+
+def _project_symmetric_cap(set_, x, zhat, u):
     """Dykstra on the pair C = (X - x)/u and -C."""
 
     def proj_fwd(p):
@@ -488,7 +468,7 @@ def _project_symmetric_cap(set_, x, zhat, u, n_sweeps):
     def proj_bwd(p):
         return (x - set_.project(x - u * p)) / u
 
-    return _dykstra([proj_fwd, proj_bwd], zhat, n_sweeps, 1e-10)
+    return _dykstra([proj_fwd, proj_bwd], zhat, 1e-10)
 
 
 def _bisect_feasible(set_, x, zhat, u, n_steps: int = 60):
@@ -497,15 +477,10 @@ def _bisect_feasible(set_, x, zhat, u, n_steps: int = 60):
     Feasibility of x +/- u*s*zhat is monotone in s because S(x, u) is
     convex, symmetric, and contains the origin.
     """
-
-    def ok(s):
-        z = s * zhat
-        return set_.contains(x + u * z, _CERT_TOL) and set_.contains(x - u * z, _CERT_TOL)
-
     lo, hi = 0.0, 1.0
     for _ in range(n_steps):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
+        if _signed_feasible(set_, x, u * (mid * zhat)):
             lo = mid
         else:
             hi = mid

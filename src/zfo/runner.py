@@ -123,6 +123,7 @@ class RoundView:
 
     Arrays are the engine's working storage: copy anything you keep.
     ``x`` is the round's pre-step state; ``x_next`` the post-step state.
+    The age of every table entry is ``tables.staleness(t)``.
     """
 
     t: int
@@ -132,7 +133,6 @@ class RoundView:
     f_minus: np.ndarray
     quotients: np.ndarray
     tables: SwarmTables
-    staleness: np.ndarray
     gradient: np.ndarray
     x_next: np.ndarray
     dims: np.ndarray
@@ -459,8 +459,9 @@ def run(config: RunConfig) -> RunTrace:
         norms = np.sqrt((pair * pair).sum(axis=1))
         excess = float((norms[:n] - eta * norms[n:]).max(initial=0.0))
         step_excess_max = max(step_excess_max, excess)
-        # the bound scales with max(1, |x|): below the plain tolerance it cannot be crossed
-        if excess > _STEP_BOUND_TOL and excess > _STEP_BOUND_TOL * max(
+        # the bound scales with max(1, |x|): below the plain tolerance it cannot be
+        # crossed; a NaN excess (an overflowed step and gradient) passes neither test
+        if not excess <= _STEP_BOUND_TOL and not excess <= _STEP_BOUND_TOL * max(
             1.0, float(np.abs(x).max(initial=0.0))
         ):
             raise OracleError(
@@ -499,7 +500,6 @@ def run(config: RunConfig) -> RunTrace:
                     f_minus=f_minus,
                     quotients=quotients,
                     tables=swarm,
-                    staleness=swarm.staleness(t),
                     gradient=gradient,
                     x_next=x_next,
                     dims=dims,

@@ -343,6 +343,30 @@ def test_sweep_parallel_workers_match_serial(tmp_path):
     assert (out1 / "aggregate.csv").read_text() == (out2 / "aggregate.csv").read_text()
 
 
+def test_sweep_solves_the_reference_once(tmp_path, monkeypatch):
+    import zfo.config
+
+    doc = _base_doc()
+    doc["problem"] = {"kind": "routing", "groups": 1, "agents_per_group": 3, "seed": 1}
+    doc["params"]["horizon"] = 10
+    cfg = _write(tmp_path, doc)
+    solve = zfo.config.centralized_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zfo.config, "centralized_solve", counted)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--seeds", "3", "--out-dir", str(out),
+                 "--workers", "1"]) == 0
+    assert len(calls) == 1
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aggregate.csv", "trace_seed0.csv", "trace_seed1.csv", "trace_seed2.csv"
+    ]
+
+
 def test_workers_env_default(tmp_path, monkeypatch):
     doc = _base_doc()
     doc["params"]["horizon"] = 10
@@ -354,13 +378,15 @@ def test_workers_env_default(tmp_path, monkeypatch):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker is started."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    worker initializer and maps in this process, so no worker is started."""
 
     created: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        assert mp_context.get_start_method() == "fork"
         self.created.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zfo.geometry
 from zfo.errors import ConfigurationError, DomainError
 from zfo.geometry import (
     Ball,
@@ -17,9 +18,7 @@ from zfo.geometry import (
     SampleStats,
     ShiftedSimplex,
     WholeSpace,
-    constrain_perturbation,
     constrain_perturbation_batch,
-    sample_perturbation,
 )
 
 
@@ -129,18 +128,7 @@ def test_intersection_projection_optimality_certificate(seed):
     assert np.linalg.norm(got - y) <= float(dists.min()) + 1e-6
 
 
-def test_project_batch_matches_scalar():
-    rng = np.random.default_rng(7)
-    sets = [
-        Box([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0]),
-        Ball([0.3, 0.0, -0.2], 1.1),
-        ShiftedSimplex(3, shift=-1.0 / 4.0),
-    ]
-    ys = rng.normal(0.0, 1.0, size=(40, 3))
-    for set_ in sets:
-        batch = set_.project_batch(ys)
-        for row, y in zip(batch, ys):
-            np.testing.assert_allclose(row, set_.project(y), atol=1e-12)
+def test_project_batch_is_an_idempotent_nonexpansive_projection():
     _projection_properties()
 
 
@@ -190,14 +178,20 @@ def test_contains_uses_euclidean_distance_tolerance():
     assert not box.contains(np.array([1.0 + 5e-9]), tol=1e-9)
 
 
-def test_contains_batch_matches_scalar():
-    set_ = ShiftedSimplex(2, shift=-0.5)
-    rng = np.random.default_rng(3)
-    ys = rng.normal(0.0, 0.7, size=(50, 2))
-    batch = set_.contains_batch(ys, tol=1e-9)
-    scalar = np.array([set_.contains(y, tol=1e-9) for y in ys])
-    assert np.array_equal(batch, scalar)
+def test_contains_batch_matches_distance_definition():
     _contains_batch_matches_definition()
+
+
+def test_contains_batch_rejects_far_rows_without_trusting_the_projection(monkeypatch):
+    # a projection that leaves over-cap rows alone would certify them itself
+    def orthant_only(w, cap):
+        return np.maximum(w, 0.0)
+
+    monkeypatch.setattr(zfo.geometry, "_project_orthant_cap", orthant_only)
+    set_ = ShiftedSimplex(3, shift=-0.25, scale=0.8)
+    ys = set_.shift + np.array([[0.4, 0.6, 0.6], [0.1, 0.2, 0.3]])  # sums 2 * scale, 0.6
+    np.testing.assert_array_equal(set_.contains_batch(ys, 1e-9), [False, True])
+    assert not set_.contains(ys[0], 1e-9)
 
 
 @st.composite
@@ -338,21 +332,41 @@ def test_box_perturbation_clamps_to_margin():
     # At x = 0.8 inside [0, 1] with u = 0.1 the symmetric cap is
     # [-2, 2]: a raw draw of 5 must come back as exactly 2.
     box = Box([0.0], [1.0])
-    z = constrain_perturbation(box, np.array([0.8]), np.array([5.0]), 0.1)
-    np.testing.assert_allclose(z, [2.0])
-    assert box.contains(np.array([0.8]) + 0.1 * z, tol=1e-12)
+    z = constrain_perturbation_batch(box, np.array([[0.8]]), np.array([[5.0]]), 0.1)
+    np.testing.assert_allclose(z, [[2.0]])
+    assert box.contains(np.array([0.8]) + 0.1 * z[0], tol=1e-12)
 
 
 def test_whole_space_perturbation_is_raw_gaussian():
-    rng = np.random.default_rng(5)
-    z = sample_perturbation(WholeSpace(3), np.zeros(3), 0.01, rng)
-    rng2 = np.random.default_rng(5)
-    np.testing.assert_array_equal(z, rng2.standard_normal(3))
+    raw = np.random.default_rng(5).standard_normal((4, 3))
+    z = constrain_perturbation_batch(WholeSpace(3), np.full((4, 3), 1e6), raw, 0.01)
+    np.testing.assert_array_equal(z, raw)
 
 
 def test_sample_perturbation_requires_feasible_base_point():
+    rng = np.random.default_rng(0)
+    cases = [
+        (Box([0.0], [1.0]), [[0.5], [2.0]]),
+        (Ball([0.0, 0.0], 1.0), [[0.0, 0.0], [1.5, 0.0]]),
+        (ShiftedSimplex(2, shift=-0.25), [[0.0, 0.0], [0.9, 0.9]]),
+        (
+            Intersection([Ball([0.0, 0.0], 1.0), Box([-0.8, -0.8], [0.8, 0.8])]),
+            [[0.0, 0.0], [0.9, 0.0]],
+        ),
+    ]
+    for set_, xs in cases:
+        xs = np.array(xs)
+        for u in (1e-6, 0.1):  # the draws pass the fast path, or they do not
+            zhat = rng.standard_normal(xs.shape)
+            with pytest.raises(DomainError, match="outside the set"):
+                constrain_perturbation_batch(set_, xs, zhat, u)
+            constrain_perturbation_batch(set_, xs[:1], zhat[:1], u)
+    # membership is up to distance 1e-9, as for `contains`
+    box = Box([0.0], [1.0])
+    z = constrain_perturbation_batch(box, np.array([[1.0 + 5e-10]]), np.array([[1.0]]), 0.1)
+    np.testing.assert_array_equal(z, [[0.0]])
     with pytest.raises(DomainError):
-        sample_perturbation(Box([0.0], [1.0]), np.array([2.0]), 0.1, np.random.default_rng(0))
+        constrain_perturbation_batch(box, np.array([[1.0 + 5e-9]]), np.array([[1.0]]), 0.1)
 
 
 @pytest.mark.parametrize(
@@ -371,8 +385,9 @@ def test_sampled_perturbations_keep_both_actions_feasible(set_, x):
     rng = np.random.default_rng(42)
     u = 0.05
     assert set_.contains(x, tol=1e-9)
-    for _ in range(200):
-        z = sample_perturbation(set_, x, u, rng)
+    raw = rng.standard_normal((200, set_.dim))
+    zs = constrain_perturbation_batch(set_, np.tile(x, (200, 1)), raw, u)
+    for z in zs:
         assert set_.contains(x + u * z, tol=1e-9)
         assert set_.contains(x - u * z, tol=1e-9)
 
@@ -380,22 +395,22 @@ def test_sampled_perturbations_keep_both_actions_feasible(set_, x):
 def test_sampled_perturbation_is_identity_deep_inside():
     # Far from the boundary the cap is inactive and z equals the raw draw.
     set_ = ShiftedSimplex(3, shift=-0.25)
-    x = np.zeros(3)
-    rng = np.random.default_rng(9)
     raws = np.random.default_rng(9).standard_normal((50, 3))
-    for k in range(50):
-        z = sample_perturbation(set_, x, 1e-4, rng)
-        np.testing.assert_array_equal(z, raws[k])
+    stats = SampleStats()
+    z = constrain_perturbation_batch(set_, np.zeros((50, 3)), raws, 1e-4, stats)
+    np.testing.assert_array_equal(z, raws)
+    assert stats.projections == 0
 
 
-def test_bisection_fallback_returns_feasible_scaling():
-    # Force the fallback by giving Dykstra no sweeps to converge.
+def test_bisection_fallback_returns_feasible_scaling(monkeypatch):
+    # Force the fallback with a cap projection that returns the raw draw.
+    monkeypatch.setattr(zfo.geometry, "_project_symmetric_cap", lambda set_, x, zhat, u: zhat)
     set_ = ShiftedSimplex(2, shift=-1.0 / 3.0)
     x = np.array([0.6, -0.3])
     assert set_.contains(x, tol=1e-9)
     stats = SampleStats()
     zhat = np.array([40.0, -25.0])
-    z = constrain_perturbation(set_, x, zhat, 0.05, stats=stats, n_sweeps=0)
+    z = constrain_perturbation_batch(set_, x[None, :], zhat[None, :], 0.05, stats=stats)[0]
     assert stats.fallbacks == 1
     assert set_.contains(x + 0.05 * z, tol=1e-9)
     assert set_.contains(x - 0.05 * z, tol=1e-9)
@@ -404,15 +419,17 @@ def test_bisection_fallback_returns_feasible_scaling():
     assert abs(cross) < 1e-9
 
 
-def test_constrain_perturbation_batch_matches_scalar():
+def test_constrain_perturbation_batch_rows_match_single_rows():
     set_ = ShiftedSimplex(3, shift=-0.25)
     rng = np.random.default_rng(21)
     xs = np.tile(np.array([0.2, -0.2, 0.0]), (30, 1))
     zh = rng.standard_normal((30, 3)) * 3.0
-    batch = constrain_perturbation_batch(set_, xs, zh, 0.05)
+    stats = SampleStats()
+    batch = constrain_perturbation_batch(set_, xs, zh, 0.05, stats)
+    assert 0 < stats.projections < 30
     for row in range(30):
-        scalar = constrain_perturbation(set_, xs[row], zh[row], 0.05)
-        np.testing.assert_allclose(batch[row], scalar, atol=1e-12)
+        single = constrain_perturbation_batch(set_, xs[row : row + 1], zh[row : row + 1], 0.05)
+        np.testing.assert_array_equal(batch[row], single[0])
 
 
 def test_constrain_perturbation_batch_box_closed_form():

@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from zfo.errors import AssumptionViolation, ConfigurationError, DomainError, ProtocolViolation
+from zfo.agents import SwarmTables
+from zfo.errors import (
+    AssumptionViolation,
+    ConfigurationError,
+    DomainError,
+    OracleError,
+    ProtocolViolation,
+)
 from zfo.geometry import Ball, Box, ShiftedSimplex, WholeSpace
 from zfo.network import BernoulliDrops, CommGraph, NoDelay, network_stats, shortest_path_lengths
 from zfo.planner import constants_for, plan
@@ -587,6 +594,28 @@ def test_non_finite_cost_names_agent_and_round(problem, delta):
     assert finished == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_step_bound_guard_rejects_overflowed_step(monkeypatch):
+    # an infinite gradient entry for agent 3 at round 5 sends its unconstrained
+    # step to infinity: the step-bound excess is inf - inf = NaN and must fail
+    assemble = SwarmTables.assemble
+    calls = []
+
+    def overflowing(self, use_mask=None):
+        gradient = assemble(self, use_mask)
+        calls.append(len(calls))
+        if calls[-1] == 5:
+            gradient[2, 0] = np.inf
+        return gradient
+
+    monkeypatch.setattr(SwarmTables, "assemble", overflowing)
+    config = RunConfig(
+        problem=build_trig_sum(4, 2, seed=1), graph=CommGraph.ring(4), eta=1e-2, u=1e-3, horizon=20
+    )
+    with pytest.raises(OracleError, match=r"at round 5 \(excess nan\)"):
+        run(config)
+
+
 # ---------------------------------------------------------------------------
 # block layout and set groups of a mixed problem
 # ---------------------------------------------------------------------------
@@ -642,10 +671,7 @@ def test_mixed_sets_batched_paths_match_per_agent_sets():
         np.testing.assert_array_equal(problem.flat(problem.blocks(y)), y)
         got = problem.project_feasible(y)
         for (s, got_block), (_, y_block) in zip(_scalar_blocks(problem, got), _scalar_blocks(problem, y)):
-            if isinstance(s, Ball):  # the batch form returns center + diff for inside rows
-                np.testing.assert_allclose(got_block, s.project(y_block), rtol=0.0, atol=1e-12)
-            else:
-                np.testing.assert_array_equal(got_block, s.project(y_block))
+            np.testing.assert_array_equal(got_block, s.project(y_block))
         assert problem.feasible(got)
         for candidate in (y, 0.5 * y, got):
             assert problem.feasible(candidate) == all(
