@@ -192,16 +192,17 @@ class Ball(ConvexSet):
             raise ConfigurationError("ball radius must be positive")
         self.dim = self.center.size
         self._size = self.radius + float(np.abs(self.center).sum())
-        # an inside row projects to center + (y - center): two roundings
-        self._inside_slack = 2.0 * _EPS * (2.0 * self.radius + float(np.linalg.norm(self.center)))
 
     def project_batch(self, ys):
-        diff = np.asarray(ys, dtype=float) - self.center
+        # rows inside the ball come back unchanged, so the projection is
+        # exact on the set; only the rows outside are pulled to the sphere
+        out = np.array(ys, dtype=float)
+        diff = out - self.center
         norms = np.linalg.norm(diff, axis=1)
-        scale = np.ones_like(norms)
         over = norms > self.radius
-        scale[over] = self.radius / norms[over]
-        return self.center + diff * scale[:, None]
+        if over.any():
+            out[over] = self.center + diff[over] * (self.radius / norms[over])[:, None]
+        return out
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
         # the same norms project_batch compares with the radius; a row's

@@ -23,7 +23,7 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -55,7 +55,6 @@ REGIMES = (
 )
 
 _CONVEX_REGIMES = ("convex-noiseless", "convex-noisy", "convex-noisy-interior")
-_NONCONVEX_REGIMES = ("nonconvex-noiseless", "nonconvex-noisy")
 
 # Relative tolerance for the smoothing-radius bisection.
 _BISECT_RTOL = 1e-12
@@ -78,8 +77,46 @@ def _require_positive(name: str, value: float, *, allow_zero: bool = False) -> f
     return value
 
 
+class _Record:
+    """Dict round trip of a frozen dataclass, read off its own fields.
+
+    On construction every field is cast to its annotated type (a JSON
+    integer given for a float field is stored as a float).  ``as_dict``
+    lists the fields in order, with tuples as lists and nested records as
+    dicts; ``from_dict`` refuses unknown keys and missing keys that have
+    no default.
+    """
+
+    _label: str  # names the record in from_dict's errors
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, _CASTS[f.type](value))
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown {cls._label} field(s): {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ConfigurationError(f"missing {cls._label} field(s): {sorted(missing)}")
+        return cls(**data)
+
+
+def _plain(value):
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.as_dict() if isinstance(value, _Record) else value
+
+
 @dataclass(frozen=True)
-class ProblemConstants:
+class ProblemConstants(_Record):
     """Scalar constants describing a problem instance on a network.
 
     Attributes
@@ -117,6 +154,8 @@ class ProblemConstants:
         range of the convex noiseless regime.
     """
 
+    _label = "constants"
+
     n_agents: int
     dim: int
     lipschitz: float
@@ -132,67 +171,22 @@ class ProblemConstants:
     gap_max: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n_agents) != self.n_agents or self.n_agents < 1:
-            raise ConfigurationError(f"n_agents must be a positive integer, got {self.n_agents!r}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ConfigurationError(f"dim must be a positive integer, got {self.dim!r}")
-        if int(self.staleness_bound) != self.staleness_bound or self.staleness_bound < 0:
-            raise ConfigurationError(
-                f"staleness_bound must be a non-negative integer, got {self.staleness_bound!r}"
-            )
+        for name, floor, kind in (
+            ("n_agents", 1, "a positive"),
+            ("dim", 1, "a positive"),
+            ("staleness_bound", 0, "a non-negative"),
+        ):
+            value = getattr(self, name)
+            if int(value) != value or value < floor:
+                raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
         _require_positive("lipschitz", self.lipschitz)
-        _require_positive("smoothness", self.smoothness, allow_zero=True)
-        _require_positive("b_bar", self.b_bar, allow_zero=True)
-        _require_positive("b_frak", self.b_frak, allow_zero=True)
-        _require_positive("sigma", self.sigma, allow_zero=True)
-        for name in ("outer_radius", "inner_radius", "breg_diameter", "gap_max"):
+        for name in ("smoothness", "b_bar", "b_frak", "sigma"):
+            _require_positive(name, getattr(self, name), allow_zero=True)
+        for name in ("outer_radius", "inner_radius", "breg_diameter", "gap_max", "init_gap"):
             value = getattr(self, name)
             if value is not None:
-                _require_positive(name, value)
-        if self.init_gap is not None:
-            _require_positive("init_gap", self.init_gap, allow_zero=True)
-
-    def as_dict(self) -> dict:
-        return {
-            "n_agents": int(self.n_agents),
-            "dim": int(self.dim),
-            "lipschitz": float(self.lipschitz),
-            "smoothness": float(self.smoothness),
-            "b_bar": float(self.b_bar),
-            "b_frak": float(self.b_frak),
-            "staleness_bound": int(self.staleness_bound),
-            "sigma": float(self.sigma),
-            "outer_radius": None if self.outer_radius is None else float(self.outer_radius),
-            "inner_radius": None if self.inner_radius is None else float(self.inner_radius),
-            "breg_diameter": None if self.breg_diameter is None else float(self.breg_diameter),
-            "init_gap": None if self.init_gap is None else float(self.init_gap),
-            "gap_max": None if self.gap_max is None else float(self.gap_max),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ProblemConstants":
-        known = {
-            "n_agents",
-            "dim",
-            "lipschitz",
-            "smoothness",
-            "b_bar",
-            "b_frak",
-            "staleness_bound",
-            "sigma",
-            "outer_radius",
-            "inner_radius",
-            "breg_diameter",
-            "init_gap",
-            "gap_max",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown constants field(s): {sorted(unknown)}")
-        missing = {"n_agents", "dim", "lipschitz", "smoothness", "b_bar", "b_frak", "staleness_bound"} - set(data)
-        if missing:
-            raise ConfigurationError(f"missing constants field(s): {sorted(missing)}")
-        return ProblemConstants(**data)
+                _require_positive(name, value, allow_zero=name == "init_gap")
+        super().__post_init__()
 
 
 def constants_for(
@@ -234,8 +228,10 @@ def constants_for(
 
 
 @dataclass(frozen=True)
-class ParamPlan:
+class ParamPlan(_Record):
     """A full parameter tuple for one regime at one target accuracy."""
+
+    _label = "plan"
 
     regime: str
     epsilon: float
@@ -245,33 +241,12 @@ class ParamPlan:
     horizon: int
     notes: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "epsilon": float(self.epsilon),
-            "delta": float(self.delta),
-            "u": float(self.u),
-            "eta": float(self.eta),
-            "horizon": int(self.horizon),
-            "notes": list(self.notes),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ParamPlan":
-        return ParamPlan(
-            regime=str(data["regime"]),
-            epsilon=float(data["epsilon"]),
-            delta=float(data["delta"]),
-            u=float(data["u"]),
-            eta=float(data["eta"]),
-            horizon=int(data["horizon"]),
-            notes=tuple(data.get("notes", ())),
-        )
-
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(_Record):
     """One re-evaluated inequality: ``value <= bound`` or ``value >= bound``."""
+
+    _label = "check"
 
     name: str
     kind: str  # "max": value must be <= bound; "min": value must be >= bound
@@ -280,20 +255,12 @@ class ConditionCheck:
     satisfied: bool
     slack: float  # bound - value for "max", value - bound for "min"
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "value": float(self.value),
-            "bound": float(self.bound),
-            "satisfied": bool(self.satisfied),
-            "slack": float(self.slack),
-        }
-
 
 @dataclass(frozen=True)
-class PlanReport:
+class PlanReport(_Record):
     """Verification report for a parameter tuple against its regime."""
+
+    _label = "report"
 
     regime: str
     epsilon: float
@@ -301,38 +268,29 @@ class PlanReport:
     satisfied: bool
     notes: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "epsilon": float(self.epsilon),
-            "checks": [c.as_dict() for c in self.checks],
-            "satisfied": bool(self.satisfied),
-            "notes": list(self.notes),
-        }
+
+# Field annotation -> cast applied on construction (see _Record).
+_CASTS = {
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "str": str,
+    "bool": bool,
+    "tuple[str, ...]": tuple,
+    "tuple[ConditionCheck, ...]": lambda checks: tuple(
+        ConditionCheck.from_dict(ch) if isinstance(ch, dict) else ch for ch in checks
+    ),
+}
 
 
-def _check_max(name: str, value: float, bound: float) -> ConditionCheck:
+def _check(name: str, kind: str, value: float, bound: float) -> ConditionCheck:
+    """Judge ``value <= bound`` (kind "max") or ``value >= bound`` (kind "min")."""
     tol = _CHECK_RTOL * max(1.0, abs(bound))
-    return ConditionCheck(
-        name=name,
-        kind="max",
-        value=float(value),
-        bound=float(bound),
-        satisfied=bool(value <= bound + tol),
-        slack=float(bound - value),
-    )
-
-
-def _check_min(name: str, value: float, bound: float) -> ConditionCheck:
-    tol = _CHECK_RTOL * max(1.0, abs(bound))
-    return ConditionCheck(
-        name=name,
-        kind="min",
-        value=float(value),
-        bound=float(bound),
-        satisfied=bool(value >= bound - tol),
-        slack=float(value - bound),
-    )
+    if kind == "max":
+        satisfied, slack = value <= bound + tol, bound - value
+    else:
+        satisfied, slack = value >= bound - tol, value - bound
+    return ConditionCheck(name, kind, value, bound, satisfied, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +346,14 @@ def _solve_smoothing_radius(constants: ProblemConstants, epsilon: float, target:
 
 
 # ---------------------------------------------------------------------------
-# Regime requirements
+# Regime conditions: one input check, and one bound per condition that
+# plan() meets with equality and verify_plan() re-evaluates
 # ---------------------------------------------------------------------------
 
 
 def _require_regime(regime: str) -> None:
     if regime not in REGIMES:
         raise ConfigurationError(f"unknown regime {regime!r}; expected one of {list(REGIMES)}")
-
-
-def _require_noise_match(constants: ProblemConstants, regime: str) -> None:
-    noiseless = regime.endswith("-noiseless")
-    if noiseless and constants.sigma != 0.0:
-        raise ConfigurationError(
-            f"regime {regime!r} requires exact observations (sigma = 0), got sigma = {constants.sigma}"
-        )
-    if not noiseless and constants.sigma <= 0.0:
-        raise ConfigurationError(
-            f"regime {regime!r} requires noisy observations (sigma > 0), got sigma = {constants.sigma}"
-        )
 
 
 def _require_constrained_constants(constants: ProblemConstants, regime: str) -> None:
@@ -421,59 +368,87 @@ def _require_constrained_constants(constants: ProblemConstants, regime: str) -> 
         )
 
 
-def _require_nonconvex_constants(constants: ProblemConstants, regime: str) -> None:
-    if constants.smoothness <= 0:
-        raise ConfigurationError(f"regime {regime!r} requires smoothness > 0")
-    if constants.b_bar <= 0:
-        raise ConfigurationError(
-            f"regime {regime!r} requires b_bar > 0 (a single agent with no extra delay is degenerate)"
-        )
+def _check_inputs(constants: ProblemConstants, epsilon: float, regime: str, purpose: str) -> float:
+    """Refuse inputs on which the regime's bounds are undefined; return ``epsilon``.
 
-
-def _convex_eta_bound_noiseless(constants: ProblemConstants, epsilon: float) -> float:
+    ``purpose`` ("planning" or "verification") names the caller in messages.
+    """
+    _require_regime(regime)
+    epsilon = _require_positive("epsilon", epsilon)
     c = constants
-    grad_sq = c.lipschitz**2 + (c.smoothness * c.outer_radius / 4.0) ** 2
-    return epsilon / (32.0 * grad_sq * (c.b_frak + 0.5) * (math.sqrt(c.dim) + 1.0) ** 2)
+    noiseless = regime.endswith("-noiseless")
+    if noiseless != (c.sigma == 0.0):  # sigma >= 0 by construction
+        wanted = "exact observations (sigma = 0)" if noiseless else "noisy observations (sigma > 0)"
+        raise ConfigurationError(f"regime {regime!r} requires {wanted}, got sigma = {c.sigma}")
+    if regime in _CONVEX_REGIMES:
+        _require_constrained_constants(c, regime)
+        if regime == "convex-noiseless" and c.gap_max is None:
+            raise ConfigurationError(
+                f"convex-noiseless {purpose} needs gap_max (the admissible accuracy range)"
+            )
+        if regime == "convex-noisy-interior" and c.smoothness <= 0:
+            raise ConfigurationError(f"convex-noisy-interior {purpose} requires smoothness > 0")
+    else:
+        if c.smoothness <= 0:
+            raise ConfigurationError(f"regime {regime!r} requires smoothness > 0")
+        if c.b_bar <= 0:
+            raise ConfigurationError(
+                f"regime {regime!r} requires b_bar > 0 (a single agent with no extra delay is degenerate)"
+            )
+    return epsilon
 
 
-def _convex_eta_bound_noisy(constants: ProblemConstants, epsilon: float, u: float) -> float:
-    c = constants
-    return 3.0 * u * u * epsilon / (8.0 * c.sigma**2 * (c.b_frak + 0.5) * (math.sqrt(c.dim) + 1.0) ** 2)
-
-
-def _convex_delta_bound(constants: ProblemConstants, epsilon: float, regime: str) -> float:
-    c = constants
+def _delta_bound(c: ProblemConstants, epsilon: float, regime: str) -> float:
+    """Largest shrinkage factor of a convex regime."""
     if regime == "convex-noisy-interior":
         return math.sqrt(epsilon) / (c.outer_radius * math.sqrt(2.0 * c.smoothness))
     return epsilon / (5.0 * c.lipschitz * c.outer_radius)
 
 
-def _convex_sample_bound(constants: ProblemConstants, epsilon: float, eta: float) -> int:
-    return int(math.ceil(15.0 * constants.breg_diameter / (2.0 * eta * epsilon)))
+def _u_bound(c: ProblemConstants, epsilon: float, delta: float, regime: str) -> float:
+    """Bound of the smoothing condition: on ``smoothing_condition_value(u)``
+    in a convex regime, on ``u`` itself in a nonconvex one."""
+    if regime in _CONVEX_REGIMES:
+        return delta * c.inner_radius / 3.0
+    return math.sqrt(epsilon) / (4.0 * c.smoothness * math.sqrt(c.dim))
 
 
-def _nonconvex_eta_bound(constants: ProblemConstants, epsilon: float, u: float, regime: str) -> float:
-    c = constants
+def _eta_bound(c: ProblemConstants, epsilon: float, u: float, regime: str) -> float:
+    """Largest step size of the regime at smoothing radius ``u``."""
+    if regime == "convex-noiseless":
+        return epsilon / (32.0 * _grad_sq(c) * (c.b_frak + 0.5) * (math.sqrt(c.dim) + 1.0) ** 2)
+    if regime in _CONVEX_REGIMES:
+        return 3.0 * u * u * epsilon / (8.0 * c.sigma**2 * (c.b_frak + 0.5) * (math.sqrt(c.dim) + 1.0) ** 2)
     base = c.smoothness * c.b_bar * math.sqrt(c.n_agents) * c.dim
     if regime == "nonconvex-noiseless":
         return epsilon / (48.0 * base)
     return epsilon * u * u / (c.sigma**2 * 2.0 * base)
 
 
-def _nonconvex_u_bound(constants: ProblemConstants, epsilon: float) -> float:
-    return math.sqrt(epsilon) / (4.0 * constants.smoothness * math.sqrt(constants.dim))
+def _sample_bound(c: ProblemConstants, epsilon: float, eta: float, regime: str) -> int:
+    """Fewest averaged rounds ``T - B + 1`` of the regime at step size ``eta``."""
+    if regime in _CONVEX_REGIMES:
+        return int(math.ceil(15.0 * c.breg_diameter / (2.0 * eta * epsilon)))
+    return int(math.ceil(6.0 * _nonconvex_budget(c)[0] / (eta * epsilon)))
 
 
-def _nonconvex_budget(constants: ProblemConstants) -> tuple[float, str | None]:
+def _nonconvex_budget(constants: ProblemConstants) -> tuple[float, tuple[str, ...]]:
     """Horizon budget ``max(init_gap, 1)``; a note explains a defaulted gap."""
     if constants.init_gap is None:
-        return 1.0, "initial optimality gap not supplied; horizon uses the formula's floor of 1"
-    return max(float(constants.init_gap), 1.0), None
+        return 1.0, ("initial optimality gap not supplied; horizon uses the formula's floor of 1",)
+    return max(float(constants.init_gap), 1.0), ()
 
 
-def _nonconvex_sample_bound(constants: ProblemConstants, epsilon: float, eta: float) -> int:
-    budget, _ = _nonconvex_budget(constants)
-    return int(math.ceil(6.0 * budget / (eta * epsilon)))
+def _second_order_note(second: str, second_term: float, first: str, first_term: float) -> list[str]:
+    """A note when a second-order term of the bound exceeds 10% of the
+    first-order term it is neglected against."""
+    if second_term > 0.1 * first_term:
+        return [
+            f"second-order {second} term ({second_term:.6e}) exceeds 10% of the first-order "
+            f"{first} term ({first_term:.6e}); epsilon may not be small enough for the "
+            "advertised accuracy guarantee"
+        ]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -488,170 +463,113 @@ def plan(constants: ProblemConstants, epsilon: float, regime: str) -> ParamPlan:
     its defining equation to 1e-12 relative accuracy; all other parameters
     are direct substitutions.  ``verify_plan`` on the result is always clean.
     """
-    _require_regime(regime)
-    epsilon = _require_positive("epsilon", epsilon)
-    _require_noise_match(constants, regime)
+    epsilon = _check_inputs(constants, epsilon, regime, "planning")
     c = constants
     notes: list[str] = []
-
     if regime in _CONVEX_REGIMES:
-        _require_constrained_constants(c, regime)
-        if regime == "convex-noiseless":
-            if c.gap_max is None:
-                raise ConfigurationError(
-                    "convex-noiseless planning needs gap_max (the admissible accuracy range)"
-                )
-            if epsilon > c.gap_max:
-                raise ConfigurationError(
-                    f"epsilon = {epsilon} is outside the admissible range (0, {c.gap_max}] "
-                    "for the convex-noiseless regime"
-                )
-        if regime == "convex-noisy-interior" and c.smoothness <= 0:
-            raise ConfigurationError("convex-noisy-interior planning requires smoothness > 0")
-
-        delta = _convex_delta_bound(c, epsilon, regime)
+        if regime == "convex-noiseless" and epsilon > c.gap_max:
+            raise ConfigurationError(
+                f"epsilon = {epsilon} is outside the admissible range (0, {c.gap_max}] "
+                "for the convex-noiseless regime"
+            )
+        delta = _delta_bound(c, epsilon, regime)
         if delta >= 1.0:
             raise ConfigurationError(
                 f"epsilon = {epsilon} is too large: the implied shrinkage factor {delta} reaches 1"
             )
-        u = _solve_smoothing_radius(c, epsilon, delta * c.inner_radius / 3.0)
-        if regime == "convex-noiseless":
-            eta = _convex_eta_bound_noiseless(c, epsilon)
-        else:
-            eta = _convex_eta_bound_noisy(c, epsilon, u)
-            smooth_term = (
-                16.0
-                * eta
-                * (c.lipschitz**2 + (c.smoothness * c.outer_radius / 4.0) ** 2)
-                * (c.b_frak + 0.5)
-                * (math.sqrt(c.dim) + 1.0 / 6.0) ** 2
-            )
-            noise_term = (
-                2.0 * eta * c.sigma**2 / (3.0 * u * u) * (c.b_frak + 0.5) * (math.sqrt(c.dim) + 1.0 / 6.0) ** 2
-            )
-            if smooth_term > 0.1 * noise_term:
-                notes.append(
-                    "second-order smoothness term "
-                    f"({smooth_term:.6e}) exceeds 10% of the first-order noise term "
-                    f"({noise_term:.6e}); epsilon may not be small enough for the "
-                    "advertised accuracy guarantee"
-                )
-        samples = _convex_sample_bound(c, epsilon, eta)
-        horizon = c.staleness_bound - 1 + samples
+        u = _solve_smoothing_radius(c, epsilon, _u_bound(c, epsilon, delta, regime))
     else:
-        _require_nonconvex_constants(c, regime)
         delta = 0.0
         notes.append("feasible-set shrinkage disabled: this regime targets unconstrained problems")
-        u = _nonconvex_u_bound(c, epsilon)
-        eta = _nonconvex_eta_bound(c, epsilon, u, regime)
-        budget, budget_note = _nonconvex_budget(c)
-        if budget_note is not None:
-            notes.append(budget_note)
-        samples = _nonconvex_sample_bound(c, epsilon, eta)
-        horizon = c.staleness_bound - 1 + samples
-        if c.staleness_bound > 0:
-            moment = 12.0 * c.lipschitz**2
-            if c.sigma > 0:
-                moment += c.sigma**2 / (2.0 * u * u)
-            trailing = c.lipschitz * c.staleness_bound * math.sqrt(moment * c.dim) / samples
-            counterpart = 6.0 * budget / (5.0 * eta * samples)
-            if trailing > 0.1 * counterpart:
-                notes.append(
-                    "second-order warm-up term "
-                    f"({trailing:.6e}) exceeds 10% of the first-order initial-gap term "
-                    f"({counterpart:.6e}); epsilon may not be small enough for the "
-                    "advertised accuracy guarantee"
-                )
-
-    return ParamPlan(
-        regime=regime,
-        epsilon=epsilon,
-        delta=float(delta),
-        u=float(u),
-        eta=float(eta),
-        horizon=int(horizon),
-        notes=tuple(notes),
-    )
+        notes += _nonconvex_budget(c)[1]
+        u = _u_bound(c, epsilon, delta, regime)
+    eta = _eta_bound(c, epsilon, u, regime)
+    samples = _sample_bound(c, epsilon, eta, regime)
+    if regime in ("convex-noisy", "convex-noisy-interior"):
+        smooth_term, noise_term = _gap_step_terms(c, eta, u)
+        notes += _second_order_note("smoothness", smooth_term, "noise", noise_term)
+    elif regime not in _CONVEX_REGIMES and c.staleness_bound > 0:
+        descent, _, _, warmup = _stationarity_terms(c, eta, u, samples, _nonconvex_budget(c)[0])
+        notes += _second_order_note("warm-up", warmup, "initial-gap", descent)
+    return ParamPlan(regime, epsilon, delta, u, eta, c.staleness_bound - 1 + samples, tuple(notes))
 
 
 def verify_plan(constants: ProblemConstants, epsilon: float, candidate: ParamPlan) -> PlanReport:
     """Re-evaluate every inequality of the candidate's regime and report slack.
 
     Pure re-evaluation: never raises on a violated inequality, only reports
-    it.  ``plan()`` output verifies clean with zero slack (up to 1e-9) on
-    the equality-tight conditions.
+    it.  Inputs on which the regime's bounds are undefined are refused with
+    the same check as in ``plan``.  ``plan()`` output verifies clean with
+    zero slack (up to 1e-9) on the equality-tight conditions.
     """
     regime = candidate.regime
-    _require_regime(regime)
-    epsilon = _require_positive("epsilon", epsilon)
-    _require_noise_match(constants, regime)
+    epsilon = _check_inputs(constants, epsilon, regime, "verification")
     c = constants
     checks: list[ConditionCheck] = []
     notes: list[str] = []
-
+    if regime == "convex-noiseless":
+        checks.append(_check("accuracy-range", "max", epsilon, c.gap_max))
     if regime in _CONVEX_REGIMES:
-        _require_constrained_constants(c, regime)
-        if regime == "convex-noiseless":
-            if c.gap_max is None:
-                raise ConfigurationError(
-                    "convex-noiseless verification needs gap_max (the admissible accuracy range)"
-                )
-            checks.append(_check_max("accuracy-range", epsilon, c.gap_max))
-        checks.append(
-            _check_max("shrinkage", candidate.delta, _convex_delta_bound(c, epsilon, regime))
-        )
-        checks.append(
-            _check_max(
-                "smoothing",
-                smoothing_condition_value(candidate.u, c, epsilon),
-                candidate.delta * c.inner_radius / 3.0,
-            )
-        )
-        if regime == "convex-noiseless":
-            eta_bound = _convex_eta_bound_noiseless(c, epsilon)
-        else:
-            eta_bound = _convex_eta_bound_noisy(c, epsilon, candidate.u)
-        checks.append(_check_max("step-size", candidate.eta, eta_bound))
-        checks.append(
-            _check_min(
-                "horizon",
-                candidate.horizon - c.staleness_bound + 1,
-                _convex_sample_bound(c, epsilon, candidate.eta),
-            )
-        )
+        checks.append(_check("shrinkage", "max", candidate.delta, _delta_bound(c, epsilon, regime)))
+        u_value = smoothing_condition_value(candidate.u, c, epsilon)
     else:
-        _require_nonconvex_constants(c, regime)
-        checks.append(_check_max("smoothing", candidate.u, _nonconvex_u_bound(c, epsilon)))
-        checks.append(
-            _check_max(
-                "step-size",
-                candidate.eta,
-                _nonconvex_eta_bound(c, epsilon, candidate.u, regime),
-            )
-        )
-        _, budget_note = _nonconvex_budget(c)
-        if budget_note is not None:
-            notes.append(budget_note)
-        checks.append(
-            _check_min(
-                "horizon",
-                candidate.horizon - c.staleness_bound + 1,
-                _nonconvex_sample_bound(c, epsilon, candidate.eta),
-            )
-        )
-
-    return PlanReport(
-        regime=regime,
-        epsilon=epsilon,
-        checks=tuple(checks),
-        satisfied=all(ch.satisfied for ch in checks),
-        notes=tuple(notes),
-    )
+        u_value = candidate.u
+        notes += _nonconvex_budget(c)[1]
+    checks += [
+        _check("smoothing", "max", u_value, _u_bound(c, epsilon, candidate.delta, regime)),
+        _check("step-size", "max", candidate.eta, _eta_bound(c, epsilon, candidate.u, regime)),
+        _check(
+            "horizon",
+            "min",
+            candidate.horizon - c.staleness_bound + 1,
+            _sample_bound(c, epsilon, candidate.eta, regime),
+        ),
+    ]
+    return PlanReport(regime, epsilon, tuple(checks), all(ch.satisfied for ch in checks), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form expected-performance bounds
 # ---------------------------------------------------------------------------
+
+
+def _averaged_rounds(c: ProblemConstants, horizon: int) -> int:
+    """Rounds ``T - B + 1`` in a bound's ergodic average; refuses an empty one."""
+    if horizon < c.staleness_bound:
+        raise ConfigurationError(
+            f"horizon {horizon} is below the staleness bound {c.staleness_bound}; "
+            "the ergodic average would be empty"
+        )
+    return horizon - c.staleness_bound + 1
+
+
+def _grad_sq(c: ProblemConstants) -> float:
+    """``G^2 + (L R / 4)^2``, the squared gradient bound of the convex regimes."""
+    return c.lipschitz**2 + (c.smoothness * c.outer_radius / 4.0) ** 2
+
+
+def _gap_step_terms(c: ProblemConstants, eta: float, u: float) -> tuple[float, float]:
+    """The gap bound's step-size terms: smoothness ``16 eta (G^2 + (L R / 4)^2) w k``
+    and noise ``2 eta sigma^2 / (3 u^2) w k``, with ``w = b_frak + 1/2`` and
+    ``k = (sqrt(d) + 1/6)^2``."""
+    weight = c.b_frak + 0.5
+    cap = (math.sqrt(c.dim) + 1.0 / 6.0) ** 2
+    step_term = 16.0 * eta * _grad_sq(c) * weight * cap
+    noise_term = 2.0 * eta * c.sigma**2 / (3.0 * u * u) * weight * cap
+    return step_term, noise_term
+
+
+def _stationarity_terms(
+    c: ProblemConstants, eta: float, u: float, samples: int, gap: float
+) -> tuple[float, float, float, float]:
+    """The stationarity bound's descent, drift, smoothing-bias and warm-up
+    terms, with the second moment ``12 G^2 + sigma^2 / (2 u^2)``."""
+    moment = 12.0 * c.lipschitz**2 + (c.sigma**2 / (2.0 * u * u) if c.sigma > 0 else 0.0)
+    descent = 6.0 * gap / (5.0 * eta * samples)
+    drift = 12.0 / 5.0 * eta * c.smoothness * c.b_bar * math.sqrt(c.n_agents) * c.dim * moment
+    smoothing_bias = 2.0 * u * u * c.smoothness**2 * c.dim
+    warmup = c.lipschitz * c.staleness_bound / samples * math.sqrt(moment * c.dim)
+    return descent, drift, smoothing_bias, warmup
 
 
 def expected_gap_bound(
@@ -681,16 +599,7 @@ def expected_gap_bound(
         raise ConfigurationError(
             f"expected_gap_bound requires u <= delta * inner_radius / (3 sqrt(d)) = {hypothesis}, got u = {u}"
         )
-    if horizon < c.staleness_bound:
-        raise ConfigurationError(
-            f"horizon {horizon} is below the staleness bound {c.staleness_bound}; "
-            "the ergodic average would be empty"
-        )
-    samples = horizon - c.staleness_bound + 1
-    weight = c.b_frak + 0.5
-    cap = (sqrt_d + 1.0 / 6.0) ** 2
-    grad_sq = c.lipschitz**2 + (c.smoothness * c.outer_radius / 4.0) ** 2
-
+    samples = _averaged_rounds(c, horizon)
     averaging = 5.0 * c.breg_diameter / (4.0 * eta * samples)
     if interior:
         smoothing_bias = 0.5 * u * u * c.smoothness * c.dim
@@ -698,8 +607,7 @@ def expected_gap_bound(
     else:
         smoothing_bias = u * c.lipschitz * sqrt_d
         shrink_bias = c.lipschitz * c.outer_radius * delta
-    step_term = 16.0 * eta * grad_sq * weight * cap
-    noise_term = 2.0 * eta * c.sigma**2 / (3.0 * u * u) * weight * cap
+    step_term, noise_term = _gap_step_terms(c, eta, u)
     tail = (
         5.0
         * c.lipschitz
@@ -731,17 +639,8 @@ def expected_stationarity_bound(
         raise ConfigurationError("expected_stationarity_bound requires smoothness > 0")
     eta = _require_positive("eta", eta)
     u = _require_positive("u", u)
-    if horizon < c.staleness_bound:
-        raise ConfigurationError(
-            f"horizon {horizon} is below the staleness bound {c.staleness_bound}; "
-            "the ergodic average would be empty"
-        )
-    samples = horizon - c.staleness_bound + 1
-    moment = 12.0 * c.lipschitz**2 + (c.sigma**2 / (2.0 * u * u) if c.sigma > 0 else 0.0)
-    descent = 6.0 * c.init_gap / (5.0 * eta * samples)
-    drift = 12.0 / 5.0 * eta * c.smoothness * c.b_bar * math.sqrt(c.n_agents) * c.dim * moment
-    smoothing_bias = 2.0 * u * u * c.smoothness**2 * c.dim
-    warmup = c.lipschitz * c.staleness_bound / samples * math.sqrt(moment * c.dim)
+    samples = _averaged_rounds(c, horizon)
+    descent, drift, smoothing_bias, warmup = _stationarity_terms(c, eta, u, samples, c.init_gap)
     return descent + drift + smoothing_bias + warmup
 
 

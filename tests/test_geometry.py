@@ -79,6 +79,19 @@ def test_ball_projection_scales_radially():
     np.testing.assert_allclose(ball.project(inside), inside)
 
 
+def test_ball_projection_returns_interior_rows_unchanged():
+    # center + (y - center) rounds differently from y for most rows, so the
+    # interior rows must bypass the radial formula to come back bit for bit
+    ball = Ball([0.1, -0.2, 0.3], 0.8)
+    ys = np.random.default_rng(0).normal(0.0, 0.3, size=(10_000, 3))
+    inside = np.linalg.norm(ys - ball.center, axis=1) <= ball.radius
+    assert inside.sum() > 5_000 and (~inside).any()
+    out = ball.project_batch(ys)
+    assert np.array_equal(out[inside], ys[inside])
+    assert np.all(np.linalg.norm(out[~inside] - ball.center, axis=1) <= ball.radius * (1 + 1e-15))
+    assert out is not ys
+
+
 def test_simplex_projection_matches_grid_oracle_frozen_case():
     # Oracle-derived: projecting (0.8, 0.8) onto {v >= 0, sum v <= 1}
     # lands on the diagonal face at (0.5, 0.5).

@@ -1,5 +1,6 @@
 """Tests for parameter planning, verification, bounds, and scaling."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from zfo.errors import ConfigurationError
 from zfo.network import CommGraph, network_stats
 from zfo.planner import (
     REGIMES,
+    ConditionCheck,
     ParamPlan,
     PlanReport,
     ProblemConstants,
@@ -222,6 +224,40 @@ def test_unbounded_sets_rejected_for_convex_regimes():
 def test_unknown_regime_rejected():
     with pytest.raises(ConfigurationError, match="regime"):
         plan(_constants(), 0.1, "strongly-convex")
+
+
+# Inputs on which a regime's bounds are undefined: plan and verify_plan share
+# one input check, so each must refuse all of them.
+_REFUSED_INPUTS = [
+    ("unknown-regime", {}, "strongly-convex", "unknown regime"),
+    ("noisy-sigma-for-noiseless", {"sigma": 0.1}, "convex-noiseless", "sigma = 0"),
+    ("zero-sigma-for-noisy", {"sigma": 0.0}, "nonconvex-noisy", "sigma > 0"),
+    (
+        "unbounded-set",
+        {"sigma": 0.1, "outer_radius": None, "inner_radius": None, "breg_diameter": None},
+        "convex-noisy",
+        "bounded feasible set",
+    ),
+    ("missing-gap-max", {"gap_max": None}, "convex-noiseless", "gap_max"),
+    ("interior-zero-smoothness", {"sigma": 0.1, "smoothness": 0.0}, "convex-noisy-interior", "smoothness > 0"),
+    ("nonconvex-zero-smoothness", {"smoothness": 0.0}, "nonconvex-noiseless", "smoothness > 0"),
+    ("nonconvex-noisy-zero-smoothness", {"sigma": 0.1, "smoothness": 0.0}, "nonconvex-noisy", "smoothness > 0"),
+    ("zero-b-bar", {"b_bar": 0.0}, "nonconvex-noiseless", "b_bar > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, regime, message",
+    [case[1:] for case in _REFUSED_INPUTS],
+    ids=[case[0] for case in _REFUSED_INPUTS],
+)
+def test_plan_and_verify_refuse_the_same_inputs(overrides, regime, message):
+    c = _constants(**overrides)
+    with pytest.raises(ConfigurationError, match=message):
+        plan(c, 0.1, regime)
+    candidate = ParamPlan(regime=regime, epsilon=0.1, delta=0.1, u=0.01, eta=1e-3, horizon=100)
+    with pytest.raises(ConfigurationError, match=message):
+        verify_plan(c, 0.1, candidate)
 
 
 def test_oversized_epsilon_shrinkage_guard():
@@ -516,11 +552,41 @@ def test_constants_dict_roundtrip():
         ProblemConstants.from_dict({"n_agents": 2})
 
 
+def test_constants_from_json_integers_serialise_as_floats():
+    # A constants file may spell a float field as a JSON integer; the record
+    # stores it as a float, so the serialised form does not depend on it.
+    doc = json.loads(
+        '{"n_agents": 3, "dim": 6, "lipschitz": 2, "smoothness": 1, "b_bar": 2, '
+        '"b_frak": 3, "staleness_bound": 2, "sigma": 0, "outer_radius": 2, "gap_max": 20}'
+    )
+    out = ProblemConstants.from_dict(doc).as_dict()
+    for name in ("lipschitz", "smoothness", "b_bar", "b_frak", "sigma", "outer_radius", "gap_max"):
+        assert type(out[name]) is float, name
+    for name in ("n_agents", "dim", "staleness_bound"):
+        assert type(out[name]) is int, name
+    assert out["inner_radius"] is None
+    assert '"lipschitz": 2.0' in json.dumps(out)
+
+
 def test_plan_dict_roundtrip():
     c = _constants()
     p = plan(c, 0.4, "convex-noiseless")
     again = ParamPlan.from_dict(p.as_dict())
     assert again == p
+    with pytest.raises(ConfigurationError, match="unknown"):
+        ParamPlan.from_dict({**p.as_dict(), "bogus": 1})
+    with pytest.raises(ConfigurationError, match="missing"):
+        ParamPlan.from_dict({"regime": p.regime})
+
+
+def test_report_dict_roundtrip():
+    c = _constants(sigma=0.2, init_gap=None)
+    p = plan(c, 0.1, "nonconvex-noisy")
+    report = verify_plan(c, 0.1, p)
+    assert report.notes
+    again = PlanReport.from_dict(json.loads(json.dumps(report.as_dict())))
+    assert again == report
+    assert isinstance(again.checks[0], ConditionCheck)
 
 
 def test_constants_validation():
