@@ -6,7 +6,7 @@ protocol, benchmark problems, a parameter planner, and a round-based
 simulator — plus a `zfo` command-line front end.
 """
 
-from .agents import InfoTable, PerturbationHistory, SwarmTables, assemble_gradient, local_quotient, merge_tables
+from .agents import SwarmTables
 from .config import apply_overrides, build_run_config, load_config
 from .errors import (
     AssumptionViolation,
@@ -71,13 +71,11 @@ __all__ = [
     "ConvexSet",
     "DelayModel",
     "DomainError",
-    "InfoTable",
     "Intersection",
     "NetworkStats",
     "NoDelay",
     "OracleError",
     "ParamPlan",
-    "PerturbationHistory",
     "PlanReport",
     "Problem",
     "ProblemConstants",
@@ -90,7 +88,6 @@ __all__ = [
     "WholeSpace",
     "ZfoError",
     "apply_overrides",
-    "assemble_gradient",
     "build_box_quadratic",
     "build_routing_instance",
     "build_run_config",
@@ -102,8 +99,6 @@ __all__ = [
     "expected_gap_bound",
     "expected_stationarity_bound",
     "load_config",
-    "local_quotient",
-    "merge_tables",
     "metrics_snapshot",
     "network_stats",
     "plan",

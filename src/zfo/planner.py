@@ -499,11 +499,19 @@ def verify_plan(constants: ProblemConstants, epsilon: float, candidate: ParamPla
 
     Pure re-evaluation: never raises on a violated inequality, only reports
     it.  Inputs on which the regime's bounds are undefined are refused with
-    the same check as in ``plan``.  ``plan()`` output verifies clean with
+    the same check as in ``plan``, and so is a candidate outside the
+    parameters' domain (``eta <= 0``, ``u <= 0``, ``delta`` outside
+    ``[0, 1)`` or ``horizon < 0``).  ``plan()`` output verifies clean with
     zero slack (up to 1e-9) on the equality-tight conditions.
     """
     regime = candidate.regime
     epsilon = _check_inputs(constants, epsilon, regime, "verification")
+    _require_positive("candidate eta", candidate.eta)
+    _require_positive("candidate u", candidate.u)
+    if not 0.0 <= candidate.delta < 1.0:
+        raise ConfigurationError(f"candidate delta must lie in [0, 1), got {candidate.delta!r}")
+    if candidate.horizon < 0:
+        raise ConfigurationError(f"candidate horizon must be >= 0, got {candidate.horizon!r}")
     c = constants
     checks: list[ConditionCheck] = []
     notes: list[str] = []

@@ -1,21 +1,22 @@
 """Protocol-state tests.
 
 The vectorized SwarmTables engine is cross-checked round for round
-against the transparent per-agent reference implementation.
+against the transparent per-agent reference in `protocol_reference.py`,
+which the first half of this file pins down on its own.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zfo.agents import (
+from protocol_reference import (
     InfoTable,
     PerturbationHistory,
-    SwarmTables,
     assemble_gradient,
     local_quotient,
     merge_tables,
 )
+from zfo.agents import SwarmTables
 from zfo.errors import ConfigurationError, ProtocolViolation
 from zfo.network import CommGraph
 
@@ -184,7 +185,9 @@ def test_swarm_staleness_semantics():
     assert stale[0, 1] == 4  # never heard reads t + 1
 
 
-def test_swarm_assemble_detects_window_overrun():
+def _overrun_tables():
+    """Two agents and a ring of 2 rounds: at round 2 each holds the other's
+    quotient of round 0, whose slot round 2 has reused."""
     s = SwarmTables(2, np.ones((2, 2)), 2, 1)
     nb = np.array([[1], [0]])
     s.record_own(0, np.array([1.0, 2.0]), np.ones((2, 1)))
@@ -195,8 +198,27 @@ def test_swarm_assemble_detects_window_overrun():
     assert s.stamps[0, 1] == -1
     s.merge_from(snapshot, nb)  # round 0's tables, delivered late
     assert s.stamps[0, 1] == 0
+    return s
+
+
+def test_swarm_assemble_detects_window_overrun():
     with pytest.raises(ProtocolViolation, match="staleness"):
-        s.assemble()
+        _overrun_tables().assemble()
+
+
+def test_swarm_assemble_window_check_follows_use_mask():
+    s = _overrun_tables()
+    own_only = np.eye(2, dtype=bool)
+    # the evicted entries are outside the mask: own quotients (1, 2) times z = 1, over n = 2
+    np.testing.assert_array_equal(s.assemble(own_only), [[0.5], [1.0]])
+    use = own_only.copy()
+    use[1, 0] = True
+    with pytest.raises(
+        ProtocolViolation,
+        match="^agent 2 references round 0 for column 1, which left the history window; "
+        "the staleness bound was exceeded$",
+    ):
+        s.assemble(use)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +233,11 @@ def _neighbor_matrix(graph):
     return nb
 
 
-def _run_reference(graph, tracked_sets, values, z_rows, drops):
+def _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets):
     """Per-agent protocol simulation of the quotients `values` (T, n) and
-    perturbations `z_rows` (T, n, d); returns stamps/quotients/gradients
-    per round."""
+    perturbations `z_rows` (T, n, d); returns the stamps, the quotients,
+    the gradients and the gradients over the columns in `use_sets` of
+    every round."""
     T, n, d = z_rows.shape
     tables = [InfoTable(sorted(tracked_sets[i])) for i in range(n)]
     histories = [PerturbationHistory(capacity=T + 1, dim=d) for _ in range(n)]
@@ -236,27 +259,41 @@ def _run_reference(graph, tracked_sets, values, z_rows, drops):
         stamps = np.full((n, n), -1, dtype=np.int64)
         quots = np.zeros((n, n))
         grads = np.zeros((n, d))
+        used_grads = np.zeros((n, d))
         for i in range(n):
             for pos, j in enumerate(tables[i].columns):
                 stamps[i, j] = tables[i].stamps[pos]
                 quots[i, j] = tables[i].quotients[pos]
             grads[i] = assemble_gradient(tables[i], histories[i], n)
-        rounds.append((stamps, quots, grads))
+            used_grads[i] = assemble_gradient(tables[i], histories[i], n, use_sets[i])
+        rounds.append((stamps, quots, grads, used_grads))
     return rounds
 
 
-def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops):
+def _use_sets(rng, n):
+    """A random column set per agent that always holds its own column."""
+    return [{i} | set(np.flatnonzero(rng.random(n) < 0.5).tolist()) for i in range(n)]
+
+
+def _mask(sets, n):
+    mask = np.zeros((n, n), dtype=bool)
+    for i, s in enumerate(sets):
+        mask[i, sorted(s)] = True
+    return mask
+
+
+def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops, use_sets):
     """Run SwarmTables on the reference's inputs and compare stamps, the
-    derived quotients and the gradients every round.  Its rings hold one
-    round more than the oldest entry the reference ever holds, so they
-    wrap once the rounds outnumber them."""
+    derived quotients, the gradients and the gradients over the columns
+    in `use_sets` every round.  Its rings hold one round more than the
+    oldest entry the reference ever holds, so they wrap once the rounds
+    outnumber them."""
     T, n, d = z_rows.shape
-    reference = _run_reference(graph, tracked_sets, values, z_rows, drops)
-    oldest_ages = [t - int(s[s >= 0].min()) for t, (s, _, _) in enumerate(reference)]
+    reference = _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets)
+    oldest_ages = [t - int(s[s >= 0].min()) for t, (s, *_) in enumerate(reference)]
     capacity = 1 + max(oldest_ages)
-    tracked = np.zeros((n, n), dtype=bool)
-    for i, s in enumerate(tracked_sets):
-        tracked[i, sorted(s)] = True
+    tracked = _mask(tracked_sets, n)
+    use_mask = _mask(use_sets, n)
     nb = _neighbor_matrix(graph)
     swarm = SwarmTables(n, tracked, capacity, d)
     snapshot = None
@@ -271,10 +308,11 @@ def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops):
                     mask[i, graph.degree(i):] = False
             swarm.merge_from(snapshot, nb, mask)
         snapshot = swarm.snapshot()
-        ref_stamps, ref_quots, ref_grads = reference[t]
+        ref_stamps, ref_quots, ref_grads, ref_used_grads = reference[t]
         np.testing.assert_array_equal(swarm.stamps, ref_stamps)
         np.testing.assert_array_equal(swarm.quotients, ref_quots)
         np.testing.assert_allclose(swarm.assemble(), ref_grads, atol=1e-14)
+        np.testing.assert_allclose(swarm.assemble(use_mask), ref_used_grads, atol=1e-14)
     return capacity
 
 
@@ -282,8 +320,8 @@ def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops):
 @given(data=st.data())
 def _swarm_matches_reference_on_drawn_cases(reduced, with_drops, data):
     """Random connected graphs of 2-9 agents, random tracked sets (when
-    `reduced`), drop rates up to 0.5 (when `with_drops`) and random
-    quotients, with rings that wrap."""
+    `reduced`), drop rates up to 0.5 (when `with_drops`), random quotients
+    and random assembly masks, with rings that wrap."""
     n = data.draw(st.integers(2, 9), label="n")
     graph = CommGraph.random_connected(
         n, seed=data.draw(st.integers(0, 2**32 - 1)), max_degree=data.draw(st.integers(2, 8))
@@ -301,7 +339,7 @@ def _swarm_matches_reference_on_drawn_cases(reduced, with_drops, data):
         drops = rng.random(size=(T, n, max(graph.degree(i) for i in range(n)))) < rate
     values = rng.normal(size=(T, n))
     z_rows = rng.normal(size=(T, n, d))
-    _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops)
+    _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops, _use_sets(rng, n))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -325,7 +363,9 @@ def test_swarm_tables_match_reference(seed, reduced, with_drops):
     drops = rng.random(size=(T, n, max_deg)) < 0.35 if with_drops else None
     values = np.arange(1.0, n + 1) + 0.1 * np.arange(T)[:, None]
 
-    capacity = _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops)
+    capacity = _check_swarm_against_reference(
+        graph, tracked_sets, values, z_rows, drops, _use_sets(rng, n)
+    )
     assert capacity < T  # the rings wrapped
     _swarm_matches_reference_on_drawn_cases(reduced, with_drops)
 

@@ -378,6 +378,29 @@ def test_verify_accepts_strictly_smaller_eta():
     assert not horizon.satisfied
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eta", 0.0),
+        ("eta", -1e-3),
+        ("eta", math.nan),
+        ("u", 0.0),
+        ("u", -1.0),
+        ("delta", -0.1),
+        ("delta", 1.0),
+        ("horizon", -1),
+    ],
+)
+@pytest.mark.parametrize("regime", ["convex-noiseless", "nonconvex-noiseless"])
+def test_verify_refuses_candidate_outside_parameter_domain(regime, field, value):
+    # eta = 0 used to divide by zero in the sample bound, and eta < 0 or
+    # u < 0 used to verify as satisfied against a negative horizon bound
+    c = _constants()
+    candidate = replace(plan(c, 0.5, regime), **{field: value})
+    with pytest.raises(ConfigurationError, match=f"candidate {field} must"):
+        verify_plan(c, 0.5, candidate)
+
+
 def test_verify_interior_uses_interior_shrinkage_bound():
     c = _constants(sigma=0.4)
     eps = 0.05
