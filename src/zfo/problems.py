@@ -493,6 +493,14 @@ class SolveResult:
     residual: float
 
 
+# Step growth per iteration, chosen on a grid of 54 routing instances (1 to
+# 200 agents; the table is in CHANGES.md): of {1.05, 1.1, 1.2, 1.3}, 1.1 took
+# the least total solve time.  Slower growth takes long to regrow a step that
+# backtracking cut (1.05 needed 16,884 iterations on one instance); faster
+# growth backtracks and restarts more (median iterations 2-7 times higher).
+_STEP_GROWTH = 1.1
+
+
 def centralized_solve(
     problem: Problem,
     x0: np.ndarray | None = None,
@@ -500,11 +508,21 @@ def centralized_solve(
     tol: float = 1e-9,
     require_convergence: bool = False,
 ) -> SolveResult:
-    """Projected gradient descent with backtracking line search.
+    """Accelerated projected gradient (FISTA) with backtracking line search
+    and adaptive restart.
 
-    Stops when the prox-gradient residual ||x+ - x|| / step falls below
-    `tol`. For convex problems the result is the global optimum; for
-    nonconvex ones it is a stationary point.
+    Each iteration takes the gradient at the extrapolated point
+    y = x + beta (x - x_prev), beta from the FISTA theta-sequence (Beck &
+    Teboulle 2009), and steps to x+ = P(y - step g(y)).  The step halves
+    until f(x+) <= f(y) + g.(x+ - y) + ||x+ - y||^2 / (2 step) and grows by
+    `_STEP_GROWTH` after each iteration.  Theta restarts at 1 (beta = 0) when
+    the momentum points uphill, (y - x+).(x+ - x) > 0 (O'Donoghue &
+    Candes 2015).
+
+    Stops when the prox-gradient residual ||x+ - y|| / step at the point
+    the gradient was taken falls below `tol`, and returns the projection
+    x+, which is always feasible.  For convex problems the result is the
+    global optimum; for nonconvex ones it is a stationary point.
     """
     if problem.grad is None and problem.local_grads is None:
         raise ConfigurationError("centralized solve needs a gradient")
@@ -513,26 +531,36 @@ def centralized_solve(
         np.zeros(problem.total_dim) if x0 is None else np.asarray(x0, dtype=float)
     )
     f_x = problem.global_cost(x, check=False)
+    x_prev = x
+    theta = 1.0
     step = 1.0
     residual = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        g = grad(x)
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        beta = (theta - 1.0) / theta_next
+        if beta > 0.0:
+            y = x + beta * (x - x_prev)
+            f_y = problem.global_cost(y, check=False)
+        else:
+            y, f_y = x, f_x
+        g = grad(y)
         while True:
-            x_new = problem.project_feasible(x - step * g)
-            diff = x_new - x
+            x_new = problem.project_feasible(y - step * g)
+            diff = x_new - y
             sq = float(np.dot(diff, diff))
             f_new = problem.global_cost(x_new, check=False)
-            if f_new <= f_x + float(np.dot(g, diff)) + sq / (2.0 * step) + 1e-15:
+            if f_new <= f_y + float(np.dot(g, diff)) + sq / (2.0 * step) + 1e-15:
                 break
             step *= 0.5
             if step < 1e-18:
                 raise OracleError("line search collapsed; gradient may be wrong")
         residual = np.sqrt(sq) / step
-        x, f_x = x_new, f_new
         if residual <= tol:
-            return SolveResult(x=x, f=f_x, n_iter=it, converged=True, residual=residual)
-        step = min(step * 1.3, 1e6)
+            return SolveResult(x=x_new, f=f_new, n_iter=it, converged=True, residual=residual)
+        theta = 1.0 if float(np.dot(diff, x - x_new)) > 0.0 else theta_next
+        x_prev, x, f_x = x, x_new, f_new
+        step = min(step * _STEP_GROWTH, 1e6)
     result = SolveResult(x=x, f=f_x, n_iter=it, converged=False, residual=residual)
     if require_convergence:
         raise OracleError(

@@ -389,11 +389,12 @@ def run(config: RunConfig) -> RunTrace:
     # Staleness over tracked entries: the largest age t - stamp is t minus
     # the oldest stamp, and the largest extra delay (t - stamp) - distance is
     # t minus the smallest stamp + distance.  Untracked entries are pushed
-    # out of both minima (the own column is always tracked).
+    # out of both minima (the own column is always tracked).  Both sums are
+    # written into one preallocated buffer, so a round allocates no table.
     never = np.iinfo(np.int64).max // 4
-    stale_offsets = np.stack(
-        [np.where(tracked, 0, never), np.where(tracked, distances, never)]
-    )
+    age_offsets = np.where(tracked, 0, never)
+    extra_offsets = np.where(tracked, distances, never)
+    offset_stamps = np.empty((n, n), dtype=np.int64)
 
     signs_u = np.array([[[u]], [[-u]]])  # (x + u z, x - u z) = x + z * signs_u
 
@@ -436,10 +437,9 @@ def run(config: RunConfig) -> RunTrace:
         # (6) the post-merge snapshot is what everyone sends this round
         prev_snapshot = swarm.snapshot()
 
-        oldest, extra_base = (swarm.stamps + stale_offsets).min(axis=(1, 2)).tolist()
-        stale_now = t - oldest
+        stale_now = t - int(np.add(swarm.stamps, age_offsets, out=offset_stamps).min())
         stale_max_overall = max(stale_max_overall, stale_now)
-        extra_now = t - extra_base
+        extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
         if extra_now > delta_hat:
             delta_hat = extra_now
             if config.strict_staleness and delta_hat > declared_delta:

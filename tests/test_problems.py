@@ -1,9 +1,14 @@
 """Problem-construction tests: hand-computed routing costs, gradient
 checks against central finite differences, reparameterization round
 trips, dependence detection, and the centralized reference solver."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zfo.cli import main
 from zfo.errors import ConfigurationError, OracleError
 from zfo.problems import (
     RoutingInstance,
@@ -267,12 +272,24 @@ def test_trig_sum_lower_bound_and_constants():
 # centralized solver
 
 
+def _assert_first_order_optimal(inst, x, f, seed, samples=3000):
+    """g.(v - x) >= 0 and f(v) >= f, up to rounding, at sampled feasible v."""
+    problem = routing_problem(inst)
+    g = problem.grad(x)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        v = sample_feasible_reduced(inst, rng).ravel()
+        assert float(np.dot(g, v - x)) >= -1e-7
+        assert problem.global_cost(v, check=False) >= f - 1e-9
+
+
 def test_solver_recovers_analytic_optimum():
-    problem = build_box_quadratic(4, 2, seed=12)
-    res = centralized_solve(problem, tol=1e-10)
-    assert res.converged
-    np.testing.assert_allclose(res.x, problem.x_star, atol=1e-8)
-    assert res.f == pytest.approx(problem.f_star, abs=1e-12)
+    for n, dim, seed in [(4, 2, 12), (1, 1, 3), (3, 5, 7), (12, 3, 8), (40, 2, 9)]:
+        problem = build_box_quadratic(n, dim, seed=seed)
+        res = centralized_solve(problem, tol=1e-10)
+        assert res.converged
+        np.testing.assert_allclose(res.x, problem.x_star, atol=1e-8)
+        assert res.f == pytest.approx(problem.f_star, abs=1e-12)
 
 
 def test_solver_uniform_split_optimum():
@@ -294,15 +311,54 @@ def test_solver_uniform_split_optimum():
 
 def test_solver_optimality_certificate_on_random_instance():
     inst = build_routing_instance(1, 2, seed=14)
-    problem = routing_problem(inst)
+    res = centralized_solve(routing_problem(inst), tol=1e-10)
+    assert res.converged
+    _assert_first_order_optimal(inst, res.x, res.f, seed=15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    groups=st.integers(1, 5),
+    per_group=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solver_converges_on_small_routing_instances(groups, per_group, seed):
+    inst = build_routing_instance(groups, per_group, seed=seed)
+    res = centralized_solve(routing_problem(inst), tol=1e-10)
+    assert res.converged and res.residual <= 1e-10
+    _assert_first_order_optimal(inst, res.x, res.f, seed=seed, samples=300)
+
+
+def test_oracle_solves_routing_instance_plain_gradient_stalled_on(tmp_path):
+    # Unaccelerated projected gradient stalled at residual 2.4e-8 on this
+    # instance and spent all 200,000 iterations, so `zfo oracle` exited 4.
+    doc = {
+        "version": 1,
+        "problem": {"kind": "routing", "groups": 1, "agents_per_group": 1, "seed": 4},
+        "graph": {"kind": "complete"},
+        "params": {"eta": 1e-3, "u": 1e-3, "delta": 0.02, "horizon": 10},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "solve.json"
+    assert main(["oracle", "--config", str(cfg), "--tol", "1e-10", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["converged"] is True
+    assert result["residual"] <= 1e-10
+    inst = build_routing_instance(1, 1, seed=4)
+    _assert_first_order_optimal(inst, np.array(result["x"]), result["f"], seed=4)
+
+
+@pytest.mark.parametrize(
+    "groups, per_group, seed, budget",
+    # unaccelerated projected gradient took 12,198 and 4,695 iterations
+    [(2, 3, 1, 1_000), (40, 5, 0, 2_500)],
+)
+def test_solver_iteration_count_stays_accelerated(groups, per_group, seed, budget):
+    problem = routing_problem(build_routing_instance(groups, per_group, seed=seed))
     res = centralized_solve(problem, tol=1e-10)
     assert res.converged
-    g = problem.grad(res.x)
-    rng = np.random.default_rng(15)
-    for _ in range(3000):
-        v = sample_feasible_reduced(inst, rng).ravel()
-        assert float(np.dot(g, v - res.x)) >= -1e-7
-        assert problem.global_cost(v, check=False) >= res.f - 1e-9
+    assert res.n_iter <= budget
 
 
 def test_solver_reports_non_convergence():
