@@ -10,7 +10,8 @@ follows these rules:
   agent i holds; stamp -1 means "never heard";
 * own entries are restamped every round with the current round;
 * merging adopts an incoming entry only if its stamp is strictly newer,
-  so the incumbent wins stamp ties, and the highest stamp wins;
+  so the incumbent wins stamp ties, and the highest stamp wins; stamps
+  therefore never decrease;
 * assembly pairs each column's quotient with this agent's own
   perturbation from the stamped round, skipping never-heard columns.
 
@@ -26,6 +27,11 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtocolViolation
 
+# Stamps are int32: rounds, and rounds plus hop distances (the runner's
+# extra-delay accounting), stay below 2**31 while a run has fewer than
+# MAX_ROUNDS rounds.
+MAX_ROUNDS = 2**30
+
 
 class SwarmTables:
     """All agents' tables as one (n, n) stamp array: row i is agent i's
@@ -36,6 +42,9 @@ class SwarmTables:
     `tracked` marks the columns each row maintains; untracked entries
     stay at stamp -1 forever, which is how reduced tables
     (dependence-aware communication) are represented.
+
+    Stamps are int32 and come only from `record_own` (called once per
+    round, in order) and `merge_from` (earlier snapshots of these tables).
     """
 
     def __init__(self, n: int, tracked: np.ndarray, capacity: int, d_max: int):
@@ -46,14 +55,24 @@ class SwarmTables:
         if not np.all(np.diag(tracked)):
             raise ConfigurationError("every agent must track its own column")
         self.tracked = tracked
+        # With every entry tracked the merge writes the whole table and the
+        # oldest stamp is a plain min; reduced tables mask both by `tracked`.
+        if tracked.all():
+            self._writable = True
+            self._untracked_offsets = None
+        else:
+            self._writable = tracked
+            self._untracked_offsets = np.where(tracked, 0, MAX_ROUNDS).astype(np.int32)
+            self._offset_stamps = np.empty((n, n), dtype=np.int32)
+        self._agents = np.arange(n)
         self.capacity = cap = int(capacity)
-        self.stamps = np.full((n, n), -1, dtype=np.int64)
+        self.stamps = np.full((n, n), -1, dtype=np.int32)
         # Round t lives in ring slot t % cap; slot cap stays zero, round -1.
         # The rings are laid out agent-major, so agent i's quotients and
         # perturbations of every slot sit together.
         self._q_ring = np.zeros((n, cap + 1))
         self._z_ring = np.zeros((n, cap + 1, int(d_max)))
-        self._ring_rounds = np.full(cap + 1, -1, dtype=np.int64)
+        self._ring_rounds = np.full(cap + 1, -1, dtype=np.int32)
         self._diag_flat = np.arange(n) * (n + 1)  # flat (C-order) positions of (i, i)
         self._agent_base = np.arange(n) * (cap + 1)  # flat start of agent i's ring row
         # Lag -> slot, one row per ring phase: row t serves a round t < cap,
@@ -97,18 +116,29 @@ class SwarmTables:
         neighbor_matrix: np.ndarray,
         drop_mask: np.ndarray | None = None,
     ) -> None:
-        """Raise each tracked entry to the newest stamp delivered from the
-        previous round's snapshot.
+        """Raise each tracked entry to the newest stamp delivered from an
+        earlier `snapshot` of these tables.
 
         `neighbor_matrix` is (n, max_deg), row i listing agent i's
-        neighbors, padded with i itself (a harmless candidate: an agent's
-        old stamps can never beat its current ones).  `drop_mask`
-        (n, max_deg) suppresses dropped directed messages.
+        neighbors, padded with i itself.  `drop_mask` (n, max_deg)
+        suppresses dropped directed messages: a dropped sender is replaced
+        by the receiver, like a pad.  Both are harmless candidates, since
+        stamps never decrease and a row's earlier snapshot cannot beat its
+        current stamps.  So the merge is one gather of the senders' rows,
+        (max_deg, n, n), and a max over the senders.
         """
-        candidates = snapshot[neighbor_matrix]  # (n, deg, n)
+        senders = neighbor_matrix.T
         if drop_mask is not None:
-            candidates[drop_mask] = -1
-        np.maximum(self.stamps, candidates.max(axis=1), out=self.stamps, where=self.tracked)
+            senders = np.where(drop_mask.T, self._agents, senders)
+        newest = snapshot.take(senders, axis=0).max(axis=0)
+        np.maximum(self.stamps, newest, out=self.stamps, where=self._writable)
+
+    def oldest_stamp(self) -> int:
+        """The oldest stamp over tracked entries; -1 while any tracked entry
+        is never heard."""
+        if self._untracked_offsets is None:
+            return int(self.stamps.min())
+        return int(np.add(self.stamps, self._untracked_offsets, out=self._offset_stamps).min())
 
     def staleness(self, t: int) -> np.ndarray:
         """Per-entry age t - stamp over tracked columns (never-heard
@@ -123,18 +153,24 @@ class SwarmTables:
 
         The sum runs by ring slot: W[i, s] sums the quotients agent i
         holds from the round in slot s, and row i is W[i] @ z_ring[i].
+
+        The window check compares each entry's stamp with the round its
+        slot holds.  Only a stamp at least `capacity` rounds old can fail
+        it, so it runs only when the oldest tracked stamp is that old.
         """
         slots = self._slots()
-        bad = self._ring_rounds.take(slots) != self.stamps
-        if use_mask is not None:
-            bad &= use_mask
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ProtocolViolation(
-                f"agent {i + 1} references round {self.stamps[i, j]} "
-                f"for column {j + 1}, which left the history window; "
-                "the staleness bound was exceeded"
-            )
+        t, cap = self._t, self.capacity
+        if t >= cap and self.oldest_stamp() <= t - cap:
+            bad = self._ring_rounds.take(slots) != self.stamps
+            if use_mask is not None:
+                bad &= use_mask
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ProtocolViolation(
+                    f"agent {i + 1} references round {self.stamps[i, j]} "
+                    f"for column {j + 1}, which left the history window; "
+                    "the staleness bound was exceeded"
+                )
         q = self._q_ring.take(slots + self._agent_base)
         if use_mask is not None:
             q *= use_mask

@@ -62,9 +62,12 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
+def _document(args: argparse.Namespace) -> dict:
+    return apply_overrides(load_config(args.config), **_collect_overrides(args))
+
+
 def _configure(args: argparse.Namespace):
-    doc = apply_overrides(load_config(args.config), **_collect_overrides(args))
-    return build_run_config(doc)
+    return build_run_config(_document(args))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    config, _ = _configure(args)
+    doc = _document(args)
+    problem_doc = doc.get("problem")
+    if isinstance(problem_doc, dict) and problem_doc.get("kind") == "routing":
+        # the reference is solved once, below, at --tol
+        doc["problem"] = {**problem_doc, "solve": False}
+    config, _ = build_run_config(doc)
     result = centralized_solve(
         config.problem, tol=args.tol, max_iter=args.max_iter, require_convergence=True
     )

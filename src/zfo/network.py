@@ -42,6 +42,15 @@ class CommGraph:
     def degree(self, i: int) -> int:
         return len(self.neighbors[i])
 
+    def neighbor_matrix(self) -> np.ndarray:
+        """(n, max(max_deg, 1)) matrix whose row i lists i's neighbors,
+        padded with i itself."""
+        max_deg = max(self.degree(i) for i in range(self.n))
+        matrix = np.tile(np.arange(self.n, dtype=np.int64)[:, None], (1, max(max_deg, 1)))
+        for i, nb in enumerate(self.neighbors):
+            matrix[i, : len(nb)] = nb
+        return matrix
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -120,24 +129,32 @@ class CommGraph:
 
 
 def shortest_path_lengths(graph: CommGraph) -> np.ndarray:
-    """All-pairs hop distances via BFS; raises if the graph is disconnected."""
+    """All-pairs hop distances via BFS from every source at once; raises if
+    the graph is disconnected.
+
+    `frontier[s, v]` marks the vertices at the current distance from source
+    s.  A vertex joins the next frontier when one of its neighbors is on the
+    current one, so each level is a column gather per neighbor slot (pads
+    point at the vertex itself, which is already reached).
+    """
     n = graph.n
+    neighbors = graph.neighbor_matrix()
     dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in graph.neighbors[v]:
-                    if dist[src, w] < 0:
-                        dist[src, w] = d
-                        nxt.append(int(w))
-            frontier = nxt
-    if np.any(dist < 0):
-        i, j = np.argwhere(dist < 0)[0]
+    np.fill_diagonal(dist, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        nxt = frontier[:, neighbors[:, 0]]
+        for k in range(1, neighbors.shape[1]):
+            nxt |= frontier[:, neighbors[:, k]]
+        nxt &= ~reached
+        dist[nxt] = d
+        reached |= nxt
+        frontier = nxt
+    if not reached.all():
+        i, j = np.argwhere(~reached)[0]
         raise AssumptionViolation(
             f"communication graph is disconnected: no path between vertices "
             f"{i + 1} and {j + 1}"

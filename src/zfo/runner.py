@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .agents import SwarmTables
+from .agents import MAX_ROUNDS, SwarmTables
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
 from .geometry import SampleStats, constrain_perturbation_batch
 from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
@@ -264,6 +264,11 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError("history_slack must be >= 1")
     if int(config.horizon) != config.horizon or config.horizon < 0:
         raise ConfigurationError(f"horizon must be a non-negative integer, got {config.horizon}")
+    if config.horizon >= MAX_ROUNDS:
+        raise ConfigurationError(
+            f"horizon must be below 2**30 = {MAX_ROUNDS} (table stamps are int32), "
+            f"got {config.horizon}"
+        )
     if config.mode == "dependence" and p.affected is None:
         raise ConfigurationError("dependence mode needs the problem's dependence sets")
     if config.reduced_tables and config.mode != "dependence":
@@ -332,10 +337,7 @@ def run(config: RunConfig) -> RunTrace:
 
     # --- neighbor matrix (rows padded with the agent itself) --------------
     max_deg = max(graph.degree(i) for i in range(n))
-    neighbor_matrix = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, max(max_deg, 1)))
-    for i in range(n):
-        nb = graph.neighbors[i]
-        neighbor_matrix[i, : len(nb)] = nb
+    neighbor_matrix = graph.neighbor_matrix()
 
     # --- random streams -----------------------------------------------------
     perturb_gens = [_stream(config.seed, _PURPOSE_PERTURBATION, i) for i in range(n)]
@@ -389,12 +391,11 @@ def run(config: RunConfig) -> RunTrace:
     # Staleness over tracked entries: the largest age t - stamp is t minus
     # the oldest stamp, and the largest extra delay (t - stamp) - distance is
     # t minus the smallest stamp + distance.  Untracked entries are pushed
-    # out of both minima (the own column is always tracked).  Both sums are
-    # written into one preallocated buffer, so a round allocates no table.
-    never = np.iinfo(np.int64).max // 4
-    age_offsets = np.where(tracked, 0, never)
-    extra_offsets = np.where(tracked, distances, never)
-    offset_stamps = np.empty((n, n), dtype=np.int64)
+    # out of the second minimum (the own column is always tracked); the sum
+    # is written into a preallocated int32 buffer, so a round allocates no
+    # table.
+    extra_offsets = np.where(tracked, distances, MAX_ROUNDS).astype(np.int32)
+    offset_stamps = np.empty((n, n), dtype=np.int32)
 
     signs_u = np.array([[[u]], [[-u]]])  # (x + u z, x - u z) = x + z * signs_u
 
@@ -437,7 +438,7 @@ def run(config: RunConfig) -> RunTrace:
         # (6) the post-merge snapshot is what everyone sends this round
         prev_snapshot = swarm.snapshot()
 
-        stale_now = t - int(np.add(swarm.stamps, age_offsets, out=offset_stamps).min())
+        stale_now = t - swarm.oldest_stamp()
         stale_max_overall = max(stale_max_overall, stale_now)
         extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
         if extra_now > delta_hat:

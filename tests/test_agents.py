@@ -221,6 +221,110 @@ def test_swarm_assemble_window_check_follows_use_mask():
         s.assemble(use)
 
 
+class _CountingRounds(np.ndarray):
+    """A ring-rounds array that counts the window check's gathers."""
+
+    def take(self, *args, **kwargs):
+        self.counter[0] += 1
+        return np.asarray(self).take(*args, **kwargs)
+
+
+def _count_window_checks(s):
+    counter = [0]
+    s._ring_rounds = s._ring_rounds.view(_CountingRounds)
+    s._ring_rounds.counter = counter
+    return counter
+
+
+def test_swarm_never_heard_entry_takes_exact_path_without_raising():
+    # agent 1 never hears agent 2 (every message is lost): at round
+    # t >= capacity the oldest tracked stamp is -1, so the check runs
+    s = SwarmTables(2, np.ones((2, 2)), 2, 1)
+    checks = _count_window_checks(s)
+    nb = np.array([[1], [0]])
+    snapshot = None
+    for t in range(5):
+        s.record_own(t, np.array([1.0, 2.0]), np.ones((2, 1)))
+        if snapshot is not None:
+            s.merge_from(snapshot, nb, np.array([[True], [False]]))
+        snapshot = s.snapshot()
+        grad = s.assemble()
+    assert s.stamps[0, 1] == -1 and s.oldest_stamp() == -1
+    assert checks[0] == 3  # rounds 2, 3 and 4
+    np.testing.assert_array_equal(grad, [[0.5], [1.5]])
+
+
+def test_swarm_window_check_skipped_while_every_stamp_is_in_the_ring():
+    s = SwarmTables(3, np.ones((3, 3)), 3, 1)
+    checks = _count_window_checks(s)
+    nb = _neighbor_matrix(CommGraph.complete(3))
+    snapshot = None
+    for t in range(8):
+        s.record_own(t, np.ones(3), np.ones((3, 1)))
+        if snapshot is not None:
+            s.merge_from(snapshot, nb)
+        snapshot = s.snapshot()
+        s.assemble()
+    assert checks[0] == 0
+    assert s.oldest_stamp() == 6
+
+
+def _late_delivery(lag):
+    """Two agents, a ring of 3 rounds and every message lost until round
+    3 + lag, when round 3's tables arrive: each then holds the other's
+    quotient of age `lag`."""
+    s = SwarmTables(2, np.ones((2, 2)), 3, 1)
+    nb = np.array([[1], [0]])
+    lost = np.ones((2, 1), dtype=bool)
+    for t in range(3 + lag + 1):
+        s.record_own(t, np.array([1.0, 2.0]), np.ones((2, 1)))
+        if t == 3:
+            late = s.snapshot()
+        if t > 0:
+            s.merge_from(s.snapshot(), nb, lost)
+    s.merge_from(late, nb)
+    assert s.oldest_stamp() == 3
+    return s
+
+
+@pytest.mark.parametrize("lag", [2, 3, 4])
+def test_swarm_window_check_fires_from_capacity_rounds_old(lag):
+    s = _late_delivery(lag)
+    own_only = np.eye(2, dtype=bool)
+    # own quotients (1, 2) times z = 1, over n = 2, whatever the other entry's age
+    np.testing.assert_array_equal(s.assemble(own_only), [[0.5], [1.0]])
+    if lag < s.capacity:
+        np.testing.assert_array_equal(s.assemble(), [[1.5], [1.5]])
+        return
+    use = own_only.copy()
+    use[0, 1] = True
+    with pytest.raises(
+        ProtocolViolation,
+        match="^agent 1 references round 3 for column 2, which left the history window; "
+        "the staleness bound was exceeded$",
+    ):
+        s.assemble(use)
+
+
+def test_swarm_untracked_entries_stay_never_heard():
+    # on a path 1 - 2 - 3, the middle agent tracks every column; the ends
+    # track only their own, so they never adopt what the middle relays
+    tracked = np.eye(3, dtype=bool)
+    tracked[1] = True
+    s = SwarmTables(3, tracked, 4, 1)
+    nb = _neighbor_matrix(CommGraph.path(3))
+    rng = np.random.default_rng(3)
+    snapshot = None
+    for t in range(10):
+        s.record_own(t, np.ones(3), np.ones((3, 1)))
+        if snapshot is not None:
+            s.merge_from(snapshot, nb, rng.random(nb.shape) < 0.3)
+        snapshot = s.snapshot()
+    assert (s.stamps[1] >= 0).all()
+    np.testing.assert_array_equal(s.stamps[~tracked], -1)
+    assert s.oldest_stamp() == s.stamps[tracked].min()
+
+
 # ---------------------------------------------------------------------------
 # cross-check: vectorized engine vs per-agent reference
 
@@ -300,13 +404,8 @@ def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops, u
     for t in range(T):
         swarm.record_own(t, values[t], z_rows[t])
         if snapshot is not None:
-            # only real neighbor slots can be dropped; pads never win anyway
-            mask = None
-            if drops is not None:
-                mask = drops[t].copy()
-                for i in range(n):
-                    mask[i, graph.degree(i):] = False
-            swarm.merge_from(snapshot, nb, mask)
+            # drops hit pads too, as in the engine; the reference ignores them
+            swarm.merge_from(snapshot, nb, None if drops is None else drops[t])
         snapshot = swarm.snapshot()
         ref_stamps, ref_quots, ref_grads, ref_used_grads = reference[t]
         np.testing.assert_array_equal(swarm.stamps, ref_stamps)

@@ -305,6 +305,36 @@ def test_oracle_subcommand(tmp_path):
     assert result["f"] == pytest.approx(problem.f_star, abs=1e-8)
 
 
+def test_oracle_solves_the_reference_once_at_tol(tmp_path, monkeypatch):
+    import zfo.cli
+    import zfo.config
+
+    calls = []
+    real = zfo.config.centralized_solve
+
+    def counting(problem, **kwargs):
+        calls.append(kwargs["tol"])
+        return real(problem, **kwargs)
+
+    monkeypatch.setattr(zfo.config, "centralized_solve", counting)
+    monkeypatch.setattr(zfo.cli, "centralized_solve", counting)
+    doc = {
+        "version": 1,
+        "problem": {"kind": "routing", "groups": 2, "agents_per_group": 3, "seed": 1,
+                    "solve_tol": 1e-12},
+        "graph": {"kind": "complete"},
+        "params": {"eta": 1e-3, "u": 1e-3, "delta": 0.02, "horizon": 30},
+    }
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "solve.json"
+    assert main(["oracle", "--config", cfg, "--tol", "1e-9", "--out", str(out)]) == 0
+    assert calls == [1e-9]
+    result = json.loads(out.read_text())
+    assert list(result) == ["f", "x", "n_iter", "converged", "residual"]
+    assert result["converged"] is True
+    assert result["residual"] <= 1e-9
+
+
 def test_sweep_subcommand(tmp_path):
     doc = _base_doc()
     doc["params"]["horizon"] = 20

@@ -2,6 +2,8 @@
 Floyd-Warshall oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfo.errors import AssumptionViolation, ConfigurationError
 from zfo.network import (
@@ -45,10 +47,38 @@ def test_distances_match_floyd_warshall(seed):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "path", "ring", "complete"]),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    max_degree=st.integers(2, 6),
+)
+def test_distances_match_floyd_warshall_on_drawn_graphs(kind, n, seed, max_degree):
+    if kind == "random":
+        g = CommGraph.random_connected(n, seed=seed, max_degree=max_degree)
+    else:
+        g = getattr(CommGraph, kind)(n)
+    np.testing.assert_array_equal(shortest_path_lengths(g), _floyd_warshall(g.n, g.edges))
+
+
+def test_neighbor_matrix_pads_with_the_vertex_itself():
+    g = CommGraph(4, [(0, 1), (0, 2), (0, 3)])
+    np.testing.assert_array_equal(
+        g.neighbor_matrix(), [[1, 2, 3], [0, 1, 1], [0, 2, 2], [0, 3, 3]]
+    )
+    np.testing.assert_array_equal(CommGraph(1, []).neighbor_matrix(), [[0]])
+
+
 def test_disconnected_graph_raises():
     g = CommGraph(4, [(0, 1), (2, 3)])
     with pytest.raises(AssumptionViolation, match="disconnected"):
         shortest_path_lengths(g)
+    # the first unreachable pair in row-major order is named
+    with pytest.raises(AssumptionViolation, match="between vertices 1 and 3$"):
+        shortest_path_lengths(g)
+    with pytest.raises(AssumptionViolation, match="between vertices 1 and 4$"):
+        shortest_path_lengths(CommGraph(5, [(0, 1), (1, 2), (2, 4)]))
 
 
 def test_ring_diameter():

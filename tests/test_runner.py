@@ -512,6 +512,15 @@ def test_config_validation_errors():
         run(RunConfig(**{**ok, "mode": "dependence", "problem": anonymous}))
 
 
+def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
+    rounds = []
+    config = _quadratic_config(horizon=2**30, probe=lambda view: rounds.append(view.t))
+    with pytest.raises(ConfigurationError, match=r"horizon must be below 2\*\*30 = 1073741824"):
+        run(config)
+    assert rounds == []
+    zfo.runner._validate(dataclasses.replace(config, horizon=2**30 - 1))  # the largest accepted
+
+
 def test_x0_outside_feasible_set_is_projected_with_note():
     problem = build_box_quadratic(3, 1, seed=0)
     graph = CommGraph.path(3)
