@@ -75,16 +75,19 @@ class SwarmTables:
         self._ring_rounds = np.full(cap + 1, -1, dtype=np.int32)
         self._diag_flat = np.arange(n) * (n + 1)  # flat (C-order) positions of (i, i)
         self._agent_base = np.arange(n) * (cap + 1)  # flat start of agent i's ring row
-        # Lag -> slot, one row per ring phase: row t serves a round t < cap,
-        # row cap + t % cap every later round.  Lag L reads the slot of
-        # round t - L while that round exists and is in the ring (L <= t,
-        # L < cap); never-heard entries (lag t + 1) and older ones read
-        # slot cap.
-        k = np.arange(2 * cap)[:, None]
-        lags = np.arange(cap + 1)
-        self._lag_slots = np.where((lags <= k) & (lags < cap), (k - lags) % cap, cap)
+        # Lag -> slot after round t: lag L reads the slot of round t - L
+        # while that round exists and is in the ring (L <= t, L < cap);
+        # never-heard entries (lag t + 1) and older ones read slot cap.
+        # While t < cap the table is the window from t of
+        # [cap-1, ..., 0, cap, ..., cap]; later it is the window from
+        # t % cap of the doubled cycle [cap-1, ..., 0, cap-1, ..., 0],
+        # copied into a buffer that ends in cap.
+        descending = np.arange(cap - 1, -1, -1)
+        self._warmup = np.concatenate((descending, np.full(cap + 1, cap)))
+        self._cycle = np.tile(descending, 2)
+        self._phase = np.full(cap + 1, cap)
         self._t = -1
-        self._slot_of_lag = np.full(cap + 1, cap)  # no round yet: everything reads slot cap
+        self._slot_of_lag = self._warmup[cap:]  # no round yet: everything reads slot cap
 
     def record_own(self, t: int, quotients: np.ndarray, z: np.ndarray) -> None:
         slot = t % self.capacity
@@ -93,7 +96,12 @@ class SwarmTables:
         self._ring_rounds[slot] = t
         self.stamps.put(self._diag_flat, t)
         self._t = t
-        self._slot_of_lag = self._lag_slots[t if t < self.capacity else self.capacity + slot]
+        cap = self.capacity
+        if t < cap:
+            self._slot_of_lag = self._warmup[cap - 1 - t : 2 * cap - t]
+        else:
+            self._phase[:cap] = self._cycle[cap - 1 - slot : 2 * cap - 1 - slot]
+            self._slot_of_lag = self._phase
 
     def _slots(self) -> np.ndarray:
         """Ring slot of each entry, looked up by its lag t - stamp from the

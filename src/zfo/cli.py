@@ -120,19 +120,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigurationError(f"--dims must be comma-separated integers: {exc}") from exc
     stats = network_stats(graph, args.delta, dims=dims)
-    _write_json(
-        {
-            "n": stats.n,
-            "delta": stats.delta,
-            "diameter": stats.diameter,
-            "b_max": stats.b_max,
-            "b_bar": stats.b_bar,
-            "b_frak": stats.b_frak,
-            "staleness_bound": stats.staleness_bound,
-            "distances": stats.distances.tolist(),
-        },
-        args.out,
-    )
+    _write_json({**dataclasses.asdict(stats), "distances": stats.distances.tolist()}, args.out)
     return 0
 
 
@@ -183,9 +171,11 @@ def _sweep_worker(seed: int) -> tuple[int, str, list[dict]]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
     if args.seeds < 1:
         raise ConfigurationError("--seeds must be >= 1")
+    if args.seed_base < 0:
+        raise ConfigurationError(f"--seed-base must be >= 0, got {args.seed_base}")
+    config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
     workers = args.workers
     if not workers:
         raw = os.environ.get(_WORKERS_ENV) or "0"

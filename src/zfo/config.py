@@ -34,22 +34,6 @@ from .runner import RunConfig
 
 CONFIG_VERSION = 1
 
-_TOP_FIELDS = {
-    "version",
-    "problem",
-    "graph",
-    "params",
-    "mode",
-    "reduced_tables",
-    "delay",
-    "seed",
-    "metric_every",
-    "x0",
-    "strict_staleness",
-    "history_slack",
-    "track_gradients",
-}
-_PARAM_FIELDS = {"eta", "u", "delta", "sigma", "horizon"}
 _PROBLEM_FIELDS = {
     "routing": {"kind", "groups", "agents_per_group", "seed", "solve", "solve_tol"},
     "box_quadratic": {"kind", "agents", "dim", "seed"},
@@ -102,9 +86,11 @@ def _as_number(value: Any, path: str) -> float:
     return value
 
 
-def _as_int(value: Any, path: str) -> int:
+def _as_int(value: Any, path: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {type(value).__name__}")
+    if low is not None and value < low:
+        _fail(path, f"must be >= {low}")
     return int(value)
 
 
@@ -118,6 +104,29 @@ def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         _fail(path, f"expected a string, got {type(value).__name__}")
     return value
+
+
+# The scalar run options are the RunConfig fields whose annotation has a
+# parser here; their defaults are RunConfig's.  These five nest under
+# "params", the rest sit at the top level.
+_PARSERS = {"float": _as_number, "int": _as_int, "str": _as_str, "bool": _as_bool}
+_PARAMS = ("eta", "u", "delta", "sigma", "horizon")
+_OPTIONS = [f for f in dataclasses.fields(RunConfig) if f.type in _PARSERS]
+_PARAM_OPTIONS = [f for f in _OPTIONS if f.name in _PARAMS]
+_TOP_OPTIONS = [f for f in _OPTIONS if f.name not in _PARAMS]
+_TOP_FIELDS = {"version", "problem", "graph", "params", "delay", "x0"}
+_TOP_FIELDS |= {f.name for f in _TOP_OPTIONS}
+
+
+def _read(doc: dict, fields: list[dataclasses.Field], path: str) -> dict:
+    """Parse `fields` from `doc`; a field without a RunConfig default is required."""
+    return {
+        f.name: _PARSERS[f.type](
+            _get(doc, f.name, path, required=f.default is dataclasses.MISSING, default=f.default),
+            f"{path}.{f.name}",
+        )
+        for f in fields
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ def apply_overrides(doc: dict, **overrides) -> dict:
     any previously declared extra-delay bound).
     """
     doc = copy.deepcopy(doc)
-    for key in ("eta", "u", "delta", "sigma", "horizon"):
+    for key in _PARAMS:
         value = overrides.pop(key, None)
         if value is not None:
             doc.setdefault("params", {})[key] = value
@@ -178,16 +187,12 @@ def build_problem(doc: dict, path: str = "problem") -> Problem:
     if kind not in _PROBLEM_FIELDS:
         _fail(f"{path}.kind", f"unknown problem kind '{kind}'; one of {sorted(_PROBLEM_FIELDS)}")
     _check_fields(doc, _PROBLEM_FIELDS[kind], path)
-    seed = _as_int(_get(doc, "seed", path, default=0), f"{path}.seed")
+    seed = _as_int(_get(doc, "seed", path, default=0), f"{path}.seed", low=0)
     if kind == "routing":
-        groups = _as_int(_get(doc, "groups", path, required=True), f"{path}.groups")
+        groups = _as_int(_get(doc, "groups", path, required=True), f"{path}.groups", low=1)
         per = _as_int(
-            _get(doc, "agents_per_group", path, required=True), f"{path}.agents_per_group"
+            _get(doc, "agents_per_group", path, required=True), f"{path}.agents_per_group", low=1
         )
-        if groups < 1:
-            _fail(f"{path}.groups", "must be >= 1")
-        if per < 1:
-            _fail(f"{path}.agents_per_group", "must be >= 1")
         instance = build_routing_instance(groups, per, seed=seed)
         problem = routing_problem(instance)
         if _as_bool(_get(doc, "solve", path, default=True), f"{path}.solve"):
@@ -195,12 +200,8 @@ def build_problem(doc: dict, path: str = "problem") -> Problem:
             result = centralized_solve(problem, tol=tol, require_convergence=True)
             problem = dataclasses.replace(problem, f_star=result.f, x_star=result.x)
         return problem
-    agents = _as_int(_get(doc, "agents", path, required=True), f"{path}.agents")
-    dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim")
-    if agents < 1:
-        _fail(f"{path}.agents", "must be >= 1")
-    if dim < 1:
-        _fail(f"{path}.dim", "must be >= 1")
+    agents = _as_int(_get(doc, "agents", path, required=True), f"{path}.agents", low=1)
+    dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim", low=1)
     if kind == "box_quadratic":
         return build_box_quadratic(agents, dim, seed=seed)
     return build_trig_sum(agents, dim, seed=seed)
@@ -224,7 +225,7 @@ def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict
     if kind == "complete":
         return CommGraph.complete(n), dict(doc)
     if kind == "random":
-        seed = _as_int(_get(doc, "seed", path, required=True), f"{path}.seed")
+        seed = _as_int(_get(doc, "seed", path, required=True), f"{path}.seed", low=0)
         kwargs = {}
         if "extra_edges" in doc:
             kwargs["extra_edges"] = _as_int(doc["extra_edges"], f"{path}.extra_edges")
@@ -294,32 +295,14 @@ def build_run_config(doc: dict) -> tuple[RunConfig, dict]:
     version = _get(doc, "version", "config", required=True)
     if version != CONFIG_VERSION:
         _fail("config.version", f"expected {CONFIG_VERSION}, got {version!r}")
+    # the options are read before the problem, so a typo fails before a reference solve
+    params = _require_mapping(_get(doc, "params", "config", required=True), "params")
+    _check_fields(params, set(_PARAMS), "params")
+    options = {**_read(params, _PARAM_OPTIONS, "params"), **_read(doc, _TOP_OPTIONS, "config")}
 
     problem = build_problem(_get(doc, "problem", "config", required=True))
     graph, graph_doc = build_graph(_get(doc, "graph", "config", required=True), problem.n)
     delay, delay_doc = build_delay(_get(doc, "delay", "config", default=None))
-
-    params = _require_mapping(_get(doc, "params", "config", required=True), "params")
-    _check_fields(params, _PARAM_FIELDS, "params")
-    eta = _as_number(_get(params, "eta", "params", required=True), "params.eta")
-    u = _as_number(_get(params, "u", "params", required=True), "params.u")
-    horizon = _as_int(_get(params, "horizon", "params", required=True), "params.horizon")
-    delta = _as_number(_get(params, "delta", "params", default=0.0), "params.delta")
-    sigma = _as_number(_get(params, "sigma", "params", default=0.0), "params.sigma")
-
-    mode = _as_str(_get(doc, "mode", "config", default="full"), "config.mode")
-    reduced = _as_bool(
-        _get(doc, "reduced_tables", "config", default=False), "config.reduced_tables"
-    )
-    seed = _as_int(_get(doc, "seed", "config", default=0), "config.seed")
-    metric_every = _as_int(_get(doc, "metric_every", "config", default=100), "config.metric_every")
-    strict = _as_bool(
-        _get(doc, "strict_staleness", "config", default=False), "config.strict_staleness"
-    )
-    slack = _as_int(_get(doc, "history_slack", "config", default=32), "config.history_slack")
-    track = _as_bool(
-        _get(doc, "track_gradients", "config", default=True), "config.track_gradients"
-    )
 
     x0 = None
     if "x0" in doc:
@@ -332,38 +315,16 @@ def build_run_config(doc: dict) -> tuple[RunConfig, dict]:
 
     normalized = {
         "version": CONFIG_VERSION,
-        "problem": dict(_get(doc, "problem", "config")),
+        "problem": dict(doc["problem"]),
         "graph": graph_doc,
-        "params": {"eta": eta, "u": u, "delta": delta, "sigma": sigma, "horizon": horizon},
-        "mode": mode,
-        "reduced_tables": reduced,
+        "params": {f.name: options[f.name] for f in _PARAM_OPTIONS},
         "delay": delay_doc,
-        "seed": seed,
-        "metric_every": metric_every,
-        "strict_staleness": strict,
-        "history_slack": slack,
-        "track_gradients": track,
+        **{f.name: options[f.name] for f in _TOP_OPTIONS},
     }
     if x0 is not None:
         normalized["x0"] = [float(v) for v in x0]
 
     config = RunConfig(
-        problem=problem,
-        graph=graph,
-        eta=eta,
-        u=u,
-        delta=delta,
-        sigma=sigma,
-        horizon=horizon,
-        mode=mode,
-        reduced_tables=reduced,
-        delay=delay,
-        seed=seed,
-        metric_every=metric_every,
-        x0=x0,
-        strict_staleness=strict,
-        history_slack=slack,
-        track_gradients=track,
-        echo=normalized,
+        problem=problem, graph=graph, delay=delay, x0=x0, echo=normalized, **options
     )
     return config, normalized

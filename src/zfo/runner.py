@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -59,6 +59,9 @@ _PURPOSE_NETWORK = 2
 # Rounds of raw Gaussian draws materialized per refill.
 _BLOCK_ROUNDS = 2048
 
+# Plain Python type of each scalar option's annotation (RunConfig.describe).
+_PLAIN = {"float": float, "int": int, "str": str, "bool": bool}
+
 
 def _stream(seed: int, purpose: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(purpose), int(index)]))
@@ -75,8 +78,19 @@ class RunConfig:
     columns, which is sound only when the graph is compatible with the
     dependence sets; the run refuses to start otherwise.
 
-    ``strict_staleness`` turns a measured extra delay above the delay
-    model's declared bound into an abort instead of a flagged summary.
+    ``seed`` is the master seed of every random stream.  ``metric_every``
+    sets the cadence of the trace rows (round 0, every ``metric_every``
+    rounds, and the last round).  ``strict_staleness`` turns a measured
+    extra delay above the delay model's declared bound into an abort
+    instead of a flagged summary.  ``history_slack`` sets the capacity of
+    the quotient and perturbation rings to the staleness bound plus the
+    slack; a table entry older than that aborts the run with
+    ``ProtocolViolation``.  ``track_gradients=False`` turns off the
+    per-round ``‖∇f‖²`` accumulation behind ``grad_sq_mean_ergodic``.
+
+    The fields annotated ``float``, ``int``, ``str`` or ``bool`` are the
+    scalar run options: the config parser reads them, with these
+    defaults, and ``describe`` reports them.
     """
 
     problem: Problem
@@ -93,27 +107,24 @@ class RunConfig:
     metric_every: int = 100
     x0: np.ndarray | None = None
     strict_staleness: bool = False
-    track_gradients: bool = True
     history_slack: int = 32
+    track_gradients: bool = True
     probe: Callable[["RoundView"], None] | None = None
     echo: dict | None = None  # round-trippable source config, echoed in summaries
 
     def describe(self) -> dict:
-        """Best-effort JSON-able description (used when no echo is attached)."""
+        """Best-effort JSON-able description (used when no echo is attached):
+        the problem, dims, graph and delay, then every scalar option."""
         return {
             "problem": self.problem.name,
             "dims": [int(d) for d in self.problem.dims],
             "graph": {"n": self.graph.n, "edges": [[i + 1, j + 1] for i, j in self.graph.edges]},
-            "eta": float(self.eta),
-            "u": float(self.u),
-            "delta": float(self.delta),
-            "sigma": float(self.sigma),
-            "horizon": int(self.horizon),
-            "mode": self.mode,
-            "reduced_tables": bool(self.reduced_tables),
             "delay": repr(self.delay),
-            "seed": int(self.seed),
-            "metric_every": int(self.metric_every),
+            **{
+                f.name: _PLAIN[f.type](getattr(self, f.name))
+                for f in fields(self)
+                if f.type in _PLAIN
+            },
         }
 
 
@@ -258,6 +269,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError(f"noise level sigma must be >= 0, got {config.sigma}")
     if config.mode not in ("full", "dependence"):
         raise ConfigurationError(f"mode must be 'full' or 'dependence', got {config.mode!r}")
+    if config.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {config.seed}")
     if config.metric_every < 1:
         raise ConfigurationError("metric_every must be >= 1")
     if config.history_slack < 1:

@@ -4,6 +4,8 @@ The vectorized SwarmTables engine is cross-checked round for round
 against the transparent per-agent reference in `protocol_reference.py`,
 which the first half of this file pins down on its own.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,20 @@ def test_swarm_untracked_entries_stay_never_heard():
     assert (s.stamps[1] >= 0).all()
     np.testing.assert_array_equal(s.stamps[~tracked], -1)
     assert s.oldest_stamp() == s.stamps[tracked].min()
+
+
+def test_swarm_lag_table_memory_is_linear_in_capacity():
+    # a ring of 3000 rounds: the lag -> slot lookup holds O(capacity)
+    # entries through the warm-up and the cyclic phases after it
+    tracemalloc.start()
+    try:
+        s = SwarmTables(3, np.ones((3, 3)), 3000, 1)
+        for t in range(3005):
+            s.record_own(t, np.ones(3), np.ones((3, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,37 @@ def test_type_errors_carry_field_paths():
     doc["version"] = 2
     with pytest.raises(ConfigurationError, match="config.version"):
         build_run_config(doc)
+
+
+def test_unknown_params_field_fails_before_the_reference_solve(monkeypatch):
+    import zfo.config
+
+    solve = zfo.config.centralized_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zfo.config, "centralized_solve", counted)
+    doc = {
+        "version": 1,
+        "problem": {"kind": "routing", "groups": 2, "agents_per_group": 3, "seed": 1},
+        "graph": {"kind": "complete"},
+        "params": {"eta": 1e-3, "u": 1e-3, "horizon": 30, "stepsize": 1.0},
+    }
+    with pytest.raises(ConfigurationError, match="params: unknown field"):
+        build_run_config(doc)
+    assert calls == []
+
+
+def test_readme_config_example_lists_every_normalized_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file format", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    _, normalized = build_run_config(example)
+    assert set(example) == set(normalized)
+    assert set(example["params"]) == set(normalized["params"])
 
 
 def test_graph_kinds_and_edge_validation(tmp_path):
@@ -191,6 +223,27 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, edit, named",
+    [
+        (["run", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+        (
+            ["run"],
+            {"problem": {"kind": "box_quadratic", "agents": 3, "dim": 2, "seed": -3}},
+            "problem.seed: must be >= 0",
+        ),
+        (["run"], {"graph": {"kind": "random", "seed": -2}}, "graph.seed: must be >= 0"),
+        (["sweep", "--seeds", "2", "--seed-base", "-1"], {}, "--seed-base must be >= 0, got -1"),
+    ],
+)
+def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys, argv, edit, named):
+    cfg = _write(tmp_path, {**_base_doc(), **edit})
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", cfg, "--out-dir", str(out), *argv[1:]]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_3_on_assumption_violation(tmp_path, capsys):

@@ -444,6 +444,21 @@ def test_metrics_snapshot_finite_differences_agree_with_analytic():
     assert row["grad_sq"] == pytest.approx(float(np.dot(analytic, analytic)), rel=1e-9)
 
 
+def test_finite_difference_path_without_analytic_gradient():
+    analytic = build_trig_sum(2, 2, seed=3)
+    problem = dataclasses.replace(analytic, grad=None)
+    x = np.random.default_rng(0).normal(size=problem.total_dim)
+    row = metrics_snapshot(problem, x, 0)
+    assert row["grad_estimated"] is True
+    g = analytic.grad(x)
+    assert row["grad_sq"] == pytest.approx(float(np.dot(g, g)), rel=1e-6)
+    trace = run(RunConfig(problem=problem, graph=CommGraph.path(2), eta=1e-3, u=1e-3,
+                          horizon=10, metric_every=5))
+    assert "no analytic gradient available; cadence rows use finite differences" in trace.notes
+    assert trace.grad_sq_final is None
+    assert trace.grad_sq_mean_ergodic is None
+
+
 def test_metrics_snapshot_flags_infeasible_state():
     problem = build_box_quadratic(2, 1, seed=0)
     row = metrics_snapshot(problem, np.array([2.0, 0.0]), 0)
@@ -482,6 +497,11 @@ def test_summary_without_echo_describes_run():
     summary = summary_dict(trace, config)
     assert summary["config"]["problem"] == "box_quadratic"
     assert summary["config"]["graph"]["edges"] == [[1, 2], [2, 3]]
+    described = json.loads(json.dumps(summary["config"]))
+    assert described["strict_staleness"] is False
+    assert described["history_slack"] == 32
+    assert described["track_gradients"] is True
+    assert described["horizon"] == 60 and described["seed"] == 11
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +521,8 @@ def test_config_validation_errors():
         run(RunConfig(**{**ok, "delta": 1.0}))
     with pytest.raises(ConfigurationError, match="mode"):
         run(RunConfig(**{**ok, "mode": "partial"}))
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        run(RunConfig(**{**ok, "seed": -1}))
     with pytest.raises(ConfigurationError, match="staleness bound"):
         run(RunConfig(**{**ok, "horizon": 1}))
     with pytest.raises(ConfigurationError, match="agents"):
