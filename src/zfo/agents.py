@@ -153,7 +153,7 @@ class SwarmTables:
         entries read t + 1); untracked entries report 0."""
         return np.where(self.tracked, t - self.stamps, 0)
 
-    def assemble(self, use_mask: np.ndarray | None = None) -> np.ndarray:
+    def assemble(self, use_mask: np.ndarray | None = None, oldest: int | None = None) -> np.ndarray:
         """Gradient blocks (n, d_max): row i is agent i's estimator, the
         sum over the columns j in `use_mask` (default: all) of quotient j
         times agent i's own perturbation of the stamped round, over n.
@@ -165,10 +165,14 @@ class SwarmTables:
         The window check compares each entry's stamp with the round its
         slot holds.  Only a stamp at least `capacity` rounds old can fail
         it, so it runs only when the oldest tracked stamp is that old.
+        A caller that already holds this round's `oldest_stamp()` passes
+        it as `oldest`.
         """
         slots = self._slots()
         t, cap = self._t, self.capacity
-        if t >= cap and self.oldest_stamp() <= t - cap:
+        if oldest is None:
+            oldest = self.oldest_stamp()
+        if t >= cap and oldest <= t - cap:
             bad = self._ring_rounds.take(slots) != self.stamps
             if use_mask is not None:
                 bad &= use_mask

@@ -39,7 +39,10 @@ class SampleStats:
 class ConvexSet:
     """Base class. A subclass defines the exact row-wise `project_batch` and,
     where one exists, a closed-form `contains_batch` with the same verdicts;
-    the one-point `project` and `contains` are their one-row cases."""
+    the one-point `project` and `contains` are their one-row cases, and
+    `contains_all` is their conjunction over many points, which a subclass
+    settles in closed form (`_all_inside`) when every point is plainly
+    inside."""
 
     dim: int
     bounded: bool = True
@@ -59,6 +62,20 @@ class ConvexSet:
     def contains(self, y: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Membership of one point up to Euclidean distance `tol`."""
         return bool(self.contains_batch(np.asarray(y, dtype=float)[None, :], tol)[0])
+
+    def contains_all(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        """Whether every point of `ys` (any leading shape, points along the
+        last axis) is a member up to `tol`: the verdict of `contains_batch`
+        on the points as rows, all of them, without per-row work when
+        `_all_inside` settles it."""
+        if self._all_inside(ys, tol):
+            return True
+        return bool(self.contains_batch(np.reshape(ys, (-1, self.dim)), tol).all())
+
+    def _all_inside(self, ys: np.ndarray, tol: float) -> bool:
+        """A closed-form test, true only when `contains_batch` passes every
+        point of `ys` (any leading shape); False when it cannot tell."""
+        return False
 
     # Largest distance between a row that passes a set's closed-form
     # membership test and its computed projection (rounding only).
@@ -126,6 +143,9 @@ class WholeSpace(ConvexSet):
     def contains_batch(self, ys, tol=DEFAULT_TOL):
         return np.ones(ys.shape[0], dtype=bool)
 
+    def _all_inside(self, ys, tol):
+        return True
+
     def shrink(self, delta):
         _check_delta(delta)
         return self
@@ -156,13 +176,16 @@ class Box(ConvexSet):
         return np.clip(np.asarray(ys, dtype=float), self.lower, self.upper)
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
+        ys = np.asarray(ys, dtype=float)
+        if self._all_inside(ys, tol):
+            return np.ones(ys.shape[0], dtype=bool)
         # per coordinate, the larger excess over a bound is |y - clip(y)|
         # bit for bit when positive, so the norm is that of ys - clip(ys)
-        ys = np.asarray(ys, dtype=float)
         excess = np.maximum(ys - self.upper, self.lower - ys)
-        if tol >= 0.0 and excess.max(initial=0.0) <= 0.0:
-            return np.ones(ys.shape[0], dtype=bool)
         return np.linalg.norm(np.maximum(excess, 0.0), axis=1) <= tol
+
+    def _all_inside(self, ys, tol):
+        return tol >= 0.0 and np.maximum(ys - self.upper, self.lower - ys).max(initial=0.0) <= 0.0
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -261,23 +284,25 @@ class ShiftedSimplex(ConvexSet):
         return _project_orthant_cap(w, self.scale) + self.shift
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
-        # the same `w` and row sums project_batch tests: rows with w >= 0
-        # and sum(w) <= scale are left in place by the orthant-cap projection
         ys = np.asarray(ys, dtype=float)
+        if self._all_inside(ys, tol):
+            return np.ones(ys.shape[0], dtype=bool)
         w = ys - self.shift
         sums = w.sum(axis=1)
-        if (
-            tol >= self._inside_slack
-            and w.min(initial=0.0) >= 0.0
-            and sums.max(initial=0.0) <= self.scale
-        ):
-            return np.ones(ys.shape[0], dtype=bool)
         lows = w.min(axis=1)
         inside = (lows >= 0.0) & (sums <= self.scale)
         # a row is at least as far as from the orthant and from the half-space sum(v) <= scale
         gap = np.maximum(-lows, (sums - self.scale) / np.sqrt(self.dim))
         size = np.abs(w).sum(axis=1) + self._size
         return self._finish_contains(ys, inside, gap, size, tol)
+
+    def _all_inside(self, ys, tol):
+        # the same `w` and sums project_batch tests: points with w >= 0 and
+        # sum(w) <= scale are left in place by the orthant-cap projection
+        if tol < self._inside_slack:
+            return False
+        w = ys - self.shift
+        return w.min(initial=0.0) >= 0.0 and w.sum(axis=-1).max(initial=0.0) <= self.scale
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -430,11 +455,12 @@ def constrain_perturbation_batch(
             _require_members(set_, xs)
         margin = np.maximum(room / u, 0.0)
         return np.clip(zhat, -margin, margin)
-    # both signed actions in one membership call: rows x + u z, then x - u z
+    # both signed actions in one membership test: rows x + u z, then x - u z
     uz = u * zhat
-    ok = set_.contains_batch(np.concatenate((xs + uz, xs - uz)), _CERT_TOL)
-    if ok.all():
+    signed = np.concatenate((xs + uz, xs - uz))
+    if set_.contains_all(signed, _CERT_TOL):
         return zhat
+    ok = set_.contains_batch(signed, _CERT_TOL)
     # x is the midpoint of x + u z and x - u z: rows passing both are members
     rows = np.flatnonzero(~ok.reshape(2, -1).all(axis=0))
     _require_members(set_, xs[rows])

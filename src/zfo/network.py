@@ -264,6 +264,10 @@ class BernoulliDrops(DelayModel):
 class CompatibilityReport:
     compatible: bool
     witnesses: list[tuple[int, int, int]]  # (blocking i, column j, needer l)
+    # distances[l, j]: hops from l to j inside the subgraph induced by V_j
+    # (the path column j's quotients travel by); -1 when l is not in V_j or
+    # cannot reach j there
+    distances: np.ndarray
 
 
 def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
@@ -287,12 +291,16 @@ def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
             raise ConfigurationError(f"affected set of agent {i + 1} out of range")
     witnesses: list[tuple[int, int, int]] = []
     full_dist = shortest_path_lengths(graph)
+    distances = np.full((n, n), -1, dtype=np.int64)
     for j in range(n):
         trackers = {r for r in range(n) if j in affected[r]}
         # BFS from j inside the induced subgraph of trackers.
         reach = {j}
         frontier = [j]
+        hops = 0
         while frontier:
+            distances[frontier, j] = hops
+            hops += 1
             nxt = []
             for v in frontier:
                 for w in graph.neighbors[v]:
@@ -303,7 +311,9 @@ def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
             frontier = nxt
         for l in sorted(trackers - reach):
             witnesses.append((_blocking_vertex(graph, full_dist, affected, l, j), j, l))
-    return CompatibilityReport(compatible=not witnesses, witnesses=witnesses)
+    return CompatibilityReport(
+        compatible=not witnesses, witnesses=witnesses, distances=distances
+    )
 
 
 def _blocking_vertex(graph, dist, affected, l, j):

@@ -198,13 +198,20 @@ def constants_for(
     """Assemble :class:`ProblemConstants` from a problem and network stats.
 
     ``init_gap`` is filled in when ``x0`` is given and the problem records
-    either its optimal value or a lower bound on it.
+    either its optimal value or a lower bound on it.  A problem without the
+    Lipschitz and smoothness constants in its ``meta`` is refused.
     """
     if stats.n != problem.n:
         raise ConfigurationError(
             f"network has {stats.n} nodes but the problem has {problem.n} agents"
         )
     meta = problem.meta
+    missing = [name for name in ("lipschitz", "smoothness") if name not in meta]
+    if missing:
+        raise ConfigurationError(
+            f"problem {problem.name!r} records no {' or '.join(missing)} constant; "
+            "planning needs both (estimate_constants gives sampled estimates)"
+        )
     init_gap = None
     if x0 is not None:
         floor = problem.f_star if problem.f_star is not None else problem.f_lower

@@ -59,15 +59,23 @@ class Problem:
     dimension (`dim_mask` marks the real entries).  `groups` collects the
     agents whose feasible sets are equal, ordered by their first member,
     so every set operation is one batched call per group.
+
+    `local_costs` and `grad` take one flat joint vector `(D,)`, returning
+    `(n,)` costs and the `(D,)` gradient of f, or a stack of them `(R, D)`,
+    returning `(R, n)` and `(R, D)`.  Row r of a stacked result is bitwise
+    equal to the one-vector call on row r, so a caller may stack
+    evaluations (the runner's two signed actions, its owed gradient norms)
+    without changing a result.  With `check=True`, an infeasible row
+    raises `DomainError` as the one-vector call would.
     """
 
     name: str
     dims: list[int]
     sets: list[ConvexSet]
-    local_costs: Callable[..., np.ndarray]  # (flat, check=True) -> (n,)
-    grad: Callable[[np.ndarray], np.ndarray] | None = None  # gradient of f
+    local_costs: Callable[..., np.ndarray]  # (flat, check=True) -> (n,); (R, D) -> (R, n)
+    grad: Callable[[np.ndarray], np.ndarray] | None = None  # gradient of f; (R, D) -> (R, D)
     local_grads: Callable[[np.ndarray], np.ndarray] | None = None  # (n, d)
-    affected: list[frozenset[int]] | None = None
+    affected: list[frozenset[int]] | None = None  # A_i: agents whose costs agent i affects
     f_star: float | None = None
     x_star: np.ndarray | None = None
     f_lower: float | None = None
@@ -104,15 +112,18 @@ class Problem:
         return out
 
     def flat(self, blocks: np.ndarray) -> np.ndarray:
-        """The flat joint vector of a block array (a view when all dims are equal)."""
-        return blocks.reshape(-1) if self._uniform else blocks[self.dim_mask]
+        """The flat joint vector of a block array, or the `(R, D)` stack of a
+        stack of block arrays `(R, n, d_max)` (a view when all dims are equal)."""
+        if self._uniform:
+            return blocks.reshape(blocks.shape[:-2] + (-1,))
+        return blocks[..., self.dim_mask]
 
     def global_cost(self, flat: np.ndarray, check: bool = True) -> float:
         return float(np.mean(self.local_costs(flat, check=check)))
 
     def feasible(self, flat: np.ndarray, tol: float = 1e-9) -> bool:
         x = self.blocks(flat)
-        return all(bool(g.set.contains_batch(x[g.index], tol).all()) for g in self.groups)
+        return all(g.set.contains_all(x[g.index], tol) for g in self.groups)
 
     def project_feasible(self, flat: np.ndarray) -> np.ndarray:
         x = self.blocks(flat)
@@ -149,8 +160,9 @@ def build_box_quadratic(
         flat = np.asarray(flat, dtype=float)
         if check and np.max(np.abs(flat)) > w + 1e-9:
             raise DomainError("action outside the box")
-        diff = flat[None, :] - centers
-        return 0.5 * np.einsum("ij,ij->i", diff, diff)
+        # one (R n, d) einsum: its rows sum as the one-vector call's do
+        diff = (flat[..., None, :] - centers).reshape(-1, d)
+        return 0.5 * np.einsum("ij,ij->i", diff, diff).reshape(flat.shape[:-1] + (n,))
 
     def grad(flat):
         return np.asarray(flat, dtype=float) - c_mean
@@ -206,14 +218,14 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
 
     def local_costs(flat, check=True):
         flat = np.asarray(flat, dtype=float)
-        return np.sum(amps * (1.0 - np.cos(flat[None, :] - phases)), axis=1)
+        return np.sum(amps * (1.0 - np.cos(flat[..., None, :] - phases)), axis=-1)
 
     def local_grads(flat):
         flat = np.asarray(flat, dtype=float)
-        return amps * np.sin(flat[None, :] - phases)
+        return amps * np.sin(flat[..., None, :] - phases)
 
     def grad(flat):
-        return local_grads(flat).mean(axis=0)
+        return local_grads(flat).mean(axis=-2)
 
     return Problem(
         name="trig_sum",
@@ -348,6 +360,26 @@ def routing_affected_sets(inst: RoutingInstance) -> list[frozenset[int]]:
     ]
 
 
+class _StackedRoutes:
+    """The routing coefficients of `rows` stacked copies of an instance.
+
+    Copy r's route ids are offset by r * m, so one `bincount` loads every
+    copy, each route's loads summed in the same order as for one copy; the
+    per-agent traffic and the per-route coefficients are tiled to match.
+    """
+
+    def __init__(self, inst: RoutingInstance, rows: int):
+        n, m = inst.n_agents, inst.n_routes
+        self.routes = np.tile(inst.routes, (rows, 1)) + m * np.repeat(np.arange(rows), n)[:, None]
+        self.route_ids = self.routes.ravel()
+        self.traffic = np.tile(inst.traffic, rows)
+        self.traffic_col = self.traffic[:, None]
+        self.grad_scale = self.traffic_col / n
+        self.quad, self.lin, self.offset = (
+            np.tile(c, rows) for c in (inst.quad, inst.lin, inst.offset)
+        )
+
+
 def routing_problem(inst: RoutingInstance) -> Problem:
     n = inst.n_agents
     k = inst.routes_per_agent
@@ -355,35 +387,45 @@ def routing_problem(inst: RoutingInstance) -> Problem:
     shift = -1.0 / k
     sets = [ShiftedSimplex(dim, shift=shift) for _ in range(n)]
     lo = shift  # reduced-coordinate lower bound for the fast check
-    m = inst.n_routes
-    routes, route_ids = inst.routes, inst.routes.ravel()
-    traffic, traffic_col = inst.traffic, inst.traffic[:, None]
-    quad, lin, offset = inst.quad, inst.lin, inst.offset
     uniform = 1.0 / k
+    stacks: dict[int, _StackedRoutes] = {}
 
-    def local_costs(flat, check=True):
-        # eval_allocation(inst, reduced_to_alloc(inst, x))[0], operation for
-        # operation, in one pass
-        x = np.asarray(flat, dtype=float).reshape(n, dim)
+    def allocation(flat, check):
+        """The allocations v (R n, k) of the reduced actions, their route
+        loads (R m,), the stacked coefficients and whether `flat` was a
+        stack: reduced_to_alloc and route_loads, operation for operation."""
+        flat = np.asarray(flat, dtype=float)
+        stacked = flat.ndim > 1
+        rows = flat.shape[0] if stacked else 1
+        st = stacks.get(rows)
+        if st is None:
+            st = stacks[rows] = _StackedRoutes(inst, rows)
+        x = flat.reshape(rows * n, dim)
         if check:
             w = x - lo
             if np.min(w) < -1e-9 or np.max(w.sum(axis=1)) > 1.0 + 1e-9:
                 bad = int(np.argmax(np.maximum(-w.min(axis=1), w.sum(axis=1) - 1.0)))
-                raise DomainError(f"agent {bad + 1} action outside its simplex")
+                raise DomainError(f"agent {bad % n + 1} action outside its simplex")
         head = x + uniform
         v = np.concatenate([head, 1.0 - head.sum(axis=1, keepdims=True)], axis=1)
-        loads = np.bincount(route_ids, weights=(v * traffic_col).ravel(), minlength=m)
-        unit = (quad * loads + lin) * loads + offset
-        return traffic * np.einsum("ik,ik->i", v, unit[routes])
+        loads = np.bincount(
+            st.route_ids, weights=(v * st.traffic_col).ravel(), minlength=st.quad.size
+        )
+        return v, loads, st, stacked
+
+    def local_costs(flat, check=True):
+        # eval_allocation(inst, reduced_to_alloc(inst, x))[0] of each row
+        v, loads, st, stacked = allocation(flat, check)
+        unit = (st.quad * loads + st.lin) * loads + st.offset
+        costs = st.traffic * np.einsum("ik,ik->i", v, unit[st.routes])
+        return costs.reshape(-1, n) if stacked else costs
 
     def grad(flat):
-        x = np.asarray(flat, dtype=float).reshape(n, dim)
-        v = reduced_to_alloc(inst, x)
-        loads = route_loads(inst, v)
-        marginal = inst.offset + 2.0 * inst.lin * loads + 3.0 * inst.quad * loads**2
-        mc = marginal[inst.routes]  # (n, k)
-        g = (inst.traffic[:, None] / n) * (mc[:, :-1] - mc[:, -1:])
-        return g.ravel()
+        v, loads, st, stacked = allocation(flat, False)
+        marginal = st.offset + 2.0 * st.lin * loads + 3.0 * st.quad * loads**2
+        mc = marginal[st.routes]  # (R n, k)
+        g = st.grad_scale * (mc[:, :-1] - mc[:, -1:])
+        return g.reshape(-1, n * dim) if stacked else g.ravel()
 
     shared = _shared_route_positions(inst)
 

@@ -59,6 +59,11 @@ _PURPOSE_NETWORK = 2
 # Rounds of raw Gaussian draws materialized per refill.
 _BLOCK_ROUNDS = 2048
 
+# Floats of the states owed a gradient norm, settled in one stacked call.  A
+# cap in floats, not rounds, keeps the buffer and the stacked call's
+# temporaries small when a state is large.
+_OWED_FLOATS = 4096
+
 # Plain Python type of each scalar option's annotation (RunConfig.describe).
 _PLAIN = {"float": float, "int": int, "str": str, "bool": bool}
 
@@ -86,7 +91,9 @@ class RunConfig:
     the quotient and perturbation rings to the staleness bound plus the
     slack; a table entry older than that aborts the run with
     ``ProtocolViolation``.  ``track_gradients=False`` turns off the
-    per-round ``‖∇f‖²`` accumulation behind ``grad_sq_mean_ergodic``.
+    per-round ``‖∇f‖²`` accumulation behind ``grad_sq_mean_ergodic``; the
+    run keeps the states it owes a norm and settles them in blocks, one
+    stacked ``grad`` call each, adding the norms in round order.
 
     The fields annotated ``float``, ``int``, ``str`` or ``bool`` are the
     scalar run options: the config parser reads them, with these
@@ -240,19 +247,31 @@ def _first_infeasible(shrunk, x: np.ndarray, signed: np.ndarray | None) -> int |
     in `x` leaves its shrunken set or, when `signed` holds the stacked
     `(x + u z, x - u z)`, whose signed actions leave its set; None when
     every agent is feasible.  `shrunk` pairs each set group with its
-    shrunken set."""
+    shrunken set.  `contains_all` clears a group whose points are all
+    inside; the per-row verdicts run only for the others."""
     for g, shrunk_set in shrunk:
+        if shrunk_set.contains_all(x[g.index], _FEASIBILITY_TOL) and (
+            signed is None or g.set.contains_all(signed[g.signed_index], _FEASIBILITY_TOL)
+        ):
+            continue
         ok = shrunk_set.contains_batch(x[g.index], _FEASIBILITY_TOL)
         if signed is not None:
             ok_signed = g.set.contains_batch(
                 signed[g.signed_index].reshape(-1, g.dim), _FEASIBILITY_TOL
             )
-            if ok.all() and ok_signed.all():
-                continue
             ok = ok & ok_signed.reshape(2, -1).all(axis=0)
         if not ok.all():
             return int(g.members[int(np.argmax(~ok))])
     return None
+
+
+def _add_grad_sq(problem: Problem, states: np.ndarray, acc: float) -> float:
+    """`acc` plus ‖∇f‖² at each row of `states`, added in row order: one
+    stacked gradient call, then each row's dot product as the one-vector
+    call's (on C-contiguous rows, which `np.dot` rounds alike)."""
+    for g in np.ascontiguousarray(problem.grad(states)):
+        acc += float(np.dot(g, g))
+    return acc
 
 
 def _validate(config: RunConfig) -> None:
@@ -305,7 +324,29 @@ def run(config: RunConfig) -> RunTrace:
     horizon = int(config.horizon)
     notes: list[str] = []
 
+    # --- estimator masks and tables ---------------------------------------
+    # A tracked entry (i, j) is at most its hop distance old plus the extra
+    # delay.  Reduced tables relay column j only through its trackers, so
+    # their distances are taken inside each column's tracker subgraph.
     distances = shortest_path_lengths(graph)
+    aff_mask = None
+    if config.mode == "dependence":
+        # agent i's block of the gradient of f needs the costs i affects, A_i
+        aff_mask = np.zeros((n, n), dtype=bool)
+        for i, costs in enumerate(problem.affected):
+            aff_mask[i, list(costs)] = True
+    if config.reduced_tables:
+        report = check_compatibility(graph, problem.affected)
+        if not report.compatible:
+            raise ConfigurationError(
+                "reduced tables need a graph compatible with the dependence sets; "
+                f"blocking (tracker, non-tracker, column) triples: {report.witnesses[:5]}"
+            )
+        tracked = aff_mask.copy()
+        np.fill_diagonal(tracked, True)
+        distances = np.where(tracked, report.distances, distances)
+    else:
+        tracked = np.ones((n, n), dtype=bool)
     declared_delta = int(config.delay.declared_delta)
     staleness_bound = int(distances.max()) + declared_delta
     if horizon < staleness_bound:
@@ -327,23 +368,6 @@ def run(config: RunConfig) -> RunTrace:
                 "convergence guarantees may not apply"
             )
 
-    # --- estimator masks and tables ---------------------------------------
-    aff_mask = None
-    if config.mode == "dependence":
-        aff_mask = np.zeros((n, n), dtype=bool)
-        for j, who in enumerate(problem.affected):
-            aff_mask[list(who), j] = True
-    if config.reduced_tables:
-        report = check_compatibility(graph, problem.affected)
-        if not report.compatible:
-            raise ConfigurationError(
-                "reduced tables need a graph compatible with the dependence sets; "
-                f"blocking (tracker, non-tracker, column) triples: {report.witnesses[:5]}"
-            )
-        tracked = aff_mask.copy()
-        np.fill_diagonal(tracked, True)
-    else:
-        tracked = np.ones((n, n), dtype=bool)
     cap = staleness_bound + int(config.history_slack)
     swarm = SwarmTables(n, tracked, cap, d_max)
     use_mask = aff_mask if config.mode == "dependence" else None
@@ -360,14 +384,14 @@ def run(config: RunConfig) -> RunTrace:
     net_gen = _stream(config.seed, _PURPOSE_NETWORK, 0)
     block_rounds = min(horizon + 1, _BLOCK_ROUNDS)
     zhat_block = np.zeros((block_rounds, n, d_max))
-    noise_block = np.zeros((block_rounds, n, 2)) if sigma > 0 else None
+    noise_block = np.zeros((block_rounds, 2, n)) if sigma > 0 else None
 
     def refill(start: int) -> None:
         count = min(block_rounds, horizon + 1 - start)
         for i in range(n):
             zhat_block[:count, i, : dims[i]] = perturb_gens[i].standard_normal((count, dims[i]))
             if noise_block is not None:
-                noise_block[:count, i, :] = noise_gens[i].standard_normal((count, 2))
+                noise_block[:count, :, i] = noise_gens[i].standard_normal((count, 2))
 
     # --- initial state -------------------------------------------------------
     x0 = np.zeros(problem.total_dim) if config.x0 is None else np.asarray(config.x0, dtype=float)
@@ -391,6 +415,9 @@ def run(config: RunConfig) -> RunTrace:
     track_grad = config.track_gradients and problem.grad is not None
     x_acc = np.zeros(problem.total_dim)
     grad_sq_acc = 0.0
+    owed_rows = max(1, _OWED_FLOATS // problem.total_dim)
+    owed = np.empty((owed_rows, problem.total_dim)) if track_grad else None
+    owed_count = 0
     samples = 0
     stale_max_overall = 0
     delta_hat = 0
@@ -431,11 +458,11 @@ def run(config: RunConfig) -> RunTrace:
             raise DomainError(f"agent {agent + 1} would act outside its feasible set at round {t}")
 
         # (2)-(3) synchronous signed actions; every agent observes its cost
-        f_plus = np.asarray(problem.local_costs(problem.flat(signed[0]), check=False), dtype=float)
-        f_minus = np.asarray(problem.local_costs(problem.flat(signed[1]), check=False), dtype=float)
+        # at both, in one stacked call: row 0 at x + u z, row 1 at x - u z
+        costs = np.asarray(problem.local_costs(problem.flat(signed), check=False), dtype=float)
         if sigma > 0:
-            f_plus = f_plus + sigma * noise_block[bi, :, 0]
-            f_minus = f_minus + sigma * noise_block[bi, :, 1]
+            costs = costs + sigma * noise_block[bi]
+        f_plus, f_minus = costs
 
         # (4) difference quotients, stamped with the current round
         quotients = (f_plus - f_minus) / (2.0 * u)
@@ -451,7 +478,8 @@ def run(config: RunConfig) -> RunTrace:
         # (6) the post-merge snapshot is what everyone sends this round
         prev_snapshot = swarm.snapshot()
 
-        stale_now = t - swarm.oldest_stamp()
+        oldest = swarm.oldest_stamp()
+        stale_now = t - oldest
         stale_max_overall = max(stale_max_overall, stale_now)
         extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
         if extra_now > delta_hat:
@@ -463,7 +491,7 @@ def run(config: RunConfig) -> RunTrace:
                 )
 
         # (7) assemble gradient blocks and take the projected step
-        gradient = swarm.assemble(use_mask)
+        gradient = swarm.assemble(use_mask, oldest)
         x_next = np.zeros((n, d_max))
         for g, shrunk_set in shrunk:
             x_next[g.index] = shrunk_set.project_batch(x[g.index] - eta * gradient[g.index])
@@ -488,8 +516,11 @@ def run(config: RunConfig) -> RunTrace:
             x_acc += flat
             samples += 1
             if track_grad:
-                g_now = problem.grad(flat)
-                grad_sq_acc += float(np.dot(g_now, g_now))
+                owed[owed_count] = flat
+                owed_count += 1
+                if owed_count == owed_rows:
+                    grad_sq_acc = _add_grad_sq(problem, owed, grad_sq_acc)
+                    owed_count = 0
 
         if t == 0 or t % config.metric_every == 0 or t == horizon:
             row = metrics_snapshot(problem, flat, t, delta=delta, u=u, z_flat=problem.flat(z))
@@ -525,6 +556,8 @@ def run(config: RunConfig) -> RunTrace:
             x_final = flat.copy()
         x = x_next
 
+    if owed_count:
+        grad_sq_acc = _add_grad_sq(problem, owed[:owed_count], grad_sq_acc)
     x_ergodic = x_acc / samples
     f_final = problem.global_cost(x_final, check=False)
     f_ergodic = problem.global_cost(x_ergodic, check=False)

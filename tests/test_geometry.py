@@ -256,6 +256,53 @@ def _contains_batch_matches_definition(case):
         np.testing.assert_array_equal(set_.contains_batch(rows, tol), expected)
 
 
+@st.composite
+def _contains_all_case(draw):
+    """A membership case's set, or the whole space or an intersection of the
+    set with a ball around it; rows that are all inside, boundary rows, or
+    rows around the boundary; stacked 2-D or 3-D; and a tolerance below or
+    above the set's `_inside_slack`, or the case's own."""
+    set_, ys, inside, tol = draw(_membership_case())
+    wrap = draw(st.sampled_from(["none", "whole", "intersection"]))
+    if wrap == "whole":
+        set_ = WholeSpace(set_.dim)
+    elif wrap == "intersection":
+        center = inside.mean(axis=0)
+        radius = float(np.linalg.norm(inside - center, axis=1).max()) + 1.0
+        set_ = Intersection([set_, Ball(center, radius)])
+    pick = draw(st.sampled_from(["inside", "boundary", "around"]))
+    rows = {"inside": inside, "boundary": inside[: len(inside) // 2], "around": ys}[pick]
+    rows = rows[: 2 * (len(rows) // 2)]
+    if draw(st.booleans()):
+        rows = rows.reshape(2, -1, set_.dim)
+    slack = set_._inside_slack
+    tol = draw(st.sampled_from([tol, 0.5 * slack, 2.0 * slack]))
+    return set_, rows, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contains_all_case())
+def test_contains_all_is_the_conjunction_of_contains_batch(case):
+    set_, rows, tol = case
+    expected = bool(set_.contains_batch(rows.reshape(-1, set_.dim), tol).all())
+    assert set_.contains_all(rows, tol) == expected
+
+
+@pytest.mark.parametrize(
+    "set_",
+    [Box([-1.0, -0.5], [1.0, 0.5]), ShiftedSimplex(2, shift=-1.0 / 3.0), WholeSpace(2)],
+    ids=["box", "simplex", "whole"],
+)
+def test_contains_all_settles_plainly_inside_points_in_closed_form(set_, monkeypatch):
+    def per_row(*args, **kwargs):
+        raise AssertionError("per-row membership test called")
+
+    monkeypatch.setattr(type(set_), "contains_batch", per_row)
+    points = np.random.default_rng(3).uniform(-0.1, 0.1, (2, 3, 4, 2))
+    assert set_.contains_all(points, 1e-9)
+    assert set_.contains_all(points[0, 0], 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # shrink
 

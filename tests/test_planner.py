@@ -23,7 +23,7 @@ from zfo.planner import (
     smoothing_condition_value,
     verify_plan,
 )
-from zfo.problems import build_box_quadratic
+from zfo.problems import build_box_quadratic, build_routing_instance, routing_problem
 
 
 def _constants(**overrides) -> ProblemConstants:
@@ -562,6 +562,16 @@ def test_constants_for_rejects_size_mismatch():
     graph = CommGraph.path(4)
     stats = network_stats(graph, delta=0, dims=(2, 2, 2, 2))
     with pytest.raises(ConfigurationError, match="nodes"):
+        constants_for(problem, stats)
+
+
+def test_constants_for_names_the_missing_constants():
+    # the routing benchmark's constants are only estimated, so it records none
+    problem = routing_problem(build_routing_instance(2, 3, seed=1))
+    stats = network_stats(CommGraph.complete(problem.n), delta=0, dims=problem.dims)
+    with pytest.raises(
+        ConfigurationError, match=r"^problem 'routing' records no lipschitz or smoothness constant"
+    ):
         constants_for(problem, stats)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfo.cli import main
-from zfo.errors import ConfigurationError, OracleError
+from zfo.errors import ConfigurationError, DomainError, OracleError
 from zfo.problems import (
     RoutingInstance,
     alloc_to_reduced,
@@ -24,6 +24,7 @@ from zfo.problems import (
     routing_problem,
     sample_feasible_reduced,
 )
+from test_runner import _mixed_problem
 
 
 def _fd_grad(fun, x, h=1e-6):
@@ -86,6 +87,56 @@ def test_routing_local_costs_equal_reference_evaluation():
             expected, _ = eval_allocation(inst, reduced_to_alloc(inst, x))
             np.testing.assert_array_equal(problem.local_costs(x.ravel()), expected)
             np.testing.assert_array_equal(problem.local_costs(x.ravel(), check=False), expected)
+
+
+# The stacked contract: each row of an (R, D) call equals the one-vector call.
+_STACKED_PROBLEMS = {
+    **{
+        f"routing{g}x{a}": routing_problem(build_routing_instance(g, a, seed=g + a))
+        for g, a in ((1, 1), (2, 3), (3, 2), (10, 6))
+    },
+    "box_quadratic": build_box_quadratic(5, 3, seed=0),
+    "trig_sum": build_trig_sum(4, 2, seed=1),
+    "mixed": _mixed_problem(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_STACKED_PROBLEMS)),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_evaluations_equal_one_vector_calls(name, rows, seed):
+    problem = _STACKED_PROBLEMS[name]
+    rng = np.random.default_rng(seed)
+    # feasible rows: projections (often on the boundary) and interior points
+    xs = np.stack([
+        rng.uniform(0.0, 1.0) * problem.project_feasible(rng.normal(0.0, 1.0, problem.total_dim))
+        for _ in range(rows)
+    ])
+    for check in (True, False):
+        costs = problem.local_costs(xs, check=check)
+        assert costs.shape == (rows, problem.n)
+        for r in range(rows):
+            np.testing.assert_array_equal(costs[r], problem.local_costs(xs[r], check=check))
+    grads = problem.grad(xs)
+    assert grads.shape == (rows, problem.total_dim)
+    for r in range(rows):
+        np.testing.assert_array_equal(grads[r], problem.grad(xs[r]))
+
+    # an infeasible row fails the checked call as it does alone, naming its agent
+    r, agent = rng.integers(rows), rng.integers(problem.n)
+    bad = xs.copy()
+    bad[r, problem.offsets[agent]] = 10.0
+    try:
+        problem.local_costs(bad[r])
+    except DomainError as one:
+        with pytest.raises(DomainError) as stacked:
+            problem.local_costs(bad)
+        assert str(stacked.value) == str(one)
+        if name.startswith("routing"):
+            assert str(one) == f"agent {agent + 1} action outside its simplex"
 
 
 def test_builder_layout():

@@ -267,39 +267,65 @@ def _routing_setup():
     return instance, problem, graph
 
 
+def _asymmetric_setup():
+    """Agent 2 affects every cost, agents 1 and 3 only their own, on a path."""
+
+    def local_costs(flat, check=True):
+        x = np.asarray(flat, dtype=float)
+        f = [(x[..., 0] + x[..., 1] - 1.0) ** 2, (x[..., 1] - 0.5) ** 2, (x[..., 1] - x[..., 2]) ** 2]
+        return np.stack(f, axis=-1)
+
+    affected = [frozenset({0}), frozenset({0, 1, 2}), frozenset({2})]
+    problem = Problem(
+        name="asymmetric", dims=[1, 1, 1], sets=[WholeSpace(1)] * 3,
+        local_costs=local_costs, affected=affected,
+    )
+    return None, problem, CommGraph.path(3)
+
+
 def test_dependence_mode_equals_masked_full_mode():
-    _, problem, graph = _routing_setup()
-    n = problem.n
-    aff = np.zeros((n, n), dtype=bool)
-    for j, who in enumerate(problem.affected):
-        aff[list(who), j] = True
+    # agent i's block of the gradient of f sums the columns j in A_i, the
+    # costs agent i affects, with full and with reduced tables.  Routing's
+    # sets are symmetric; the asymmetric run is frozen (eta = 0), so full
+    # mode walks the same states as dependence mode.
+    for setup, eta in ((_routing_setup, 1e-3), (_asymmetric_setup, 0.0)):
+        _, problem, graph = setup()
+        n = problem.n
+        aff = np.zeros((n, n), dtype=bool)
+        for i, costs in enumerate(problem.affected):
+            aff[i, list(costs)] = True
 
-    z_log: dict[int, np.ndarray] = {}
-    masked: list[np.ndarray] = []
+        z_log: dict[int, np.ndarray] = {}
+        masked: list[np.ndarray] = []
 
-    def probe_full(view):
-        z_log[view.t] = view.z.copy()
-        stamps = view.tables.stamps
-        values = view.tables.quotients
-        g = np.zeros_like(view.gradient)
-        for i in range(n):
-            for j in range(n):
-                s = stamps[i, j]
-                if s >= 0 and aff[i, j]:
-                    g[i] += values[i, j] * z_log[s][i]
-        masked.append(g / n)
+        def probe_full(view):
+            z_log[view.t] = view.z.copy()
+            stamps = view.tables.stamps
+            values = view.tables.quotients
+            g = np.zeros_like(view.gradient)
+            for i in range(n):
+                for j in range(n):
+                    s = stamps[i, j]
+                    if s >= 0 and aff[i, j]:
+                        g[i] += values[i, j] * z_log[s][i]
+            masked.append(g / n)
 
-    dep_gradients: list[np.ndarray] = []
-
-    def probe_dep(view):
-        dep_gradients.append(view.gradient.copy())
-
-    common = dict(problem=problem, graph=graph, eta=1e-3, u=1e-3, delta=0.02, horizon=25, seed=9)
-    run(RunConfig(mode="full", probe=probe_full, **common))
-    run(RunConfig(mode="dependence", probe=probe_dep, **common))
-    assert len(masked) == len(dep_gradients) == 26
-    for got, want in zip(dep_gradients, masked):
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        common = dict(problem=problem, graph=graph, eta=eta, u=1e-3, delta=0.02, horizon=25, seed=9)
+        run(RunConfig(mode="full", probe=probe_full, **common))
+        for reduced in (False, True):
+            dep_gradients: list[np.ndarray] = []
+            trace = run(
+                RunConfig(
+                    mode="dependence", reduced_tables=reduced,
+                    probe=lambda view: dep_gradients.append(view.gradient.copy()), **common,
+                )
+            )
+            assert len(masked) == len(dep_gradients) == 26
+            for got, want in zip(dep_gradients, masked):
+                np.testing.assert_allclose(got, want, atol=1e-12)
+            assert trace.delta_hat == 0 and trace.assumption_clean
+            if reduced:
+                assert trace.payload_columns == [len(costs) for costs in problem.affected]
 
 
 def test_reduced_tables_payload_and_compatibility():
@@ -326,10 +352,86 @@ def test_reduced_tables_payload_and_compatibility():
     )
 
 
+def test_reduced_tables_stale_by_distances_inside_the_trackers():
+    # Agent 5 does not track column 1, so on the 5-cycle column 1 reaches
+    # agent 4 in 3 hops through agents 3 and 2, not in 2 through agent 5.
+    problem = build_trig_sum(5, 1, seed=0)
+    affected = [frozenset(range(5))] * 5
+    affected[0], affected[4] = frozenset({0, 1, 2, 3}), frozenset({1, 2, 3, 4})
+    problem = dataclasses.replace(problem, affected=affected)
+    common = dict(problem=problem, graph=CommGraph.ring(5), eta=1e-2, u=1e-3, horizon=30)
+    full = run(RunConfig(**common))
+    assert (full.staleness_bound, full.stale_max_overall, full.delta_hat) == (2, 2, 0)
+    assert full.assumption_clean
+    for strict in (False, True):
+        reduced = run(
+            RunConfig(mode="dependence", reduced_tables=True, strict_staleness=strict, **common)
+        )
+        assert (reduced.staleness_bound, reduced.stale_max_overall, reduced.delta_hat) == (3, 3, 0)
+        assert reduced.assumption_clean
+
+
 def test_full_mode_payload_tracks_every_column():
     trace = run(_quadratic_config(horizon=10))
     assert trace.payload_columns == [3, 3, 3]
     assert trace.payload_floats_per_round == (1 + 2 + 1) * 2 * 3
+
+
+def _grad_sq_reference(config: RunConfig):
+    """Run `config` with a probe that takes ‖∇f‖² at every round's state;
+    return the trace and the mean over t >= staleness_bound, added in round
+    order, and the gradient calls made by the run."""
+    problem = config.problem
+    per_round, calls = [], []
+
+    def grad(flat):
+        calls.append(np.shape(flat))
+        return problem.grad(flat)
+
+    def probe(view):
+        g = problem.grad(problem.flat(view.x))
+        per_round.append(float(np.dot(g, g)))
+
+    traced = dataclasses.replace(problem, grad=grad)
+    config = dataclasses.replace(config, problem=traced, probe=probe)
+    trace = run(config)
+    acc = 0.0
+    for value in per_round[trace.staleness_bound :]:
+        acc += value
+    return trace, acc / trace.samples, calls
+
+
+def test_grad_sq_mean_settled_in_blocks_equals_per_round_sum():
+    # 32 agents, 96 floats a state: blocks of 42 states, 4 full ones and a part
+    problem = routing_problem(build_routing_instance(4, 8, seed=2))
+    rows = 4096 // problem.total_dim
+    config = RunConfig(
+        problem=problem, graph=CommGraph.complete(problem.n), eta=1e-2, u=1e-3, delta=0.05,
+        horizon=190, metric_every=1000,
+    )
+    trace, expected, calls = _grad_sq_reference(config)
+    assert trace.samples > 3 * rows and trace.samples % rows != 0
+    assert trace.grad_sq_mean_ergodic == expected
+    settles = [shape for shape in calls if len(shape) == 2]
+    assert settles == [(rows, problem.total_dim)] * (trace.samples // rows) + [
+        (trace.samples % rows, problem.total_dim)
+    ]
+
+
+def test_grad_sq_mean_settles_one_state_at_a_time_past_4096_floats():
+    problem = build_box_quadratic(2, 2050, seed=0)
+    config = RunConfig(problem=problem, graph=CommGraph.path(2), eta=1e-2, u=1e-3, horizon=6)
+    trace, expected, calls = _grad_sq_reference(config)
+    assert trace.grad_sq_mean_ergodic == expected
+    assert [shape for shape in calls if len(shape) == 2] == [(1, 4100)] * trace.samples
+
+
+def test_grad_sq_untracked_runs_no_settle():
+    config = _quadratic_config(track_gradients=False)
+    trace, _, calls = _grad_sq_reference(config)
+    assert trace.grad_sq_mean_ergodic is None
+    # only the cadence rows and the final state take a gradient
+    assert calls == [(config.problem.total_dim,)] * (len(trace.rows) + 1)
 
 
 def test_reduced_tables_refused_without_dependence_mode():
@@ -594,6 +696,41 @@ def test_feasibility_guard_names_agent_and_round(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "problem, u",
+    [
+        (routing_problem(build_routing_instance(2, 3, seed=1)), 2e-2),
+        (build_box_quadratic(4, 2, seed=0), 5e-2),
+    ],
+    ids=["routing", "box_quadratic"],
+)
+def test_feasibility_guard_checks_the_samplers_output_itself(problem, u, monkeypatch):
+    # a sampler whose draws are ten times too long: the guard must find the
+    # first agent they take outside its set, not trust the sampler's verdict
+    assert len(problem.groups) == 1  # one sampler call a round, rows in agent order
+    sample = zfo.runner.constrain_perturbation_batch
+    rounds, first_bad = [], []
+
+    def tenfold(set_, xs, zhat, u, stats=None):
+        z = 10.0 * np.asarray(sample(set_, xs, zhat, u, stats))
+        ok = set_.contains_batch(np.concatenate((xs + u * z, xs - u * z)), 1e-9)
+        ok = ok.reshape(2, -1).all(axis=0)
+        if not ok.all() and not first_bad:
+            first_bad.append((int(np.argmin(ok)) + 1, len(rounds)))
+        rounds.append(len(rounds))
+        return z
+
+    monkeypatch.setattr(zfo.runner, "constrain_perturbation_batch", tenfold)
+    config = RunConfig(
+        problem=problem, graph=CommGraph.complete(problem.n), eta=1e-2, u=u, delta=0.05, horizon=50
+    )
+    with pytest.raises(DomainError) as caught:
+        run(config)
+    agent, t = first_bad[0]
+    assert str(caught.value) == f"agent {agent} would act outside its feasible set at round {t}"
+    assert rounds == list(range(t + 1))
+
+
+@pytest.mark.parametrize(
     "problem, delta",
     [(build_trig_sum(4, 2, seed=1), 0.0), (build_box_quadratic(4, 2, seed=0), 0.01)],
     ids=["trig_sum", "box_quadratic"],
@@ -606,7 +743,7 @@ def test_non_finite_cost_names_agent_and_round(problem, delta):
     def local_costs(flat, check=True):
         costs = np.array(problem.local_costs(flat, check=check), dtype=float)
         if len(finished) == 5:
-            costs[2] = np.nan
+            costs[..., 2] = np.nan
         return costs
 
     config = RunConfig(
@@ -632,8 +769,8 @@ def test_step_bound_guard_rejects_overflowed_step(monkeypatch):
     assemble = SwarmTables.assemble
     calls = []
 
-    def overflowing(self, use_mask=None):
-        gradient = assemble(self, use_mask)
+    def overflowing(self, *args):
+        gradient = assemble(self, *args)
         calls.append(len(calls))
         if calls[-1] == 5:
             gradient[2, 0] = np.inf
@@ -671,8 +808,8 @@ def _mixed_problem() -> Problem:
     centers = np.random.default_rng(0).uniform(-1.5, 1.5, size=(len(sets), sum(dims)))
 
     def local_costs(flat, check=True):
-        diff = np.asarray(flat, dtype=float)[None, :] - centers
-        return 0.5 * np.einsum("ij,ij->i", diff, diff)
+        diff = np.asarray(flat, dtype=float)[..., None, :] - centers
+        return 0.5 * np.einsum("...j,...j->...", diff, diff)
 
     return Problem(
         name="mixed",
