@@ -45,9 +45,22 @@ class SwarmTables:
 
     Stamps are int32 and come only from `record_own` (called once per
     round, in order) and `merge_from` (earlier snapshots of these tables).
+
+    A loss-free run passes `lags`, the (n, n) hop distance of each tracked
+    entry (inside the column's trackers for reduced tables).  With no
+    message lost every entry is then exactly `lags` old once heard, so
+    `record_own` writes the whole table, max(-1, t - lags), and the run
+    needs no merge.
     """
 
-    def __init__(self, n: int, tracked: np.ndarray, capacity: int, d_max: int):
+    def __init__(
+        self,
+        n: int,
+        tracked: np.ndarray,
+        capacity: int,
+        d_max: int,
+        lags: np.ndarray | None = None,
+    ):
         self.n = int(n)
         tracked = np.asarray(tracked, dtype=bool)
         if tracked.shape != (n, n):
@@ -88,13 +101,25 @@ class SwarmTables:
         self._phase = np.full(cap + 1, cap)
         self._t = -1
         self._slot_of_lag = self._warmup[cap:]  # no round yet: everything reads slot cap
+        # Untracked entries lag by MAX_ROUNDS, so their stamp stays -1; the
+        # slot lookup clips them to the zero slot `capacity`, which the
+        # warm-up table also gives every lag above t.
+        self._lags = self._lag_index = None
+        if lags is not None:
+            if np.shape(lags) != (n, n):
+                raise ConfigurationError("lags must be (n, n)")
+            self._lags = np.where(tracked, lags, MAX_ROUNDS).astype(np.int32)
+            self._lag_index = np.minimum(self._lags, cap).astype(np.intp)
 
     def record_own(self, t: int, quotients: np.ndarray, z: np.ndarray) -> None:
         slot = t % self.capacity
         self._q_ring[:, slot] = quotients
         self._z_ring[:, slot] = z
         self._ring_rounds[slot] = t
-        self.stamps.put(self._diag_flat, t)
+        if self._lags is None:
+            self.stamps.put(self._diag_flat, t)
+        else:
+            np.maximum(np.subtract(t, self._lags, out=self.stamps), -1, out=self.stamps)
         self._t = t
         cap = self.capacity
         if t < cap:
@@ -106,7 +131,10 @@ class SwarmTables:
     def _slots(self) -> np.ndarray:
         """Ring slot of each entry, looked up by its lag t - stamp from the
         last recorded round t (clipped at `capacity`): never-heard entries
-        and stamps that left the ring read the zero slot `capacity`."""
+        and stamps that left the ring read the zero slot `capacity`.  A
+        loss-free table's lags are fixed, so it looks up `lags` itself."""
+        if self._lag_index is not None:
+            return self._slot_of_lag.take(self._lag_index)
         return self._slot_of_lag.take(self._t - self.stamps, mode="clip")
 
     @property

@@ -8,7 +8,9 @@ Subcommands:
   stats   network statistics of an edge-list graph
   oracle  centralized reference solve of a configured problem
   sweep   repeat a run over many seeds, in parallel; write per-seed
-          traces and an aggregate trajectory CSV
+          traces and an aggregate trajectory CSV over the seeds that
+          finished; failed seeds are listed in failures.csv and the
+          first one sets the exit code
 
 Exit codes: 0 success, 2 configuration error, 3 assumption/protocol
 violation, 4 oracle non-convergence.
@@ -28,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .config import apply_overrides, build_run_config, load_config
-from .errors import AssumptionViolation, ConfigurationError, OracleError
+from .errors import AssumptionViolation, ConfigurationError, OracleError, ZfoError
 from .network import CommGraph, network_stats
 from .planner import REGIMES, ProblemConstants, plan, verify_plan
 from .problems import centralized_solve
@@ -147,15 +149,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_one(config, out_dir: str, seed: int) -> tuple[int, str, list[dict]]:
-    trace = run(dataclasses.replace(config, seed=seed))
-    trace_path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-    write_trace_csv(trace, trace_path)
+def _sweep_one(config, out_dir: str, seed: int) -> tuple[int, list[dict] | ZfoError]:
+    """The seed with its cadence rows, or with the error its run raised."""
+    try:
+        trace = run(dataclasses.replace(config, seed=seed))
+    except ZfoError as exc:
+        return seed, exc
+    write_trace_csv(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
     rows = [
         {"t": r["t"], "f": r["f"], "gap": r["gap"], "grad_sq": r["grad_sq"]}
         for r in trace.rows
     ]
-    return seed, trace_path, rows
+    return seed, rows
 
 
 _worker_sweep: tuple = ()  # (config, out_dir) in a sweep's pool worker
@@ -166,7 +171,7 @@ def _init_sweep_worker(config, out_dir: str) -> None:
     _worker_sweep = (config, out_dir)
 
 
-def _sweep_worker(seed: int) -> tuple[int, str, list[dict]]:
+def _sweep_worker(seed: int) -> tuple[int, list[dict] | ZfoError]:
     return _sweep_one(*_worker_sweep, seed)
 
 
@@ -200,29 +205,48 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ) as pool:
             results = list(pool.map(_sweep_worker, seeds))
     results.sort(key=lambda item: item[0])
+    failures = [(seed, out) for seed, out in results if isinstance(out, ZfoError)]
+    finished = [(seed, out) for seed, out in results if not isinstance(out, ZfoError)]
 
-    rounds = [row["t"] for row in results[0][2]]
-    for seed, _, rows in results:
-        if [row["t"] for row in rows] != rounds:
-            raise OracleError(f"seed {seed} produced a different metric cadence")
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
-    has_gap = results[0][2][0]["gap"] is not None
-    with open(agg_path, "w", newline="", encoding="utf-8") as fh:
+    if finished:
+        rounds = [row["t"] for row in finished[0][1]]
+        for seed, rows in finished:
+            if [row["t"] for row in rows] != rounds:
+                raise OracleError(f"seed {seed} produced a different metric cadence")
+        _write_aggregate(agg_path, rounds, [rows for _, rows in finished])
+    if not failures:
+        print(f"sweep complete: {len(seeds)} seeds, aggregate at {agg_path}")
+        return 0
+    fail_path = os.path.join(args.out_dir, "failures.csv")
+    with open(fail_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["seed", "error", "message"])
+        for seed, exc in failures:
+            writer.writerow([seed, type(exc).__name__, str(exc)])
+    where = f", aggregate of the other {len(finished)} at {agg_path}" if finished else ""
+    print(f"sweep: {len(failures)} of {len(seeds)} seeds failed, listed in {fail_path}{where}")
+    seed, exc = failures[0]
+    raise type(exc)(f"seed {seed}: {exc}")  # main turns the first failure into the exit code
+
+
+def _write_aggregate(path: str, rounds: list[int], finished: list[list[dict]]) -> None:
+    """Mean and standard deviation over the finished seeds at each cadence row."""
+    has_gap = finished[0][0]["gap"] is not None
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "f_mean", "f_std", "gap_mean", "gap_std", "grad_sq_mean", "grad_sq_std"])
         for k, t in enumerate(rounds):
-            fs = np.array([rows[k]["f"] for _, _, rows in results])
-            gs = np.array([rows[k]["grad_sq"] for _, _, rows in results])
+            fs = np.array([rows[k]["f"] for rows in finished])
+            gs = np.array([rows[k]["grad_sq"] for rows in finished])
             row = [t, repr(float(fs.mean())), repr(float(fs.std()))]
             if has_gap:
-                gaps = np.array([rows[k]["gap"] for _, _, rows in results])
+                gaps = np.array([rows[k]["gap"] for rows in finished])
                 row += [repr(float(gaps.mean())), repr(float(gaps.std()))]
             else:
                 row += ["", ""]
             row += [repr(float(gs.mean())), repr(float(gs.std()))]
             writer.writerow(row)
-    print(f"sweep complete: {len(seeds)} seeds, aggregate at {agg_path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------

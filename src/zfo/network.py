@@ -213,9 +213,18 @@ def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
 
 
 class DelayModel:
-    """Per-round, per-directed-message delivery model."""
+    """Per-round, per-directed-message delivery model.
+
+    A `lossless` model never drops a message.  Its tables are then known in
+    closed form (stamp = t - hop distance, -1 before the first arrival), so
+    the runner neither draws a drop mask nor gossips.
+    """
 
     declared_delta: int = 0
+
+    @property
+    def lossless(self) -> bool:
+        return False
 
     def drop_mask(self, rng: np.random.Generator, shape) -> np.ndarray | None:
         """Boolean mask of dropped messages (None = deliver everything)."""
@@ -224,6 +233,10 @@ class DelayModel:
 
 class NoDelay(DelayModel):
     declared_delta = 0
+
+    @property
+    def lossless(self) -> bool:
+        return True
 
     def drop_mask(self, rng, shape):
         return None
@@ -246,6 +259,10 @@ class BernoulliDrops(DelayModel):
             raise ConfigurationError("declared extra delay must be >= 0")
         self.p = float(p)
         self.declared_delta = int(declared_delta)
+
+    @property
+    def lossless(self) -> bool:
+        return self.p == 0.0
 
     def drop_mask(self, rng, shape):
         if self.p == 0.0:

@@ -158,8 +158,11 @@ def build_box_quadratic(
 
     def local_costs(flat, check=True):
         flat = np.asarray(flat, dtype=float)
-        if check and np.max(np.abs(flat)) > w + 1e-9:
-            raise DomainError("action outside the box")
+        if check:
+            outside = (np.abs(flat) > w + 1e-9).ravel()
+            if outside.any():
+                agent = int(np.argmax(outside)) % d // dim_per_agent
+                raise DomainError(f"agent {agent + 1} action outside its box")
         # one (R n, d) einsum: its rows sum as the one-vector call's do
         diff = (flat[..., None, :] - centers).reshape(-1, d)
         return 0.5 * np.einsum("ij,ij->i", diff, diff).reshape(flat.shape[:-1] + (n,))

@@ -6,7 +6,10 @@ synchronously), observes its own local cost twice, forms the difference
 quotient, merges the info tables received from neighbors (sent at the end of
 the previous round), sends its post-merge table, assembles its gradient block
 from the freshest quotients paired with its own stored perturbations, and
-performs a projected step on the shrunken feasible set.
+performs a projected step on the shrunken feasible set.  When the delay
+model is loss-free, the merged tables are known in closed form (each entry
+is its hop distance old once heard), so they are written directly and no
+table is gossiped.
 
 The engine is vectorized across agents: all per-agent quantities live in
 the problem's ``(n, d_max)`` block layout (rows zero-padded past each agent's
@@ -278,6 +281,11 @@ def _validate(config: RunConfig) -> None:
     p, g = config.problem, config.graph
     if p.n != g.n:
         raise ConfigurationError(f"problem has {p.n} agents but the graph has {g.n} nodes")
+    # NaN passes every comparison below and inf passes some, so refuse both first
+    for name in ("eta", "u", "sigma"):
+        value = getattr(config, name)
+        if not np.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
     if config.u <= 0:
         raise ConfigurationError(f"smoothing radius u must be > 0, got {config.u}")
     if config.eta < 0:
@@ -368,8 +376,12 @@ def run(config: RunConfig) -> RunTrace:
                 "convergence guarantees may not apply"
             )
 
+    # With no message lost a tracked entry is exactly its distance old once
+    # heard: the tables are written in closed form and never gossip.
+    lossless = config.delay.lossless
+    max_lag = int(distances[tracked].max())
     cap = staleness_bound + int(config.history_slack)
-    swarm = SwarmTables(n, tracked, cap, d_max)
+    swarm = SwarmTables(n, tracked, cap, d_max, lags=distances if lossless else None)
     use_mask = aff_mask if config.mode == "dependence" else None
 
     # --- neighbor matrix (rows padded with the agent itself) --------------
@@ -471,27 +483,32 @@ def run(config: RunConfig) -> RunTrace:
             raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {t}")
         swarm.record_own(t, quotients, z)
 
-        # (5) merge the tables neighbors sent at the end of the previous round
-        if t > 0 and max_deg > 0:
-            drop = config.delay.drop_mask(net_gen, (n, max_deg))
-            swarm.merge_from(prev_snapshot, neighbor_matrix, drop)
-        # (6) the post-merge snapshot is what everyone sends this round
-        prev_snapshot = swarm.snapshot()
+        if lossless:
+            # (5)-(6) record_own wrote the merged tables: every tracked entry
+            # is its distance old once heard, so the oldest is min(t + 1,
+            # max_lag) rounds old and the extra delay stays 0
+            stale_now = min(t + 1, max_lag)
+        else:
+            # (5) merge the tables neighbors sent at the end of the previous round
+            if t > 0 and max_deg > 0:
+                drop = config.delay.drop_mask(net_gen, (n, max_deg))
+                swarm.merge_from(prev_snapshot, neighbor_matrix, drop)
+            # (6) the post-merge snapshot is what everyone sends this round
+            prev_snapshot = swarm.snapshot()
 
-        oldest = swarm.oldest_stamp()
-        stale_now = t - oldest
+            stale_now = t - swarm.oldest_stamp()
+            extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
+            if extra_now > delta_hat:
+                delta_hat = extra_now
+                if config.strict_staleness and delta_hat > declared_delta:
+                    raise ProtocolViolation(
+                        f"measured extra staleness {delta_hat} exceeds the declared bound "
+                        f"{declared_delta} at round {t}"
+                    )
         stale_max_overall = max(stale_max_overall, stale_now)
-        extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
-        if extra_now > delta_hat:
-            delta_hat = extra_now
-            if config.strict_staleness and delta_hat > declared_delta:
-                raise ProtocolViolation(
-                    f"measured extra staleness {delta_hat} exceeds the declared bound "
-                    f"{declared_delta} at round {t}"
-                )
 
         # (7) assemble gradient blocks and take the projected step
-        gradient = swarm.assemble(use_mask, oldest)
+        gradient = swarm.assemble(use_mask, t - stale_now)
         x_next = np.zeros((n, d_max))
         for g, shrunk_set in shrunk:
             x_next[g.index] = shrunk_set.project_batch(x[g.index] - eta * gradient[g.index])

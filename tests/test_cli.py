@@ -11,7 +11,7 @@ import pytest
 
 from zfo.cli import main
 from zfo.config import apply_overrides, build_run_config, load_config
-from zfo.errors import ConfigurationError
+from zfo.errors import ConfigurationError, DomainError
 from zfo.network import BernoulliDrops, NoDelay
 
 
@@ -498,6 +498,59 @@ def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
     monkeypatch.setenv("ZFO_WORKERS", "5000")
     assert main(sweep) == 0
     assert _SerialPool.created == [3, 2, 3, 3]
+
+
+def test_sweep_keeps_going_when_a_seed_fails(tmp_path, monkeypatch, capsys):
+    import zfo.cli
+
+    doc = _base_doc()
+    doc["params"]["horizon"] = 10
+    doc["metric_every"] = 5
+    cfg = _write(tmp_path, doc)
+    real_run = zfo.cli.run
+    failing = {1}
+
+    def flaky(config):
+        if config.seed in failing:
+            raise DomainError(f"agent 2 would act outside its feasible set at round {config.seed}")
+        return real_run(config)
+
+    monkeypatch.setattr("zfo.cli.run", flaky)
+    monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for workers in ("1", "2"):  # serial, and through the pool's map
+        out = tmp_path / f"workers{workers}"
+        sweep = ["sweep", "--config", cfg, "--seeds", "3", "--out-dir", str(out),
+                 "--workers", workers]
+        assert main(sweep) == 3  # DomainError's exit code
+        assert "seed 1: agent 2 would act outside" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "failures.csv", "trace_seed0.csv", "trace_seed2.csv"
+        ]
+        with open(out / "failures.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["seed", "error", "message"],
+                ["1", "DomainError", "agent 2 would act outside its feasible set at round 1"],
+            ]
+        # the aggregate averages the two seeds that finished
+        finals = []
+        for seed in (0, 2):
+            with open(out / f"trace_seed{seed}.csv", newline="") as fh:
+                finals.append(float(list(csv.reader(fh))[-1][1]))
+        with open(out / "aggregate.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["0", "5", "10"]
+        assert float(rows[-1][1]) == pytest.approx(np.mean(finals), rel=1e-12)
+
+    # no seed finishes: no aggregate, every seed listed
+    failing.update({0, 2})
+    out = tmp_path / "none"
+    assert main(["sweep", "--config", cfg, "--seeds", "3", "--out-dir", str(out),
+                 "--workers", "1"]) == 3
+    assert "seed 0:" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["failures.csv"]
+    with open(out / "failures.csv", newline="") as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["seed", "0", "1", "2"]
 
 
 def test_sweep_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):

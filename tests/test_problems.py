@@ -137,6 +137,8 @@ def test_stacked_evaluations_equal_one_vector_calls(name, rows, seed):
         assert str(stacked.value) == str(one)
         if name.startswith("routing"):
             assert str(one) == f"agent {agent + 1} action outside its simplex"
+        if name == "box_quadratic":
+            assert str(one) == f"agent {agent + 1} action outside its box"
 
 
 def test_builder_layout():

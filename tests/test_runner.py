@@ -634,6 +634,12 @@ def test_config_validation_errors():
     anonymous = dataclasses.replace(problem, affected=None)
     with pytest.raises(ConfigurationError, match="dependence"):
         run(RunConfig(**{**ok, "mode": "dependence", "problem": anonymous}))
+    # non-finite numbers would run as a noiseless run or fail later as a
+    # misleading oracle or domain error; the field is named instead
+    for name, value in (("sigma", math.nan), ("eta", math.nan), ("eta", math.inf),
+                        ("u", math.inf), ("u", math.nan)):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}$"):
+            run(RunConfig(**{**ok, name: value}))
 
 
 def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
