@@ -10,7 +10,8 @@ Subcommands:
   sweep   repeat a run over many seeds, in parallel; write per-seed
           traces and an aggregate trajectory CSV over the seeds that
           finished; failed seeds are listed in failures.csv and the
-          first one sets the exit code
+          first one sets the exit code; files an earlier sweep left
+          under these names are removed first
 
 Exit codes: 0 success, 2 configuration error, 3 assumption/protocol
 violation, 4 oracle non-convergence.
@@ -19,6 +20,7 @@ violation, 4 oracle non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -149,13 +151,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_name(seed: int) -> str:
+    return f"trace_seed{seed}.csv"
+
+
 def _sweep_one(config, out_dir: str, seed: int) -> tuple[int, list[dict] | ZfoError]:
     """The seed with its cadence rows, or with the error its run raised."""
     try:
         trace = run(dataclasses.replace(config, seed=seed))
     except ZfoError as exc:
         return seed, exc
-    write_trace_csv(trace, os.path.join(out_dir, f"trace_seed{seed}.csv"))
+    write_trace_csv(trace, os.path.join(out_dir, _trace_name(seed)))
     rows = [
         {"t": r["t"], "f": r["f"], "gap": r["gap"], "grad_sq": r["grad_sq"]}
         for r in trace.rows
@@ -193,6 +199,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
     os.makedirs(args.out_dir, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
+    # an earlier sweep's files would contradict this one's: remove every file
+    # this sweep may write, and no other
+    for name in ("failures.csv", "aggregate.csv", *map(_trace_name, seeds)):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out_dir, name))
     if workers == 1:
         results = [_sweep_one(config, args.out_dir, seed) for seed in seeds]
     else:

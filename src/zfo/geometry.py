@@ -89,7 +89,9 @@ class ConvexSet:
         `inside` marks the rows that satisfy the set's defining
         inequalities; their projection is the row itself up to
         `_inside_slack`, so they are members whenever `tol` covers that.
-        `gap` is a closed-form lower bound on each row's distance to the
+        A set may also mark rows that a closed-form upper bound on their
+        distance certifies; such a bound, with its rounding, exceeds
+        `_inside_slack`, so it never certifies a row below that.  `gap` is a closed-form lower bound on each row's distance to the
         set and `size` bounds the magnitudes it was computed from: a row
         whose gap exceeds `tol` by more than the rounding of both the gap
         and the projection is rejected without projecting it, so a faulty
@@ -101,8 +103,7 @@ class ConvexSet:
             inside[:] = False
         elif inside.all():
             return inside
-        rounding = 4.0 * (self.dim + 4) ** 1.5 * _EPS
-        rest = np.flatnonzero(~inside & (gap - rounding * size <= tol))
+        rest = np.flatnonzero(~inside & (gap - _rounding(self.dim) * size <= tol))
         inside[rest] = ConvexSet.contains_batch(self, ys[rest], tol)
         return inside
 
@@ -290,10 +291,11 @@ class ShiftedSimplex(ConvexSet):
         w = ys - self.shift
         sums = w.sum(axis=1)
         lows = w.min(axis=1)
-        inside = (lows >= 0.0) & (sums <= self.scale)
+        size = np.abs(w).sum(axis=1) + self._size
+        # rows in the set, and rows whose distance bound certifies them
+        inside = ((lows >= 0.0) & (sums <= self.scale)) | (self._reach(sums, lows, size) <= tol)
         # a row is at least as far as from the orthant and from the half-space sum(v) <= scale
         gap = np.maximum(-lows, (sums - self.scale) / np.sqrt(self.dim))
-        size = np.abs(w).sum(axis=1) + self._size
         return self._finish_contains(ys, inside, gap, size, tol)
 
     def _all_inside(self, ys, tol):
@@ -302,7 +304,29 @@ class ShiftedSimplex(ConvexSet):
         if tol < self._inside_slack:
             return False
         w = ys - self.shift
-        return w.min(initial=0.0) >= 0.0 and w.sum(axis=-1).max(initial=0.0) <= self.scale
+        sums = w.sum(axis=-1)
+        low, high = w.min(initial=0.0), sums.max(initial=0.0)
+        if low >= 0.0 and high <= self.scale:
+            return True
+        # points a rounding step outside a face: certified by the distance
+        # bound, which is at least -min w and sum w - scale
+        if -low > tol or high - self.scale > tol:
+            return False
+        size = np.abs(w).sum(axis=-1) + self._size
+        return self._reach(sums, w.min(axis=-1), size).max(initial=0.0) <= tol
+
+    def _reach(self, sums, lows, size):
+        """An upper bound on the distance to the set of points whose
+        `w = y - shift` has these sums and minima, plus the rounding of
+        the bound and of the projection (`size` bounds the magnitudes).
+        Clipping the negative entries (each at most `a = max(0, -min w)`)
+        moves a point at most sqrt(d) a and raises its sum by at most d a;
+        scaling the clipped point v into the cap then moves it
+        ||v|| (1 - scale / sum v) <= sum v - scale, as ||v|| <= sum v for
+        v >= 0.  Both steps end in the set, so the bound trusts no projection."""
+        a = np.maximum(-lows, 0.0)
+        over = np.maximum(sums - self.scale + self.dim * a, 0.0)
+        return np.sqrt(self.dim) * a + over + _rounding(self.dim) * size
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -380,6 +404,12 @@ class Intersection(ConvexSet):
 
 # ---------------------------------------------------------------------------
 # module-level helpers
+
+
+def _rounding(dim: int) -> float:
+    """Relative rounding of a closed-form distance bound and of a
+    projection in `dim` coordinates, per unit of the magnitudes involved."""
+    return 4.0 * (dim + 4) ** 1.5 * _EPS
 
 
 def _check_delta(delta: float) -> None:

@@ -430,9 +430,11 @@ def routing_problem(inst: RoutingInstance) -> Problem:
         g = st.grad_scale * (mc[:, :-1] - mc[:, -1:])
         return g.reshape(-1, n * dim) if stacked else g.ravel()
 
-    shared = _shared_route_positions(inst)
+    shared: list = []  # _shared_route_positions, built by the first local_grads call
 
     def local_grads(flat):
+        if not shared:
+            shared.extend(_shared_route_positions(inst))
         x = np.asarray(flat, dtype=float).reshape(n, dim)
         v = reduced_to_alloc(inst, x)
         loads = route_loads(inst, v)
@@ -545,6 +547,13 @@ class SolveResult:
 # growth backtracks and restarts more (median iterations 2-7 times higher).
 _STEP_GROWTH = 1.1
 
+# The backtracking test's slack: an absolute floor plus a few units of f's own
+# rounding.  Below f's rounding, trial points near the optimum would fail on
+# rounding alone, the step would collapse until the projection returns y
+# bitwise, and the residual would read 0 at a point that is not stationary.
+_SLACK_ABS = 1e-15
+_SLACK_REL = 8.0 * float(np.finfo(float).eps)
+
 
 def centralized_solve(
     problem: Problem,
@@ -559,10 +568,10 @@ def centralized_solve(
     Each iteration takes the gradient at the extrapolated point
     y = x + beta (x - x_prev), beta from the FISTA theta-sequence (Beck &
     Teboulle 2009), and steps to x+ = P(y - step g(y)).  The step halves
-    until f(x+) <= f(y) + g.(x+ - y) + ||x+ - y||^2 / (2 step) and grows by
-    `_STEP_GROWTH` after each iteration.  Theta restarts at 1 (beta = 0) when
-    the momentum points uphill, (y - x+).(x+ - x) > 0 (O'Donoghue &
-    Candes 2015).
+    until f(x+) <= f(y) + g.(x+ - y) + ||x+ - y||^2 / (2 step), up to
+    f's rounding, and grows by `_STEP_GROWTH` after each iteration.  Theta
+    restarts at 1 (beta = 0) when the momentum points uphill,
+    (y - x+).(x+ - x) > 0 (O'Donoghue & Candes 2015).
 
     Stops when the prox-gradient residual ||x+ - y|| / step at the point
     the gradient was taken falls below `tol`, and returns the projection
@@ -595,7 +604,8 @@ def centralized_solve(
             diff = x_new - y
             sq = float(np.dot(diff, diff))
             f_new = problem.global_cost(x_new, check=False)
-            if f_new <= f_y + float(np.dot(g, diff)) + sq / (2.0 * step) + 1e-15:
+            slack = _SLACK_ABS + _SLACK_REL * abs(f_y)
+            if f_new <= f_y + float(np.dot(g, diff)) + sq / (2.0 * step) + slack:
                 break
             step *= 0.5
             if step < 1e-18:

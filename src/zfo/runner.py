@@ -59,8 +59,12 @@ _PURPOSE_PERTURBATION = 0
 _PURPOSE_NOISE = 1
 _PURPOSE_NETWORK = 2
 
-# Rounds of raw Gaussian draws materialized per refill.
-_BLOCK_ROUNDS = 2048
+# Floats of raw Gaussian draws materialized per refill: the perturbation
+# block (rounds, n, d_max) and, under noise, the noise block (rounds, 2, n).
+# A cap in floats, not rounds, keeps the blocks at 1 MiB however many agents
+# a run has.  Each agent's streams are consumed in round order whatever the
+# block size, so it decides when draws are made, never which.
+_BLOCK_FLOATS = 1 << 17
 
 # Floats of the states owed a gradient norm, settled in one stacked call.  A
 # cap in floats, not rounds, keeps the buffer and the stacked call's
@@ -394,7 +398,8 @@ def run(config: RunConfig) -> RunTrace:
         [_stream(config.seed, _PURPOSE_NOISE, i) for i in range(n)] if sigma > 0 else None
     )
     net_gen = _stream(config.seed, _PURPOSE_NETWORK, 0)
-    block_rounds = min(horizon + 1, _BLOCK_ROUNDS)
+    round_floats = n * d_max + (2 * n if sigma > 0 else 0)
+    block_rounds = min(horizon + 1, max(1, _BLOCK_FLOATS // round_floats))
     zhat_block = np.zeros((block_rounds, n, d_max))
     noise_block = np.zeros((block_rounds, 2, n)) if sigma > 0 else None
 

@@ -553,6 +553,48 @@ def test_sweep_keeps_going_when_a_seed_fails(tmp_path, monkeypatch, capsys):
         assert [r[0] for r in csv.reader(fh)] == ["seed", "0", "1", "2"]
 
 
+def test_sweep_clears_what_an_earlier_sweep_left(tmp_path, monkeypatch, capsys):
+    import zfo.cli
+
+    doc = _base_doc()
+    doc["params"]["horizon"] = 10
+    doc["metric_every"] = 5
+    cfg = _write(tmp_path, doc)
+    real_run = zfo.cli.run
+    failing = set()
+
+    def flaky(config):
+        if config.seed in failing:
+            raise DomainError(f"agent 1 would act outside its feasible set at round {config.seed}")
+        return real_run(config)
+
+    monkeypatch.setattr("zfo.cli.run", flaky)
+    monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    traces = ["trace_seed0.csv", "trace_seed1.csv", "trace_seed2.csv"]
+    for workers in ("1", "2"):  # serial, and through the pool's map
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        (out / "notes.txt").write_text("not the sweep's\n")
+        sweep = ["sweep", "--config", cfg, "--seeds", "3", "--out-dir", str(out),
+                 "--workers", workers]
+        # each sweep leaves exactly its own outputs, whatever the one before left
+        for fail, code, names in (
+            (set(), 0, ["aggregate.csv", *traces]),
+            ({0, 1, 2}, 3, ["failures.csv"]),
+            ({1}, 3, ["aggregate.csv", "failures.csv", traces[0], traces[2]]),
+            (set(), 0, ["aggregate.csv", *traces]),
+        ):
+            failing.clear()
+            failing.update(fail)
+            (out / traces[0]).write_text("stale\n")
+            assert main(sweep) == code
+            capsys.readouterr()
+            assert sorted(p.name for p in out.iterdir()) == sorted(names + ["notes.txt"])
+            if traces[0] in names:
+                assert (out / traces[0]).read_text().startswith("t,f,gap")
+
+
 def test_sweep_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path, _base_doc())
     monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)

@@ -14,6 +14,7 @@ from zfo.errors import ConfigurationError, DomainError
 from zfo.geometry import (
     Ball,
     Box,
+    ConvexSet,
     Intersection,
     SampleStats,
     ShiftedSimplex,
@@ -286,6 +287,53 @@ def test_contains_all_is_the_conjunction_of_contains_batch(case):
     set_, rows, tol = case
     expected = bool(set_.contains_batch(rows.reshape(-1, set_.dim), tol).all())
     assert set_.contains_all(rows, tol) == expected
+
+
+@st.composite
+def _simplex_face_case(draw):
+    """A shifted simplex, a tolerance, and rows on and near its faces: the
+    projections of scattered rows (on a face up to rounding), moved by a
+    few units of rounding and by fractions and multiples of `tol`."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    set_ = ShiftedSimplex(dim, -rng.uniform(0.0, size, dim), rng.uniform(0.01, 2.0) * size)
+    tol = draw(st.sampled_from([1e-12, 1e-9]))
+    faces = set_.project_batch(set_.shift + rng.normal(0.0, size, (8, dim)))
+    steps = np.concatenate([
+        np.spacing(np.abs(faces) + set_.scale) * rng.integers(-4, 5, faces.shape),
+        tol * rng.choice([0.01, 0.5, 0.99, 1.01, 3.0], (8, 1)) * rng.normal(0.0, 1.0, (8, dim)),
+    ])
+    rows = np.concatenate([faces, np.concatenate([faces, faces]) + steps])
+    return set_, rng.permutation(rows), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simplex_face_case())
+def test_simplex_verdicts_near_the_faces_equal_the_distance_definition(case):
+    set_, rows, tol = case
+    expected = ConvexSet.contains_batch(set_, rows, tol)
+    np.testing.assert_array_equal(set_.contains_batch(rows, tol), expected)
+    assert set_.contains_all(rows, tol) == bool(expected.all())
+    for part in (rows[:4], rows[4:]):
+        assert set_.contains_all(part, tol) == bool(set_.contains_batch(part, tol).all())
+
+
+def test_simplex_rows_a_rounding_step_outside_are_settled_without_projecting(monkeypatch):
+    set_ = ShiftedSimplex(4, shift=-0.2, scale=0.9)
+    faces = set_.project_batch(set_.shift + np.random.default_rng(5).normal(0.0, 1.0, (6, 4)))
+    w = faces - set_.shift
+    w[:, 0] += set_.scale - w.sum(axis=1) + np.spacing(set_.scale)  # sums just past the cap
+    w[0, 1] = -np.spacing(1.0)  # and an entry just below 0
+    rows = w + set_.shift
+    assert ((rows - set_.shift).sum(axis=1) > set_.scale).any()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("projection called")
+
+    monkeypatch.setattr(zfo.geometry, "_project_orthant_cap", refuse)
+    assert set_.contains_all(rows, 1e-12)
+    assert set_.contains_batch(rows, 1e-12).all()
 
 
 @pytest.mark.parametrize(

@@ -414,6 +414,18 @@ def test_solver_iteration_count_stays_accelerated(groups, per_group, seed, budge
     assert res.n_iter <= budget
 
 
+@pytest.mark.parametrize("groups, per_group, seed", [(10, 6, 0), (10, 6, 1), (40, 5, 2)])
+def test_solver_converged_point_is_stationary_by_the_step_one_residual(groups, per_group, seed):
+    # a line search slack below f's rounding collapsed the step until the
+    # projection returned its input bitwise, so the residual read 0 at points
+    # whose step-1 residual was 7.8e-10, 7.7e-9 and 1.8e-9
+    problem = routing_problem(build_routing_instance(groups, per_group, seed=seed))
+    res = centralized_solve(problem, tol=1e-10)
+    assert res.converged
+    moved = problem.project_feasible(res.x - problem.grad(res.x)) - res.x
+    assert float(np.linalg.norm(moved)) <= 1e-10
+
+
 def test_solver_reports_non_convergence():
     problem = routing_problem(build_routing_instance(2, 2, seed=16))
     res = centralized_solve(problem, max_iter=1, tol=1e-14)

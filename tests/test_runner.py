@@ -90,6 +90,57 @@ def test_horizon_equal_staleness_bound_gives_one_ergodic_sample():
     assert np.allclose(collected, trace.x_final)
 
 
+def _assert_traces_bitwise_equal(a, b):
+    for f in dataclasses.fields(a):
+        if f.name == "wall_time":
+            continue
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), f.name
+        else:
+            assert va == vb, f.name
+
+
+@pytest.mark.parametrize("lossy", [True, False])
+def test_draw_block_size_never_changes_a_value(lossy, monkeypatch):
+    # 61 rounds: neither a one-round nor a 7-round block divides the horizon
+    if lossy:
+        config = _quadratic_config(delay=BernoulliDrops(0.3, declared_delta=3), sigma=0.05)
+    else:
+        problem = routing_problem(build_routing_instance(2, 3, seed=1))
+        config = RunConfig(
+            problem=problem, graph=CommGraph.complete(problem.n), eta=0.02, u=2e-3,
+            delta=0.05, horizon=60, seed=5, metric_every=20,
+        )
+    p = config.problem
+    round_floats = p.n * p.d_max + (2 * p.n if config.sigma > 0 else 0)
+    expected = run(config)
+    for budget in (1, 8 * round_floats - 1):  # blocks of 1 round, then of 7
+        monkeypatch.setattr(zfo.runner, "_BLOCK_FLOATS", budget)
+        _assert_traces_bitwise_equal(run(config), expected)
+
+
+def test_peak_memory_does_not_grow_with_the_horizon():
+    import tracemalloc
+
+    # 4,000 floats a round: a horizon's worth of draws would take 12.8 MB at
+    # 400 rounds and 1.3 MB at 40, while the draw blocks stay 1 MiB at both
+    problem = build_box_quadratic(2, 2000, seed=0)
+    peaks = []
+    for horizon in (40, 400):
+        config = RunConfig(
+            problem=problem, graph=CommGraph.path(2), eta=1e-2, u=1e-3, delta=0.05,
+            sigma=0.01, horizon=horizon, metric_every=1000,
+        )
+        tracemalloc.start()
+        try:
+            run(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**18  # a quarter of the 1 MiB budget
+
+
 def test_ergodic_average_matches_probe_recomputation():
     window = []
     bound = network_stats(CommGraph.path(3), 0).staleness_bound
