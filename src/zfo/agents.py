@@ -36,15 +36,18 @@ MAX_ROUNDS = 2**30
 class SwarmTables:
     """All agents' tables as one (n, n) stamp array: row i is agent i's
     table.  `record_own` keeps each round's own quotients (n,) and
-    perturbations (n, d_max) in rings of `capacity` rounds; entry (i, j)
-    reads column j's quotient of round stamps[i, j].
+    perturbations (n, d_max) in slot t & mask of rings whose size is the
+    smallest power of two holding `capacity` rounds; entry (i, j) reads
+    column j's quotient of round stamps[i, j] from slot stamps[i, j] &
+    mask while it is less than `capacity` rounds old (the history window).
 
     `tracked` marks the columns each row maintains; untracked entries
     stay at stamp -1 forever, which is how reduced tables
     (dependence-aware communication) are represented.
 
     Stamps are int32 and come only from `record_own` (called once per
-    round, in order) and `merge_from` (earlier snapshots of these tables).
+    round, in order) and `merge_from` (the tables as the neighbours sent
+    them).
 
     A loss-free run passes `lags`, the (n, n) hop distance of each tracked
     entry (inside the column's trackers for reduced tables).  With no
@@ -79,69 +82,40 @@ class SwarmTables:
             self._offset_stamps = np.empty((n, n), dtype=np.int32)
         self._agents = np.arange(n)
         self.capacity = cap = int(capacity)
+        size = 1 << (cap - 1).bit_length()
+        self._mask = size - 1
         self.stamps = np.full((n, n), -1, dtype=np.int32)
-        # Round t lives in ring slot t % cap; slot cap stays zero, round -1.
         # The rings are laid out agent-major, so agent i's quotients and
         # perturbations of every slot sit together.
-        self._q_ring = np.zeros((n, cap + 1))
-        self._z_ring = np.zeros((n, cap + 1, int(d_max)))
-        self._ring_rounds = np.full(cap + 1, -1, dtype=np.int32)
+        self._q_ring = np.zeros((n, size))
+        self._z_ring = np.zeros((n, size, int(d_max)))
         self._diag_flat = np.arange(n) * (n + 1)  # flat (C-order) positions of (i, i)
-        self._agent_base = np.arange(n) * (cap + 1)  # flat start of agent i's ring row
-        # Lag -> slot after round t: lag L reads the slot of round t - L
-        # while that round exists and is in the ring (L <= t, L < cap);
-        # never-heard entries (lag t + 1) and older ones read slot cap.
-        # While t < cap the table is the window from t of
-        # [cap-1, ..., 0, cap, ..., cap]; later it is the window from
-        # t % cap of the doubled cycle [cap-1, ..., 0, cap-1, ..., 0],
-        # copied into a buffer that ends in cap.
-        descending = np.arange(cap - 1, -1, -1)
-        self._warmup = np.concatenate((descending, np.full(cap + 1, cap)))
-        self._cycle = np.tile(descending, 2)
-        self._phase = np.full(cap + 1, cap)
+        self._agent_base = np.arange(n) * size  # flat start of agent i's ring row
         self._t = -1
-        self._slot_of_lag = self._warmup[cap:]  # no round yet: everything reads slot cap
-        # Untracked entries lag by MAX_ROUNDS, so their stamp stays -1; the
-        # slot lookup clips them to the zero slot `capacity`, which the
-        # warm-up table also gives every lag above t.
-        self._lags = self._lag_index = None
+        self._lags = None
         if lags is not None:
             if np.shape(lags) != (n, n):
                 raise ConfigurationError("lags must be (n, n)")
+            # untracked entries lag by MAX_ROUNDS, so their stamp stays -1
             self._lags = np.where(tracked, lags, MAX_ROUNDS).astype(np.int32)
-            self._lag_index = np.minimum(self._lags, cap).astype(np.intp)
 
     def record_own(self, t: int, quotients: np.ndarray, z: np.ndarray) -> None:
-        slot = t % self.capacity
+        slot = t & self._mask
         self._q_ring[:, slot] = quotients
         self._z_ring[:, slot] = z
-        self._ring_rounds[slot] = t
         if self._lags is None:
             self.stamps.put(self._diag_flat, t)
         else:
             np.maximum(np.subtract(t, self._lags, out=self.stamps), -1, out=self.stamps)
         self._t = t
-        cap = self.capacity
-        if t < cap:
-            self._slot_of_lag = self._warmup[cap - 1 - t : 2 * cap - t]
-        else:
-            self._phase[:cap] = self._cycle[cap - 1 - slot : 2 * cap - 1 - slot]
-            self._slot_of_lag = self._phase
-
-    def _slots(self) -> np.ndarray:
-        """Ring slot of each entry, looked up by its lag t - stamp from the
-        last recorded round t (clipped at `capacity`): never-heard entries
-        and stamps that left the ring read the zero slot `capacity`.  A
-        loss-free table's lags are fixed, so it looks up `lags` itself."""
-        if self._lag_index is not None:
-            return self._slot_of_lag.take(self._lag_index)
-        return self._slot_of_lag.take(self._t - self.stamps, mode="clip")
 
     @property
     def quotients(self) -> np.ndarray:
         """Derived (n, n) values, 0 where never heard or where the stamp
-        left the ring (read-only)."""
-        return self._q_ring.take(self._slots() + self._agent_base)
+        left the history window (read-only)."""
+        q = self._q_ring.take((self.stamps & self._mask) + self._agent_base)
+        q[(self.stamps < 0) | (self.stamps <= self._t - self.capacity)] = 0.0
+        return q
 
     def snapshot(self) -> np.ndarray:
         return self.stamps.copy()
@@ -152,16 +126,18 @@ class SwarmTables:
         neighbor_matrix: np.ndarray,
         drop_mask: np.ndarray | None = None,
     ) -> None:
-        """Raise each tracked entry to the newest stamp delivered from an
-        earlier `snapshot` of these tables.
+        """Raise each tracked entry to the newest stamp delivered from
+        `snapshot`, the tables as the neighbours sent them: these tables
+        themselves before this round's `record_own`, or an earlier copy.
 
         `neighbor_matrix` is (n, max_deg), row i listing agent i's
         neighbors, padded with i itself.  `drop_mask` (n, max_deg)
         suppresses dropped directed messages: a dropped sender is replaced
         by the receiver, like a pad.  Both are harmless candidates, since
-        stamps never decrease and a row's earlier snapshot cannot beat its
-        current stamps.  So the merge is one gather of the senders' rows,
-        (max_deg, n, n), and a max over the senders.
+        stamps never decrease and a row as sent cannot beat its current
+        stamps.  So the merge is one gather of the senders' rows,
+        (max_deg, n, n), and a max over the senders; the gather is a
+        copy, so `snapshot` may be `stamps` itself.
         """
         senders = neighbor_matrix.T
         if drop_mask is not None:
@@ -181,37 +157,47 @@ class SwarmTables:
         entries read t + 1); untracked entries report 0."""
         return np.where(self.tracked, t - self.stamps, 0)
 
+    def _check_window(self, use_mask: np.ndarray | None) -> None:
+        """Raise ProtocolViolation if a used entry holds a round at least
+        `capacity` rounds old: that round left the history window."""
+        bad = (self.stamps >= 0) & (self.stamps <= self._t - self.capacity)
+        if use_mask is not None:
+            bad &= use_mask
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ProtocolViolation(
+                f"agent {i + 1} references round {self.stamps[i, j]} "
+                f"for column {j + 1}, which left the history window; "
+                "the staleness bound was exceeded"
+            )
+
     def assemble(self, use_mask: np.ndarray | None = None, oldest: int | None = None) -> np.ndarray:
         """Gradient blocks (n, d_max): row i is agent i's estimator, the
         sum over the columns j in `use_mask` (default: all) of quotient j
         times agent i's own perturbation of the stamped round, over n.
-        Raises ProtocolViolation if a used stamp left the ring.
+        Raises ProtocolViolation if a used stamp left the history window.
 
         The sum runs by ring slot: W[i, s] sums the quotients agent i
         holds from the round in slot s, and row i is W[i] @ z_ring[i].
 
-        The window check compares each entry's stamp with the round its
-        slot holds.  Only a stamp at least `capacity` rounds old can fail
-        it, so it runs only when the oldest tracked stamp is that old.
-        A caller that already holds this round's `oldest_stamp()` passes
-        it as `oldest`.
+        Only a stamp at least `capacity` rounds old can fail the window
+        check, so it runs only when the oldest tracked stamp is that old.
+        Never-heard entries (stamp -1) share a live slot, so their
+        quotients are zeroed while a tracked entry is never heard, and
+        always for reduced tables, whose untracked entries stay -1.  A
+        caller that already holds this round's `oldest_stamp()` passes it
+        as `oldest`.
         """
-        slots = self._slots()
         t, cap = self._t, self.capacity
         if oldest is None:
             oldest = self.oldest_stamp()
         if t >= cap and oldest <= t - cap:
-            bad = self._ring_rounds.take(slots) != self.stamps
-            if use_mask is not None:
-                bad &= use_mask
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise ProtocolViolation(
-                    f"agent {i + 1} references round {self.stamps[i, j]} "
-                    f"for column {j + 1}, which left the history window; "
-                    "the staleness bound was exceeded"
-                )
+            self._check_window(use_mask)
+        # intp slots: take and bincount would otherwise convert the int32 ones
+        slots = np.bitwise_and(self.stamps, self._mask, dtype=np.intp)
         q = self._q_ring.take(slots + self._agent_base)
+        if oldest < 0 or self._untracked_offsets is not None:
+            q *= self.stamps >= 0
         if use_mask is not None:
             q *= use_mask
         slots += self._agent_base[:, None]

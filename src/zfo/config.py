@@ -228,9 +228,10 @@ def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict
         seed = _as_int(_get(doc, "seed", path, required=True), f"{path}.seed", low=0)
         kwargs = {}
         if "extra_edges" in doc:
-            kwargs["extra_edges"] = _as_int(doc["extra_edges"], f"{path}.extra_edges")
+            kwargs["extra_edges"] = _as_int(doc["extra_edges"], f"{path}.extra_edges", low=0)
         if "max_degree" in doc:
-            kwargs["max_degree"] = _as_int(doc["max_degree"], f"{path}.max_degree")
+            low = 2 if n >= 3 else None  # a cycle through n >= 3 agents has degree 2
+            kwargs["max_degree"] = _as_int(doc["max_degree"], f"{path}.max_degree", low=low)
         return CommGraph.random_connected(n, seed=seed, **kwargs), dict(doc)
     if kind == "file":
         file_path = _as_str(_get(doc, "path", path, required=True), f"{path}.path")

@@ -100,10 +100,14 @@ class CommGraph:
         max_degree: int = 4,
     ) -> "CommGraph":
         """Random connected graph with degrees between 2 and `max_degree`
-        (for n >= 3): a random Hamiltonian cycle plus random chords."""
-        rng = np.random.default_rng(seed)
+        (for n >= 3): a random Hamiltonian cycle plus up to `extra_edges` chords."""
+        if extra_edges is not None and extra_edges < 0:
+            raise ConfigurationError(f"extra_edges must be >= 0, got {extra_edges}")
         if n <= 2:
             return cls.path(n)
+        if max_degree < 2:
+            raise ConfigurationError(f"max_degree must be >= 2 for n >= 3, got {max_degree}")
+        rng = np.random.default_rng(seed)
         order = rng.permutation(n)
         edges = [(int(order[k]), int(order[(k + 1) % n])) for k in range(n)]
         deg = {i: 2 for i in range(n)}

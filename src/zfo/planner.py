@@ -469,6 +469,8 @@ def plan(constants: ProblemConstants, epsilon: float, regime: str) -> ParamPlan:
     The smoothing radius of the constrained regimes is found by bisection on
     its defining equation to 1e-12 relative accuracy; all other parameters
     are direct substitutions.  ``verify_plan`` on the result is always clean.
+    A nonconvex plan whose ``expected_stationarity_bound`` (which needs
+    ``init_gap``) exceeds epsilon carries a note naming its dominant term.
     """
     epsilon = _check_inputs(constants, epsilon, regime, "planning")
     c = constants
@@ -495,9 +497,17 @@ def plan(constants: ProblemConstants, epsilon: float, regime: str) -> ParamPlan:
     if regime in ("convex-noisy", "convex-noisy-interior"):
         smooth_term, noise_term = _gap_step_terms(c, eta, u)
         notes += _second_order_note("smoothness", smooth_term, "noise", noise_term)
-    elif regime not in _CONVEX_REGIMES and c.staleness_bound > 0:
-        descent, _, _, warmup = _stationarity_terms(c, eta, u, samples, _nonconvex_budget(c)[0])
-        notes += _second_order_note("warm-up", warmup, "initial-gap", descent)
+    elif regime not in _CONVEX_REGIMES:
+        if c.staleness_bound > 0:
+            descent, _, _, warmup = _stationarity_terms(c, eta, u, samples, _nonconvex_budget(c)[0])
+            notes += _second_order_note("warm-up", warmup, "initial-gap", descent)
+        terms = () if c.init_gap is None else _stationarity_terms(c, eta, u, samples, c.init_gap)
+        if sum(terms) > epsilon * (1.0 + _CHECK_RTOL):
+            term, name = max(zip(terms, ("descent", "drift", "smoothing-bias", "warm-up")))
+            notes.append(
+                f"the stationarity bound at this plan ({sum(terms):.6e}) exceeds epsilon = "
+                f"{epsilon}; its {name} term ({term:.6e}) dominates"
+            )
     return ParamPlan(regime, epsilon, delta, u, eta, c.staleness_bound - 1 + samples, tuple(notes))
 
 

@@ -442,7 +442,6 @@ def run(config: RunConfig) -> RunTrace:
     step_excess_max = 0.0
     rows_out: list[dict] = []
     x_final: np.ndarray | None = None
-    prev_snapshot = None
     fd_noted = False
 
     # Staleness over tracked entries: the largest age t - stamp is t minus
@@ -486,6 +485,11 @@ def run(config: RunConfig) -> RunTrace:
         if not np.isfinite(quotients).all():
             bad = int(np.argmin(np.isfinite(quotients))) + 1
             raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {t}")
+        if not lossless and t > 0 and max_deg > 0:
+            # (5) merge what neighbors sent last round: the live tables
+            drop = config.delay.drop_mask(net_gen, (n, max_deg))
+            swarm.merge_from(swarm.stamps, neighbor_matrix, drop)
+        # (6) stamp the own entries; the tables are then what everyone sends
         swarm.record_own(t, quotients, z)
 
         if lossless:
@@ -494,13 +498,6 @@ def run(config: RunConfig) -> RunTrace:
             # max_lag) rounds old and the extra delay stays 0
             stale_now = min(t + 1, max_lag)
         else:
-            # (5) merge the tables neighbors sent at the end of the previous round
-            if t > 0 and max_deg > 0:
-                drop = config.delay.drop_mask(net_gen, (n, max_deg))
-                swarm.merge_from(prev_snapshot, neighbor_matrix, drop)
-            # (6) the post-merge snapshot is what everyone sends this round
-            prev_snapshot = swarm.snapshot()
-
             stale_now = t - swarm.oldest_stamp()
             extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
             if extra_now > delta_hat:

@@ -223,18 +223,16 @@ def test_swarm_assemble_window_check_follows_use_mask():
         s.assemble(use)
 
 
-class _CountingRounds(np.ndarray):
-    """A ring-rounds array that counts the window check's gathers."""
-
-    def take(self, *args, **kwargs):
-        self.counter[0] += 1
-        return np.asarray(self).take(*args, **kwargs)
-
-
 def _count_window_checks(s):
+    """Count the rounds in which `assemble` runs the history-window check."""
     counter = [0]
-    s._ring_rounds = s._ring_rounds.view(_CountingRounds)
-    s._ring_rounds.counter = counter
+    check = s._check_window
+
+    def counting(*args, **kwargs):
+        counter[0] += 1
+        return check(*args, **kwargs)
+
+    s._check_window = counting
     return counter
 
 
@@ -271,11 +269,10 @@ def test_swarm_window_check_skipped_while_every_stamp_is_in_the_ring():
     assert s.oldest_stamp() == 6
 
 
-def _late_delivery(lag):
-    """Two agents, a ring of 3 rounds and every message lost until round
-    3 + lag, when round 3's tables arrive: each then holds the other's
-    quotient of age `lag`."""
-    s = SwarmTables(2, np.ones((2, 2)), 3, 1)
+def _late_delivery(lag, capacity):
+    """Two agents and every message lost until round 3 + lag, when round
+    3's tables arrive: each then holds the other's quotient of age `lag`."""
+    s = SwarmTables(2, np.ones((2, 2)), capacity, 1)
     nb = np.array([[1], [0]])
     lost = np.ones((2, 1), dtype=bool)
     for t in range(3 + lag + 1):
@@ -289,23 +286,28 @@ def _late_delivery(lag):
     return s
 
 
-@pytest.mark.parametrize("lag", [2, 3, 4])
+@pytest.mark.parametrize("lag", [2, 3, 4, 5])
 def test_swarm_window_check_fires_from_capacity_rounds_old(lag):
-    s = _late_delivery(lag)
-    own_only = np.eye(2, dtype=bool)
-    # own quotients (1, 2) times z = 1, over n = 2, whatever the other entry's age
-    np.testing.assert_array_equal(s.assemble(own_only), [[0.5], [1.0]])
-    if lag < s.capacity:
-        np.testing.assert_array_equal(s.assemble(), [[1.5], [1.5]])
-        return
-    use = own_only.copy()
-    use[0, 1] = True
-    with pytest.raises(
-        ProtocolViolation,
-        match="^agent 1 references round 3 for column 2, which left the history window; "
-        "the staleness bound was exceeded$",
-    ):
-        s.assemble(use)
+    # rings of 4, 4 and 8 rounds: the check fires from `capacity` rounds
+    # old, also while the ring still holds the stamped round
+    for capacity in (3, 4, 5):
+        s = _late_delivery(lag, capacity)
+        own_only = np.eye(2, dtype=bool)
+        # own quotients (1, 2) times z = 1, over n = 2, whatever the other entry's age
+        np.testing.assert_array_equal(s.assemble(own_only), [[0.5], [1.0]])
+        if lag < capacity:
+            np.testing.assert_array_equal(s.assemble(), [[1.5], [1.5]])
+            np.testing.assert_array_equal(s.quotients, [[1.0, 2.0], [1.0, 2.0]])
+            continue
+        np.testing.assert_array_equal(s.quotients, [[1.0, 0.0], [0.0, 2.0]])
+        use = own_only.copy()
+        use[0, 1] = True
+        with pytest.raises(
+            ProtocolViolation,
+            match="^agent 1 references round 3 for column 2, which left the history window; "
+            "the staleness bound was exceeded$",
+        ):
+            s.assemble(use)
 
 
 def test_swarm_untracked_entries_stay_never_heard():
@@ -327,9 +329,31 @@ def test_swarm_untracked_entries_stay_never_heard():
     assert s.oldest_stamp() == s.stamps[tracked].min()
 
 
-def test_swarm_lag_table_memory_is_linear_in_capacity():
-    # a ring of 3000 rounds: the lag -> slot lookup holds O(capacity)
-    # entries through the warm-up and the cyclic phases after it
+def test_swarm_reduced_tables_read_nothing_untracked_after_the_ring_wraps():
+    # on a path 1 - 2 - 3 the ends track only their own column; over 10
+    # rounds the ring of 4 wraps, so the slot of stamp -1 holds rounds 3
+    # and 7, yet untracked entries add nothing and read 0.  From round 1
+    # every tracked entry is heard, so only the reduced-table rule zeroes
+    # them.
+    tracked = np.eye(3, dtype=bool)
+    tracked[1] = True
+    s = SwarmTables(3, tracked, 3, 1)
+    nb = _neighbor_matrix(CommGraph.path(3))
+    for t in range(10):
+        s.merge_from(s.stamps, nb)
+        s.record_own(t, np.array([1.0, 2.0, 4.0]) * (t + 1), np.ones((3, 1)))
+        assert s.oldest_stamp() >= 0 or t == 0
+        q = s.quotients
+        np.testing.assert_array_equal(q[~tracked], 0.0)
+        np.testing.assert_array_equal(np.diag(q), np.array([1.0, 2.0, 4.0]) * (t + 1))
+        grad = s.assemble()
+        np.testing.assert_array_equal(grad[[0, 2], 0], np.array([1.0, 4.0]) * (t + 1) / 3)
+    # the middle agent hears both ends one round late
+    np.testing.assert_array_equal(grad[1], [(1.0 * 9 + 2.0 * 10 + 4.0 * 9) / 3])
+
+
+def test_swarm_ring_memory_is_linear_in_capacity():
+    # a ring of 3000 rounds holds O(capacity) entries, rounded up to 4096
     tracemalloc.start()
     try:
         s = SwarmTables(3, np.ones((3, 3)), 3000, 1)

@@ -246,6 +246,24 @@ def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys, argv, edit, na
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "graph, named",
+    [
+        ({"kind": "random", "seed": 0, "max_degree": 1}, "graph.max_degree: must be >= 2"),
+        ({"kind": "random", "seed": 0, "max_degree": 0, "extra_edges": -2},
+         "graph.extra_edges: must be >= 0"),
+    ],
+)
+def test_random_graph_bounds_exit_2_naming_the_field(tmp_path, capsys, graph, named):
+    cfg = _write(tmp_path, {**_base_doc(), "graph": graph})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match=named):
+        build_run_config({**_base_doc(), "graph": graph})
+
+
 def test_exit_code_3_on_assumption_violation(tmp_path, capsys):
     doc = _base_doc()
     doc["params"]["horizon"] = 400

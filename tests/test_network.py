@@ -62,6 +62,17 @@ def test_distances_match_floyd_warshall_on_drawn_graphs(kind, n, seed, max_degre
     np.testing.assert_array_equal(shortest_path_lengths(g), _floyd_warshall(g.n, g.edges))
 
 
+def test_random_graph_refuses_degree_and_edge_counts_it_cannot_honour():
+    with pytest.raises(ConfigurationError, match="^max_degree must be >= 2 for n >= 3, got 1$"):
+        CommGraph.random_connected(6, seed=0, max_degree=1)
+    with pytest.raises(ConfigurationError, match="^extra_edges must be >= 0, got -3$"):
+        CommGraph.random_connected(6, seed=0, extra_edges=-3)
+    # two agents form a path whatever the degree bound
+    assert CommGraph.random_connected(2, seed=0, max_degree=1).edges == [(0, 1)]
+    g = CommGraph.random_connected(6, seed=0, extra_edges=0, max_degree=2)
+    assert g.edge_count == 6 and all(g.degree(i) == 2 for i in range(6))
+
+
 def test_neighbor_matrix_pads_with_the_vertex_itself():
     g = CommGraph(4, [(0, 1), (0, 2), (0, 3)])
     np.testing.assert_array_equal(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,12 @@ from zfo.planner import (
     smoothing_condition_value,
     verify_plan,
 )
-from zfo.problems import build_box_quadratic, build_routing_instance, routing_problem
+from zfo.problems import (
+    build_box_quadratic,
+    build_routing_instance,
+    build_trig_sum,
+    routing_problem,
+)
 
 
 def _constants(**overrides) -> ProblemConstants:
@@ -430,6 +436,39 @@ def test_no_second_order_advisory_for_dominant_noise():
     c = _constants(sigma=50.0)
     p = plan(c, 0.05, "convex-noisy")
     assert not any("second-order" in note for note in p.notes)
+
+
+@pytest.mark.parametrize(
+    "regime, sigma, eps, horizon, drift",
+    [
+        ("nonconvex-noiseless", 0.0, 0.5, 7717, 0.52),
+        ("nonconvex-noiseless", 0.0, 1.0, 1930, 1.04),
+        ("nonconvex-noisy", 1.0, 1.0, 3402, 1.19),
+        ("nonconvex-noisy", 0.1, 1.0, 36, 59.6),
+    ],
+)
+def test_nonconvex_plan_that_misses_its_bound_names_the_dominant_term(
+    regime, sigma, eps, horizon, drift
+):
+    problem = build_trig_sum(3, 1, seed=0)
+    stats = network_stats(CommGraph.path(3), delta=0, dims=problem.dims)
+    c = constants_for(problem, stats, sigma=sigma, x0=np.zeros(3))
+    p = plan(c, eps, regime)
+    assert p.horizon == horizon
+    bound = expected_stationarity_bound(c, p.eta, p.u, p.horizon)
+    assert bound > eps
+    (note,) = [n for n in p.notes if "stationarity bound" in n]
+    assert note.startswith(f"the stationarity bound at this plan ({bound:.6e}) exceeds epsilon")
+    name, term = re.search(r"its (\S+) term \(([^)]+)\) dominates$", note).groups()
+    assert name == "drift" and float(term) == pytest.approx(drift, rel=0.01)
+
+
+def test_nonconvex_plan_within_its_bound_carries_no_bound_note():
+    # noise-dominated moment: the step size covers it and the bound holds
+    c = _constants(sigma=5.0)
+    p = plan(c, 0.3, "nonconvex-noisy")
+    assert expected_stationarity_bound(c, p.eta, p.u, p.horizon) <= 0.3
+    assert not any("stationarity bound" in note for note in p.notes)
 
 
 # ---------------------------------------------------------------------------
