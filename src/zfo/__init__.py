@@ -53,7 +53,6 @@ from .problems import (
     build_routing_instance,
     build_trig_sum,
     centralized_solve,
-    estimate_constants,
     routing_problem,
 )
 from .runner import RunConfig, RunTrace, metrics_snapshot, run, summary_dict, write_trace_csv
@@ -95,7 +94,6 @@ __all__ = [
     "centralized_solve",
     "check_compatibility",
     "constants_for",
-    "estimate_constants",
     "expected_gap_bound",
     "expected_stationarity_bound",
     "load_config",

@@ -232,7 +232,10 @@ def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict
         if "max_degree" in doc:
             low = 2 if n >= 3 else None  # a cycle through n >= 3 agents has degree 2
             kwargs["max_degree"] = _as_int(doc["max_degree"], f"{path}.max_degree", low=low)
-        return CommGraph.random_connected(n, seed=seed, **kwargs), dict(doc)
+        try:
+            return CommGraph.random_connected(n, seed=seed, **kwargs), dict(doc)
+        except ConfigurationError as exc:  # the other fields passed their checks above
+            _fail(f"{path}.extra_edges", str(exc))
     if kind == "file":
         file_path = _as_str(_get(doc, "path", path, required=True), f"{path}.path")
         if not os.path.exists(file_path):

@@ -100,19 +100,28 @@ class CommGraph:
         max_degree: int = 4,
     ) -> "CommGraph":
         """Random connected graph with degrees between 2 and `max_degree`
-        (for n >= 3): a random Hamiltonian cycle plus up to `extra_edges` chords."""
+        (for n >= 3): a random Hamiltonian cycle plus greedily drawn chords.
+        The default count, n // 2, is "up to"; an explicit `extra_edges` above
+        the degree budget or the free vertex pairs, or one the draw falls
+        short of, is refused."""
         if extra_edges is not None and extra_edges < 0:
             raise ConfigurationError(f"extra_edges must be >= 0, got {extra_edges}")
+        if n >= 3 and max_degree < 2:
+            raise ConfigurationError(f"max_degree must be >= 2 for n >= 3, got {max_degree}")
+        cap = max(0, min(n * (max_degree - 2) // 2, n * (n - 3) // 2))
+        if extra_edges is not None and extra_edges > cap:
+            raise ConfigurationError(
+                f"extra_edges = {extra_edges} exceeds the {cap} chords that {n} nodes "
+                f"with max_degree {max_degree} admit"
+            )
         if n <= 2:
             return cls.path(n)
-        if max_degree < 2:
-            raise ConfigurationError(f"max_degree must be >= 2 for n >= 3, got {max_degree}")
         rng = np.random.default_rng(seed)
         order = rng.permutation(n)
         edges = [(int(order[k]), int(order[(k + 1) % n])) for k in range(n)]
         deg = {i: 2 for i in range(n)}
         have = {(min(e), max(e)) for e in edges}
-        want = n // 2 if extra_edges is None else int(extra_edges)
+        want = min(n // 2, cap) if extra_edges is None else int(extra_edges)
         attempts = 0
         while want > 0 and attempts < 50 * n:
             attempts += 1
@@ -126,6 +135,9 @@ class CommGraph:
             deg[j] += 1
             edges.append(key)
             want -= 1
+        if want > 0 and extra_edges is not None:
+            placed = extra_edges - want
+            raise ConfigurationError(f"extra_edges = {extra_edges}, but the draw placed {placed}")
         return cls(n, edges)
 
     def __repr__(self):

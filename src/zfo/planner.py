@@ -210,7 +210,7 @@ def constants_for(
     if missing:
         raise ConfigurationError(
             f"problem {problem.name!r} records no {' or '.join(missing)} constant; "
-            "planning needs both (estimate_constants gives sampled estimates)"
+            "planning needs both"
         )
     init_gap = None
     if x0 is not None:

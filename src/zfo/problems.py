@@ -199,7 +199,6 @@ def build_box_quadratic(
             # interior, so the farthest point flips every coordinate's sign
             "breg_diameter": float(0.5 * ((w + np.abs(c_mean)) ** 2).sum()),
             "gap_max": gap_max,
-            "constants_estimated": False,
         },
     )
 
@@ -242,7 +241,6 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
         meta={
             "lipschitz": float(np.linalg.norm(amps, axis=1).max()),
             "smoothness": float(amps.max()),
-            "constants_estimated": False,
         },
     )
 
@@ -327,14 +325,6 @@ def eval_allocation(inst: RoutingInstance, v: np.ndarray) -> tuple[np.ndarray, f
     return per_agent, f_routes
 
 
-def route_loads(inst: RoutingInstance, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    return np.bincount(
-        inst.routes.ravel(), weights=(v * inst.traffic[:, None]).ravel(),
-        minlength=inst.n_routes,
-    )
-
-
 def reduced_to_alloc(inst: RoutingInstance, x: np.ndarray) -> np.ndarray:
     """Reduced coordinates (n, k-1) -> full allocation (n, k).
 
@@ -355,12 +345,14 @@ def alloc_to_reduced(inst: RoutingInstance, v: np.ndarray) -> np.ndarray:
 
 
 def routing_affected_sets(inst: RoutingInstance) -> list[frozenset[int]]:
-    """A_i = agents sharing at least one route with i (includes i)."""
-    route_sets = [set(r) for r in inst.routes.tolist()]
-    return [
-        frozenset(j for j in range(inst.n_agents) if route_sets[i] & route_sets[j])
-        for i in range(inst.n_agents)
-    ]
+    """A_i = agents sharing at least one route with i (includes i): the union
+    of the users of i's routes, read off the route incidence."""
+    rows = inst.routes.tolist()
+    users: list[list[int]] = [[] for _ in range(inst.n_routes)]
+    for j, row in enumerate(rows):
+        for r in row:
+            users[r].append(j)
+    return [frozenset().union(*(users[r] for r in row)) for row in rows]
 
 
 class _StackedRoutes:
@@ -388,7 +380,6 @@ def routing_problem(inst: RoutingInstance) -> Problem:
     k = inst.routes_per_agent
     dim = k - 1
     shift = -1.0 / k
-    sets = [ShiftedSimplex(dim, shift=shift) for _ in range(n)]
     lo = shift  # reduced-coordinate lower bound for the fast check
     uniform = 1.0 / k
     stacks: dict[int, _StackedRoutes] = {}
@@ -396,7 +387,8 @@ def routing_problem(inst: RoutingInstance) -> Problem:
     def allocation(flat, check):
         """The allocations v (R n, k) of the reduced actions, their route
         loads (R m,), the stacked coefficients and whether `flat` was a
-        stack: reduced_to_alloc and route_loads, operation for operation."""
+        stack: reduced_to_alloc and the loads of eval_allocation, operation
+        for operation."""
         flat = np.asarray(flat, dtype=float)
         stacked = flat.ndim > 1
         rows = flat.shape[0] if stacked else 1
@@ -430,101 +422,91 @@ def routing_problem(inst: RoutingInstance) -> Problem:
         g = st.grad_scale * (mc[:, :-1] - mc[:, -1:])
         return g.reshape(-1, n * dim) if stacked else g.ravel()
 
-    shared: list = []  # _shared_route_positions, built by the first local_grads call
-
-    def local_grads(flat):
-        if not shared:
-            shared.extend(_shared_route_positions(inst))
-        x = np.asarray(flat, dtype=float).reshape(n, dim)
-        v = reduced_to_alloc(inst, x)
-        loads = route_loads(inst, v)
-        unit = (inst.quad * loads + inst.lin) * loads + inst.offset
-        slope = inst.lin + 2.0 * inst.quad * loads
-        out = np.zeros((n, n, k))
-        for i in range(n):
-            out[i, i, :] += inst.traffic[i] * unit[inst.routes[i]]
-            for j, (pos_i, pos_j) in shared[i].items():
-                r = inst.routes[i, pos_i]
-                out[i, j, pos_j] += (
-                    inst.traffic[i] * v[i, pos_i] * slope[r] * inst.traffic[j]
-                )
-        reduced = out[:, :, :-1] - out[:, :, -1:]
-        return reduced.reshape(n, n * dim)
-
     return Problem(
         name="routing",
         dims=[dim] * n,
-        sets=sets,
+        sets=[ShiftedSimplex(dim, shift=shift)] * n,
         local_costs=local_costs,
         grad=grad,
-        local_grads=local_grads,
         affected=routing_affected_sets(inst),
         f_lower=0.0,
         meta={
             "instance": inst,
             "inner_radius": 1.0 / (k * np.sqrt(dim)),
-            "constants_estimated": True,
+            **_routing_constants(inst),
         },
     )
 
 
-def _shared_route_positions(inst: RoutingInstance):
-    """For each agent i: {j: (positions in R_i, positions in R_j)} over
-    shared routes, i != j handled together with j == i."""
-    n, k = inst.routes.shape
-    where = {}
-    for j in range(n):
-        for pos, r in enumerate(inst.routes[j]):
-            where.setdefault(int(r), []).append((j, pos))
-    shared: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [dict() for _ in range(n)]
-    pair_lists: list[dict[int, list[tuple[int, int]]]] = [dict() for _ in range(n)]
-    for i in range(n):
-        for pos_i, r in enumerate(inst.routes[i]):
-            for j, pos_j in where[int(r)]:
-                pair_lists[i].setdefault(j, []).append((pos_i, pos_j))
-    for i in range(n):
-        for j, pairs in pair_lists[i].items():
-            pi = np.array([p[0] for p in pairs], dtype=int)
-            pj = np.array([p[1] for p in pairs], dtype=int)
-            shared[i][j] = (pi, pj)
-    return shared
+def _routing_constants(inst: RoutingInstance) -> dict[str, float]:
+    """Certified constants of the routing costs over the feasible set.
 
+    Agent i ships t_i over k distinct routes R_i in shares v_i (a simplex
+    point); route r carries q_r = sum_{j uses r} t_j v_j(r) at unit cost
+    c_r(q) = a_r q^2 + b_r q + e_r, and f_i = t_i sum_{r in R_i} v_i(r) c_r(q_r).
+    Reduced coordinates enter as v_j = M x_j + const, M = [I; -1^T].  With
+    t, a, b, e >= 0, on the feasible set 0 <= q_r <= Lambda_r = sum_{j uses r}
+    t_j, so c_r <= C_r = c_r(Lambda_r), 0 <= c_r' <= D_r = c_r'(Lambda_r) and
+    c_r'' = 2 a_r.
 
-def sample_feasible_reduced(inst: RoutingInstance, rng: np.random.Generator) -> np.ndarray:
-    """Uniform allocation per agent (flat Dirichlet) in reduced coords."""
-    n, k = inst.routes.shape
-    cuts = np.sort(rng.random((n, k - 1)), axis=1)
-    v = np.diff(np.concatenate([np.zeros((n, 1)), cuts, np.ones((n, 1))], axis=1), axis=1)
-    return alloc_to_reduced(inst, v)
+    G.  With r = R_j[p], d f_i / d v_j(p) = t_i [j = i] c_r + t_i t_j v_i(r) c_r'
+    >= 0 (v_i(r) = 0 off R_i).  For such a >= 0, ||M^T a||^2 =
+    sum_{p<k} (a_p - a_k)^2 <= sum_p w_p a_p^2 with w = (1, ..., 1, k - 1).
+    Summing the blocks j, with W_r = sum_{j uses r} w_{pos_j(r)} t_j^2:
+    ||grad_x f_i||^2 <= t_i^2 sum_{r in R_i} [w c_r^2 + 2 w t_i v_i(r) c_r c_r'
+    + v_i(r)^2 c_r'^2 W_r], w at r's position in R_i.  Raised to C and D, this
+    is convex in v_i and peaks at a vertex, so G^2 is the max over agents i of
+    t_i^2 [sum_{r in R_i} w C_r^2 + max_{r in R_i} (2 w t_i C_r D_r + D_r^2 W_r)].
 
+    L.  f_i's Hessian in v couples two coordinates only on a common route, so
+    it is block diagonal over routes.  Over the users of r in R_i (traffic
+    vector tau, agent i's indicator e) the block is t_i [alpha (e tau^T +
+    tau e^T) + beta tau tau^T], alpha = c_r', beta = 2 a_r v_i(r).  In the
+    basis e, (tau - t_i e) / s of its range (s^2 = ||tau||^2 - t_i^2) it is
+    t_i N, N = [[2 alpha t_i + beta t_i^2, (alpha + beta t_i) s],
+    [(alpha + beta t_i) s, beta s^2]], whose norm is lambda_max(N), since Weyl
+    gives lambda_max(N) >= alpha (t_i + ||tau||) >= -lambda_min(N).  It is
+    nondecreasing in beta (tau tau^T is PSD) and in alpha (convex, with slope
+    2 t_i or t_i + ||tau|| >= 0 at alpha = 0), so alpha = D_r and beta = 2 a_r
+    bound it.  The x-Hessian is P^T H P with P = diag(M, ..., M) and
+    ||P||^2 = ||I + 1 1^T|| = k.
 
-def estimate_constants(
-    problem: Problem, n_samples: int = 200, seed: int = 0
-) -> tuple[float, float]:
-    """Sampled Lipschitz (G) and smoothness (L) estimates with a safety
-    factor, for problems without closed-form constants."""
-    if problem.local_grads is None:
-        raise ConfigurationError("constant estimation needs local gradients")
-    rng = np.random.default_rng(seed)
-    inst = problem.meta.get("instance")
-    grads = []
-    points = []
-    for _ in range(n_samples):
-        if inst is not None:
-            x = sample_feasible_reduced(inst, rng).ravel()
-        else:
-            x = problem.project_feasible(rng.normal(size=problem.total_dim))
-        points.append(x)
-        grads.append(problem.local_grads(x))
-    g_hat = max(float(np.linalg.norm(g, axis=1).max()) for g in grads)
-    l_hat = 0.0
-    for a in range(0, n_samples - 1, 2):
-        dx = float(np.linalg.norm(points[a] - points[a + 1]))
-        if dx < 1e-12:
-            continue
-        dg = float(np.linalg.norm(grads[a] - grads[a + 1], axis=1).max())
-        l_hat = max(l_hat, dg / dx)
-    return 1.2 * g_hat, 1.5 * max(l_hat, 1e-12)
+    Geometry.  The reduced simplex has vertices e_a - 1/k (a < k - 1) and
+    -1/k, so ||x_i||^2 <= (k^2 - k - 1) / k^2 and ||y_i - x_i||^2 <= min(2, k - 1)
+    for feasible x, y; the latter bounds 1/2 ||x* - x||^2 by n min(2, k - 1) / 2.
+    Gap: (1/n) sum_r Lambda_r C_r >= f >= (1/n) sum_i t_i min_{r in R_i} e_r.
+    """
+    routes, t = inst.routes, inst.traffic
+    n, k = routes.shape
+    if min(t.min(), inst.quad.min(), inst.lin.min(), inst.offset.min()) < 0:
+        raise ConfigurationError("routing constants need non-negative traffic and coefficients")
+    w = np.append(np.ones(k - 1), k - 1.0)
+    ti = t[:, None]
+    ids, m = routes.ravel(), inst.n_routes
+    lam = np.bincount(ids, weights=np.repeat(t, k), minlength=m)
+    weighted = np.bincount(ids, weights=(w * ti * ti).ravel(), minlength=m)  # W
+    tau_sq = np.bincount(ids, weights=np.repeat(t * t, k), minlength=m)
+    c_max = (inst.quad * lam + inst.lin) * lam + inst.offset
+    d_max = inst.lin + 2.0 * inst.quad * lam
+    c, d, W = c_max[routes], d_max[routes], weighted[routes]
+    g_sq = t * t * ((w * c * c).sum(axis=1) + (2.0 * w * ti * c * d + d * d * W).max(axis=1))
+
+    beta = 2.0 * inst.quad[routes]
+    s_sq = np.maximum(tau_sq[routes] - ti * ti, 0.0)
+    top = 2.0 * d * ti + beta * ti * ti
+    off = (d + beta * ti) * np.sqrt(s_sq)
+    bottom = beta * s_sq
+    lam_max = 0.5 * (top + bottom) + np.sqrt((0.5 * (top - bottom)) ** 2 + off * off)
+
+    f_max = float(np.dot(lam, c_max)) / n
+    f_min = float(np.dot(t, inst.offset[routes].min(axis=1))) / n
+    return {
+        "lipschitz": float(np.sqrt(g_sq.max())),
+        "smoothness": float(k * (ti * lam_max).max()),
+        "outer_radius": float(np.sqrt(n * (k * k - k - 1.0)) / k),
+        "breg_diameter": 0.5 * n * min(2, k - 1),
+        "gap_max": f_max - f_min,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +560,8 @@ def centralized_solve(
     x+, which is always feasible.  For convex problems the result is the
     global optimum; for nonconvex ones it is a stationary point.
     """
-    if problem.grad is None and problem.local_grads is None:
+    if problem.grad is None:
         raise ConfigurationError("centralized solve needs a gradient")
-    grad = problem.grad or (lambda x: problem.local_grads(x).mean(axis=0))
     x = problem.project_feasible(
         np.zeros(problem.total_dim) if x0 is None else np.asarray(x0, dtype=float)
     )
@@ -598,7 +579,7 @@ def centralized_solve(
             f_y = problem.global_cost(y, check=False)
         else:
             y, f_y = x, f_x
-        g = grad(y)
+        g = problem.grad(y)
         while True:
             x_new = problem.project_feasible(y - step * g)
             diff = x_new - y

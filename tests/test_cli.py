@@ -252,6 +252,9 @@ def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys, argv, edit, na
         ({"kind": "random", "seed": 0, "max_degree": 1}, "graph.max_degree: must be >= 2"),
         ({"kind": "random", "seed": 0, "max_degree": 0, "extra_edges": -2},
          "graph.extra_edges: must be >= 0"),
+        # three agents form a triangle, which leaves no pair for a chord
+        ({"kind": "random", "seed": 0, "extra_edges": 1},
+         "graph.extra_edges: extra_edges = 1 exceeds the 0 chords"),
     ],
 )
 def test_random_graph_bounds_exit_2_naming_the_field(tmp_path, capsys, graph, named):

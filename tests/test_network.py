@@ -73,6 +73,46 @@ def test_random_graph_refuses_degree_and_edge_counts_it_cannot_honour():
     assert g.edge_count == 6 and all(g.degree(i) == 2 for i in range(6))
 
 
+def test_random_graph_refuses_chord_counts_it_cannot_place():
+    # 6 nodes under max_degree 4 admit 6 chords; seed 0's greedy draw stalls
+    # at 5, which it used to return for 6 and for 100 asked alike
+    with pytest.raises(ConfigurationError, match="^extra_edges = 100 exceeds the 6 chords"):
+        CommGraph.random_connected(6, seed=0, extra_edges=100)
+    with pytest.raises(ConfigurationError, match="^extra_edges = 6, but the draw placed 5$"):
+        CommGraph.random_connected(6, seed=0, extra_edges=6)
+    # the free vertex pairs cap the count too: a 4-cycle leaves 2
+    with pytest.raises(ConfigurationError, match="^extra_edges = 3 exceeds the 2 chords"):
+        CommGraph.random_connected(4, seed=0, extra_edges=3, max_degree=6)
+    with pytest.raises(ConfigurationError, match="^extra_edges = 1 exceeds the 0 chords that 2 nodes"):
+        CommGraph.random_connected(2, seed=0, extra_edges=1)
+    assert CommGraph.random_connected(6, seed=0, extra_edges=5).edge_count == 11
+    # the default stays "up to": capped by the budget, never refused
+    assert CommGraph.random_connected(6, seed=0, max_degree=2).edge_count == 6
+    assert CommGraph.random_connected(6, seed=0).edge_count == 9
+    assert CommGraph.random_connected(200, seed=1).edge_count == 300
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    seed=st.integers(0, 2**32 - 1),
+    max_degree=st.integers(2, 6),
+    extra=st.integers(0, 20),
+)
+def test_random_graph_places_an_explicit_count_in_full_or_refuses(n, seed, max_degree, extra):
+    try:
+        g = CommGraph.random_connected(n, seed=seed, extra_edges=extra, max_degree=max_degree)
+    except ConfigurationError as exc:
+        assert str(exc).startswith(f"extra_edges = {extra}")
+        return
+    assert g.edge_count == n + extra
+    assert max(g.degree(i) for i in range(n)) <= max_degree
+    # one draw sequence: of this graph and the default one, either holds the other
+    default = CommGraph.random_connected(n, seed=seed, max_degree=max_degree)
+    smaller, larger = sorted((set(g.edges), set(default.edges)), key=len)
+    assert smaller <= larger
+
+
 def test_neighbor_matrix_pads_with_the_vertex_itself():
     g = CommGraph(4, [(0, 1), (0, 2), (0, 3)])
     np.testing.assert_array_equal(

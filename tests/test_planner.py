@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zfo.cli import main
 from zfo.errors import ConfigurationError
 from zfo.network import CommGraph, network_stats
 from zfo.planner import (
@@ -605,13 +606,31 @@ def test_constants_for_rejects_size_mismatch():
 
 
 def test_constants_for_names_the_missing_constants():
-    # the routing benchmark's constants are only estimated, so it records none
     problem = routing_problem(build_routing_instance(2, 3, seed=1))
+    problem = replace(problem, meta={"inner_radius": problem.meta["inner_radius"]})
     stats = network_stats(CommGraph.complete(problem.n), delta=0, dims=problem.dims)
     with pytest.raises(
         ConfigurationError, match=r"^problem 'routing' records no lipschitz or smoothness constant"
     ):
         constants_for(problem, stats)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_routing_constants_plan_and_verify_in_every_regime(regime, tmp_path, capsys):
+    # planned, not run: the certified horizons are far beyond a test's budget
+    problem = routing_problem(build_routing_instance(2, 3, seed=1))
+    stats = network_stats(CommGraph.complete(problem.n), delta=0, dims=problem.dims)
+    sigma = 0.0 if regime.endswith("noiseless") else 0.5
+    c = constants_for(problem, stats, sigma=sigma, x0=np.zeros(problem.total_dim))
+    epsilon = 0.5 * c.gap_max
+    p = plan(c, epsilon, regime)
+    assert p.horizon >= c.staleness_bound
+    assert verify_plan(c, epsilon, p).satisfied
+    path = tmp_path / "routing-constants.json"
+    path.write_text(json.dumps(c.as_dict()))
+    argv = ["plan", "--regime", regime, "--eps", str(epsilon), "--constants", str(path)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["satisfied"] is True
 
 
 def test_constants_dict_roundtrip():

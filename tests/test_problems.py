@@ -1,11 +1,13 @@
 """Problem-construction tests: hand-computed routing costs, gradient
 checks against central finite differences, reparameterization round
-trips, dependence detection, and the centralized reference solver."""
+trips, dependence detection, the routing constants, and the centralized
+reference solver."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfo.cli import main
@@ -17,12 +19,10 @@ from zfo.problems import (
     build_routing_instance,
     build_trig_sum,
     centralized_solve,
-    estimate_constants,
     eval_allocation,
     reduced_to_alloc,
     routing_affected_sets,
     routing_problem,
-    sample_feasible_reduced,
 )
 from test_runner import _mixed_problem
 
@@ -34,6 +34,41 @@ def _fd_grad(fun, x, h=1e-6):
         e[k] = h
         g[k] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+def sample_feasible_reduced(inst: RoutingInstance, rng: np.random.Generator) -> np.ndarray:
+    """Uniform allocation per agent (flat Dirichlet) in reduced coords."""
+    n, k = inst.routes.shape
+    cuts = np.sort(rng.random((n, k - 1)), axis=1)
+    v = np.diff(np.concatenate([np.zeros((n, 1)), cuts, np.ones((n, 1))], axis=1), axis=1)
+    return alloc_to_reduced(inst, v)
+
+
+def _routing_local_grads(inst, x):
+    """Per-agent gradients (n, D) of the routing costs at a reduced point x
+    (n, k - 1), or a stack of them (B, n, D) at points (B, n, k - 1).
+
+    With r = R_j[p], d f_i / d v_j(p) = t_i [i = j] c_r(q_r)
+    + t_i t_j v_i(r) c_r'(q_r), where v_i(r) = 0 off agent i's routes; the
+    reduced coordinates drop each agent's last route, whose fraction is one
+    minus the others.  The gradient is quadratic in x.
+    """
+    n, k = inst.routes.shape
+    x = np.asarray(x, dtype=float)
+    stacked = x.ndim == 3
+    head = x.reshape(-1, n, k - 1) + 1.0 / k
+    v = np.concatenate([head, 1.0 - head.sum(axis=-1, keepdims=True)], axis=-1)
+    t = inst.traffic
+    incidence = np.eye(inst.n_routes)[inst.routes]  # (n, k, m)
+    loads = np.einsum("bnk,nkm->bm", v * t[:, None], incidence)
+    unit = (inst.quad * loads + inst.lin) * loads + inst.offset
+    slope = inst.lin + 2.0 * inst.quad * loads
+    share = np.einsum("bnk,nkm->bnm", v, incidence)  # v_i(r)
+    full = (t[:, None, None] * t[None, :, None] * share[:, :, inst.routes]
+            * slope[:, inst.routes][:, None])
+    full[:, np.arange(n), np.arange(n)] += t[:, None] * unit[:, inst.routes]
+    grads = (full[..., :-1] - full[..., -1:]).reshape(-1, n, n * (k - 1))
+    return grads if stacked else grads[0]
 
 
 def _hand_instance(**overrides):
@@ -208,22 +243,24 @@ def test_routing_gradient_matches_finite_differences():
 
 
 def test_routing_local_grads_match_finite_differences():
+    # the test oracle: the costs are cubic, so central differences are exact
+    # up to h^2 quad and rounding
     inst = build_routing_instance(2, 2, seed=9)
     problem = routing_problem(inst)
     rng = np.random.default_rng(11)
-    x = sample_feasible_reduced(inst, rng).ravel() * 0.8
-    rows = problem.local_grads(x)
-    for i in [0, 2, 3]:
+    x = sample_feasible_reduced(inst, rng) * 0.8
+    rows = _routing_local_grads(inst, x)
+    for i in range(problem.n):
         fun_i = lambda z: float(problem.local_costs(z, check=False)[i])
-        np.testing.assert_allclose(rows[i], _fd_grad(fun_i, x), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(rows[i], _fd_grad(fun_i, x.ravel()), rtol=1e-5, atol=1e-7)
 
 
 def test_local_grads_mean_equals_global_gradient():
     inst = build_routing_instance(3, 2, seed=12)
     problem = routing_problem(inst)
-    x = sample_feasible_reduced(inst, np.random.default_rng(13)).ravel()
+    x = sample_feasible_reduced(inst, np.random.default_rng(13))
     np.testing.assert_allclose(
-        problem.local_grads(x).mean(axis=0), problem.grad(x), atol=1e-12
+        _routing_local_grads(inst, x).mean(axis=0), problem.grad(x.ravel()), atol=1e-12
     )
 
 
@@ -268,6 +305,97 @@ def test_affected_sets_match_finite_difference_detection():
                 assert delta[i] > 1e-10, (i, l)
             else:
                 assert delta[i] == 0.0, (i, l)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    groups=st.integers(1, 8),
+    per_group=st.integers(1, 6),
+    layout_seed=st.integers(0, 2**32 - 1),
+    shuffled=st.booleans(),
+)
+def test_affected_sets_equal_the_pairwise_definition(groups, per_group, layout_seed, shuffled):
+    inst = build_routing_instance(groups, per_group, seed=0)
+    if shuffled:  # any k distinct routes per agent, not only the group layout
+        rng = np.random.default_rng(layout_seed)
+        routes = np.stack([rng.choice(inst.n_routes, 4, replace=False) for _ in inst.groups])
+        inst = dataclasses.replace(inst, routes=routes)
+    route_sets = [set(r) for r in inst.routes.tolist()]
+    expected = [
+        frozenset(j for j in range(inst.n_agents) if route_sets[i] & route_sets[j])
+        for i in range(inst.n_agents)
+    ]
+    assert routing_affected_sets(inst) == expected
+    problem = routing_problem(inst)
+    assert problem.affected == expected
+    assert [g.members.tolist() for g in problem.groups] == [list(range(inst.n_agents))]
+
+
+# ---------------------------------------------------------------------------
+# routing constants
+
+
+def _routing_test_points(inst, rng, count):
+    """Dirichlet points, vertices, edge midpoints, and for each route the
+    vertex that puts every one of its users on it."""
+    n, k = inst.routes.shape
+    eye = np.eye(k)
+    points = [sample_feasible_reduced(inst, rng) for _ in range(count)]
+    for _ in range(count):
+        a = rng.integers(0, k, n)
+        b = (a + rng.integers(1, k, n)) % k
+        points.append(alloc_to_reduced(inst, eye[a]))
+        points.append(alloc_to_reduced(inst, 0.5 * (eye[a] + eye[b])))
+    for r in range(inst.n_routes):
+        on = inst.routes == r
+        points.append(alloc_to_reduced(inst, eye[np.where(on.any(axis=1), on.argmax(axis=1), 0)]))
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@example(groups=1, per_group=1, seed=0)
+@example(groups=2, per_group=3, seed=1)
+@given(groups=st.integers(1, 4), per_group=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_routing_constants_bound_gradients_gaps_and_distances(groups, per_group, seed):
+    inst = build_routing_instance(groups, per_group, seed=seed)
+    problem = routing_problem(inst)
+    meta = problem.meta
+    solved = centralized_solve(problem, tol=1e-10)
+    assert solved.converged
+    points = _routing_test_points(inst, np.random.default_rng(seed), 10)
+    grads = [_routing_local_grads(inst, x) for x in points]
+    for x, g in zip(points, grads):
+        flat = x.ravel()
+        assert np.linalg.norm(g, axis=1).max() <= meta["lipschitz"] + 1e-9
+        assert np.linalg.norm(flat) <= meta["outer_radius"] + 1e-9
+        assert problem.global_cost(flat) - solved.f <= meta["gap_max"] + 1e-9
+        assert 0.5 * np.sum((solved.x - flat) ** 2) <= meta["breg_diameter"] + 1e-9
+    for a in range(len(points) - 1):
+        dg = np.linalg.norm(grads[a + 1] - grads[a], axis=1).max()
+        assert dg <= meta["smoothness"] * np.linalg.norm(points[a + 1] - points[a]) + 1e-9
+    # the gradient is quadratic, so central differences give each Hessian
+    # exactly, up to rounding, at any step
+    dim = problem.total_dim
+    steps = 0.5 * np.eye(dim).reshape(dim, *points[0].shape)
+    for x in points:
+        diff = _routing_local_grads(inst, x + steps) - _routing_local_grads(inst, x - steps)
+        hessians = diff.transpose(1, 2, 0)  # (n, D, D), one column per step
+        assert np.linalg.norm(hessians, 2, axis=(1, 2)).max() <= meta["smoothness"] + 1e-9
+
+
+def test_routing_constants_cover_the_vertex_the_sampled_estimate_missed():
+    # README's instance: six agents all on route 3 reach a gradient norm of
+    # 52.85, which the sampled estimate (G = 15.39) understated
+    inst = build_routing_instance(2, 3, seed=1)
+    vertex = alloc_to_reduced(inst, (inst.routes == 3).astype(float))
+    norm = np.linalg.norm(_routing_local_grads(inst, vertex), axis=1).max()
+    assert norm == pytest.approx(52.85, abs=5e-3)
+    assert norm <= routing_problem(inst).meta["lipschitz"]
+
+
+def test_routing_constants_refuse_negative_coefficients():
+    with pytest.raises(ConfigurationError, match="non-negative traffic and coefficients"):
+        routing_problem(_hand_instance(lin=np.array([0.0, -1.0, 0.0, 0.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +562,12 @@ def test_solver_reports_non_convergence():
         centralized_solve(problem, max_iter=1, tol=1e-14, require_convergence=True)
 
 
-def test_estimate_constants_positive_and_deterministic():
-    problem = routing_problem(build_routing_instance(2, 2, seed=21))
-    g1, l1 = estimate_constants(problem, n_samples=100, seed=3)
-    g2, l2 = estimate_constants(problem, n_samples=100, seed=3)
-    assert g1 == g2 and l1 == l2
-    assert g1 > 0 and l1 > 0
+def test_solver_refuses_a_problem_without_gradient():
+    # local gradients alone no longer stand in for grad
+    problem = dataclasses.replace(build_box_quadratic(2, 1, seed=0), grad=None)
+    assert problem.local_grads is not None
+    with pytest.raises(ConfigurationError, match="^centralized solve needs a gradient$"):
+        centralized_solve(problem)
 
 
 def test_problem_validates_set_dimensions():
