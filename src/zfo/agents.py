@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtocolViolation
 
-# Stamps are int32: rounds, and rounds plus hop distances (the runner's
-# extra-delay accounting), stay below 2**31 while a run has fewer than
-# MAX_ROUNDS rounds.
+# Stamps are int32: rounds, and rounds plus hop distances (the extra-delay
+# accounting), stay below 2**31 while a run has fewer than MAX_ROUNDS rounds.
 MAX_ROUNDS = 2**30
 
 
@@ -45,24 +44,26 @@ class SwarmTables:
     stay at stamp -1 forever, which is how reduced tables
     (dependence-aware communication) are represented.
 
+    `distances` is the (n, n) hop distance of each tracked entry (inside
+    the column's trackers for reduced tables; default 0), and `max_lag`
+    its largest value.  The history window holds `max_lag + headroom`
+    rounds.  An entry's extra delay is its age minus its distance.
+
     Stamps are int32 and come only from `record_own` (called once per
     round, in order) and `merge_from` (the tables as the neighbours sent
-    them).
-
-    A loss-free run passes `lags`, the (n, n) hop distance of each tracked
-    entry (inside the column's trackers for reduced tables).  With no
-    message lost every entry is then exactly `lags` old once heard, so
-    `record_own` writes the whole table, max(-1, t - lags), and the run
-    needs no merge.
+    them).  With no message lost (`lossless`) every entry is exactly its
+    distance old once heard, so `record_own` writes the whole table,
+    max(-1, t - distances), and the run needs no merge.
     """
 
     def __init__(
         self,
         n: int,
         tracked: np.ndarray,
-        capacity: int,
+        headroom: int,
         d_max: int,
-        lags: np.ndarray | None = None,
+        distances: np.ndarray | None = None,
+        lossless: bool = False,
     ):
         self.n = int(n)
         tracked = np.asarray(tracked, dtype=bool)
@@ -72,16 +73,21 @@ class SwarmTables:
             raise ConfigurationError("every agent must track its own column")
         self.tracked = tracked
         # With every entry tracked the merge writes the whole table and the
-        # oldest stamp is a plain min; reduced tables mask both by `tracked`.
-        if tracked.all():
-            self._writable = True
-            self._untracked_offsets = None
-        else:
-            self._writable = tracked
-            self._untracked_offsets = np.where(tracked, 0, MAX_ROUNDS).astype(np.int32)
-            self._offset_stamps = np.empty((n, n), dtype=np.int32)
+        # oldest stamp is a plain min; reduced tables mask the merge by
+        # `tracked` and take the min over the tracked entries' flat positions.
+        self._reduced = not tracked.all()
+        self._writable = tracked if self._reduced else True
+        self._tracked_flat = np.flatnonzero(tracked) if self._reduced else None
+        distances = np.zeros((n, n), dtype=np.int32) if distances is None else distances
+        if np.shape(distances) != (n, n) or (np.asarray(distances)[tracked] < 0).any():
+            raise ConfigurationError("distances must be (n, n) and >= 0 on tracked entries")
+        # untracked entries lie MAX_ROUNDS away: never written, never the least extra delay
+        self._offsets = np.where(tracked, distances, MAX_ROUNDS).astype(np.int32)
+        self.max_lag = int(np.max(distances, where=tracked, initial=0))
+        self.lossless = bool(lossless)
+        self._offset_stamps = None if lossless else np.empty((n, n), dtype=np.int32)
         self._agents = np.arange(n)
-        self.capacity = cap = int(capacity)
+        self.capacity = cap = self.max_lag + int(headroom)
         size = 1 << (cap - 1).bit_length()
         self._mask = size - 1
         self.stamps = np.full((n, n), -1, dtype=np.int32)
@@ -92,22 +98,18 @@ class SwarmTables:
         self._diag_flat = np.arange(n) * (n + 1)  # flat (C-order) positions of (i, i)
         self._agent_base = np.arange(n) * size  # flat start of agent i's ring row
         self._t = -1
-        self._lags = None
-        if lags is not None:
-            if np.shape(lags) != (n, n):
-                raise ConfigurationError("lags must be (n, n)")
-            # untracked entries lag by MAX_ROUNDS, so their stamp stays -1
-            self._lags = np.where(tracked, lags, MAX_ROUNDS).astype(np.int32)
+        self._oldest: int | None = None  # oldest_stamp() of the tables as they stand
 
     def record_own(self, t: int, quotients: np.ndarray, z: np.ndarray) -> None:
         slot = t & self._mask
         self._q_ring[:, slot] = quotients
         self._z_ring[:, slot] = z
-        if self._lags is None:
-            self.stamps.put(self._diag_flat, t)
+        if self.lossless:
+            np.maximum(np.subtract(t, self._offsets, out=self.stamps), -1, out=self.stamps)
         else:
-            np.maximum(np.subtract(t, self._lags, out=self.stamps), -1, out=self.stamps)
+            self.stamps.put(self._diag_flat, t)
         self._t = t
+        self._oldest = None
 
     @property
     def quotients(self) -> np.ndarray:
@@ -144,13 +146,26 @@ class SwarmTables:
             senders = np.where(drop_mask.T, self._agents, senders)
         newest = snapshot.take(senders, axis=0).max(axis=0)
         np.maximum(self.stamps, newest, out=self.stamps, where=self._writable)
+        self._oldest = None
 
     def oldest_stamp(self) -> int:
         """The oldest stamp over tracked entries; -1 while any tracked entry
         is never heard."""
-        if self._untracked_offsets is None:
-            return int(self.stamps.min())
-        return int(np.add(self.stamps, self._untracked_offsets, out=self._offset_stamps).min())
+        if self._oldest is None:
+            held = self.stamps.take(self._tracked_flat) if self._reduced else self.stamps
+            self._oldest = int(held.min())
+        return self._oldest
+
+    def ages(self) -> tuple[int, int]:
+        """The oldest tracked age and the largest extra delay of the tables
+        after this round's `record_own`; never-heard entries are t + 1 old.
+        Loss-free tables are min(t + 1, max_lag) old, with no extra delay."""
+        t = self._t
+        if self.lossless:
+            self._oldest = t - min(t + 1, self.max_lag)
+            return t - self._oldest, 0
+        extra = t - int(np.add(self.stamps, self._offsets, out=self._offset_stamps).min())
+        return t - self.oldest_stamp(), extra
 
     def staleness(self, t: int) -> np.ndarray:
         """Per-entry age t - stamp over tracked columns (never-heard
@@ -171,7 +186,7 @@ class SwarmTables:
                 "the staleness bound was exceeded"
             )
 
-    def assemble(self, use_mask: np.ndarray | None = None, oldest: int | None = None) -> np.ndarray:
+    def assemble(self, use_mask: np.ndarray | None = None) -> np.ndarray:
         """Gradient blocks (n, d_max): row i is agent i's estimator, the
         sum over the columns j in `use_mask` (default: all) of quotient j
         times agent i's own perturbation of the stamped round, over n.
@@ -184,19 +199,16 @@ class SwarmTables:
         check, so it runs only when the oldest tracked stamp is that old.
         Never-heard entries (stamp -1) share a live slot, so their
         quotients are zeroed while a tracked entry is never heard, and
-        always for reduced tables, whose untracked entries stay -1.  A
-        caller that already holds this round's `oldest_stamp()` passes it
-        as `oldest`.
+        always for reduced tables, whose untracked entries stay -1.
         """
         t, cap = self._t, self.capacity
-        if oldest is None:
-            oldest = self.oldest_stamp()
+        oldest = self.oldest_stamp()
         if t >= cap and oldest <= t - cap:
             self._check_window(use_mask)
         # intp slots: take and bincount would otherwise convert the int32 ones
         slots = np.bitwise_and(self.stamps, self._mask, dtype=np.intp)
         q = self._q_ring.take(slots + self._agent_base)
-        if oldest < 0 or self._untracked_offsets is not None:
+        if oldest < 0 or self._reduced:
             q *= self.stamps >= 0
         if use_mask is not None:
             q *= use_mask

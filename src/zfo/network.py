@@ -144,7 +144,7 @@ class CommGraph:
         return f"CommGraph(n={self.n}, edges={self.edge_count})"
 
 
-def shortest_path_lengths(graph: CommGraph) -> np.ndarray:
+def shortest_path_lengths(graph: CommGraph, within: np.ndarray | None = None) -> np.ndarray:
     """All-pairs hop distances via BFS from every source at once; raises if
     the graph is disconnected.
 
@@ -152,6 +152,10 @@ def shortest_path_lengths(graph: CommGraph) -> np.ndarray:
     s.  A vertex joins the next frontier when one of its neighbors is on the
     current one, so each level is a column gather per neighbor slot (pads
     point at the vertex itself, which is already reached).
+
+    With `within`, an (n, n) mask where `within[s, v]` lets v relay what
+    source s sends, the sweep from s enters only such vertices: row s holds
+    the hops from s through them, -1 where none leads, and nothing raises.
     """
     n = graph.n
     neighbors = graph.neighbor_matrix()
@@ -159,6 +163,8 @@ def shortest_path_lengths(graph: CommGraph) -> np.ndarray:
     np.fill_diagonal(dist, 0)
     reached = np.eye(n, dtype=bool)
     frontier = reached.copy()
+    if within is not None:
+        reached |= ~np.asarray(within, dtype=bool)  # never entered, so never at a distance
     d = 0
     while frontier.any():
         d += 1
@@ -169,7 +175,7 @@ def shortest_path_lengths(graph: CommGraph) -> np.ndarray:
         dist[nxt] = d
         reached |= nxt
         frontier = nxt
-    if not reached.all():
+    if within is None and not reached.all():
         i, j = np.argwhere(~reached)[0]
         raise AssumptionViolation(
             f"communication graph is disconnected: no path between vertices "
@@ -184,7 +190,9 @@ class NetworkStats:
 
     b_bar aggregates (hops + delta)^2 uniformly over ordered pairs;
     b_frak weights each receiving agent by its block dimension; the
-    staleness bound is the worst pairwise delay, max hops + delta.
+    staleness bound is the worst pairwise delay, max hops + delta.  All
+    three range over the full graph's pairs, also where a run with
+    reduced tables bounds only its tracked pairs.
     """
 
     n: int
@@ -198,8 +206,8 @@ class NetworkStats:
 
 
 def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
-    if delta < 0:
-        raise ConfigurationError("extra delay bound must be >= 0")
+    if not float(delta).is_integer() or delta < 0:
+        raise ConfigurationError(f"extra delay bound must be an integer >= 0, got {delta}")
     dist = shortest_path_lengths(graph)
     n = graph.n
     if dims is None:
@@ -271,8 +279,9 @@ class BernoulliDrops(DelayModel):
     def __init__(self, p: float, declared_delta: int):
         if not (0.0 <= p < 1.0):
             raise ConfigurationError("drop probability must lie in [0, 1)")
-        if declared_delta < 0:
-            raise ConfigurationError("declared extra delay must be >= 0")
+        if not float(declared_delta).is_integer() or declared_delta < 0:
+            delta = declared_delta
+            raise ConfigurationError(f"declared extra delay must be an integer >= 0, got {delta}")
         self.p = float(p)
         self.declared_delta = int(declared_delta)
 
@@ -311,7 +320,8 @@ def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
     Information about j can only travel through V_j, so every agent l
     that needs column j (j in A_l) must reach j inside the subgraph
     induced by V_j. Witnesses name a non-tracking cut vertex on a full
-    shortest path from a stranded needer to j.
+    shortest path from a stranded needer to j; only they need distances
+    in the full graph, which raises if it is disconnected.
     """
     n = graph.n
     affected = [frozenset(int(a) for a in s) for s in affected]
@@ -322,41 +332,27 @@ def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
             raise ConfigurationError(f"agent {i + 1} must belong to its own affected set")
         if any(a < 0 or a >= n for a in s):
             raise ConfigurationError(f"affected set of agent {i + 1} out of range")
-    witnesses: list[tuple[int, int, int]] = []
-    full_dist = shortest_path_lengths(graph)
-    distances = np.full((n, n), -1, dtype=np.int64)
-    for j in range(n):
-        trackers = {r for r in range(n) if j in affected[r]}
-        # BFS from j inside the induced subgraph of trackers.
-        reach = {j}
-        frontier = [j]
-        hops = 0
-        while frontier:
-            distances[frontier, j] = hops
-            hops += 1
-            nxt = []
-            for v in frontier:
-                for w in graph.neighbors[v]:
-                    w = int(w)
-                    if w in trackers and w not in reach:
-                        reach.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        for l in sorted(trackers - reach):
-            witnesses.append((_blocking_vertex(graph, full_dist, affected, l, j), j, l))
+    tracked = np.zeros((n, n), dtype=bool)
+    for l, s in enumerate(affected):
+        tracked[l, list(s)] = True
+    # the sweep from column j runs through its trackers V_j: within = tracked.T
+    distances = shortest_path_lengths(graph, within=tracked.T).T
+    # stranded (column, needer) pairs, column by column
+    stranded = np.argwhere((tracked & (distances < 0)).T)
+    full_dist = shortest_path_lengths(graph) if len(stranded) else None
+    witnesses = [
+        (_blocking_vertex(graph, full_dist, affected, int(l), int(j)), int(j), int(l))
+        for j, l in stranded
+    ]
     return CompatibilityReport(
         compatible=not witnesses, witnesses=witnesses, distances=distances
     )
 
 
 def _blocking_vertex(graph, dist, affected, l, j):
-    """First vertex on a shortest l-to-j path that does not track j."""
+    """First vertex on a shortest l-to-j path that does not track j; the
+    path must meet one, since the trackers strand l."""
     v = l
-    while v != j:
-        for w in graph.neighbors[v]:
-            if dist[w, j] == dist[v, j] - 1:
-                v = int(w)
-                break
-        if j not in affected[v]:
-            return v
-    return j  # unreachable in practice; satisfies the return type
+    while j in affected[v]:
+        v = next(int(w) for w in graph.neighbors[v] if dist[w, j] == dist[v, j] - 1)
+    return v

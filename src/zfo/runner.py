@@ -290,6 +290,11 @@ def _validate(config: RunConfig) -> None:
         value = getattr(config, name)
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
+    # the integer options refuse a non-integral value instead of truncating it
+    for name in (f.name for f in fields(config) if f.type == "int"):
+        value = getattr(config, name)
+        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+            raise ConfigurationError(f"{name} must be an integer, got {value}")
     if config.u <= 0:
         raise ConfigurationError(f"smoothing radius u must be > 0, got {config.u}")
     if config.eta < 0:
@@ -306,8 +311,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError("metric_every must be >= 1")
     if config.history_slack < 1:
         raise ConfigurationError("history_slack must be >= 1")
-    if int(config.horizon) != config.horizon or config.horizon < 0:
-        raise ConfigurationError(f"horizon must be a non-negative integer, got {config.horizon}")
+    if config.horizon < 0:
+        raise ConfigurationError(f"horizon must be >= 0, got {config.horizon}")
     if config.horizon >= MAX_ROUNDS:
         raise ConfigurationError(
             f"horizon must be below 2**30 = {MAX_ROUNDS} (table stamps are int32), "
@@ -338,8 +343,9 @@ def run(config: RunConfig) -> RunTrace:
 
     # --- estimator masks and tables ---------------------------------------
     # A tracked entry (i, j) is at most its hop distance old plus the extra
-    # delay.  Reduced tables relay column j only through its trackers, so
-    # their distances are taken inside each column's tracker subgraph.
+    # delay, so the staleness bound is the largest tracked distance plus the
+    # declared extra delay.  Reduced tables relay column j only through its
+    # trackers, so their distances are taken inside each column's trackers.
     distances = shortest_path_lengths(graph)
     aff_mask = None
     if config.mode == "dependence":
@@ -356,11 +362,13 @@ def run(config: RunConfig) -> RunTrace:
             )
         tracked = aff_mask.copy()
         np.fill_diagonal(tracked, True)
-        distances = np.where(tracked, report.distances, distances)
+        distances = report.distances
     else:
         tracked = np.ones((n, n), dtype=bool)
     declared_delta = int(config.delay.declared_delta)
-    staleness_bound = int(distances.max()) + declared_delta
+    headroom = declared_delta + int(config.history_slack)
+    swarm = SwarmTables(n, tracked, headroom, d_max, distances, config.delay.lossless)
+    staleness_bound = swarm.max_lag + declared_delta
     if horizon < staleness_bound:
         raise ConfigurationError(
             f"horizon {horizon} is below the staleness bound {staleness_bound}; "
@@ -380,12 +388,6 @@ def run(config: RunConfig) -> RunTrace:
                 "convergence guarantees may not apply"
             )
 
-    # With no message lost a tracked entry is exactly its distance old once
-    # heard: the tables are written in closed form and never gossip.
-    lossless = config.delay.lossless
-    max_lag = int(distances[tracked].max())
-    cap = staleness_bound + int(config.history_slack)
-    swarm = SwarmTables(n, tracked, cap, d_max, lags=distances if lossless else None)
     use_mask = aff_mask if config.mode == "dependence" else None
 
     # --- neighbor matrix (rows padded with the agent itself) --------------
@@ -444,15 +446,6 @@ def run(config: RunConfig) -> RunTrace:
     x_final: np.ndarray | None = None
     fd_noted = False
 
-    # Staleness over tracked entries: the largest age t - stamp is t minus
-    # the oldest stamp, and the largest extra delay (t - stamp) - distance is
-    # t minus the smallest stamp + distance.  Untracked entries are pushed
-    # out of the second minimum (the own column is always tracked); the sum
-    # is written into a preallocated int32 buffer, so a round allocates no
-    # table.
-    extra_offsets = np.where(tracked, distances, MAX_ROUNDS).astype(np.int32)
-    offset_stamps = np.empty((n, n), dtype=np.int32)
-
     signs_u = np.array([[[u]], [[-u]]])  # (x + u z, x - u z) = x + z * signs_u
 
     for t in range(horizon + 1):
@@ -485,32 +478,26 @@ def run(config: RunConfig) -> RunTrace:
         if not np.isfinite(quotients).all():
             bad = int(np.argmin(np.isfinite(quotients))) + 1
             raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {t}")
-        if not lossless and t > 0 and max_deg > 0:
+        if not swarm.lossless and t > 0 and max_deg > 0:
             # (5) merge what neighbors sent last round: the live tables
             drop = config.delay.drop_mask(net_gen, (n, max_deg))
             swarm.merge_from(swarm.stamps, neighbor_matrix, drop)
         # (6) stamp the own entries; the tables are then what everyone sends
+        # (with no message lost, the merged tables are written in closed form)
         swarm.record_own(t, quotients, z)
 
-        if lossless:
-            # (5)-(6) record_own wrote the merged tables: every tracked entry
-            # is its distance old once heard, so the oldest is min(t + 1,
-            # max_lag) rounds old and the extra delay stays 0
-            stale_now = min(t + 1, max_lag)
-        else:
-            stale_now = t - swarm.oldest_stamp()
-            extra_now = t - int(np.add(swarm.stamps, extra_offsets, out=offset_stamps).min())
-            if extra_now > delta_hat:
-                delta_hat = extra_now
-                if config.strict_staleness and delta_hat > declared_delta:
-                    raise ProtocolViolation(
-                        f"measured extra staleness {delta_hat} exceeds the declared bound "
-                        f"{declared_delta} at round {t}"
-                    )
+        stale_now, extra_now = swarm.ages()
+        if extra_now > delta_hat:
+            delta_hat = extra_now
+            if config.strict_staleness and delta_hat > declared_delta:
+                raise ProtocolViolation(
+                    f"measured extra staleness {delta_hat} exceeds the declared bound "
+                    f"{declared_delta} at round {t}"
+                )
         stale_max_overall = max(stale_max_overall, stale_now)
 
         # (7) assemble gradient blocks and take the projected step
-        gradient = swarm.assemble(use_mask, t - stale_now)
+        gradient = swarm.assemble(use_mask)
         x_next = np.zeros((n, d_max))
         for g, shrunk_set in shrunk:
             x_next[g.index] = shrunk_set.project_batch(x[g.index] - eta * gradient[g.index])

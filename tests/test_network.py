@@ -188,6 +188,16 @@ def test_negative_delta_rejected():
         network_stats(CommGraph.path(2), delta=-1)
 
 
+def test_non_integral_delta_rejected():
+    # delta = 1.5 would record delta = 1 and B = 4 but weigh b_bar by 1.5
+    with pytest.raises(ConfigurationError, match="^extra delay bound must be an integer >= 0, got 1.5$"):
+        network_stats(CommGraph.path(4), 1.5)
+    with pytest.raises(ConfigurationError, match="^declared extra delay must be an integer >= 0, got 2.5$"):
+        BernoulliDrops(0.1, 2.5)
+    assert network_stats(CommGraph.path(4), 1.0).b_bar == network_stats(CommGraph.path(4), 1).b_bar
+    assert BernoulliDrops(0.1, 2.0).declared_delta == 2
+
+
 # ---------------------------------------------------------------------------
 # edge-list parsing
 
@@ -278,6 +288,71 @@ def test_chained_groups_on_ordered_path_compatible():
         gi = groups[i]
         affected.append({j for j in range(6) if abs(groups[j] - gi) <= 1})
     assert check_compatibility(g, affected).compatible
+
+
+def _reference_compatibility(graph, affected):
+    """Per-column breadth-first search inside each column's trackers, with
+    witnesses walked along full-graph shortest paths: (distances, compatible,
+    witnesses) as `check_compatibility` defines them."""
+    n = graph.n
+    full_dist = _floyd_warshall(n, graph.edges)
+    distances = np.full((n, n), -1, dtype=np.int64)
+    witnesses = []
+    for j in range(n):
+        trackers = {r for r in range(n) if j in affected[r]}
+        reach = {j}
+        frontier = [j]
+        hops = 0
+        while frontier:
+            distances[frontier, j] = hops
+            hops += 1
+            nxt = []
+            for v in frontier:
+                for w in graph.neighbors[v]:
+                    w = int(w)
+                    if w in trackers and w not in reach:
+                        reach.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        for l in sorted(trackers - reach):
+            v = l  # the first non-tracker on a shortest l-to-j path
+            while j in affected[v]:
+                v = next(int(w) for w in graph.neighbors[v] if full_dist[w, j] == full_dist[v, j] - 1)
+            witnesses.append((v, j, l))
+    return distances, not witnesses, witnesses
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    max_degree=st.integers(2, 6),
+    kind=st.sampled_from(["random", "path", "ring", "complete"]),
+    data=st.data(),
+)
+def test_masked_sweep_matches_per_column_reference(n, seed, max_degree, kind, data):
+    if kind == "random":
+        g = CommGraph.random_connected(n, seed=seed, max_degree=max_degree)
+    else:
+        g = getattr(CommGraph, kind)(n)
+    # each agent affects itself and a drawn set: from none to every other agent
+    affected = [data.draw(st.sets(st.integers(0, n - 1))) | {i} for i in range(n)]
+    report = check_compatibility(g, affected)
+    distances, compatible, witnesses = _reference_compatibility(g, affected)
+    np.testing.assert_array_equal(report.distances, distances)
+    assert report.compatible == compatible
+    assert report.witnesses == witnesses
+
+
+def test_masked_sweep_keeps_unreachable_entries_at_minus_one():
+    # within[s, v] lets v relay for source s: on the path 1 - 2 - 3 with agent
+    # 2 closed to source 1, source 1 reaches nothing, and nothing raises
+    within = np.ones((3, 3), dtype=bool)
+    within[0, 1] = False
+    np.testing.assert_array_equal(
+        shortest_path_lengths(CommGraph.path(3), within),
+        [[0, -1, -1], [1, 0, 1], [2, 1, 0]],
+    )
 
 
 def test_affected_must_contain_self():

@@ -422,6 +422,54 @@ def test_reduced_tables_stale_by_distances_inside_the_trackers():
         assert reduced.assumption_clean
 
 
+def _dependence_graph(problem: Problem) -> CommGraph:
+    """The graph linking each agent to the agents whose costs it affects."""
+    edges = [(i, j) for i, costs in enumerate(problem.affected) for j in costs if i < j]
+    return CommGraph(problem.n, edges)
+
+
+def test_reduced_tables_bound_counts_only_tracked_distances():
+    # routing 6 x 1 over its own dependence graph, a path of 6: every tracked
+    # entry is 1 hop away, so B = 1 where the diameter is 5, and every round
+    # from t = 1 enters the ergodic window
+    problem = routing_problem(build_routing_instance(6, 1, seed=0))
+    graph = _dependence_graph(problem)
+    assert graph.edges == [(i, i + 1) for i in range(5)]
+    common = dict(problem=problem, graph=graph, eta=1e-3, u=1e-3, delta=0.02, horizon=40)
+    trace = run(RunConfig(mode="dependence", reduced_tables=True, **common))
+    assert (trace.staleness_bound, trace.stale_max_overall, trace.delta_hat) == (1, 1, 0)
+    assert trace.samples == 40
+    # full tables track the ends' columns 5 hops apart
+    assert run(RunConfig(mode="dependence", **common)).staleness_bound == 5
+
+
+def test_reduced_tables_window_holds_at_the_tracked_bound():
+    # 40 x 5 routing over its dependence graph (diameter 39) with drops: the
+    # tracked entries are at most 1 hop apart, so B = 1 + 3 and the rings hold
+    # 4 + 32 rounds; the oldest used entry stays well inside them
+    problem = routing_problem(build_routing_instance(40, 5, seed=0))
+    trace = run(
+        RunConfig(
+            problem=problem, graph=_dependence_graph(problem), eta=1e-3, u=4e-3, delta=0.10,
+            sigma=0.1, horizon=400, delay=BernoulliDrops(0.1, 3), seed=7, mode="dependence",
+            reduced_tables=True, metric_every=400,
+        )
+    )
+    assert trace.staleness_bound == 4 and trace.samples == 397
+    assert trace.stale_max_overall < 36 and trace.assumption_clean
+
+
+def test_disconnected_graph_refused_in_every_mode():
+    # each half's tracker sets are connected, so only the graph check refuses
+    problem = build_trig_sum(4, 1, seed=0)
+    halves = [frozenset({0, 1})] * 2 + [frozenset({2, 3})] * 2
+    problem = dataclasses.replace(problem, affected=halves)
+    common = dict(problem=problem, graph=CommGraph(4, [(0, 1), (2, 3)]), eta=1e-2, u=1e-3, horizon=10)
+    for mode, reduced in (("full", False), ("dependence", False), ("dependence", True)):
+        with pytest.raises(AssumptionViolation, match="disconnected"):
+            run(RunConfig(mode=mode, reduced_tables=reduced, **common))
+
+
 def test_full_mode_payload_tracks_every_column():
     trace = run(_quadratic_config(horizon=10))
     assert trace.payload_columns == [3, 3, 3]
@@ -691,6 +739,21 @@ def test_config_validation_errors():
                         ("u", math.inf), ("u", math.nan)):
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}$"):
             run(RunConfig(**{**ok, name: value}))
+
+
+def test_integer_options_refuse_non_integral_values():
+    # truncated, metric_every = 2.5 would write rows at t = 0, 5 and 10, and
+    # seed = 1.7 would run and report seed 1
+    for name, value in (("horizon", 10.5), ("seed", 1.7), ("metric_every", 2.5),
+                        ("history_slack", 2.5), ("seed", math.nan), ("horizon", math.inf)):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got {value}$"):
+            run(_quadratic_config(**{name: value}))
+    # integral floats keep working
+    trace = run(_quadratic_config(horizon=10.0, seed=11.0, metric_every=5.0, history_slack=4.0))
+    assert [row["t"] for row in trace.rows] == [0, 5, 10]
+    assert trace.seed == 11 and trace.x_final.tobytes() == run(
+        _quadratic_config(horizon=10, metric_every=5, history_slack=4)
+    ).x_final.tobytes()
 
 
 def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
