@@ -38,9 +38,6 @@ from .planner import REGIMES, ProblemConstants, plan, verify_plan
 from .problems import centralized_solve
 from .runner import run, summary_dict, write_trace_csv
 
-_WORKERS_ENV = "ZFO_WORKERS"
-
-
 def _write_json(data: dict, path: str | None) -> None:
     text = json.dumps(data, indent=2, sort_keys=False)
     if path:
@@ -187,16 +184,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seed_base < 0:
         raise ConfigurationError(f"--seed-base must be >= 0, got {args.seed_base}")
     config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
-    workers = args.workers
-    if not workers:
-        raw = os.environ.get(_WORKERS_ENV) or "0"
-        if not raw.isdecimal():
-            raise ConfigurationError(f"{_WORKERS_ENV} must be a non-negative integer, got {raw!r}")
-        workers = int(raw)
-    elif workers < 0:
-        raise ConfigurationError(f"--workers must be >= 0, got {workers}")
+    if args.workers < 0:
+        raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
+    workers = min(args.workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
     os.makedirs(args.out_dir, exist_ok=True)
     seeds = [args.seed_base + k for k in range(args.seeds)]
     # an earlier sweep's files would contradict this one's: remove every file
@@ -312,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--workers",
         type=int,
-        help=f"parallel workers, capped at the usable CPUs (default: ${_WORKERS_ENV} or all)",
+        default=0,
+        help="parallel workers, capped at the usable CPUs (default 0: all of them)",
     )
     _add_override_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -74,7 +74,6 @@ class Problem:
     sets: list[ConvexSet]
     local_costs: Callable[..., np.ndarray]  # (flat, check=True) -> (n,); (R, D) -> (R, n)
     grad: Callable[[np.ndarray], np.ndarray] | None = None  # gradient of f; (R, D) -> (R, D)
-    local_grads: Callable[[np.ndarray], np.ndarray] | None = None  # (n, d)
     affected: list[frozenset[int]] | None = None  # A_i: agents whose costs agent i affects
     f_star: float | None = None
     x_star: np.ndarray | None = None
@@ -170,9 +169,6 @@ def build_box_quadratic(
     def grad(flat):
         return np.asarray(flat, dtype=float) - c_mean
 
-    def local_grads(flat):
-        return np.asarray(flat, dtype=float)[None, :] - centers
-
     f_star = float(0.5 * np.mean(np.sum(centers**2, axis=1)) - 0.5 * np.dot(c_mean, c_mean))
     # exact worst-case values over the box
     far_sq = np.maximum((-w - centers) ** 2, (w - centers) ** 2).sum(axis=1)
@@ -185,7 +181,6 @@ def build_box_quadratic(
         sets=sets,
         local_costs=local_costs,
         grad=grad,
-        local_grads=local_grads,
         affected=[frozenset(range(n)) for _ in range(n)],
         f_star=f_star,
         x_star=c_mean.copy(),
@@ -222,12 +217,9 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
         flat = np.asarray(flat, dtype=float)
         return np.sum(amps * (1.0 - np.cos(flat[..., None, :] - phases)), axis=-1)
 
-    def local_grads(flat):
-        flat = np.asarray(flat, dtype=float)
-        return amps * np.sin(flat[..., None, :] - phases)
-
     def grad(flat):
-        return local_grads(flat).mean(axis=-2)
+        flat = np.asarray(flat, dtype=float)
+        return (amps * np.sin(flat[..., None, :] - phases)).mean(axis=-2)
 
     return Problem(
         name="trig_sum",
@@ -235,7 +227,6 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
         sets=[WholeSpace(dim_per_agent) for _ in range(n)],
         local_costs=local_costs,
         grad=grad,
-        local_grads=local_grads,
         affected=[frozenset(range(n)) for _ in range(n)],
         f_lower=0.0,
         meta={

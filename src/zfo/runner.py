@@ -91,15 +91,16 @@ class RunConfig:
     dependence sets; the run refuses to start otherwise.
 
     ``seed`` is the master seed of every random stream.  ``metric_every``
-    sets the cadence of the trace rows (round 0, every ``metric_every``
-    rounds, and the last round).  ``strict_staleness`` turns a measured
-    extra delay above the delay model's declared bound into an abort
-    instead of a flagged summary.  ``history_slack`` sets the capacity of
-    the quotient and perturbation rings to the staleness bound plus the
-    slack; a table entry older than that aborts the run with
-    ``ProtocolViolation``.  ``track_gradients=False`` turns off the
-    per-round ``‖∇f‖²`` accumulation behind ``grad_sq_mean_ergodic``; the
-    run keeps the states it owes a norm and settles them in blocks, one
+    sets the cadence of the trace rows: round 0, every ``metric_every``
+    rounds, and the last round, whose row gives the final cost, gap and
+    gradient norm.  ``probe`` receives the engine's round state after every
+    round (see `RoundView`).  ``strict_staleness`` turns a measured extra
+    delay above the delay model's declared bound into an abort instead of
+    a flagged summary.  ``history_slack`` sets the capacity of the quotient
+    and perturbation rings to the staleness bound plus the slack; a table
+    entry older than that aborts the run with ``ProtocolViolation``.
+    ``track_gradients=False`` turns off ``grad_sq_mean_ergodic``; otherwise
+    the run keeps the states it owes a norm and settles them in blocks, one
     stacked ``grad`` call each, adding the norms in round order.
 
     The fields annotated ``float``, ``int``, ``str`` or ``bool`` are the
@@ -144,9 +145,10 @@ class RunConfig:
 
 @dataclass
 class RoundView:
-    """Live references handed to a probe after the merge/assemble phase.
+    """The engine's round state, handed to a probe after each round's step.
 
-    Arrays are the engine's working storage: copy anything you keep.
+    One object serves the whole run and the engine rebinds its fields every
+    round; the arrays are its working storage, so copy anything you keep.
     ``x`` is the round's pre-step state; ``x_next`` the post-step state.
     The age of every table entry is ``tables.staleness(t)``.
     """
@@ -272,15 +274,6 @@ def _first_infeasible(shrunk, x: np.ndarray, signed: np.ndarray | None) -> int |
     return None
 
 
-def _add_grad_sq(problem: Problem, states: np.ndarray, acc: float) -> float:
-    """`acc` plus ‖∇f‖² at each row of `states`, added in row order: one
-    stacked gradient call, then each row's dot product as the one-vector
-    call's (on C-contiguous rows, which `np.dot` rounds alike)."""
-    for g in np.ascontiguousarray(problem.grad(states)):
-        acc += float(np.dot(g, g))
-    return acc
-
-
 def _validate(config: RunConfig) -> None:
     p, g = config.problem, config.graph
     if p.n != g.n:
@@ -324,8 +317,271 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError("reduced tables require dependence mode")
 
 
+def _project(shrunk, x: np.ndarray) -> np.ndarray:
+    """A new block array: `x` projected group by group onto the shrunken sets."""
+    out = np.zeros(x.shape)
+    for g, shrunk_set in shrunk:
+        out[g.index] = shrunk_set.project_batch(x[g.index])
+    return out
+
+
+class _Round(RoundView):
+    """One run's engine state, advanced a round at a time by its phases and
+    handed to the probe as the round's `RoundView`.  The phases look module
+    globals and methods up at each call, so a patched or traced one applies.
+    The private state lives in slots: in the instance dict it slowed rounds."""
+
+    __slots__ = (
+        "_config", "_problem", "_eta", "_u", "_delta", "_horizon", "_metric_every", "_use_mask",
+        "_declared_delta", "_bound", "_neighbors", "_gossip", "_shrunk", "_perturb_gens",
+        "_noise_gens", "_net_gen", "_block_rounds", "_zhat", "_noise", "_bi", "_stats", "_signs_u",
+        "_signed", "_x_acc", "_owed", "_owed_count", "_samples", "_checks", "_stale_now",
+        "_stale_max", "_delta_hat", "_grad_sq_acc", "_step_excess", "_flat",
+    )
+
+    def __init__(self, config: RunConfig):
+        problem, graph = config.problem, config.graph
+        n, d_max = problem.n, problem.d_max
+        self._config, self._problem = config, problem
+        self.dims = np.asarray(problem.dims, dtype=np.int64)
+        self.dim_mask = problem.dim_mask
+        self._eta, self._u, self._delta = config.eta, config.u, config.delta
+        self._horizon, self._metric_every = int(config.horizon), config.metric_every
+        self.notes: list[str] = []
+
+        # A tracked entry (i, j) is at most its hop distance old plus the extra
+        # delay, so the staleness bound is the largest tracked distance plus the
+        # declared extra delay.  Reduced tables relay column j only through its
+        # trackers, so their distances are taken inside each column's trackers.
+        distances = shortest_path_lengths(graph)
+        self._use_mask = None
+        if config.mode == "dependence":
+            # agent i's block of the gradient of f needs the costs i affects, A_i
+            self._use_mask = np.zeros((n, n), dtype=bool)
+            for i, costs in enumerate(problem.affected):
+                self._use_mask[i, list(costs)] = True
+        if config.reduced_tables:
+            report = check_compatibility(graph, problem.affected)
+            if not report.compatible:
+                raise ConfigurationError(
+                    "reduced tables need a graph compatible with the dependence sets; "
+                    f"blocking (tracker, non-tracker, column) triples: {report.witnesses[:5]}"
+                )
+            tracked = self._use_mask.copy()
+            np.fill_diagonal(tracked, True)
+            distances = report.distances
+        else:
+            tracked = np.ones((n, n), dtype=bool)
+        self._declared_delta = int(config.delay.declared_delta)
+        headroom = self._declared_delta + int(config.history_slack)
+        self.tables = SwarmTables(n, tracked, headroom, d_max, distances, config.delay.lossless)
+        self._bound = self.tables.max_lag + self._declared_delta
+        if self._horizon < self._bound:
+            raise ConfigurationError(
+                f"horizon {self._horizon} is below the staleness bound {self._bound}; "
+                "no round would enter the ergodic window"
+            )
+        # neighbours padded with the agent itself; a lone agent has none to hear
+        self._neighbors = graph.neighbor_matrix()
+        self._gossip = not self.tables.lossless and n > 1
+
+        self._shrunk = [(g, g.set.shrink(self._delta)) for g in problem.groups]
+        inner_radii = [g.set.inner_radius() for g in problem.groups]
+        if all(np.isfinite(r) for r in inner_radii):
+            hypothesis = self._delta * min(inner_radii) / (3.0 * np.sqrt(problem.total_dim))
+            if self._u > hypothesis:
+                self.notes.append(
+                    f"smoothing radius u = {self._u} exceeds the analyzed range "
+                    f"delta * inner_radius / (3 sqrt(d)) = {hypothesis}; "
+                    "convergence guarantees may not apply"
+                )
+
+        seed, noisy = config.seed, config.sigma > 0
+        self._perturb_gens = [_stream(seed, _PURPOSE_PERTURBATION, i) for i in range(n)]
+        self._noise_gens = [_stream(seed, _PURPOSE_NOISE, i) for i in range(n)] if noisy else None
+        self._net_gen = _stream(seed, _PURPOSE_NETWORK, 0)
+        round_floats = n * d_max + (2 * n if noisy else 0)
+        self._block_rounds = min(self._horizon + 1, max(1, _BLOCK_FLOATS // round_floats))
+        self._zhat = np.zeros((self._block_rounds, n, d_max))
+        self._noise = np.zeros((self._block_rounds, 2, n)) if noisy else None  # sigma-scaled
+
+        x0 = np.zeros(problem.total_dim) if config.x0 is None else np.asarray(config.x0, dtype=float)
+        if x0.shape != (problem.total_dim,):
+            raise ConfigurationError(
+                f"x0 must be a flat vector of length {problem.total_dim}, got shape {x0.shape}"
+            )
+        x = problem.blocks(x0)
+        self.x = _project(self._shrunk, x)
+        moved = float(np.abs(self.x - x).max(initial=0.0))
+        if moved > _FEASIBILITY_TOL:
+            self.notes.append(
+                f"initial point was projected into the shrunken feasible set (moved {moved:.3e})"
+            )
+        if problem.grad is None:
+            self.notes.append("no analytic gradient available; cadence rows use finite differences")
+
+        self._stats = SampleStats()
+        self._signs_u = np.array([[[self._u]], [[-self._u]]])  # x + z * signs_u: (x + u z, x - u z)
+        self._x_acc = np.zeros(problem.total_dim)
+        track_grad = config.track_gradients and problem.grad is not None
+        owed_rows = max(1, _OWED_FLOATS // problem.total_dim)
+        self._owed = np.empty((owed_rows, problem.total_dim)) if track_grad else None
+        self._samples = self._owed_count = self._checks = self._stale_max = self._delta_hat = 0
+        self._grad_sq_acc = self._step_excess = 0.0
+        self.rows: list[dict] = []
+
+    def sample(self) -> None:
+        """(1) Constrained Gaussian perturbations, from draws made in blocks of rounds."""
+        t, x = self.t, self.x
+        self._bi = bi = t % self._block_rounds
+        if bi == 0:
+            count = min(self._block_rounds, self._horizon + 1 - t)
+            for i, d in enumerate(self.dims):
+                self._zhat[:count, i, :d] = self._perturb_gens[i].standard_normal((count, d))
+                if self._noise is not None:
+                    draws = self._noise_gens[i].standard_normal((count, 2))
+                    self._noise[:count, :, i] = self._config.sigma * draws
+        raw, u, stats = self._zhat[bi], self._u, self._stats
+        z = np.zeros(x.shape)
+        for g, _ in self._shrunk:
+            z[g.index] = constrain_perturbation_batch(g.set, x[g.index], raw[g.index], u, stats)
+        self.z = z
+
+    def guard(self) -> None:
+        """Hard constraints: the state and both signed actions are feasible."""
+        self._checks += 1
+        self._signed = signed = self.x + self.z * self._signs_u  # (2, n, d_max): x ± u z
+        agent = _first_infeasible(self._shrunk, self.x, signed)
+        if agent is not None:
+            t = self.t
+            raise DomainError(f"agent {agent + 1} would act outside its feasible set at round {t}")
+
+    def observe(self) -> None:
+        """(2)-(4) Every agent observes its cost at both signed actions, in one
+        stacked call (row 0 at x + u z), and forms its difference quotient."""
+        problem = self._problem
+        costs = np.asarray(problem.local_costs(problem.flat(self._signed), check=False), dtype=float)
+        if self._noise is not None:
+            costs = costs + self._noise[self._bi]
+        f_plus, f_minus = costs
+        self.f_plus, self.f_minus = f_plus, f_minus
+        self.quotients = quotients = (f_plus - f_minus) / (2.0 * self._u)
+        if not np.isfinite(quotients).all():
+            bad = int(np.argmin(np.isfinite(quotients))) + 1
+            raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {self.t}")
+
+    def exchange(self) -> None:
+        """(5)-(6) Merge the tables neighbours sent last round, then stamp the own
+        entries; with no message lost, `record_own` writes them in closed form."""
+        t, tables = self.t, self.tables
+        if self._gossip and t > 0:
+            drop = self._config.delay.drop_mask(self._net_gen, self._neighbors.shape)
+            tables.merge_from(tables.stamps, self._neighbors, drop)
+        tables.record_own(t, self.quotients, self.z)
+        self._stale_now, extra = tables.ages()
+        if extra > self._delta_hat:
+            self._delta_hat = extra
+            if self._config.strict_staleness and extra > self._declared_delta:
+                raise ProtocolViolation(
+                    f"measured extra staleness {extra} exceeds the declared bound "
+                    f"{self._declared_delta} at round {t}"
+                )
+        self._stale_max = max(self._stale_max, self._stale_now)
+
+    def step(self) -> None:
+        """(7) Assemble the gradient blocks and take the projected step."""
+        x, eta, n = self.x, self._eta, len(self.x)
+        self.gradient = gradient = self.tables.assemble(self._use_mask)
+        self.x_next = x_next = _project(self._shrunk, x - eta * gradient)
+        # row norms of the step and of the gradient, in one pass
+        pair = np.concatenate((x_next - x, gradient))
+        norms = np.sqrt((pair * pair).sum(axis=1))
+        excess = float((norms[:n] - eta * norms[n:]).max(initial=0.0))
+        self._step_excess = max(self._step_excess, excess)
+        # the bound scales with max(1, |x|): below the plain tolerance it cannot be
+        # crossed; a NaN excess (an overflowed step and gradient) passes neither test
+        if not excess <= _STEP_BOUND_TOL and not excess <= _STEP_BOUND_TOL * max(
+            1.0, float(np.abs(x).max(initial=0.0))
+        ):
+            raise OracleError(
+                f"projected step moved farther than the step bound allows at round {self.t} "
+                f"(excess {excess:.3e}); projection output is not certified"
+            )
+
+    def account(self) -> None:
+        """Ergodic sums over the rounds t >= B, and the cadence rows."""
+        t, problem = self.t, self._problem
+        self._flat = flat = problem.flat(self.x)
+        if t >= self._bound:
+            self._x_acc += flat
+            self._samples += 1
+            owed = self._owed
+            if owed is not None:
+                owed[self._owed_count] = flat
+                self._owed_count += 1
+                if self._owed_count == len(owed):
+                    self._settle()
+        if t % self._metric_every == 0 or t == self._horizon:
+            z_flat = problem.flat(self.z)
+            row = metrics_snapshot(problem, flat, t, delta=self._delta, u=self._u, z_flat=z_flat)
+            row["stale_max"] = self._stale_now
+            row["fallbacks"] = self._stats.fallbacks
+            self.rows.append(row)
+            if not row["feasible"]:
+                raise DomainError(f"feasibility check failed at round {t}")
+
+    def _settle(self) -> None:
+        """Add ‖∇f‖² at each owed state in round order: one stacked gradient
+        call, then each (C-contiguous) row's dot product as the one-vector call's."""
+        acc = self._grad_sq_acc
+        for g in np.ascontiguousarray(self._problem.grad(self._owed[: self._owed_count])):
+            acc += float(np.dot(g, g))
+        self._grad_sq_acc, self._owed_count = acc, 0
+
+    def trace(self, started: float) -> RunTrace:
+        """The run's outputs after its last round.  That round is a cadence
+        row taken at the final state, so the final values are read off it."""
+        problem, config = self._problem, self._config
+        if self._owed_count:
+            self._settle()
+        x_ergodic = self._x_acc / self._samples
+        f_ergodic = problem.global_cost(x_ergodic, check=False)
+        last = self.rows[-1]
+        columns = self.tables.tracked.sum(axis=1)
+        degrees = np.array([config.graph.degree(i) for i in range(problem.n)])
+        return RunTrace(
+            rows=self.rows,
+            x_final=self._flat.copy(),
+            x_ergodic=x_ergodic,
+            f_final=last["f"],
+            f_ergodic=float(f_ergodic),
+            gap_final=last["gap"],
+            gap_ergodic=None if problem.f_star is None else f_ergodic - problem.f_star,
+            grad_sq_final=None if problem.grad is None else last["grad_sq"],
+            grad_sq_mean_ergodic=None if self._owed is None else self._grad_sq_acc / self._samples,
+            samples=self._samples,
+            stale_max_overall=self._stale_max,
+            delta_hat=self._delta_hat,
+            assumption_clean=self._delta_hat <= self._declared_delta,
+            staleness_bound=self._bound,
+            feasibility_checks=self._checks,
+            feasibility_violations=0,
+            cap_projections=self._stats.projections,
+            fallback_projections=self._stats.fallbacks,
+            step_bound_max_excess=self._step_excess,
+            payload_columns=[int(c) for c in columns],
+            payload_floats_per_round=2 * int(degrees @ columns),
+            wall_time=time.perf_counter() - started,
+            seed=int(config.seed),
+            notes=tuple(self.notes),
+        )
+
+
 def run(config: RunConfig) -> RunTrace:
     """Execute one seeded run and return its trace.
+
+    Each round runs the phases of one state object in order (sample, guard,
+    observe, exchange, step, account), then hands it to the probe.
 
     Aborts with ``DomainError`` if any round would take an infeasible action
     (hard-constraint model), ``AssumptionViolation`` on a non-finite cost,
@@ -334,276 +590,20 @@ def run(config: RunConfig) -> RunTrace:
     """
     started = time.perf_counter()
     _validate(config)
-    problem, graph = config.problem, config.graph
-    n, d_max = problem.n, problem.d_max
-    dims = np.asarray(problem.dims, dtype=np.int64)
-    eta, u, delta, sigma = config.eta, config.u, config.delta, config.sigma
-    horizon = int(config.horizon)
-    notes: list[str] = []
-
-    # --- estimator masks and tables ---------------------------------------
-    # A tracked entry (i, j) is at most its hop distance old plus the extra
-    # delay, so the staleness bound is the largest tracked distance plus the
-    # declared extra delay.  Reduced tables relay column j only through its
-    # trackers, so their distances are taken inside each column's trackers.
-    distances = shortest_path_lengths(graph)
-    aff_mask = None
-    if config.mode == "dependence":
-        # agent i's block of the gradient of f needs the costs i affects, A_i
-        aff_mask = np.zeros((n, n), dtype=bool)
-        for i, costs in enumerate(problem.affected):
-            aff_mask[i, list(costs)] = True
-    if config.reduced_tables:
-        report = check_compatibility(graph, problem.affected)
-        if not report.compatible:
-            raise ConfigurationError(
-                "reduced tables need a graph compatible with the dependence sets; "
-                f"blocking (tracker, non-tracker, column) triples: {report.witnesses[:5]}"
-            )
-        tracked = aff_mask.copy()
-        np.fill_diagonal(tracked, True)
-        distances = report.distances
-    else:
-        tracked = np.ones((n, n), dtype=bool)
-    declared_delta = int(config.delay.declared_delta)
-    headroom = declared_delta + int(config.history_slack)
-    swarm = SwarmTables(n, tracked, headroom, d_max, distances, config.delay.lossless)
-    staleness_bound = swarm.max_lag + declared_delta
-    if horizon < staleness_bound:
-        raise ConfigurationError(
-            f"horizon {horizon} is below the staleness bound {staleness_bound}; "
-            "no round would enter the ergodic window"
-        )
-
-    # --- each set group with its shrunken set --------------------------------
-    shrunk = [(g, g.set.shrink(delta)) for g in problem.groups]
-
-    inner_radii = [g.set.inner_radius() for g in problem.groups]
-    if all(np.isfinite(r) for r in inner_radii):
-        hypothesis = delta * min(inner_radii) / (3.0 * np.sqrt(problem.total_dim))
-        if u > hypothesis:
-            notes.append(
-                f"smoothing radius u = {u} exceeds the analyzed range "
-                f"delta * inner_radius / (3 sqrt(d)) = {hypothesis}; "
-                "convergence guarantees may not apply"
-            )
-
-    use_mask = aff_mask if config.mode == "dependence" else None
-
-    # --- neighbor matrix (rows padded with the agent itself) --------------
-    max_deg = max(graph.degree(i) for i in range(n))
-    neighbor_matrix = graph.neighbor_matrix()
-
-    # --- random streams -----------------------------------------------------
-    perturb_gens = [_stream(config.seed, _PURPOSE_PERTURBATION, i) for i in range(n)]
-    noise_gens = (
-        [_stream(config.seed, _PURPOSE_NOISE, i) for i in range(n)] if sigma > 0 else None
-    )
-    net_gen = _stream(config.seed, _PURPOSE_NETWORK, 0)
-    round_floats = n * d_max + (2 * n if sigma > 0 else 0)
-    block_rounds = min(horizon + 1, max(1, _BLOCK_FLOATS // round_floats))
-    zhat_block = np.zeros((block_rounds, n, d_max))
-    noise_block = np.zeros((block_rounds, 2, n)) if sigma > 0 else None
-
-    def refill(start: int) -> None:
-        count = min(block_rounds, horizon + 1 - start)
-        for i in range(n):
-            zhat_block[:count, i, : dims[i]] = perturb_gens[i].standard_normal((count, dims[i]))
-            if noise_block is not None:
-                noise_block[:count, :, i] = noise_gens[i].standard_normal((count, 2))
-
-    # --- initial state -------------------------------------------------------
-    x0 = np.zeros(problem.total_dim) if config.x0 is None else np.asarray(config.x0, dtype=float)
-    if x0.shape != (problem.total_dim,):
-        raise ConfigurationError(
-            f"x0 must be a flat vector of length {problem.total_dim}, got shape {x0.shape}"
-        )
-    x = problem.blocks(x0)
-    moved = 0.0
-    for g, shrunk_set in shrunk:
-        projected = shrunk_set.project_batch(x[g.index])
-        moved = max(moved, float(np.abs(projected - x[g.index]).max(initial=0.0)))
-        x[g.index] = projected
-    if moved > _FEASIBILITY_TOL:
-        notes.append(
-            f"initial point was projected into the shrunken feasible set (moved {moved:.3e})"
-        )
-
-    # --- accumulators ---------------------------------------------------------
-    stats = SampleStats()
-    track_grad = config.track_gradients and problem.grad is not None
-    x_acc = np.zeros(problem.total_dim)
-    grad_sq_acc = 0.0
-    owed_rows = max(1, _OWED_FLOATS // problem.total_dim)
-    owed = np.empty((owed_rows, problem.total_dim)) if track_grad else None
-    owed_count = 0
-    samples = 0
-    stale_max_overall = 0
-    delta_hat = 0
-    feasibility_checks = 0
-    step_excess_max = 0.0
-    rows_out: list[dict] = []
-    x_final: np.ndarray | None = None
-    fd_noted = False
-
-    signs_u = np.array([[[u]], [[-u]]])  # (x + u z, x - u z) = x + z * signs_u
-
-    for t in range(horizon + 1):
-        bi = t % block_rounds
-        if bi == 0:
-            refill(t)
-
-        # (1) constrained Gaussian perturbations
-        raw = zhat_block[bi]
-        z = np.zeros((n, d_max))
-        for g in problem.groups:
-            z[g.index] = constrain_perturbation_batch(g.set, x[g.index], raw[g.index], u, stats)
-
-        # hard-constraint checks: current state and both signed actions
-        feasibility_checks += 1
-        signed = x + z * signs_u  # (2, n, d_max): x + u z, then x - u z
-        agent = _first_infeasible(shrunk, x, signed)
-        if agent is not None:
-            raise DomainError(f"agent {agent + 1} would act outside its feasible set at round {t}")
-
-        # (2)-(3) synchronous signed actions; every agent observes its cost
-        # at both, in one stacked call: row 0 at x + u z, row 1 at x - u z
-        costs = np.asarray(problem.local_costs(problem.flat(signed), check=False), dtype=float)
-        if sigma > 0:
-            costs = costs + sigma * noise_block[bi]
-        f_plus, f_minus = costs
-
-        # (4) difference quotients, stamped with the current round
-        quotients = (f_plus - f_minus) / (2.0 * u)
-        if not np.isfinite(quotients).all():
-            bad = int(np.argmin(np.isfinite(quotients))) + 1
-            raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {t}")
-        if not swarm.lossless and t > 0 and max_deg > 0:
-            # (5) merge what neighbors sent last round: the live tables
-            drop = config.delay.drop_mask(net_gen, (n, max_deg))
-            swarm.merge_from(swarm.stamps, neighbor_matrix, drop)
-        # (6) stamp the own entries; the tables are then what everyone sends
-        # (with no message lost, the merged tables are written in closed form)
-        swarm.record_own(t, quotients, z)
-
-        stale_now, extra_now = swarm.ages()
-        if extra_now > delta_hat:
-            delta_hat = extra_now
-            if config.strict_staleness and delta_hat > declared_delta:
-                raise ProtocolViolation(
-                    f"measured extra staleness {delta_hat} exceeds the declared bound "
-                    f"{declared_delta} at round {t}"
-                )
-        stale_max_overall = max(stale_max_overall, stale_now)
-
-        # (7) assemble gradient blocks and take the projected step
-        gradient = swarm.assemble(use_mask)
-        x_next = np.zeros((n, d_max))
-        for g, shrunk_set in shrunk:
-            x_next[g.index] = shrunk_set.project_batch(x[g.index] - eta * gradient[g.index])
-
-        # row norms of the step and of the gradient, in one pass
-        pair = np.concatenate((x_next - x, gradient))
-        norms = np.sqrt((pair * pair).sum(axis=1))
-        excess = float((norms[:n] - eta * norms[n:]).max(initial=0.0))
-        step_excess_max = max(step_excess_max, excess)
-        # the bound scales with max(1, |x|): below the plain tolerance it cannot be
-        # crossed; a NaN excess (an overflowed step and gradient) passes neither test
-        if not excess <= _STEP_BOUND_TOL and not excess <= _STEP_BOUND_TOL * max(
-            1.0, float(np.abs(x).max(initial=0.0))
-        ):
-            raise OracleError(
-                f"projected step moved farther than the step bound allows at round {t} "
-                f"(excess {excess:.3e}); projection output is not certified"
-            )
-
-        flat = problem.flat(x)
-        if t >= staleness_bound:
-            x_acc += flat
-            samples += 1
-            if track_grad:
-                owed[owed_count] = flat
-                owed_count += 1
-                if owed_count == owed_rows:
-                    grad_sq_acc = _add_grad_sq(problem, owed, grad_sq_acc)
-                    owed_count = 0
-
-        if t == 0 or t % config.metric_every == 0 or t == horizon:
-            row = metrics_snapshot(problem, flat, t, delta=delta, u=u, z_flat=problem.flat(z))
-            if row["grad_estimated"] and not fd_noted:
-                fd_noted = True
-                notes.append(
-                    "no analytic gradient available; cadence rows use finite differences"
-                )
-            row["stale_max"] = stale_now
-            row["fallbacks"] = stats.fallbacks
-            rows_out.append(row)
-            if not row["feasible"]:
-                raise DomainError(f"feasibility check failed at round {t}")
-
-        if config.probe is not None:
-            config.probe(
-                RoundView(
-                    t=t,
-                    x=x,
-                    z=z,
-                    f_plus=f_plus,
-                    f_minus=f_minus,
-                    quotients=quotients,
-                    tables=swarm,
-                    gradient=gradient,
-                    x_next=x_next,
-                    dims=dims,
-                    dim_mask=problem.dim_mask,
-                )
-            )
-
-        if t == horizon:
-            x_final = flat.copy()
-        x = x_next
-
-    if owed_count:
-        grad_sq_acc = _add_grad_sq(problem, owed[:owed_count], grad_sq_acc)
-    x_ergodic = x_acc / samples
-    f_final = problem.global_cost(x_final, check=False)
-    f_ergodic = problem.global_cost(x_ergodic, check=False)
-    gap_final = None if problem.f_star is None else f_final - problem.f_star
-    gap_ergodic = None if problem.f_star is None else f_ergodic - problem.f_star
-    if problem.grad is not None:
-        g_fin = problem.grad(x_final)
-        grad_sq_final = float(np.dot(g_fin, g_fin))
-    else:
-        grad_sq_final = None
-
-    payload_columns = [int(c) for c in tracked.sum(axis=1)]
-    payload_floats = int(sum(graph.degree(i) * 2 * payload_columns[i] for i in range(n)))
-
-    return RunTrace(
-        rows=rows_out,
-        x_final=x_final,
-        x_ergodic=x_ergodic,
-        f_final=float(f_final),
-        f_ergodic=float(f_ergodic),
-        gap_final=gap_final,
-        gap_ergodic=gap_ergodic,
-        grad_sq_final=grad_sq_final,
-        grad_sq_mean_ergodic=(grad_sq_acc / samples) if track_grad else None,
-        samples=samples,
-        stale_max_overall=stale_max_overall,
-        delta_hat=max(0, delta_hat),
-        assumption_clean=max(0, delta_hat) <= declared_delta,
-        staleness_bound=staleness_bound,
-        feasibility_checks=feasibility_checks,
-        feasibility_violations=0,
-        cap_projections=stats.projections,
-        fallback_projections=stats.fallbacks,
-        step_bound_max_excess=step_excess_max,
-        payload_columns=payload_columns,
-        payload_floats_per_round=payload_floats,
-        wall_time=time.perf_counter() - started,
-        seed=int(config.seed),
-        notes=tuple(notes),
-    )
+    state = _Round(config)
+    probe = config.probe
+    for t in range(state._horizon + 1):
+        state.t = t
+        state.sample()
+        state.guard()
+        state.observe()
+        state.exchange()
+        state.step()
+        state.account()
+        if probe is not None:
+            probe(state)
+        state.x = state.x_next
+    return state.trace(started)
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:

@@ -471,16 +471,6 @@ def test_sweep_solves_the_reference_once(tmp_path, monkeypatch):
     ]
 
 
-def test_workers_env_default(tmp_path, monkeypatch):
-    doc = _base_doc()
-    doc["params"]["horizon"] = 10
-    cfg = _write(tmp_path, doc)
-    monkeypatch.setenv("ZFO_WORKERS", "1")
-    out = tmp_path / "env"
-    assert main(["sweep", "--config", cfg, "--seeds", "2", "--out-dir", str(out)]) == 0
-    assert (out / "aggregate.csv").exists()
-
-
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs the
     worker initializer and maps in this process, so no worker is started."""
@@ -510,15 +500,12 @@ def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(_SerialPool, "created", [])
-    monkeypatch.delenv("ZFO_WORKERS", raising=False)
     out = str(tmp_path / "sweep")
     sweep = ["sweep", "--config", cfg, "--seeds", "4", "--out-dir", out]
     assert main(sweep + ["--workers", "5000"]) == 0
     assert main(sweep + ["--workers", "2"]) == 0
     assert main(sweep) == 0
-    monkeypatch.setenv("ZFO_WORKERS", "5000")
-    assert main(sweep) == 0
-    assert _SerialPool.created == [3, 2, 3, 3]
+    assert _SerialPool.created == [3, 2, 3]
 
 
 def test_sweep_keeps_going_when_a_seed_fails(tmp_path, monkeypatch, capsys):
@@ -623,8 +610,4 @@ def test_sweep_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):
     sweep = ["sweep", "--config", cfg, "--seeds", "2", "--out-dir", str(out)]
     assert main(sweep + ["--workers", "-1"]) == 2
     assert "--workers must be >= 0" in capsys.readouterr().err
-    for raw in ("two", "1.5", "-3"):
-        monkeypatch.setenv("ZFO_WORKERS", raw)
-        assert main(sweep) == 2
-        assert "ZFO_WORKERS" in capsys.readouterr().err
     assert not out.exists()

@@ -529,8 +529,42 @@ def test_grad_sq_untracked_runs_no_settle():
     config = _quadratic_config(track_gradients=False)
     trace, _, calls = _grad_sq_reference(config)
     assert trace.grad_sq_mean_ergodic is None
-    # only the cadence rows and the final state take a gradient
-    assert calls == [(config.problem.total_dim,)] * (len(trace.rows) + 1)
+    # only the cadence rows take a gradient; the final state's is the last row's
+    assert calls == [(config.problem.total_dim,)] * len(trace.rows)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["grad", "no_grad"])
+def test_final_values_are_the_last_cadence_row(analytic):
+    # the last round is always a cadence row, taken at x_final
+    config = _quadratic_config(horizon=61, delay=BernoulliDrops(0.2, 2))
+    if not analytic:
+        config = dataclasses.replace(config, problem=dataclasses.replace(config.problem, grad=None))
+    trace = run(config)
+    last = trace.rows[-1]
+    assert last["t"] == 61 and last["grad_estimated"] is not analytic
+    assert (trace.f_final, trace.gap_final) == (last["f"], last["gap"])
+    assert trace.f_final == config.problem.global_cost(trace.x_final, check=False)
+    if analytic:
+        assert trace.grad_sq_final == last["grad_sq"]
+    else:
+        # the row holds the finite-difference estimate; the summary reports none
+        assert trace.grad_sq_final is None and math.isfinite(last["grad_sq"])
+
+
+def test_probe_receives_one_round_view_for_the_whole_run():
+    views, x_next = [], []
+
+    def probe(view):
+        assert isinstance(view, zfo.runner.RoundView) and view.t == len(views)
+        for f in dataclasses.fields(zfo.runner.RoundView):
+            assert getattr(view, f.name) is not None, f.name
+        if x_next:
+            np.testing.assert_array_equal(view.x, x_next[-1])
+        views.append(view)
+        x_next.append(view.x_next.copy())
+
+    run(_quadratic_config(horizon=30, delay=BernoulliDrops(0.2, 2), probe=probe))
+    assert len(views) == 31 and all(view is views[0] for view in views)
 
 
 def test_reduced_tables_refused_without_dependence_mode():
