@@ -97,6 +97,7 @@ class SwarmTables:
         self._z_ring = np.zeros((n, size, int(d_max)))
         self._diag_flat = np.arange(n) * (n + 1)  # flat (C-order) positions of (i, i)
         self._agent_base = np.arange(n) * size  # flat start of agent i's ring row
+        self._row_base = self._agent_base[:, None]
         self._t = -1
         self._oldest: int | None = None  # oldest_stamp() of the tables as they stand
 
@@ -105,7 +106,10 @@ class SwarmTables:
         self._q_ring[:, slot] = quotients
         self._z_ring[:, slot] = z
         if self.lossless:
-            np.maximum(np.subtract(t, self._offsets, out=self.stamps), -1, out=self.stamps)
+            np.subtract(t, self._offsets, out=self.stamps)
+            # from round max_lag on every tracked entry is heard; untracked ones never are
+            if t < self.max_lag or self._reduced:
+                np.maximum(self.stamps, -1, out=self.stamps)
         else:
             self.stamps.put(self._diag_flat, t)
         self._t = t
@@ -212,7 +216,7 @@ class SwarmTables:
             q *= self.stamps >= 0
         if use_mask is not None:
             q *= use_mask
-        slots += self._agent_base[:, None]
+        slots += self._row_base
         weights = np.bincount(slots.ravel(), q.ravel(), self._q_ring.size)
         grad = np.matmul(weights.reshape(self.n, 1, -1), self._z_ring).reshape(self.n, -1)
         grad /= self.n

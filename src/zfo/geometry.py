@@ -304,8 +304,9 @@ class ShiftedSimplex(ConvexSet):
         if tol < self._inside_slack:
             return False
         w = ys - self.shift
-        sums = w.sum(axis=-1)
-        low, high = w.min(initial=0.0), sums.max(initial=0.0)
+        sums = np.add.reduce(w, axis=-1)
+        low = np.minimum.reduce(w, axis=None, initial=0.0)
+        high = np.maximum.reduce(sums, axis=None, initial=0.0)
         if low >= 0.0 and high <= self.scale:
             return True
         # points a rounding step outside a face: certified by the distance
@@ -431,8 +432,8 @@ def _project_scaled_simplex(w: np.ndarray, cap: float) -> np.ndarray:
 def _project_orthant_cap(w: np.ndarray, cap: float) -> np.ndarray:
     """Project rows of w onto {v >= 0, sum(v) <= cap}."""
     v = np.maximum(w, 0.0)
-    over = v.sum(axis=1) > cap
-    if over.any():
+    over = np.add.reduce(v, axis=1) > cap
+    if np.logical_or.reduce(over):
         v[over] = _project_scaled_simplex(w[over], cap)
     return v
 
@@ -465,6 +466,8 @@ def constrain_perturbation_batch(
     zhat: np.ndarray,
     u: float,
     stats: SampleStats | None = None,
+    *,
+    signed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Project each raw draw `zhat[k]` onto the symmetric cap S(xs[k], u), so
     that xs[k] + u z and xs[k] - u z both lie in `set_`.
@@ -472,6 +475,14 @@ def constrain_perturbation_batch(
     A draw that already keeps both signed actions feasible comes back as
     drawn; the others get the Dykstra cap projection, certified, with a
     radial bisection of the draw as the fallback (both counted in `stats`).
+    When no draw needs projecting, every set but the box returns `zhat`
+    itself.  The function never writes to `zhat`.
+
+    `signed` is the stack of both signed actions of the draws, shape
+    `(2, len(xs), dim)`, equal bit for bit to `xs + zhat * [[[u]], [[-u]]]`
+    (block 0 at xs + u zhat, block 1 at xs - u zhat).  A caller that holds
+    it passes it in; by default the function builds it.  The box and the
+    whole space ignore it.
 
     Pre: every row of `xs` belongs to `set_`. Raises DomainError otherwise.
     """
@@ -485,12 +496,12 @@ def constrain_perturbation_batch(
             _require_members(set_, xs)
         margin = np.maximum(room / u, 0.0)
         return np.clip(zhat, -margin, margin)
-    # both signed actions in one membership test: rows x + u z, then x - u z
-    uz = u * zhat
-    signed = np.concatenate((xs + uz, xs - uz))
+    # both signed actions in one membership test: x + u z, then x - u z
+    if signed is None:
+        signed = xs + zhat * np.array([[[u]], [[-u]]])
     if set_.contains_all(signed, _CERT_TOL):
         return zhat
-    ok = set_.contains_batch(signed, _CERT_TOL)
+    ok = set_.contains_batch(signed.reshape(-1, set_.dim), _CERT_TOL)
     # x is the midpoint of x + u z and x - u z: rows passing both are members
     rows = np.flatnonzero(~ok.reshape(2, -1).all(axis=0))
     _require_members(set_, xs[rows])

@@ -393,7 +393,7 @@ def routing_problem(inst: RoutingInstance) -> Problem:
                 bad = int(np.argmax(np.maximum(-w.min(axis=1), w.sum(axis=1) - 1.0)))
                 raise DomainError(f"agent {bad % n + 1} action outside its simplex")
         head = x + uniform
-        v = np.concatenate([head, 1.0 - head.sum(axis=1, keepdims=True)], axis=1)
+        v = np.concatenate([head, 1.0 - np.add.reduce(head, axis=1, keepdims=True)], axis=1)
         loads = np.bincount(
             st.route_ids, weights=(v * st.traffic_col).ravel(), minlength=st.quad.size
         )

@@ -149,6 +149,7 @@ class RoundView:
 
     One object serves the whole run and the engine rebinds its fields every
     round; the arrays are its working storage, so copy anything you keep.
+    ``z`` may be a read-only view of the round's block of raw draws.
     ``x`` is the round's pre-step state; ``x_next`` the post-step state.
     The age of every table entry is ``tables.staleness(t)``.
     """
@@ -319,6 +320,8 @@ def _validate(config: RunConfig) -> None:
 
 def _project(shrunk, x: np.ndarray) -> np.ndarray:
     """A new block array: `x` projected group by group onto the shrunken sets."""
+    if len(shrunk) == 1:  # one set for every agent: its rows span the whole array
+        return shrunk[0][1].project_batch(x)
     out = np.zeros(x.shape)
     for g, shrunk_set in shrunk:
         out[g.index] = shrunk_set.project_batch(x[g.index])
@@ -334,9 +337,9 @@ class _Round(RoundView):
     __slots__ = (
         "_config", "_problem", "_eta", "_u", "_delta", "_horizon", "_metric_every", "_use_mask",
         "_declared_delta", "_bound", "_neighbors", "_gossip", "_shrunk", "_perturb_gens",
-        "_noise_gens", "_net_gen", "_block_rounds", "_zhat", "_noise", "_bi", "_stats", "_signs_u",
-        "_signed", "_x_acc", "_owed", "_owed_count", "_samples", "_checks", "_stale_now",
-        "_stale_max", "_delta_hat", "_grad_sq_acc", "_step_excess", "_flat",
+        "_noise_gens", "_net_gen", "_block_rounds", "_zhat", "_draws", "_noise", "_bi", "_stats",
+        "_signs_u", "_signed", "_x_acc", "_owed", "_owed_count", "_samples", "_checks",
+        "_stale_now", "_stale_max", "_delta_hat", "_grad_sq_acc", "_step_excess", "_flat",
     )
 
     def __init__(self, config: RunConfig):
@@ -403,6 +406,9 @@ class _Round(RoundView):
         round_floats = n * d_max + (2 * n if noisy else 0)
         self._block_rounds = min(self._horizon + 1, max(1, _BLOCK_FLOATS // round_floats))
         self._zhat = np.zeros((self._block_rounds, n, d_max))
+        # what the samplers see: a read-only view, so a draw handed back is unchanged
+        self._draws = self._zhat.view()
+        self._draws.flags.writeable = False
         self._noise = np.zeros((self._block_rounds, 2, n)) if noisy else None  # sigma-scaled
 
         x0 = np.zeros(problem.total_dim) if config.x0 is None else np.asarray(config.x0, dtype=float)
@@ -431,7 +437,12 @@ class _Round(RoundView):
         self.rows: list[dict] = []
 
     def sample(self) -> None:
-        """(1) Constrained Gaussian perturbations, from draws made in blocks of rounds."""
+        """(1) Constrained Gaussian perturbations, from draws made in blocks of
+        rounds.  The signed actions of the raw draws, x ± u z as (2, n, d_max),
+        are stacked once for the samplers.  When every group hands back the
+        very draw it was given, `z` is the round's read-only draw block and
+        the guard and `observe` use that stack; otherwise `z` is a copy
+        holding the returned rows, and the guard stacks it afresh."""
         t, x = self.t, self.x
         self._bi = bi = t % self._block_rounds
         if bi == 0:
@@ -441,16 +452,28 @@ class _Round(RoundView):
                 if self._noise is not None:
                     draws = self._noise_gens[i].standard_normal((count, 2))
                     self._noise[:count, :, i] = self._config.sigma * draws
-        raw, u, stats = self._zhat[bi], self._u, self._stats
-        z = np.zeros(x.shape)
+        raw, u, stats = self._draws[bi], self._u, self._stats
+        self._signed = signed = x + raw * self._signs_u
+        z = raw
         for g, _ in self._shrunk:
-            z[g.index] = constrain_perturbation_batch(g.set, x[g.index], raw[g.index], u, stats)
+            draw = raw[g.index]
+            if draw.flags.writeable:  # a gathered copy; views of raw are read-only
+                draw.flags.writeable = False
+            got = constrain_perturbation_batch(
+                g.set, x[g.index], draw, u, stats, signed=signed[g.signed_index]
+            )
+            if got is not draw:
+                if z is raw:
+                    z, self._signed = raw.copy(), None
+                z[g.index] = got
         self.z = z
 
     def guard(self) -> None:
         """Hard constraints: the state and both signed actions are feasible."""
         self._checks += 1
-        self._signed = signed = self.x + self.z * self._signs_u  # (2, n, d_max): x ± u z
+        signed = self._signed
+        if signed is None:  # a sampler changed a draw: the actions of the returned z
+            self._signed = signed = self.x + self.z * self._signs_u
         agent = _first_infeasible(self._shrunk, self.x, signed)
         if agent is not None:
             t = self.t
@@ -466,7 +489,7 @@ class _Round(RoundView):
         f_plus, f_minus = costs
         self.f_plus, self.f_minus = f_plus, f_minus
         self.quotients = quotients = (f_plus - f_minus) / (2.0 * self._u)
-        if not np.isfinite(quotients).all():
+        if not np.logical_and.reduce(np.isfinite(quotients)):
             bad = int(np.argmin(np.isfinite(quotients))) + 1
             raise AssumptionViolation(f"agent {bad} observed a non-finite cost at round {self.t}")
 
@@ -495,8 +518,8 @@ class _Round(RoundView):
         self.x_next = x_next = _project(self._shrunk, x - eta * gradient)
         # row norms of the step and of the gradient, in one pass
         pair = np.concatenate((x_next - x, gradient))
-        norms = np.sqrt((pair * pair).sum(axis=1))
-        excess = float((norms[:n] - eta * norms[n:]).max(initial=0.0))
+        norms = np.sqrt(np.add.reduce(pair * pair, axis=1))
+        excess = float(np.maximum.reduce(norms[:n] - eta * norms[n:], initial=0.0))
         self._step_excess = max(self._step_excess, excess)
         # the bound scales with max(1, |x|): below the plain tolerance it cannot be
         # crossed; a NaN excess (an overflowed step and gradient) passes neither test

@@ -546,3 +546,49 @@ def test_constrain_perturbation_batch_box_closed_form():
     zh = np.array([[5.0, 0.3], [-2.0, 4.0]])
     got = constrain_perturbation_batch(box, xs, zh, 0.1)
     np.testing.assert_allclose(got, [[2.0, 0.3], [-0.5, 1.0]])
+
+
+@st.composite
+def _signed_stack_case(draw):
+    """A box, ball or simplex, points in it (on its boundary, inside, or
+    mixed), draws long enough to need the cap projection, and whether the
+    cap projection is disabled so that the bisection fallback runs."""
+    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "box":
+        lower = rng.normal(0.0, 1.0, dim)
+        set_ = Box(lower, lower + rng.uniform(0.1, 2.0, dim))
+        inner = 0.5 * (set_.lower + set_.upper)
+    elif kind == "ball":
+        set_ = Ball(rng.normal(0.0, 1.0, dim), rng.uniform(0.1, 2.0))
+        inner = set_.center
+    else:
+        set_ = ShiftedSimplex(dim, rng.normal(0.0, 1.0, dim), rng.uniform(0.1, 2.0))
+        inner = set_.shift + set_.scale / (dim + 1)
+    edge = set_.project_batch(inner + rng.normal(0.0, 2.0, (12, dim)))
+    depth = draw(st.sampled_from([0.0, 0.5, 1.0]))  # boundary, halfway, center
+    xs = edge + depth * (inner - edge)
+    u = draw(st.sampled_from([1e-3, 0.05, 0.5]))
+    zhat = rng.normal(0.0, 1.0, (12, dim)) * rng.choice([0.1, 1.0, 10.0], (12, 1))
+    return set_, xs, zhat, u, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_stack_case())
+def test_sampler_given_the_signed_stack_returns_what_it_returns_alone(case):
+    set_, xs, zhat, u, no_cap = case
+    zhat.flags.writeable = False  # the sampler never writes to its draws
+    stack = xs + zhat * np.array([[[u]], [[-u]]])
+    # the stack holds the rows of (xs + u zhat, xs - u zhat) bit for bit
+    pair = np.concatenate((xs + u * zhat, xs - u * zhat))
+    assert stack.reshape(-1, set_.dim).tobytes() == pair.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        if no_cap:
+            patch.setattr(zfo.geometry, "_project_symmetric_cap", lambda set_, x, zhat, u: zhat)
+        alone, shared = SampleStats(), SampleStats()
+        want = constrain_perturbation_batch(set_, xs, zhat, u, alone)
+        got = constrain_perturbation_batch(set_, xs, zhat, u, shared, signed=stack)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (shared.projections, shared.fallbacks) == (alone.projections, alone.fallbacks)
+    assert (got is zhat) == (want is zhat)

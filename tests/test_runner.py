@@ -833,8 +833,8 @@ def test_feasibility_guard_names_agent_and_round(monkeypatch):
     sample = zfo.runner.constrain_perturbation_batch
     rounds = []
 
-    def oversized(set_, xs, zhat, u, stats=None):
-        z = np.array(sample(set_, xs, zhat, u, stats))
+    def oversized(set_, xs, zhat, u, stats=None, signed=None):
+        z = np.array(sample(set_, xs, zhat, u, stats, signed=signed))
         rounds.append(len(rounds))
         if rounds[-1] == 7:
             z[3] = 10.0 / u
@@ -864,8 +864,8 @@ def test_feasibility_guard_checks_the_samplers_output_itself(problem, u, monkeyp
     sample = zfo.runner.constrain_perturbation_batch
     rounds, first_bad = [], []
 
-    def tenfold(set_, xs, zhat, u, stats=None):
-        z = 10.0 * np.asarray(sample(set_, xs, zhat, u, stats))
+    def tenfold(set_, xs, zhat, u, stats=None, signed=None):
+        z = 10.0 * np.asarray(sample(set_, xs, zhat, u, stats, signed=signed))
         ok = set_.contains_batch(np.concatenate((xs + u * z, xs - u * z)), 1e-9)
         ok = ok.reshape(2, -1).all(axis=0)
         if not ok.all() and not first_bad:
@@ -882,6 +882,87 @@ def test_feasibility_guard_checks_the_samplers_output_itself(problem, u, monkeyp
     agent, t = first_bad[0]
     assert str(caught.value) == f"agent {agent} would act outside its feasible set at round {t}"
     assert rounds == list(range(t + 1))
+
+
+def _shared_stack_case(name: str) -> RunConfig:
+    """Routing 2x3 (one group; u large enough for cap projections) or the
+    mixed problem (four gathered groups of mixed dimensions)."""
+    if name == "routing":
+        problem = routing_problem(build_routing_instance(2, 3, seed=1))
+        return RunConfig(problem=problem, graph=CommGraph.complete(6), eta=0.02, u=0.05,
+                         delta=0.05, horizon=60, seed=3, metric_every=20)
+    problem = _mixed_problem()
+    return RunConfig(problem=problem, graph=CommGraph.ring(7), eta=0.05, u=0.3, delta=0.05,
+                     horizon=60, seed=4, metric_every=20,
+                     x0=np.linspace(-2.0, 2.0, problem.total_dim))
+
+
+@pytest.mark.parametrize("case", ["routing", "mixed"])
+def test_a_sampler_cannot_write_into_its_draw(case, monkeypatch):
+    # the draws handed to the sampler are read-only, so the signed stack built
+    # from them before the call cannot go stale behind the sampler's back
+    config = _shared_stack_case(case)
+    def scribble(set_, xs, zhat, u, stats=None, signed=None):
+        zhat[0] = 0.0
+        return zhat
+
+    monkeypatch.setattr(zfo.runner, "constrain_perturbation_batch", scribble)
+    with pytest.raises(ValueError, match="read-only"):
+        run(config)
+
+
+@pytest.mark.parametrize("case", ["routing", "mixed"])
+def test_a_returned_copy_of_the_draws_changes_no_value(case, monkeypatch):
+    # a sampler that hands back equal copies takes the engine's rebuild path
+    # (z scattered from the copies, the signed stack rebuilt from z) in every
+    # round: its run must equal the one that shares the draws and the stack
+    config = _shared_stack_case(case)
+    def record(config):
+        rows = []
+
+        def probe(view):
+            rows.append([np.array(a) for a in (view.z, view.f_plus, view.f_minus, view.quotients,
+                                                view.tables.stamps, view.gradient, view.x_next)])
+
+        return run(dataclasses.replace(config, probe=probe)), rows
+
+    expected, expected_rows = record(config)
+    assert expected.cap_projections > 0
+    sample = zfo.runner.constrain_perturbation_batch
+
+    def copying(set_, xs, zhat, u, stats=None, signed=None):
+        return np.array(sample(set_, xs, zhat, u, stats, signed=signed))
+
+    monkeypatch.setattr(zfo.runner, "constrain_perturbation_batch", copying)
+    trace, rows = record(config)
+    _assert_traces_bitwise_equal(trace, expected)
+    assert len(rows) == len(expected_rows)
+    for got, want in zip(rows, expected_rows):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_the_guard_keeps_its_own_membership_tests(monkeypatch):
+    # the sampler tests the round's signed stack once, and the guard tests the
+    # state and that stack again: 3 calls a round, plus 2 per cadence row
+    # (state and signed actions); none may be dropped or duplicated
+    contains_all = ShiftedSimplex.contains_all
+    calls = []
+
+    def counting(self, ys, tol=1e-9):
+        calls.append(tol)
+        return contains_all(self, ys, tol)
+
+    monkeypatch.setattr(ShiftedSimplex, "contains_all", counting)
+    problem = routing_problem(build_routing_instance(2, 3, seed=1))
+    horizon, every = 50, 20
+    trace = run(
+        RunConfig(problem=problem, graph=CommGraph.complete(6), eta=0.02, u=1e-3, delta=0.05,
+                  horizon=horizon, seed=2, metric_every=every)
+    )
+    assert trace.cap_projections == 0
+    assert len(trace.rows) == 4  # rounds 0, 20, 40 and 50
+    assert len(calls) == 3 * (horizon + 1) + 2 * len(trace.rows)
 
 
 @pytest.mark.parametrize(
