@@ -148,7 +148,7 @@ class SwarmTables:
         senders = neighbor_matrix.T
         if drop_mask is not None:
             senders = np.where(drop_mask.T, self._agents, senders)
-        newest = snapshot.take(senders, axis=0).max(axis=0)
+        newest = np.maximum.reduce(snapshot.take(senders, axis=0), axis=0)
         np.maximum(self.stamps, newest, out=self.stamps, where=self._writable)
         self._oldest = None
 
@@ -157,7 +157,7 @@ class SwarmTables:
         is never heard."""
         if self._oldest is None:
             held = self.stamps.take(self._tracked_flat) if self._reduced else self.stamps
-            self._oldest = int(held.min())
+            self._oldest = int(np.minimum.reduce(held, axis=None))
         return self._oldest
 
     def ages(self) -> tuple[int, int]:
@@ -168,7 +168,8 @@ class SwarmTables:
         if self.lossless:
             self._oldest = t - min(t + 1, self.max_lag)
             return t - self._oldest, 0
-        extra = t - int(np.add(self.stamps, self._offsets, out=self._offset_stamps).min())
+        due = np.add(self.stamps, self._offsets, out=self._offset_stamps)
+        extra = t - int(np.minimum.reduce(due, axis=None))
         return t - self.oldest_stamp(), extra
 
     def staleness(self, t: int) -> np.ndarray:

@@ -14,7 +14,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, OracleError
-from .geometry import Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace
+from .geometry import (
+    Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace, _column_min_size, _column_sums,
+)
 
 
 def _set_group_key(s: ConvexSet):
@@ -118,14 +120,18 @@ class Problem:
         return blocks[..., self.dim_mask]
 
     def global_cost(self, flat: np.ndarray, check: bool = True) -> float:
-        return float(np.mean(self.local_costs(flat, check=check)))
+        costs = self.local_costs(flat, check=check)
+        return float(np.add.reduce(costs) / len(costs))  # np.mean's sum and division
 
     def feasible(self, flat: np.ndarray, tol: float = 1e-9) -> bool:
         x = self.blocks(flat)
         return all(g.set.contains_all(x[g.index], tol) for g in self.groups)
 
     def project_feasible(self, flat: np.ndarray) -> np.ndarray:
-        x = self.blocks(flat)
+        if self._uniform:  # no padding to zero-fill: a copy is the block array
+            x = np.array(flat, dtype=float).reshape(self.n, self.d_max)
+        else:
+            x = self.blocks(flat)
         for g in self.groups:
             x[g.index] = g.set.project_batch(x[g.index])
         return self.flat(x)
@@ -352,6 +358,8 @@ class _StackedRoutes:
     Copy r's route ids are offset by r * m, so one `bincount` loads every
     copy, each route's loads summed in the same order as for one copy; the
     per-agent traffic and the per-route coefficients are tiled to match.
+    `columns` tells whether the head sums of this many rows are faster as
+    column adds, written into a preallocated allocation.
     """
 
     def __init__(self, inst: RoutingInstance, rows: int):
@@ -364,6 +372,8 @@ class _StackedRoutes:
         self.quad, self.lin, self.offset = (
             np.tile(c, rows) for c in (inst.quad, inst.lin, inst.offset)
         )
+        dim = inst.routes_per_agent - 1
+        self.columns = rows * n * dim >= _column_min_size(dim)
 
 
 def routing_problem(inst: RoutingInstance) -> Problem:
@@ -392,8 +402,13 @@ def routing_problem(inst: RoutingInstance) -> Problem:
             if np.min(w) < -1e-9 or np.max(w.sum(axis=1)) > 1.0 + 1e-9:
                 bad = int(np.argmax(np.maximum(-w.min(axis=1), w.sum(axis=1) - 1.0)))
                 raise DomainError(f"agent {bad % n + 1} action outside its simplex")
-        head = x + uniform
-        v = np.concatenate([head, 1.0 - np.add.reduce(head, axis=1, keepdims=True)], axis=1)
+        if st.columns:
+            v = np.empty((rows * n, k))
+            head = np.add(x, uniform, out=v[:, :dim])
+            np.subtract(1.0, _column_sums(head), out=v[:, dim])
+        else:
+            head = x + uniform
+            v = np.concatenate([head, 1.0 - np.add.reduce(head, axis=1, keepdims=True)], axis=1)
         loads = np.bincount(
             st.route_ids, weights=(v * st.traffic_col).ravel(), minlength=st.quad.size
         )

@@ -19,6 +19,9 @@ from zfo.geometry import (
     SampleStats,
     ShiftedSimplex,
     WholeSpace,
+    _COLUMN_SUM_ROWS,
+    _column_sums,
+    _row_sums,
     constrain_perturbation_batch,
 )
 
@@ -261,8 +264,9 @@ def _contains_batch_matches_definition(case):
 def _contains_all_case(draw):
     """A membership case's set, or the whole space or an intersection of the
     set with a ball around it; rows that are all inside, boundary rows, or
-    rows around the boundary; stacked 2-D or 3-D; and a tolerance below or
-    above the set's `_inside_slack`, or the case's own."""
+    rows around the boundary, repeated often enough for the simplex test to
+    sum them as columns or not; stacked 2-D or 3-D; and a tolerance below
+    or above the set's `_inside_slack`, or the case's own."""
     set_, ys, inside, tol = draw(_membership_case())
     wrap = draw(st.sampled_from(["none", "whole", "intersection"]))
     if wrap == "whole":
@@ -273,6 +277,8 @@ def _contains_all_case(draw):
         set_ = Intersection([set_, Ball(center, radius)])
     pick = draw(st.sampled_from(["inside", "boundary", "around"]))
     rows = {"inside": inside, "boundary": inside[: len(inside) // 2], "around": ys}[pick]
+    if wrap == "none":
+        rows = np.tile(rows, (draw(st.sampled_from([1, 40])), 1))
     rows = rows[: 2 * (len(rows) // 2)]
     if draw(st.booleans()):
         rows = rows.reshape(2, -1, set_.dim)
@@ -293,7 +299,8 @@ def test_contains_all_is_the_conjunction_of_contains_batch(case):
 def _simplex_face_case(draw):
     """A shifted simplex, a tolerance, and rows on and near its faces: the
     projections of scattered rows (on a face up to rounding), moved by a
-    few units of rounding and by fractions and multiples of `tol`."""
+    few units of rounding and by fractions and multiples of `tol`, repeated
+    often enough for the membership tests to sum them as columns or not."""
     dim = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -305,6 +312,7 @@ def _simplex_face_case(draw):
         tol * rng.choice([0.01, 0.5, 0.99, 1.01, 3.0], (8, 1)) * rng.normal(0.0, 1.0, (8, dim)),
     ])
     rows = np.concatenate([faces, np.concatenate([faces, faces]) + steps])
+    rows = np.tile(rows, (draw(st.sampled_from([1, 40])), 1))
     return set_, rng.permutation(rows), tol
 
 
@@ -334,6 +342,18 @@ def test_simplex_rows_a_rounding_step_outside_are_settled_without_projecting(mon
     monkeypatch.setattr(zfo.geometry, "_project_orthant_cap", refuse)
     assert set_.contains_all(rows, 1e-12)
     assert set_.contains_batch(rows, 1e-12).all()
+
+
+@pytest.mark.parametrize("rows", [6, 400])
+def test_simplex_contains_all_sees_one_point_over_the_cap(rows):
+    # every entry of w = y - shift is positive, so only the sum gives the point away,
+    # with few points and with enough for the sums to run as column adds
+    set_ = ShiftedSimplex(3, shift=-0.25, scale=1.0)
+    ys = np.full((rows, 3), 0.0)  # w = 0.25 each, sum 0.75
+    ys[-1] = [-0.05, 0.05, 0.35]  # w sums to 1.1
+    assert set_.contains_all(ys[:-1], 1e-9)
+    assert not set_.contains_all(ys, 1e-9)
+    assert not set_.contains_all(ys.reshape(2, -1, 3), 1e-9)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +463,19 @@ def test_box_perturbation_clamps_to_margin():
     z = constrain_perturbation_batch(box, np.array([[0.8]]), np.array([[5.0]]), 0.1)
     np.testing.assert_allclose(z, [[2.0]])
     assert box.contains(np.array([0.8]) + 0.1 * z[0], tol=1e-12)
+
+
+def test_box_draws_within_their_margin_come_back_as_drawn():
+    # margins at u = 0.25: (2, 4) for the first row, (1, 2) for the second
+    box = Box([0.0, -1.0], [1.0, 1.0])
+    xs = np.array([[0.5, 0.0], [0.75, 0.5]])
+    zhat = np.array([[2.0, -3.0], [-1.0, 0.5]])
+    zhat.flags.writeable = False
+    assert constrain_perturbation_batch(box, xs, zhat, 0.25) is zhat
+    past = np.array([[2.0, -3.0], [-1.5, 0.5]])
+    got = constrain_perturbation_batch(box, xs, past, 0.25)
+    assert got is not past
+    np.testing.assert_array_equal(got, [[2.0, -3.0], [-1.0, 0.5]])
 
 
 def test_whole_space_perturbation_is_raw_gaussian():
@@ -592,3 +625,61 @@ def test_sampler_given_the_signed_stack_returns_what_it_returns_alone(case):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert (shared.projections, shared.fallbacks) == (alone.projections, alone.fallbacks)
     assert (got is zhat) == (want is zhat)
+
+
+# ---------------------------------------------------------------------------
+# per-row sums
+
+
+_SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-308, 1e300, -1.7e308]
+
+
+@st.composite
+def _row_sum_case(draw):
+    """An array of rows of d entries, d from 1 to 9, with a row count on
+    either side of the column-sum crossover, as (rows, d) or (2, rows, d),
+    contiguous or a strided view, holding normal values of magnitudes from
+    1e-300 to 1e300 and some of ±0, ±inf, NaN and subnormals."""
+    d = draw(st.integers(1, 9))
+    rows = draw(st.sampled_from([1, 6, 12, 39, 40, 80, 81, 160, 200, 400]))
+    shape = (rows, d) if draw(st.booleans()) else (2, rows, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    view = draw(st.sampled_from(["contiguous", "columns", "rows"]))
+    full = shape[:-1] + (d + 1,) if view == "columns" else shape
+    if view == "rows":
+        full = shape[:-2] + (2 * rows, d)
+    a = rng.standard_normal(full) * 10.0 ** rng.integers(-300, 301, full)
+    special = rng.random(full) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    a[special] = rng.choice(_SPECIAL_VALUES, int(special.sum()))
+    if view == "columns":
+        a = a[..., :-1]
+    elif view == "rows":
+        a = a[..., ::2, :]
+    assert a.shape == shape
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_sum_case())
+def test_row_sums_are_the_bits_of_add_reduce_but_for_zero_and_nan_signs(a):
+    d = a.shape[-1]
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return _column_sums(a)
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zfo.geometry, "_column_sums", counted)
+        want = np.add.reduce(a, axis=-1)
+        got = _row_sums(a)
+        columns = _column_sums(a) if 2 <= d < 8 else want
+    # bit for bit, except that a row of -0.0 may sum to -0.0 (NumPy: +0.0)
+    # and a row of several NaNs to another of them
+    exempt = np.logical_and.reduce((a == 0.0) & np.signbit(a), axis=-1) | np.isnan(want)
+    for sums in (got, columns):
+        assert sums.shape == want.shape
+        np.testing.assert_array_equal(sums, want)  # NaN where NaN
+        assert sums[~exempt].tobytes() == want[~exempt].tobytes()
+    # the columns are added only below 8 entries, and only for enough rows
+    assert bool(calls) == (a.ndim == 2 and 2 <= d < 8 and len(a) >= _COLUMN_SUM_ROWS * (d - 1))
