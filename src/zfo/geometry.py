@@ -29,7 +29,8 @@ _EPS = float(np.finfo(float).eps)
 # Rows per added column from which `_column_sums` beats
 # np.add.reduce(a, axis=-1) on a C-contiguous (rows, d) array.  Each column
 # add is one ufunc call of about 1 µs, while the strided reduction costs
-# about 0.01 µs per entry (2 vCPUs, NumPy 2.4.6, timeit minima, µs):
+# about 0.01 µs per entry (2 vCPUs, NumPy 2.4.6, timeit minima, µs,
+# np.add.reduce against the column adds):
 #   (400, 3) 11.6 against 3.9;  (200, 3) 6.3 against 2.9;  (64, 3) 3.5 against 2.9;
 #   (12, 3) 2.3 against 2.8;  (6, 3) 2.0 against 2.8;
 #   (2, 200, 3) 11.0 against 5.5;  (2, 6, 3) 2.4 against 4.6.
@@ -289,7 +290,7 @@ class ShiftedSimplex(ConvexSet):
         self._size = self.scale + float(np.abs(self.shift).sum())
         # an inside row projects to (y - shift) + shift: two roundings
         self._inside_slack = 2.0 * _EPS * (2.0 * self.scale + float(np.linalg.norm(self.shift)))
-        self._column_size = _column_min_size(self.dim)
+        self._column_entries = _column_entries(self.dim)
 
     def project_batch(self, ys):
         w = np.asarray(ys, dtype=float) - self.shift
@@ -315,13 +316,14 @@ class ShiftedSimplex(ConvexSet):
         if tol < self._inside_slack:
             return False
         w = ys - self.shift
-        if w.size >= self._column_size:
-            # many points: the verdict is over all of them, so they may stand as
-            # the rows of one block, whose sums are fastest as column adds
+        # the size test inline, as this runs three times a round at any n
+        if w.size >= self._column_entries:
+            # the verdict is over all points, so they may stand as the rows of one block
             w = w.reshape(-1, self.dim)
-            sums = _column_sums(w)
+            row_sums = _column_sums
         else:
-            sums = np.add.reduce(w, axis=-1)
+            row_sums = np.add.reduce
+        sums = row_sums(w, -1)
         low = np.minimum.reduce(w, axis=None, initial=0.0)
         high = np.maximum.reduce(sums, axis=None, initial=0.0)
         if low >= 0.0 and high <= self.scale:
@@ -330,7 +332,7 @@ class ShiftedSimplex(ConvexSet):
         # bound, which is at least -min w and sum w - scale
         if -low > tol or high - self.scale > tol:
             return False
-        size = _row_sums(np.abs(w)) + self._size
+        size = row_sums(np.abs(w), -1) + self._size
         reach = self._reach(sums, np.minimum.reduce(w, axis=-1), size)
         return np.maximum.reduce(reach, axis=None, initial=0.0) <= tol
 
@@ -431,34 +433,35 @@ def _rounding(dim: int) -> float:
     return 4.0 * (dim + 4) ** 1.5 * _EPS
 
 
-def _column_min_size(d: int) -> float:
+def _column_entries(d: int) -> float:
     """Fewest entries of a (rows, d) array from which `_column_sums` beats
-    np.add.reduce; infinite for one column and from 8, where NumPy sums
-    pairwise and the column order would change the rounding."""
+    np.add.reduce(a, axis=-1); infinite for one column and from 8, where
+    NumPy sums pairwise and the column order would change the rounding."""
     return _COLUMN_SUM_ROWS * (d - 1) * d if 2 <= d < 8 else np.inf
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """Sums over the last axis (at least 2 wide) by adding the columns from
-    left to right.  NumPy reduces fewer than 8 entries in that order too,
-    from +0.0, so the result is np.add.reduce(a, axis=-1) bit for bit but
-    for the sign of a zero or a NaN: a row of -0.0 sums to -0.0 here and
-    +0.0 there, and a row of several NaNs may come out as another of them
+def _column_sums(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """np.add.reduce(a, axis, keepdims=keepdims) over the last axis (at
+    least 2 wide; `axis` must name it), by adding the columns from left to
+    right; it takes np.add.reduce's arguments so that a caller may hold
+    either function.  NumPy reduces fewer than 8 entries in that order too,
+    from +0.0, so the result is np.add.reduce's bit for bit but for the
+    sign of a zero or a NaN: a row of -0.0 sums to -0.0 here and +0.0
+    there, and a row of several NaNs may come out as another of them
     (tests/test_geometry.py checks this against the installed NumPy).  The
     callers compare, offset or take roots of the sums, where neither shows.
     Fastest on a 2-d array: a third axis costs each column add about 1 µs."""
     out = a[..., 0] + a[..., 1]
     for j in range(2, a.shape[-1]):
         out += a[..., j]
-    return out
+    return out[..., None] if keepdims else out
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """np.add.reduce(a, axis=-1) of a 2-d array, as `_column_sums` where that
-    is faster for its shape (the row count first: a few rows settle it)."""
-    if len(a) >= _COLUMN_SUM_ROWS and a.size >= _column_min_size(a.shape[-1]):
-        return _column_sums(a)
-    return np.add.reduce(a, axis=-1)
+def row_summer(rows: int, d: int):
+    """np.add.reduce, or `_column_sums` where that is faster on (rows, d)
+    arrays: the per-row sum for a caller whose shape is fixed, called as
+    `sums(a, axis)` with the last axis."""
+    return _column_sums if rows * d >= _column_entries(d) else np.add.reduce
 
 
 def _check_delta(delta: float) -> None:
@@ -481,7 +484,7 @@ def _project_scaled_simplex(w: np.ndarray, cap: float) -> np.ndarray:
 def _project_orthant_cap(w: np.ndarray, cap: float) -> np.ndarray:
     """Project rows of w onto {v >= 0, sum(v) <= cap}."""
     v = np.maximum(w, 0.0)
-    over = _row_sums(v) > cap
+    over = np.add.reduce(v, axis=1) > cap
     if np.logical_or.reduce(over):
         v[over] = _project_scaled_simplex(w[over], cap)
     return v

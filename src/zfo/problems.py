@@ -14,9 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, OracleError
-from .geometry import (
-    Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace, _column_min_size, _column_sums,
-)
+from .geometry import Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 
 def _set_group_key(s: ConvexSet):
@@ -107,7 +105,9 @@ class Problem:
         return int(self.offsets[-1])
 
     def blocks(self, flat: np.ndarray) -> np.ndarray:
-        """The `(n, d_max)` block array of a flat joint vector."""
+        """The `(n, d_max)` block array of a flat joint vector (a new array)."""
+        if self._uniform:
+            return np.array(flat, dtype=float).reshape(self.n, self.d_max)
         out = np.zeros((self.n, self.d_max))
         out[self.dim_mask] = flat
         return out
@@ -128,10 +128,7 @@ class Problem:
         return all(g.set.contains_all(x[g.index], tol) for g in self.groups)
 
     def project_feasible(self, flat: np.ndarray) -> np.ndarray:
-        if self._uniform:  # no padding to zero-fill: a copy is the block array
-            x = np.array(flat, dtype=float).reshape(self.n, self.d_max)
-        else:
-            x = self.blocks(flat)
+        x = self.blocks(flat)
         for g in self.groups:
             x[g.index] = g.set.project_batch(x[g.index])
         return self.flat(x)
@@ -358,8 +355,7 @@ class _StackedRoutes:
     Copy r's route ids are offset by r * m, so one `bincount` loads every
     copy, each route's loads summed in the same order as for one copy; the
     per-agent traffic and the per-route coefficients are tiled to match.
-    `columns` tells whether the head sums of this many rows are faster as
-    column adds, written into a preallocated allocation.
+    `head_sums` is the faster per-row sum for this many reduced actions.
     """
 
     def __init__(self, inst: RoutingInstance, rows: int):
@@ -372,8 +368,7 @@ class _StackedRoutes:
         self.quad, self.lin, self.offset = (
             np.tile(c, rows) for c in (inst.quad, inst.lin, inst.offset)
         )
-        dim = inst.routes_per_agent - 1
-        self.columns = rows * n * dim >= _column_min_size(dim)
+        self.head_sums = row_summer(rows * n, inst.routes_per_agent - 1)
 
 
 def routing_problem(inst: RoutingInstance) -> Problem:
@@ -402,13 +397,8 @@ def routing_problem(inst: RoutingInstance) -> Problem:
             if np.min(w) < -1e-9 or np.max(w.sum(axis=1)) > 1.0 + 1e-9:
                 bad = int(np.argmax(np.maximum(-w.min(axis=1), w.sum(axis=1) - 1.0)))
                 raise DomainError(f"agent {bad % n + 1} action outside its simplex")
-        if st.columns:
-            v = np.empty((rows * n, k))
-            head = np.add(x, uniform, out=v[:, :dim])
-            np.subtract(1.0, _column_sums(head), out=v[:, dim])
-        else:
-            head = x + uniform
-            v = np.concatenate([head, 1.0 - np.add.reduce(head, axis=1, keepdims=True)], axis=1)
+        head = x + uniform
+        v = np.concatenate([head, 1.0 - st.head_sums(head, 1, keepdims=True)], axis=1)
         loads = np.bincount(
             st.route_ids, weights=(v * st.traffic_col).ravel(), minlength=st.quad.size
         )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .agents import MAX_ROUNDS, SwarmTables
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
-from .geometry import SampleStats, _column_min_size, _column_sums, constrain_perturbation_batch
+from .geometry import SampleStats, constrain_perturbation_batch, row_summer
 from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
 from .problems import Problem
 
@@ -340,7 +340,7 @@ class _Round(RoundView):
         "_noise_gens", "_net_gen", "_block_rounds", "_zhat", "_draws", "_noise", "_bi", "_stats",
         "_signs_u", "_signed", "_x_acc", "_owed", "_owed_count", "_samples", "_checks",
         "_stale_now", "_stale_max", "_delta_hat", "_grad_sq_acc", "_step_excess", "_flat",
-        "_norm_columns",
+        "_norm_sums",
     )
 
     def __init__(self, config: RunConfig):
@@ -435,8 +435,8 @@ class _Round(RoundView):
         self._owed = np.empty((owed_rows, problem.total_dim)) if track_grad else None
         self._samples = self._owed_count = self._checks = self._stale_max = self._delta_hat = 0
         self._grad_sq_acc = self._step_excess = 0.0
-        # the step bound sums the squares of 2n rows of d_max: the faster way for that size
-        self._norm_columns = 2 * n * d_max >= _column_min_size(d_max)
+        # the step bound sums the squares of 2n rows of d_max
+        self._norm_sums = row_summer(2 * n, d_max)
         self.rows: list[dict] = []
 
     def sample(self) -> None:
@@ -521,8 +521,7 @@ class _Round(RoundView):
         self.x_next = x_next = _project(self._shrunk, x - eta * gradient)
         # row norms of the step and of the gradient, in one pass
         pair = np.concatenate((x_next - x, gradient))
-        sq = pair * pair
-        norms = np.sqrt(_column_sums(sq) if self._norm_columns else np.add.reduce(sq, axis=1))
+        norms = np.sqrt(self._norm_sums(pair * pair, 1))
         excess = float(np.maximum.reduce(norms[:n] - eta * norms[n:], initial=0.0))
         self._step_excess = max(self._step_excess, excess)
         # the bound scales with max(1, |x|): below the plain tolerance it cannot be

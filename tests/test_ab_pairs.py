@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
 
-# Run i of a checkout prints its i-th result; every run is logged with its arguments.
+# Run i of a checkout prints its i-th result, or crashes without one; every
+# run is logged with its arguments.
 STUB = """
 import json, sys
 from pathlib import Path
@@ -23,36 +24,49 @@ count.write_text(str(i + 1))
 with open(here.parent / "log.txt", "a") as fh:
     fh.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
 run = runs[i]
+if run.get("crash"):
+    sys.exit("crashed")
 print("full report line")
-print(json.dumps({"correct": run.get("correct", True), "attempted": 1, "failed": 0,
+print(json.dumps({"correct": run.get("correct", True), "attempted": 4,
+                  "failed": run.get("failed", 0),
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in run["metrics"].items()}}))
 """
 
 
-def _checkouts(tmp_path, parent_runs, change_runs):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    for name, runs in (("parent", parent_runs), ("change", change_runs)):
-        checkout = tmp_path / name
-        checkout.mkdir()
-        (checkout / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
-        (checkout / "runs.json").write_text(json.dumps(runs), encoding="utf-8")
+@pytest.fixture
+def checkouts(tmp_path, monkeypatch):
+    """A parent and a change checkout whose benchmark is the stub, fed the
+    given runs."""
     stub = tmp_path / "stub.py"
     stub.write_text(STUB, encoding="utf-8")
-    return tmp_path / "parent", tmp_path / "change", f"{sys.executable} {stub}"
+    monkeypatch.setattr(ab_pairs, "BENCH_COMMAND", [sys.executable, str(stub)])
+    spec = (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+
+    def make(parent_runs, change_runs):
+        for name, runs in (("parent", parent_runs), ("change", change_runs)):
+            checkout = tmp_path / name
+            checkout.mkdir()
+            (checkout / "BENCHMARK.json").write_text(spec, encoding="utf-8")
+            (checkout / "runs.json").write_text(json.dumps(runs), encoding="utf-8")
+        return str(tmp_path / "parent"), str(tmp_path / "change")
+
+    return make
 
 
 def _runs(rates, setups):
     return [{"metrics": {"seed_rounds_per_s": r, "setup_s": s}} for r, s in zip(rates, setups)]
 
 
-def test_pairs_alternate_and_the_gain_rule_is_applied_per_metric(tmp_path, capsys):
-    parent, change, command = _checkouts(
-        tmp_path,
+def _line(out, metric):
+    return next(line for line in out.splitlines() if line.startswith(metric + ":"))
+
+
+def test_pairs_alternate_and_the_gain_rule_is_applied_per_metric(checkouts, tmp_path, capsys):
+    parent, change = checkouts(
         _runs([100.0, 102.0, 98.0, 101.0], [1.0, 1.1, 0.9, 1.0]),
         _runs([110.0, 111.0, 109.0, 112.0], [1.2, 1.2, 1.3, 1.1]),
     )
-    code = ab_pairs.main([str(parent), str(change), "--workload", "w", "--seed", "3",
-                          "--pairs", "4", "--command", command])
+    code = ab_pairs.main([parent, change, "--workload", "w", "--seed", "3", "--pairs", "4"])
     assert code == 0
     log = (tmp_path / "log.txt").read_text().splitlines()
     assert [line.split()[0] for line in log] == [
@@ -60,32 +74,60 @@ def test_pairs_alternate_and_the_gain_rule_is_applied_per_metric(tmp_path, capsy
     ]
     assert all(line.split()[1:] == ["--workload", "w", "--seed", "3"] for line in log)
     out = capsys.readouterr().out
-    rate = next(line for line in out.splitlines() if line.startswith("seed_rounds_per_s:"))
+    rate = _line(out, "seed_rounds_per_s")
     # parent quartiles of 98, 100, 101, 102 (inclusive method): 99.5 and 101.25
     assert "parent 100.5 [99.5, 101.25] -> change 110.5" in rate
     assert "median pair ratio +10.4%" in rate
     assert "change better in 4/4 pairs (higher is better); gain rule holds" in rate
-    setup = next(line for line in out.splitlines() if line.startswith("setup_s:"))
+    setup = _line(out, "setup_s")
     assert "change better in 0/4 pairs (lower is better); gain rule does not hold" in setup
-    assert "runs not correct: parent 0, change 0" in out
+    assert "runs not correct: parent 0, change 0; failed operations: parent 0/16" in out
 
 
-def test_a_small_gap_fails_the_rule_and_a_failed_run_fails_the_exit_code(tmp_path, capsys):
+def test_a_small_gap_fails_the_rule(checkouts, capsys):
     change_runs = _runs([101.5, 103.0, 99.0, 102.0], [1.0, 1.0, 1.0, 1.0])
-    change_runs[2]["correct"] = False
-    parent, change, command = _checkouts(
-        tmp_path, _runs([100.0, 102.0, 98.0, 101.0], [1.0, 1.0, 1.0, 1.0]), change_runs
-    )
-    code = ab_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "4",
-                          "--command", command])
-    assert code == 1
+    parent, change = checkouts(_runs([100.0, 102.0, 98.0, 101.0], [1.0, 1.0, 1.0, 1.0]),
+                               change_runs)
+    assert ab_pairs.main([parent, change, "--workload", "w", "--pairs", "4"]) == 0
     out = capsys.readouterr().out
     # the change wins every pair, but its median is 1.25 above the parent's: inside its IQR of 1.75
-    rate = next(line for line in out.splitlines() if line.startswith("seed_rounds_per_s:"))
-    assert "change better in 4/4 pairs (higher is better); gain rule does not hold" in rate
-    setup = next(line for line in out.splitlines() if line.startswith("setup_s:"))
-    assert "change better in 0/4 pairs" in setup  # ties count for neither side
-    assert "runs not correct: parent 0, change 1" in out
+    assert "change better in 4/4 pairs (higher is better); gain rule does not hold" in _line(
+        out, "seed_rounds_per_s")
+    assert "change better in 0/4 pairs" in _line(out, "setup_s")  # ties count for neither side
+
+
+def test_crashed_or_incorrect_change_runs_are_lost_pairs(checkouts, capsys):
+    # 10 pairs, the change far ahead in all but a crashed run and an incorrect one:
+    # 8 wins of the 10 pairs run, not of the 8 pairs with two values
+    change_runs = _runs([200.0] * 10, [0.5] * 10)
+    change_runs[3] = {"crash": True}
+    change_runs[6]["correct"] = False
+    parent, change = checkouts(_runs([100.0] * 10, [1.0] * 10), change_runs)
+    assert ab_pairs.main([parent, change, "--workload", "w", "--pairs", "10"]) == 1
+    out = capsys.readouterr().out
+    rate = _line(out, "seed_rounds_per_s")
+    assert "parent 100 [100, 100] -> change 200 [200, 200]" in rate  # over the correct runs
+    assert "change better in 8/10 pairs (higher is better); gain rule does not hold" in rate
+    assert "runs not correct: parent 0, change 2; failed operations: parent 0/40, change 1/37" in out
+
+
+def test_wins_are_counted_over_every_pair_run():
+    # a run with no value of the metric is a pair the change did not win
+    summary = ab_pairs.summarize("m", [100.0] * 10, [200.0] * 8 + [None] * 2, "higher")
+    assert summary["wins"] == 8 and summary["pairs"] == 10
+    assert summary["rule_holds"] is False
+    assert ab_pairs.summarize("m", [100.0] * 10, [200.0] * 9 + [None], "higher")["rule_holds"]
+
+
+def test_a_larger_share_of_failed_operations_fails_the_rule(checkouts, capsys):
+    change_runs = _runs([200.0] * 10, [0.5] * 10)
+    change_runs[0]["failed"] = 1  # a failed check in a run that still reports correct
+    parent, change = checkouts(_runs([100.0] * 10, [1.0] * 10), change_runs)
+    assert ab_pairs.main([parent, change, "--workload", "w", "--pairs", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "change better in 10/10 pairs (higher is better); gain rule does not hold" in _line(
+        out, "seed_rounds_per_s")
+    assert "failed operations: parent 0/40, change 1/40" in out
 
 
 def test_rejects_no_pairs():

@@ -5,31 +5,32 @@
 Runs `python3 perfbench/run.py --workload W --seed S` inside each checkout,
 N times each, as pairs whose first run alternates: the parent goes first in
 even pairs, the change in odd ones.  Each run's last line of standard
-output is its result, `{"correct", "attempted", "failed", "metrics"}`.
+output is its result, `{"correct", "attempted", "failed", "metrics"}`; a
+run that crashes or prints no result counts as one failed operation.
 
-For every end-to-end metric it prints each side's median and quartiles, the
-pairs the change won (ties count for neither), and the median per-pair
-ratio change / parent - 1.  A metric's better direction comes from the
-parent's `BENCHMARK.json`.  The gain rule holds when the change won at
-least nine tenths of the pairs and its median is better than the parent's
-by more than the parent's interquartile range.
+For every end-to-end metric it prints each side's median and quartiles
+over its correct runs, the pairs the change won (ties count for neither),
+and the median per-pair ratio change / parent - 1.  A metric's better
+direction comes from the parent's `BENCHMARK.json`.  The gain rule holds
+when the change won at least nine tenths of all pairs run, its median is
+better than the parent's by more than the parent's interquartile range,
+every run is correct and the change fails no larger share of operations
+than the parent.  A pair with a run that is not correct is not a win.
 
-`--command` replaces the benchmark command (split like a shell line), so a
-test can drive the tool with a stub.  The exit code is 1 when any run failed
-or reported `correct: false`, else 0.
+The exit code is 1 when any run failed or reported `correct: false`, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shlex
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCH_COMMAND = [sys.executable, "perfbench/run.py"]
 
 
 def _parse(argv):
@@ -39,21 +40,21 @@ def _parse(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--command", default=f"{sys.executable} perfbench/run.py")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return args
 
 
-def run_once(command: list[str], checkout: Path) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in `checkout`: its result line, or a failed result."""
+    command = BENCH_COMMAND + ["--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "failed": 1, "metrics": {}}
+        return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     if proc.returncode != 0:
         result["correct"] = False
     return result
@@ -66,22 +67,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(name: str, parent: list[float], change: list[float], better: str | None) -> dict:
-    """The statistics of one metric over paired runs (`parent[i]` with `change[i]`)."""
-    p_q1, p_med, p_q3 = quartiles(parent)
-    c_q1, c_med, c_q3 = quartiles(change)
-    ratios = [c / p - 1.0 for p, c in zip(parent, change) if p != 0]
-    out = {
-        "metric": name, "better": better, "pairs": len(parent),
-        "parent": [p_med, p_q1, p_q3], "change": [c_med, c_q1, c_q3],
-        "median_ratio": statistics.median(ratios) if ratios else None,
-        "wins": None, "rule_holds": None,
-    }
+def summarize(name: str, parent: list, change: list, better: str | None) -> dict:
+    """The statistics of one metric over paired runs (`parent[i]` with
+    `change[i]`), where None stands for a run with no correct value."""
+    pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
+    out = {"metric": name, "better": better, "pairs": len(parent), "wins": None,
+           "rule_holds": None, "parent": None, "change": None, "median_ratio": None}
+    for side, values in (("parent", parent), ("change", change)):
+        values = [v for v in values if v is not None]
+        if values:
+            q1, med, q3 = quartiles(values)
+            out[side] = [med, q1, q3]
+    ratios = [c / p - 1.0 for p, c in pairs if p != 0]
+    if ratios:
+        out["median_ratio"] = statistics.median(ratios)
     if better in ("higher", "lower"):
         sign = 1.0 if better == "higher" else -1.0
-        out["wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        gap = sign * (c_med - p_med)
-        out["rule_holds"] = out["wins"] >= 0.9 * len(parent) and gap > p_q3 - p_q1
+        out["wins"] = sum(sign * (c - p) > 0 for p, c in pairs)
+        out["rule_holds"] = False
+        if out["wins"] >= 0.9 * len(parent):  # so both sides have values
+            (p_med, p_q1, p_q3), c_med = out["parent"], out["change"][0]
+            out["rule_holds"] = sign * (c_med - p_med) > p_q3 - p_q1
     return out
 
 
@@ -93,16 +99,17 @@ def _directions(parent: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+def _fmt(stats: list | None) -> str:
+    if stats is None:
+        return "n/a"
+    med, q1, q3 = stats
+    return f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
 def report(summary: dict) -> str:
-    p_med, p_q1, p_q3 = summary["parent"]
-    c_med, c_q1, c_q3 = summary["change"]
     ratio = summary["median_ratio"]
-    line = (f"{summary['metric']}: parent {_fmt(p_med)} [{_fmt(p_q1)}, {_fmt(p_q3)}]"
-            f" -> change {_fmt(c_med)} [{_fmt(c_q1)}, {_fmt(c_q3)}]"
+    line = (f"{summary['metric']}: parent {_fmt(summary['parent'])}"
+            f" -> change {_fmt(summary['change'])}"
             f", median pair ratio {'n/a' if ratio is None else f'{100 * ratio:+.1f}%'}")
     if summary["wins"] is None:
         return line + ", better direction unknown"
@@ -113,29 +120,35 @@ def report(summary: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
-    command = shlex.split(args.command) + ["--workload", args.workload, "--seed", str(args.seed)]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            result = run_once(command, checkouts[side])
+            result = run_once(checkouts[side], args.workload, args.seed)
             results[side].append(result)
             values = {k: m["value"] for k, m in result.get("metrics", {}).items()}
             print(f"pair {i + 1} {side}: correct={result.get('correct')} {json.dumps(values)}",
                   flush=True)
-    ok = all(r.get("correct") for side in SIDES for r in results[side])
+    incorrect = {side: sum(not r.get("correct") for r in results[side]) for side in SIDES}
+    failed = {side: sum(r["failed"] for r in results[side]) for side in SIDES}
+    attempted = {side: sum(r["attempted"] for r in results[side]) for side in SIDES}
+    # the gain rule needs every run correct and no larger share of failed operations
+    clean = not any(incorrect.values()) and (
+        failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
+    )
     directions = _directions(checkouts["parent"])
     names = sorted(set().union(*(r.get("metrics", {}) for side in SIDES for r in results[side])))
     for name in names:
-        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                 for p, c in zip(results["parent"], results["change"])
-                 if name in p.get("metrics", {}) and name in c.get("metrics", {})]
-        if pairs:
-            parent, change = (list(v) for v in zip(*pairs))
-            print(report(summarize(name, parent, change, directions.get(name))))
-    failed = {side: sum(not r.get("correct") for r in results[side]) for side in SIDES}
-    print(f"runs not correct: parent {failed['parent']}, change {failed['change']}")
-    return 0 if ok else 1
+        values = {side: [r["metrics"][name]["value"]
+                         if r.get("correct") and name in r.get("metrics", {}) else None
+                         for r in results[side]] for side in SIDES}
+        summary = summarize(name, values["parent"], values["change"], directions.get(name))
+        summary["rule_holds"] = summary["rule_holds"] and clean
+        print(report(summary))
+    print(f"runs not correct: parent {incorrect['parent']}, change {incorrect['change']};"
+          f" failed operations: parent {failed['parent']}/{attempted['parent']},"
+          f" change {failed['change']}/{attempted['change']}")
+    return 1 if any(incorrect.values()) else 0
 
 
 if __name__ == "__main__":
