@@ -20,7 +20,6 @@ from .geometry import (
     Ball,
     Box,
     ConvexSet,
-    Intersection,
     ShiftedSimplex,
     WholeSpace,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ConvexSet",
     "DelayModel",
     "DomainError",
-    "Intersection",
     "NetworkStats",
     "NoDelay",
     "OracleError",

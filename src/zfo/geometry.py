@@ -3,9 +3,7 @@ constrained perturbation sampling.
 
 All sets are closed convex subsets of R^dim, and every set operation
 works on rows (one point per row). Projections are exact (closed form)
-for boxes, Euclidean balls, shifted simplices, and the whole space;
-intersections fall back to Dykstra's alternating projections with a
-post-hoc certificate.
+for boxes, Euclidean balls, shifted simplices, and the whole space.
 
 Perturbation sampling projects a standard normal draw onto the
 symmetric feasibility cap
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, OracleError
+from .errors import ConfigurationError, DomainError
 
 DEFAULT_TOL = 1e-9
 _CERT_TOL = 1e-12  # feasibility certificate for sampled perturbations
@@ -50,13 +48,13 @@ class SampleStats:
 class ConvexSet:
     """Base class. A subclass defines the exact row-wise `project_batch` and,
     where one exists, a closed-form `contains_batch` with the same verdicts;
-    the one-point `project` and `contains` are their one-row cases, and
-    `contains_all` is their conjunction over many points, which a subclass
-    settles in closed form (`_all_inside`) when every point is plainly
-    inside."""
+    the one-point `project` and `contains` are their one-row cases.  Over
+    many points, `membership` gives one verdict per point set: "all inside"
+    when a subclass settles that in closed form (`_all_inside`), the
+    `contains_batch` verdicts otherwise; `contains_all` is their
+    conjunction."""
 
     dim: int
-    bounded: bool = True
 
     def project_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -74,14 +72,21 @@ class ConvexSet:
         """Membership of one point up to Euclidean distance `tol`."""
         return bool(self.contains_batch(np.asarray(y, dtype=float)[None, :], tol)[0])
 
-    def contains_all(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Whether every point of `ys` (any leading shape, points along the
-        last axis) is a member up to `tol`: the verdict of `contains_batch`
-        on the points as rows, all of them, without per-row work when
-        `_all_inside` settles it."""
+    def membership(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+        """The membership up to `tol` of the points of `ys` (any leading
+        shape, points along the last axis): None when `_all_inside` finds
+        every point inside, else `contains_batch`'s verdicts on the points as
+        rows, in their C order.  One closed-form test and at most one per-row
+        pass, so a caller settles a point set with one call."""
         if self._all_inside(ys, tol):
-            return True
-        return bool(self.contains_batch(np.reshape(ys, (-1, self.dim)), tol).all())
+            return None
+        return self.contains_batch(np.reshape(ys, (-1, self.dim)), tol)
+
+    def contains_all(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        """Whether every point of `ys` (as for `membership`) is a member up
+        to `tol`: the conjunction of `contains_batch` on the points as rows."""
+        ok = self.membership(ys, tol)
+        return ok is None or bool(ok.all())
 
     def _all_inside(self, ys: np.ndarray, tol: float) -> bool:
         """A closed-form test, true only when `contains_batch` passes every
@@ -102,7 +107,9 @@ class ConvexSet:
         `_inside_slack`, so they are members whenever `tol` covers that.
         A set may also mark rows that a closed-form upper bound on their
         distance certifies; such a bound, with its rounding, exceeds
-        `_inside_slack`, so it never certifies a row below that.  `gap` is a closed-form lower bound on each row's distance to the
+        `_inside_slack`, so it never certifies a row below that.
+
+        `gap` is a closed-form lower bound on each row's distance to the
         set and `size` bounds the magnitudes it was computed from: a row
         whose gap exceeds `tol` by more than the rounding of both the gap
         and the projection is rejected without projecting it, so a faulty
@@ -128,7 +135,7 @@ class ConvexSet:
         raise NotImplementedError
 
     def outer_radius(self) -> float:
-        """max ||y|| over the set (an upper bound for intersections)."""
+        """max ||y|| over the set."""
         raise NotImplementedError
 
     def _require_origin_interior(self) -> None:
@@ -141,8 +148,6 @@ class ConvexSet:
 
 class WholeSpace(ConvexSet):
     """Unconstrained R^dim."""
-
-    bounded = False
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -189,8 +194,6 @@ class Box(ConvexSet):
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
         ys = np.asarray(ys, dtype=float)
-        if self._all_inside(ys, tol):
-            return np.ones(ys.shape[0], dtype=bool)
         # per coordinate, the larger excess over a bound is |y - clip(y)|
         # bit for bit when positive, so the norm is that of ys - clip(ys)
         excess = np.maximum(ys - self.upper, self.lower - ys)
@@ -298,8 +301,6 @@ class ShiftedSimplex(ConvexSet):
 
     def contains_batch(self, ys, tol=DEFAULT_TOL):
         ys = np.asarray(ys, dtype=float)
-        if self._all_inside(ys, tol):
-            return np.ones(ys.shape[0], dtype=bool)
         w = ys - self.shift
         sums = w.sum(axis=1)
         lows = w.min(axis=1)
@@ -371,56 +372,6 @@ class ShiftedSimplex(ConvexSet):
             f"ShiftedSimplex(dim={self.dim}, shift={self.shift!r}, "
             f"scale={self.scale})"
         )
-
-
-class Intersection(ConvexSet):
-    """Intersection of convex sets; projection via Dykstra's algorithm."""
-
-    def __init__(self, members, tol: float = 1e-10):
-        members = list(members)
-        if not members:
-            raise ConfigurationError("intersection needs at least one member")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise ConfigurationError("intersection members must share a dimension")
-        self.members = members
-        self.dim = members[0].dim
-        self.tol = float(tol)
-
-    @property
-    def bounded(self):
-        return any(m.bounded for m in self.members)
-
-    def _in_members(self, ys, tol):
-        return np.logical_and.reduce([m.contains_batch(ys, tol) for m in self.members])
-
-    def project_batch(self, ys):
-        out = np.array(ys, dtype=float)
-        rows = np.flatnonzero(~self._in_members(out, _CERT_TOL))
-        for row in rows:
-            out[row] = _dykstra([m.project for m in self.members], out[row], self.tol)
-        if not self._in_members(out[rows], DEFAULT_TOL).all():
-            raise OracleError(
-                "alternating-projection oracle failed to certify a point in "
-                f"the intersection after {_DYKSTRA_SWEEPS} sweeps"
-            )
-        return out
-
-    def shrink(self, delta):
-        _check_delta(delta)
-        if delta == 0.0:
-            return self
-        return Intersection([m.shrink(delta) for m in self.members], self.tol)
-
-    def inner_radius(self):
-        return float(min(m.inner_radius() for m in self.members))
-
-    def outer_radius(self):
-        # min over members is a valid upper bound on max ||y||.
-        return float(min(m.outer_radius() for m in self.members))
-
-    def __repr__(self):
-        return f"Intersection({self.members!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +504,9 @@ def constrain_perturbation_batch(
     # both signed actions in one membership test: x + u z, then x - u z
     if signed is None:
         signed = xs + zhat * np.array([[[u]], [[-u]]])
-    if set_.contains_all(signed, _CERT_TOL):
+    ok = set_.membership(signed, _CERT_TOL)
+    if ok is None or ok.all():
         return zhat
-    ok = set_.contains_batch(signed.reshape(-1, set_.dim), _CERT_TOL)
     # x is the midpoint of x + u z and x - u z: rows passing both are members
     rows = np.flatnonzero(~ok.reshape(2, -1).all(axis=0))
     _require_members(set_, xs[rows])
@@ -573,12 +524,12 @@ def constrain_perturbation_batch(
 
 
 def _require_members(set_, xs):
-    if not set_.contains_batch(xs, DEFAULT_TOL).all():
+    if not set_.contains_all(xs, DEFAULT_TOL):
         raise DomainError("cannot sample a perturbation at a point outside the set")
 
 
 def _signed_feasible(set_, x, uz):
-    return bool(set_.contains_batch(np.stack((x + uz, x - uz)), _CERT_TOL).all())
+    return set_.contains_all(np.stack((x + uz, x - uz)), _CERT_TOL)
 
 
 def _project_symmetric_cap(set_, x, zhat, u):

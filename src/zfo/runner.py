@@ -222,12 +222,26 @@ def metrics_snapshot(
     """Centralized diagnostics at one state: cost, gap, gradient, feasibility.
 
     The feasibility flag asserts ``x`` lies in every agent's shrunken set
-    and, when ``u`` and ``z_flat`` are given, that both signed perturbed
-    actions are feasible in the unshrunken sets (tolerance 1e-9).  Uses the
-    problem's analytic gradient when available, otherwise central finite
-    differences at ``fd_step`` with the estimate flagged.
+    and, when ``u`` and ``z_flat`` are given (both or neither), that both
+    signed perturbed actions are feasible in the unshrunken sets (tolerance
+    1e-9).  Uses the problem's analytic gradient when available, otherwise
+    central finite differences at ``fd_step`` with the estimate flagged.
+    `run` computes its cadence rows' other fields the same way, and takes
+    their ``feasible`` from the guard that passed the round.
     """
+    if (u is None) != (z_flat is None):
+        raise ConfigurationError("checking the signed actions needs both u and z_flat")
     flat = np.asarray(flat, dtype=float)
+    row = _diagnostics(problem, flat, t, fd_step)
+    x = problem.blocks(flat)
+    signed = None if u is None else x + problem.blocks(z_flat) * np.array([[[u]], [[-u]]])
+    shrunk = [(g, g.set.shrink(delta)) for g in problem.groups]
+    row["feasible"] = _first_infeasible(shrunk, x, signed) is None
+    return row
+
+
+def _diagnostics(problem: Problem, flat: np.ndarray, t: int, fd_step: float = 1e-5) -> dict:
+    """A trace row's cost, gap and gradient fields at the state `flat`."""
     f_value = problem.global_cost(flat, check=False)
     gap = None if problem.f_star is None else f_value - problem.f_star
     if problem.grad is not None:
@@ -236,19 +250,12 @@ def metrics_snapshot(
     else:
         grad = _finite_difference_gradient(problem, flat, fd_step)
         estimated = True
-    x = problem.blocks(flat)
-    signed = None
-    if z_flat is not None and u is not None:
-        signed = x + problem.blocks(z_flat) * np.array([[[u]], [[-u]]])
-    shrunk = [(g, g.set.shrink(delta)) for g in problem.groups]
-    feasible = _first_infeasible(shrunk, x, signed) is None
     return {
         "t": int(t),
         "f": float(f_value),
         "gap": None if gap is None else float(gap),
         "grad_sq": float(np.dot(grad, grad)),
         "grad_estimated": estimated,
-        "feasible": bool(feasible),
     }
 
 
@@ -257,20 +264,15 @@ def _first_infeasible(shrunk, x: np.ndarray, signed: np.ndarray | None) -> int |
     in `x` leaves its shrunken set or, when `signed` holds the stacked
     `(x + u z, x - u z)`, whose signed actions leave its set; None when
     every agent is feasible.  `shrunk` pairs each set group with its
-    shrunken set.  `contains_all` clears a group whose points are all
-    inside; the per-row verdicts run only for the others."""
+    shrunken set.  Each point set gets one `membership` verdict."""
     for g, shrunk_set in shrunk:
-        if shrunk_set.contains_all(x[g.index], _FEASIBILITY_TOL) and (
-            signed is None or g.set.contains_all(signed[g.signed_index], _FEASIBILITY_TOL)
-        ):
-            continue
-        ok = shrunk_set.contains_batch(x[g.index], _FEASIBILITY_TOL)
+        ok = shrunk_set.membership(x[g.index], _FEASIBILITY_TOL)
         if signed is not None:
-            ok_signed = g.set.contains_batch(
-                signed[g.signed_index].reshape(-1, g.dim), _FEASIBILITY_TOL
-            )
-            ok = ok & ok_signed.reshape(2, -1).all(axis=0)
-        if not ok.all():
+            ok_signed = g.set.membership(signed[g.signed_index], _FEASIBILITY_TOL)
+            if ok_signed is not None:
+                ok_signed = ok_signed.reshape(2, -1).all(axis=0)
+                ok = ok_signed if ok is None else ok & ok_signed
+        if ok is not None and not ok.all():
             return int(g.members[int(np.argmax(~ok))])
     return None
 
@@ -548,13 +550,11 @@ class _Round(RoundView):
                 if self._owed_count == len(owed):
                     self._settle()
         if t % self._metric_every == 0 or t == self._horizon:
-            z_flat = problem.flat(self.z)
-            row = metrics_snapshot(problem, flat, t, delta=self._delta, u=self._u, z_flat=z_flat)
+            row = _diagnostics(problem, flat, t)
+            row["feasible"] = True  # the guard passed this round's state and signed actions
             row["stale_max"] = self._stale_now
             row["fallbacks"] = self._stats.fallbacks
             self.rows.append(row)
-            if not row["feasible"]:
-                raise DomainError(f"feasibility check failed at round {t}")
 
     def _settle(self) -> None:
         """Add ‖∇f‖² at each owed state in round order: one stacked gradient

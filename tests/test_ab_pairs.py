@@ -133,3 +133,33 @@ def test_a_larger_share_of_failed_operations_fails_the_rule(checkouts, capsys):
 def test_rejects_no_pairs():
     with pytest.raises(SystemExit):
         ab_pairs.main(["a", "b", "--workload", "w", "--pairs", "0"])
+
+
+def test_each_metric_gets_a_no_regression_verdict_from_its_bound(checkouts, capsys):
+    # bounds from BENCHMARK.json: 25% on the rate and on set-up, 10% on memory
+    def runs(rates, setups, rss):
+        return [{"metrics": {"seed_rounds_per_s": r, "setup_s": s, "peak_rss_mb": m}}
+                for r, s, m in zip(rates, setups, rss)]
+
+    parent, change = checkouts(
+        runs([100.0, 102.0, 98.0, 101.0], [1.0, 1.1, 0.9, 1.0], [50.0, 50.1, 49.9, 50.0]),
+        runs([70.0, 71.0, 69.0, 72.0], [1.0, 2.0, 0.5, 1.5], [50.2, 50.1, 50.0, 50.3]),
+    )
+    assert ab_pairs.main([parent, change, "--workload", "w", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out
+    # the rate's median fell 29.5%, more than its bound, with both IQRs inside it
+    assert _line(out, "seed_rounds_per_s").endswith(
+        "; no-regression verdict (bound 25%): regressed")
+    # the change's set-up IQR, 0.875 to 1.625, is wider than 25% of its median 1.25
+    assert _line(out, "setup_s").endswith("; no-regression verdict (bound 25%): unresolved")
+    # memory rose 0.3%, inside its 10% bound
+    assert _line(out, "peak_rss_mb").endswith("; no-regression verdict (bound 10%): holds")
+
+
+def test_a_change_better_in_every_run_holds_however_wide_the_spread():
+    parent = [100.0, 40.0, 160.0, 100.0]  # IQR 85 to 115, wider than 25% of 100
+    assert ab_pairs.summarize("m", parent, [170.0, 180.0, 190.0, 175.0], "higher",
+                              0.25)["regression"] == "holds"
+    assert ab_pairs.summarize("m", parent, [170.0, 180.0, 190.0, 160.0], "higher",
+                              0.25)["regression"] == "unresolved"  # a tie with the parent's best
+    assert ab_pairs.summarize("m", parent, [170.0] * 4, "higher")["regression"] is None  # no bound

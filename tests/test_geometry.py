@@ -15,7 +15,6 @@ from zfo.geometry import (
     Ball,
     Box,
     ConvexSet,
-    Intersection,
     SampleStats,
     ShiftedSimplex,
     WholeSpace,
@@ -41,8 +40,6 @@ def _raw_member(set_, v, tol=1e-12):
     if isinstance(set_, ShiftedSimplex):
         w = v - set_.shift
         return bool(np.all(w >= -tol) and w.sum() <= set_.scale + tol)
-    if isinstance(set_, Intersection):
-        return all(_raw_member(m, v, tol) for m in set_.members)
     raise TypeError(set_)
 
 
@@ -117,32 +114,6 @@ def test_simplex_projection_matches_grid_oracle_random(seed):
         w = rng.random(3)
         v = set_.shift + set_.scale * w / max(w.sum(), 1.0)
         assert float(np.dot(y - got, v - got)) <= 1e-9
-
-
-def test_intersection_projection_certified_hand_case():
-    # Ball(0,1) cap Box([0.5,-2],[2,2]): nearest point to (2, 0) is (1, 0).
-    inter = Intersection([Ball([0.0, 0.0], 1.0), Box([0.5, -2.0], [2.0, 2.0])])
-    got = inter.project(np.array([2.0, 0.0]))
-    np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-8)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_intersection_projection_optimality_certificate(seed):
-    # The projection p of y is the unique feasible point satisfying
-    # <y - p, v - p> <= 0 for every feasible v; check that variational
-    # inequality (and plain distance dominance) on sampled feasible points.
-    rng = np.random.default_rng(100 + seed)
-    inter = Intersection([Ball([0.1, -0.1], 0.9), Box([-0.5, -1.0], [0.6, 1.0])])
-    y = rng.normal(0.0, 1.2, size=2)
-    got = inter.project(y)
-    assert all(_raw_member(m, got, tol=1e-9) for m in inter.members)
-    vs = rng.uniform([-0.5, -1.0], [0.6, 1.0], size=(50_000, 2))
-    feasible = vs[np.linalg.norm(vs - np.array([0.1, -0.1]), axis=1) <= 0.9]
-    assert len(feasible) > 1000
-    inner = (feasible - got) @ (y - got)
-    assert float(inner.max()) <= 1e-8
-    dists = np.linalg.norm(feasible - y, axis=1)
-    assert np.linalg.norm(got - y) <= float(dists.min()) + 1e-6
 
 
 def test_project_batch_is_an_idempotent_nonexpansive_projection():
@@ -262,19 +233,15 @@ def _contains_batch_matches_definition(case):
 
 @st.composite
 def _contains_all_case(draw):
-    """A membership case's set, or the whole space or an intersection of the
-    set with a ball around it; rows that are all inside, boundary rows, or
-    rows around the boundary, repeated often enough for the simplex test to
-    sum them as columns or not; stacked 2-D or 3-D; and a tolerance below
-    or above the set's `_inside_slack`, or the case's own."""
+    """A membership case's set, or the whole space; rows that are all
+    inside, boundary rows, or rows around the boundary, repeated often
+    enough for the simplex test to sum them as columns or not; stacked 2-D
+    or 3-D; and a tolerance below or above the set's `_inside_slack`, or
+    the case's own."""
     set_, ys, inside, tol = draw(_membership_case())
-    wrap = draw(st.sampled_from(["none", "whole", "intersection"]))
+    wrap = draw(st.sampled_from(["none", "whole"]))
     if wrap == "whole":
         set_ = WholeSpace(set_.dim)
-    elif wrap == "intersection":
-        center = inside.mean(axis=0)
-        radius = float(np.linalg.norm(inside - center, axis=1).max()) + 1.0
-        set_ = Intersection([set_, Ball(center, radius)])
     pick = draw(st.sampled_from(["inside", "boundary", "around"]))
     rows = {"inside": inside, "boundary": inside[: len(inside) // 2], "around": ys}[pick]
     if wrap == "none":
@@ -290,9 +257,15 @@ def _contains_all_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_contains_all_case())
 def test_contains_all_is_the_conjunction_of_contains_batch(case):
+    # and `membership` is "all inside" only when every row passes, else the row verdicts
     set_, rows, tol = case
-    expected = bool(set_.contains_batch(rows.reshape(-1, set_.dim), tol).all())
-    assert set_.contains_all(rows, tol) == expected
+    verdicts = set_.contains_batch(rows.reshape(-1, set_.dim), tol)
+    assert set_.contains_all(rows, tol) == bool(verdicts.all())
+    got = set_.membership(rows, tol)
+    if got is None:
+        assert verdicts.all()
+    else:
+        np.testing.assert_array_equal(got, verdicts)
 
 
 @st.composite
@@ -447,11 +420,6 @@ def test_outer_radius_simplex_is_max_vertex_norm():
     assert set_.outer_radius() == pytest.approx(max(np.linalg.norm(v) for v in verts))
 
 
-def test_intersection_inner_radius_is_min():
-    inter = Intersection([Ball([0.0, 0.0], 1.0), Box([-0.4, -2.0], [0.7, 2.0])])
-    assert inter.inner_radius() == pytest.approx(0.4)
-
-
 # ---------------------------------------------------------------------------
 # perturbation sampling
 
@@ -490,10 +458,6 @@ def test_sample_perturbation_requires_feasible_base_point():
         (Box([0.0], [1.0]), [[0.5], [2.0]]),
         (Ball([0.0, 0.0], 1.0), [[0.0, 0.0], [1.5, 0.0]]),
         (ShiftedSimplex(2, shift=-0.25), [[0.0, 0.0], [0.9, 0.9]]),
-        (
-            Intersection([Ball([0.0, 0.0], 1.0), Box([-0.8, -0.8], [0.8, 0.8])]),
-            [[0.0, 0.0], [0.9, 0.0]],
-        ),
     ]
     for set_, xs in cases:
         xs = np.array(xs)
@@ -516,10 +480,7 @@ def test_sample_perturbation_requires_feasible_base_point():
         (Box([-1.0, -1.0], [1.0, 1.0]), np.array([0.97, -0.99])),
         (Ball([0.0, 0.0], 1.0), np.array([0.69, 0.69])),
         (ShiftedSimplex(3, shift=-0.25), np.array([0.2, -0.2, 0.0])),
-        (
-            Intersection([Ball([0.0, 0.0], 1.0), Box([-0.8, -0.8], [0.8, 0.8])]),
-            np.array([0.78, 0.1]),
-        ),
+        (ShiftedSimplex(2, shift=-1.0 / 3.0), np.array([0.6, -0.3])),
     ],
 )
 def test_sampled_perturbations_keep_both_actions_feasible(set_, x):
@@ -558,6 +519,40 @@ def test_bisection_fallback_returns_feasible_scaling(monkeypatch):
     # fallback shrinks the raw draw radially
     cross = z[0] * zhat[1] - z[1] * zhat[0]
     assert abs(cross) < 1e-9
+
+
+def count_membership_passes(monkeypatch, points):
+    """Count the simplex's closed-form tests (`_all_inside`) and per-row
+    passes (`_finish_contains`) over data that shares memory with `points`."""
+    passes = {"closed_form": 0, "per_row": 0}
+    all_inside, finish = ShiftedSimplex._all_inside, ShiftedSimplex._finish_contains
+
+    def counted(kind, method):
+        def wrapper(self, ys, *args):
+            passes[kind] += np.shares_memory(ys, points)
+            return method(self, ys, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(ShiftedSimplex, "_all_inside", counted("closed_form", all_inside))
+    monkeypatch.setattr(ShiftedSimplex, "_finish_contains", counted("per_row", finish))
+    return passes
+
+
+def test_the_sampler_settles_its_signed_stack_with_one_verdict(monkeypatch):
+    # the first draw needs the cap, the second is plainly inside: the stack of
+    # signed actions gets one closed-form test and one per-row pass
+    set_ = ShiftedSimplex(2, shift=-1.0 / 3.0)
+    xs = np.array([[0.6, -0.3], [0.0, 0.0]])
+    zhat = np.array([[40.0, -25.0], [0.1, 0.2]])
+    u = 0.05
+    signed = xs + zhat * np.array([[[u]], [[-u]]])
+    passes = count_membership_passes(monkeypatch, signed)
+    stats = SampleStats()
+    z = constrain_perturbation_batch(set_, xs, zhat, u, stats, signed=signed)
+    assert passes == {"closed_form": 1, "per_row": 1}
+    assert stats.projections == 1
+    np.testing.assert_array_equal(z[1], zhat[1])
 
 
 def test_constrain_perturbation_batch_rows_match_single_rows():

@@ -27,6 +27,7 @@ from zfo.problems import (
     routing_problem,
 )
 import zfo.runner
+from test_geometry import count_membership_passes
 from zfo.runner import (
     TRACE_COLUMNS,
     RunConfig,
@@ -700,6 +701,42 @@ def test_metrics_snapshot_flags_infeasible_state():
     assert not row["feasible"]
 
 
+def test_metrics_snapshot_refuses_half_of_the_signed_action_check():
+    problem = build_box_quadratic(2, 1, seed=0)
+    x = np.zeros(problem.total_dim)
+    for half in (dict(u=1e-3), dict(z_flat=np.ones(problem.total_dim))):
+        with pytest.raises(ConfigurationError, match="both u and z_flat"):
+            metrics_snapshot(problem, x, 0, **half)
+
+
+@pytest.mark.parametrize("case", ["routing", "finite_differences"])
+def test_cadence_rows_equal_metrics_snapshot(case):
+    # each row's diagnostics, and the guard's verdict, bit for bit as the
+    # public snapshot at the round's state and perturbation
+    if case == "routing":
+        config = _shared_stack_case("routing")  # cap projections
+    else:
+        problem = dataclasses.replace(build_trig_sum(2, 2, seed=3), grad=None)
+        config = RunConfig(problem=problem, graph=CommGraph.path(2), eta=1e-3, u=1e-3,
+                           delta=0.0, horizon=30, seed=5, metric_every=10)
+    problem, states = config.problem, {}
+
+    def probe(view):
+        if view.t % config.metric_every == 0 or view.t == config.horizon:
+            states[view.t] = (problem.flat(view.x).copy(), problem.flat(view.z).copy())
+
+    trace = run(dataclasses.replace(config, probe=probe))
+    if case == "routing":
+        assert trace.cap_projections > 0
+    assert [row["t"] for row in trace.rows] == list(states)
+    for row in trace.rows:
+        x, z = states[row["t"]]
+        want = metrics_snapshot(problem, x, row["t"], config.delta, config.u, z)
+        for key in ("f", "gap", "grad_sq", "grad_estimated", "feasible"):
+            assert repr(row[key]) == repr(want[key]), (row["t"], key)
+        assert row["grad_estimated"] == (case == "finite_differences")
+
+
 def test_trace_csv_roundtrip(tmp_path):
     trace = run(_quadratic_config())
     path = tmp_path / "trace.csv"
@@ -942,18 +979,40 @@ def test_a_returned_copy_of_the_draws_changes_no_value(case, monkeypatch):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("excess, far, agent", [(1e-6, None, 2), (1.5e-9, 4, 4)],
+                         ids=["state_outside", "action_outside"])
+def test_the_guard_settles_a_state_with_one_verdict(excess, far, agent, monkeypatch):
+    # one row's sum is past the shrunken cap by more than the tolerance, so the
+    # closed-form test cannot settle the state: the row is outside, or within
+    # 1e-9 of the set while another agent's signed actions leave it; either
+    # way the state gets one closed-form test and one per-row pass
+    problem = routing_problem(build_routing_instance(2, 3, seed=1))
+    (group,) = problem.groups
+    shrunk_set = group.set.shrink(0.05)
+    w = np.full((problem.n, group.dim), shrunk_set.scale / group.dim)
+    w[2, 0] += excess
+    x = w + shrunk_set.shift
+    z = 1e-3 * np.random.default_rng(0).standard_normal(x.shape)
+    if far is not None:
+        z[far] = [50.0, -50.0, 0.0]
+    signed = x + z * np.array([[[1e-2]], [[-1e-2]]])
+    passes = count_membership_passes(monkeypatch, x)
+    assert zfo.runner._first_infeasible([(group, shrunk_set)], x, signed) == agent
+    assert passes == {"closed_form": 1, "per_row": 1}
+
+
 def test_the_guard_keeps_its_own_membership_tests(monkeypatch):
     # the sampler tests the round's signed stack once, and the guard tests the
-    # state and that stack again: 3 calls a round, plus 2 per cadence row
-    # (state and signed actions); none may be dropped or duplicated
-    contains_all = ShiftedSimplex.contains_all
+    # state and that stack again: 3 calls a round; a cadence row takes the
+    # guard's verdict, so none may be dropped or duplicated
+    membership = ShiftedSimplex.membership
     calls = []
 
     def counting(self, ys, tol=1e-9):
         calls.append(tol)
-        return contains_all(self, ys, tol)
+        return membership(self, ys, tol)
 
-    monkeypatch.setattr(ShiftedSimplex, "contains_all", counting)
+    monkeypatch.setattr(ShiftedSimplex, "membership", counting)
     problem = routing_problem(build_routing_instance(2, 3, seed=1))
     horizon, every = 50, 20
     trace = run(
@@ -962,7 +1021,7 @@ def test_the_guard_keeps_its_own_membership_tests(monkeypatch):
     )
     assert trace.cap_projections == 0
     assert len(trace.rows) == 4  # rounds 0, 20, 40 and 50
-    assert len(calls) == 3 * (horizon + 1) + 2 * len(trace.rows)
+    assert len(calls) == 3 * (horizon + 1)
 
 
 @pytest.mark.parametrize(

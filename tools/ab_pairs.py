@@ -17,6 +17,13 @@ better than the parent's by more than the parent's interquartile range,
 every run is correct and the change fails no larger share of operations
 than the parent.  A pair with a run that is not correct is not a win.
 
+Each metric also gets a no-regression verdict from its relative `bound`
+in the parent's `BENCHMARK.json`: `unresolved` when either side's
+interquartile range is wider than the bound times its median, unless
+every change run is better than every parent run; otherwise `regressed`
+when the change's median is worse than the parent's by more than the
+bound times the parent's median, and `holds` when it is not.
+
 The exit code is 1 when any run failed or reported `correct: false`, else 0.
 """
 
@@ -67,14 +74,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(name: str, parent: list, change: list, better: str | None) -> dict:
+def summarize(name: str, parent: list, change: list, better: str | None,
+              bound: float | None = None) -> dict:
     """The statistics of one metric over paired runs (`parent[i]` with
     `change[i]`), where None stands for a run with no correct value."""
     pairs = [(p, c) for p, c in zip(parent, change) if p is not None and c is not None]
     out = {"metric": name, "better": better, "pairs": len(parent), "wins": None,
-           "rule_holds": None, "parent": None, "change": None, "median_ratio": None}
-    for side, values in (("parent", parent), ("change", change)):
-        values = [v for v in values if v is not None]
+           "rule_holds": None, "parent": None, "change": None, "median_ratio": None,
+           "bound": bound, "regression": None}
+    correct = {side: [v for v in values if v is not None]
+               for side, values in (("parent", parent), ("change", change))}
+    for side, values in correct.items():
         if values:
             q1, med, q3 = quartiles(values)
             out[side] = [med, q1, q3]
@@ -88,15 +98,28 @@ def summarize(name: str, parent: list, change: list, better: str | None) -> dict
         if out["wins"] >= 0.9 * len(parent):  # so both sides have values
             (p_med, p_q1, p_q3), c_med = out["parent"], out["change"][0]
             out["rule_holds"] = sign * (c_med - p_med) > p_q3 - p_q1
+        if bound is not None and out["parent"] and out["change"]:
+            out["regression"] = _regression(correct, sign, bound, out)
     return out
 
 
-def _directions(parent: Path) -> dict[str, str]:
+def _regression(correct: dict, sign: float, bound: float, out: dict) -> str:
+    """The no-regression verdict of a metric with this relative bound."""
+    if min(sign * c for c in correct["change"]) > max(sign * p for p in correct["parent"]):
+        return "holds"  # every change run is better than every parent run
+    for med, q1, q3 in (out["parent"], out["change"]):
+        if q3 - q1 > bound * abs(med):
+            return "unresolved"
+    p_med, c_med = out["parent"][0], out["change"][0]
+    return "regressed" if sign * (p_med - c_med) > bound * abs(p_med) else "holds"
+
+
+def _end_to_end(parent: Path) -> dict[str, dict]:
     try:
         spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return {}
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", [])}
 
 
 def _fmt(stats: list | None) -> str:
@@ -114,8 +137,12 @@ def report(summary: dict) -> str:
     if summary["wins"] is None:
         return line + ", better direction unknown"
     verdict = "holds" if summary["rule_holds"] else "does not hold"
-    return (line + f", change better in {summary['wins']}/{summary['pairs']} pairs"
-            f" ({summary['better']} is better); gain rule {verdict}")
+    line += (f", change better in {summary['wins']}/{summary['pairs']} pairs"
+             f" ({summary['better']} is better); gain rule {verdict}")
+    if summary["regression"] is None:
+        return line
+    bound = f"{100 * summary['bound']:g}%"
+    return line + f"; no-regression verdict (bound {bound}): {summary['regression']}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,13 +163,15 @@ def main(argv: list[str] | None = None) -> int:
     clean = not any(incorrect.values()) and (
         failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
     )
-    directions = _directions(checkouts["parent"])
+    declared = _end_to_end(checkouts["parent"])
     names = sorted(set().union(*(r.get("metrics", {}) for side in SIDES for r in results[side])))
     for name in names:
         values = {side: [r["metrics"][name]["value"]
                          if r.get("correct") and name in r.get("metrics", {}) else None
                          for r in results[side]] for side in SIDES}
-        summary = summarize(name, values["parent"], values["change"], directions.get(name))
+        spec = declared.get(name, {})
+        summary = summarize(name, values["parent"], values["change"], spec.get("better"),
+                            spec.get("bound"))
         summary["rule_holds"] = summary["rule_holds"] and clean
         print(report(summary))
     print(f"runs not correct: parent {incorrect['parent']}, change {incorrect['change']};"
