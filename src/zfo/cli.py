@@ -93,14 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.constants):
-        raise ConfigurationError(f"constants file not found: {args.constants}")
-    with open(args.constants, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{args.constants}: invalid JSON ({exc})") from exc
-    constants = ProblemConstants.from_dict(doc)
+    constants = ProblemConstants.from_dict(load_config(args.constants))
     p = plan(constants, args.eps, args.regime)
     report = verify_plan(constants, args.eps, p)
     _write_json({"plan": p.as_dict(), "report": report.as_dict()}, args.out)

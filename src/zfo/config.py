@@ -135,9 +135,10 @@ def _read(doc: dict, fields: list[dataclasses.Field], path: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Read a JSON config file; errors carry the file path."""
+    """Read a JSON file holding one object (a config document or a constants
+    file); errors carry the file path."""
     if not os.path.exists(path):
-        raise ConfigurationError(f"config file not found: {path}")
+        raise ConfigurationError(f"file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -149,27 +150,27 @@ def load_config(path: str) -> dict:
 def apply_overrides(doc: dict, **overrides) -> dict:
     """Return a copy of `doc` with command-line overrides folded in.
 
-    Recognized keys: eta, u, delta, sigma, horizon (params), seed,
-    metric_every, mode, and p_drop (replaces the delay model, keeping
-    any previously declared extra-delay bound).
+    Recognized keys: eta, u, delta, sigma, horizon (params), seed, mode,
+    and p_drop (replaces the delay model, keeping any previously declared
+    extra-delay bound; with p_drop = 0 and no bound it is "none").
     """
     doc = copy.deepcopy(doc)
     for key in _PARAMS:
         value = overrides.pop(key, None)
         if value is not None:
             doc.setdefault("params", {})[key] = value
-    for key in ("seed", "metric_every", "mode"):
+    for key in ("seed", "mode"):
         value = overrides.pop(key, None)
         if value is not None:
             doc[key] = value
     p_drop = overrides.pop("p_drop", None)
     if p_drop is not None:
-        if p_drop == 0:
+        declared = 0
+        if isinstance(doc.get("delay"), dict):
+            declared = doc["delay"].get("delta", 0)
+        if p_drop == 0 and declared == 0:
             doc["delay"] = {"kind": "none"}
         else:
-            declared = 0
-            if isinstance(doc.get("delay"), dict):
-                declared = doc["delay"].get("delta", 0)
             doc["delay"] = {"kind": "bernoulli", "p": p_drop, "delta": declared}
     if overrides:
         raise ConfigurationError(f"unknown override(s): {sorted(overrides)}")

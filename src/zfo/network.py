@@ -245,28 +245,11 @@ class DelayModel:
     """
 
     declared_delta: int = 0
-
-    @property
-    def lossless(self) -> bool:
-        return False
+    lossless: bool = False
 
     def drop_mask(self, rng: np.random.Generator, shape) -> np.ndarray | None:
         """Boolean mask of dropped messages (None = deliver everything)."""
         raise NotImplementedError
-
-
-class NoDelay(DelayModel):
-    declared_delta = 0
-
-    @property
-    def lossless(self) -> bool:
-        return True
-
-    def drop_mask(self, rng, shape):
-        return None
-
-    def __repr__(self):
-        return "NoDelay()"
 
 
 class BernoulliDrops(DelayModel):
@@ -284,10 +267,7 @@ class BernoulliDrops(DelayModel):
             raise ConfigurationError(f"declared extra delay must be an integer >= 0, got {delta}")
         self.p = float(p)
         self.declared_delta = int(declared_delta)
-
-    @property
-    def lossless(self) -> bool:
-        return self.p == 0.0
+        self.lossless = self.p == 0.0
 
     def drop_mask(self, rng, shape):
         if self.p == 0.0:
@@ -296,6 +276,16 @@ class BernoulliDrops(DelayModel):
 
     def __repr__(self):
         return f"BernoulliDrops(p={self.p}, declared_delta={self.declared_delta})"
+
+
+class NoDelay(BernoulliDrops):
+    """Every message arrives: `BernoulliDrops(0.0, 0)`."""
+
+    def __init__(self):
+        super().__init__(0.0, 0)
+
+    def __repr__(self):
+        return "NoDelay()"
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -65,7 +66,14 @@ _BISECT_MAX_ITER = 300
 _CHECK_RTOL = 1e-9
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a boolean (JSON's true and false included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_positive(name: str, value: float, *, allow_zero: bool = False) -> float:
+    if not _is_number(value):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
@@ -177,7 +185,7 @@ class ProblemConstants(_Record):
             ("staleness_bound", 0, "a non-negative"),
         ):
             value = getattr(self, name)
-            if int(value) != value or value < floor:
+            if not (_is_number(value) and float(value).is_integer()) or value < floor:
                 raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
         _require_positive("lipschitz", self.lipschitz)
         for name in ("smoothness", "b_bar", "b_frak", "sigma"):

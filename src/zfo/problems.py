@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, OracleError
-from .geometry import Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
+from .geometry import DEFAULT_TOL, Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 
 def _set_group_key(s: ConvexSet):
@@ -123,15 +123,49 @@ class Problem:
         costs = self.local_costs(flat, check=check)
         return float(np.add.reduce(costs) / len(costs))  # np.mean's sum and division
 
-    def feasible(self, flat: np.ndarray, tol: float = 1e-9) -> bool:
-        x = self.blocks(flat)
-        return all(g.set.contains_all(x[g.index], tol) for g in self.groups)
+    def feasible(self, flat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        return self.first_infeasible(self.blocks(flat), tol=tol) is None
 
     def project_feasible(self, flat: np.ndarray) -> np.ndarray:
-        x = self.blocks(flat)
-        for g in self.groups:
-            x[g.index] = g.set.project_batch(x[g.index])
-        return self.flat(x)
+        return self.flat(self.project_blocks(self.blocks(flat)))
+
+    def project_blocks(self, y: np.ndarray, sets: list[ConvexSet] | None = None) -> np.ndarray:
+        """A new block array: `y` projected group by group onto `sets`, one
+        set per group (by default the groups' own)."""
+        if sets is None:
+            sets = [g.set for g in self.groups]
+        if len(sets) == 1:  # one set for every agent: its rows span the whole array
+            return sets[0].project_batch(y)
+        out = np.zeros(y.shape)
+        for g, set_ in zip(self.groups, sets):
+            out[g.index] = set_.project_batch(y[g.index])
+        return out
+
+    def first_infeasible(
+        self,
+        x: np.ndarray,
+        sets: list[ConvexSet] | None = None,
+        signed: np.ndarray | None = None,
+        tol: float = DEFAULT_TOL,
+    ) -> int | None:
+        """The first agent (0-based; groups in order, then members) whose
+        block of `x` leaves its group's set in `sets` (one per group, by
+        default the groups' own) or, when `signed` holds the stacked
+        `(x + u z, x - u z)`, whose signed actions leave its own set; None
+        when every agent is feasible.  Each point set gets one `membership`
+        verdict at `tol`."""
+        if sets is None:
+            sets = [g.set for g in self.groups]
+        for g, set_ in zip(self.groups, sets):
+            ok = set_.membership(x[g.index], tol)
+            if signed is not None:
+                ok_signed = g.set.membership(signed[g.signed_index], tol)
+                if ok_signed is not None:
+                    ok_signed = ok_signed.reshape(2, -1).all(axis=0)
+                    ok = ok_signed if ok is None else ok & ok_signed
+            if ok is not None and not ok.all():
+                return int(g.members[int(np.argmax(~ok))])
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,8 @@ def metrics_snapshot(
     row = _diagnostics(problem, flat, t, fd_step)
     x = problem.blocks(flat)
     signed = None if u is None else x + problem.blocks(z_flat) * np.array([[[u]], [[-u]]])
-    shrunk = [(g, g.set.shrink(delta)) for g in problem.groups]
-    row["feasible"] = _first_infeasible(shrunk, x, signed) is None
+    shrunk = [g.set.shrink(delta) for g in problem.groups]
+    row["feasible"] = problem.first_infeasible(x, shrunk, signed) is None
     return row
 
 
@@ -257,24 +257,6 @@ def _diagnostics(problem: Problem, flat: np.ndarray, t: int, fd_step: float = 1e
         "grad_sq": float(np.dot(grad, grad)),
         "grad_estimated": estimated,
     }
-
-
-def _first_infeasible(shrunk, x: np.ndarray, signed: np.ndarray | None) -> int | None:
-    """The first agent (0-based; groups in order, then members) whose state
-    in `x` leaves its shrunken set or, when `signed` holds the stacked
-    `(x + u z, x - u z)`, whose signed actions leave its set; None when
-    every agent is feasible.  `shrunk` pairs each set group with its
-    shrunken set.  Each point set gets one `membership` verdict."""
-    for g, shrunk_set in shrunk:
-        ok = shrunk_set.membership(x[g.index], _FEASIBILITY_TOL)
-        if signed is not None:
-            ok_signed = g.set.membership(signed[g.signed_index], _FEASIBILITY_TOL)
-            if ok_signed is not None:
-                ok_signed = ok_signed.reshape(2, -1).all(axis=0)
-                ok = ok_signed if ok is None else ok & ok_signed
-        if ok is not None and not ok.all():
-            return int(g.members[int(np.argmax(~ok))])
-    return None
 
 
 def _validate(config: RunConfig) -> None:
@@ -318,16 +300,6 @@ def _validate(config: RunConfig) -> None:
         raise ConfigurationError("dependence mode needs the problem's dependence sets")
     if config.reduced_tables and config.mode != "dependence":
         raise ConfigurationError("reduced tables require dependence mode")
-
-
-def _project(shrunk, x: np.ndarray) -> np.ndarray:
-    """A new block array: `x` projected group by group onto the shrunken sets."""
-    if len(shrunk) == 1:  # one set for every agent: its rows span the whole array
-        return shrunk[0][1].project_batch(x)
-    out = np.zeros(x.shape)
-    for g, shrunk_set in shrunk:
-        out[g.index] = shrunk_set.project_batch(x[g.index])
-    return out
 
 
 class _Round(RoundView):
@@ -391,7 +363,7 @@ class _Round(RoundView):
         self._neighbors = graph.neighbor_matrix()
         self._gossip = not self.tables.lossless and n > 1
 
-        self._shrunk = [(g, g.set.shrink(self._delta)) for g in problem.groups]
+        self._shrunk = [g.set.shrink(self._delta) for g in problem.groups]  # one per group
         inner_radii = [g.set.inner_radius() for g in problem.groups]
         if all(np.isfinite(r) for r in inner_radii):
             hypothesis = self._delta * min(inner_radii) / (3.0 * np.sqrt(problem.total_dim))
@@ -420,7 +392,7 @@ class _Round(RoundView):
                 f"x0 must be a flat vector of length {problem.total_dim}, got shape {x0.shape}"
             )
         x = problem.blocks(x0)
-        self.x = _project(self._shrunk, x)
+        self.x = problem.project_blocks(x, self._shrunk)
         moved = float(np.abs(self.x - x).max(initial=0.0))
         if moved > _FEASIBILITY_TOL:
             self.notes.append(
@@ -444,10 +416,10 @@ class _Round(RoundView):
     def sample(self) -> None:
         """(1) Constrained Gaussian perturbations, from draws made in blocks of
         rounds.  The signed actions of the raw draws, x ± u z as (2, n, d_max),
-        are stacked once for the samplers.  When every group hands back the
-        very draw it was given, `z` is the round's read-only draw block and
-        the guard and `observe` use that stack; otherwise `z` is a copy
-        holding the returned rows, and the guard stacks it afresh."""
+        are stacked once for the samplers, the guard and `observe`.  When every
+        group hands back the very draw it was given, `z` is the round's
+        read-only draw block; otherwise `z` is a copy holding the returned
+        rows, and the stack's rows of each such group are rebuilt from them."""
         t, x = self.t, self.x
         self._bi = bi = t % self._block_rounds
         if bi == 0:
@@ -457,10 +429,10 @@ class _Round(RoundView):
                 if self._noise is not None:
                     draws = self._noise_gens[i].standard_normal((count, 2))
                     self._noise[:count, :, i] = self._config.sigma * draws
-        raw, u, stats = self._draws[bi], self._u, self._stats
-        self._signed = signed = x + raw * self._signs_u
+        raw, u, stats, signs_u = self._draws[bi], self._u, self._stats, self._signs_u
+        self._signed = signed = x + raw * signs_u
         z = raw
-        for g, _ in self._shrunk:
+        for g in self._problem.groups:
             draw = raw[g.index]
             if draw.flags.writeable:  # a gathered copy; views of raw are read-only
                 draw.flags.writeable = False
@@ -469,17 +441,15 @@ class _Round(RoundView):
             )
             if got is not draw:
                 if z is raw:
-                    z, self._signed = raw.copy(), None
+                    z = raw.copy()
                 z[g.index] = got
+                signed[g.signed_index] = x[g.index] + got * signs_u
         self.z = z
 
     def guard(self) -> None:
         """Hard constraints: the state and both signed actions are feasible."""
         self._checks += 1
-        signed = self._signed
-        if signed is None:  # a sampler changed a draw: the actions of the returned z
-            self._signed = signed = self.x + self.z * self._signs_u
-        agent = _first_infeasible(self._shrunk, self.x, signed)
+        agent = self._problem.first_infeasible(self.x, self._shrunk, self._signed)
         if agent is not None:
             t = self.t
             raise DomainError(f"agent {agent + 1} would act outside its feasible set at round {t}")
@@ -520,7 +490,7 @@ class _Round(RoundView):
         """(7) Assemble the gradient blocks and take the projected step."""
         x, eta, n = self.x, self._eta, len(self.x)
         self.gradient = gradient = self.tables.assemble(self._use_mask)
-        self.x_next = x_next = _project(self._shrunk, x - eta * gradient)
+        self.x_next = x_next = self._problem.project_blocks(x - eta * gradient, self._shrunk)
         # row norms of the step and of the gradient, in one pass
         pair = np.concatenate((x_next - x, gradient))
         norms = np.sqrt(self._norm_sums(pair * pair, 1))

@@ -163,3 +163,20 @@ def test_a_change_better_in_every_run_holds_however_wide_the_spread():
     assert ab_pairs.summarize("m", parent, [170.0, 180.0, 190.0, 160.0], "higher",
                               0.25)["regression"] == "unresolved"  # a tie with the parent's best
     assert ab_pairs.summarize("m", parent, [170.0] * 4, "higher")["regression"] is None  # no bound
+
+
+def test_each_workload_runs_its_pairs_in_turn_and_prints_its_table(checkouts, tmp_path, capsys):
+    # two pairs of workload a, then two of b; one crashed change run of b sets the exit code
+    change_runs = _runs([110.0, 111.0, 90.0, 91.0], [1.0] * 4)
+    change_runs[3] = {"crash": True}
+    parent, change = checkouts(_runs([100.0, 101.0, 100.0, 101.0], [1.0] * 4), change_runs)
+    code = ab_pairs.main([parent, change, "--workload", "a", "--workload", "b", "--pairs", "2"])
+    assert code == 1
+    log = (tmp_path / "log.txt").read_text().splitlines()
+    assert [line.split()[2] for line in log] == ["a"] * 4 + ["b"] * 4
+    out = capsys.readouterr().out
+    table_a, table_b = out.split("workload a:\n")[1].split("workload b:\n")
+    assert "change better in 2/2 pairs" in _line(table_a, "seed_rounds_per_s")
+    assert "runs not correct: parent 0, change 0" in table_a
+    assert "change better in 0/2 pairs" in _line(table_b, "seed_rounds_per_s")
+    assert "runs not correct: parent 0, change 1" in table_b

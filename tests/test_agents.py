@@ -179,6 +179,22 @@ def test_swarm_requires_own_column_tracked():
         SwarmTables(2, tracked, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (dict(tracked=np.ones((3, 2), dtype=bool)), "tracked mask must be (n, n)"),
+        (dict(distances=np.full((3, 3), -1)), "distances must be (n, n) and >= 0"),
+        (dict(distances=np.zeros((3, 2), dtype=int)), "distances must be (n, n) and >= 0"),
+    ],
+    ids=["tracked_shape", "negative_distances", "distances_shape"],
+)
+def test_swarm_refusals_name_the_input(edit, named):
+    args = {"n": 3, "tracked": np.ones((3, 3), dtype=bool), "headroom": 2, "d_max": 1, **edit}
+    with pytest.raises(ConfigurationError) as info:
+        SwarmTables(**args)
+    assert str(info.value).startswith(named)
+
+
 def test_swarm_staleness_semantics():
     s = SwarmTables(2, np.ones((2, 2)), 4, 1)
     s.record_own(3, np.array([1.0, 2.0]), np.zeros((2, 1)))

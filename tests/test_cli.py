@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from zfo.cli import main
 from zfo.config import apply_overrides, build_run_config, load_config
 from zfo.errors import ConfigurationError, DomainError
-from zfo.network import BernoulliDrops, NoDelay
+from zfo.network import BernoulliDrops, CommGraph, NoDelay
+from zfo.problems import build_trig_sum
+from zfo.runner import run
 
 
 def _base_doc() -> dict:
@@ -179,6 +182,90 @@ def test_apply_overrides():
         apply_overrides(doc, eps=0.1)
 
 
+def test_p_drop_zero_keeps_the_declared_extra_delay(tmp_path):
+    # --p-drop 0 on a document declaring delta = 3 runs as that document written with p = 0
+    doc = {**_base_doc(), "delay": {"kind": "bernoulli", "p": 0.1, "delta": 3}}
+    assert apply_overrides(doc, p_drop=0.0)["delay"] == {"kind": "bernoulli", "p": 0.0, "delta": 3}
+    written = {**doc, "delay": {"kind": "bernoulli", "p": 0.0, "delta": 3}}
+    runs = []
+    for name, d, extra in (("overridden", doc, ["--p-drop", "0"]), ("written", written, [])):
+        out = tmp_path / name
+        cfg = _write(tmp_path, d, f"{name}.json")
+        assert main(["run", "--config", cfg, "--out-dir", str(out), *extra]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        runs.append((summary["staleness"]["bound"], summary["samples"]))
+    assert runs[0] == runs[1] == (5, 36)
+
+
+def _edit(doc: dict, path: str, value) -> dict:
+    """A copy of `doc` with the dotted field `path` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("problem", 5, "problem: expected an object, got int"),
+        ("params.eta", float("inf"), "params.eta: must be finite"),
+        ("strict_staleness", 1, "config.strict_staleness: expected true/false, got int"),
+        ("mode", 3, "config.mode: expected a string, got int"),
+        ("problem.kind", "lasso", "problem.kind: unknown problem kind 'lasso'"),
+        ("graph.kind", "star", "graph.kind: unknown graph kind 'star'"),
+        ("delay", {"kind": "gilbert"}, "delay.kind: unknown delay kind 'gilbert'"),
+        ("graph", {"kind": "file", "path": "no-such.edges"},
+         "graph.path: edge-list file not found: no-such.edges"),
+        ("graph", {"kind": "edges", "edges": 5}, "graph.edges: expected a list of [a, b] pairs"),
+        ("graph", {"kind": "edges", "edges": [[1, 2, 3]]}, "graph.edges[0]: expected a pair"),
+        ("delay", {"kind": "bernoulli", "p": 0.1, "delta": -1},
+         "delay.delta: declared extra delay must be >= 0"),
+        ("x0", 0.5, "config.x0: expected a list of numbers"),
+    ],
+    ids=["non_object", "non_finite", "non_bool", "non_string", "problem_kind", "graph_kind",
+         "delay_kind", "graph_file", "edges_not_list", "edge_not_pair", "negative_delta",
+         "x0_not_list"],
+)
+def test_config_refusals_name_the_field(field, value, named):
+    with pytest.raises(ConfigurationError) as info:
+        build_run_config(_edit(_base_doc(), field, value))
+    assert named in str(info.value)
+
+
+def test_load_config_refuses_invalid_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"version": 1,')
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: invalid JSON"):
+        load_config(str(path))
+
+
+def test_trig_sum_and_ring_from_a_document():
+    doc = {**_base_doc(), "problem": {"kind": "trig_sum", "agents": 4, "dim": 2, "seed": 1},
+           "graph": {"kind": "ring"}}
+    config, normalized = build_run_config(doc)
+    reference = build_trig_sum(4, 2, seed=1)
+    flat = np.linspace(-1.0, 1.0, 8)
+    assert config.problem.name == "trig_sum"
+    assert config.problem.local_costs(flat).tobytes() == reference.local_costs(flat).tobytes()
+    assert config.graph.edges == CommGraph.ring(4).edges == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert normalized["graph"] == {"kind": "ring"}
+
+
+def test_x0_is_echoed_and_reruns_bit_for_bit():
+    doc = {**_base_doc(), "x0": [0.5, -0.25, 0.0, 1, 0.75, -0.5]}
+    config, normalized = build_run_config(doc)
+    assert normalized["x0"] == [0.5, -0.25, 0.0, 1.0, 0.75, -0.5]
+    config2, normalized2 = build_run_config(normalized)
+    assert normalized2 == normalized
+    first, second = run(config), run(config2)
+    assert first.x_final.tobytes() == second.x_final.tobytes()
+    assert first.rows == second.rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands end to end
 # ---------------------------------------------------------------------------
@@ -336,6 +423,44 @@ def test_plan_subcommand_error_paths(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+_PLAN_CONSTANTS = {"n_agents": 3, "dim": 6, "lipschitz": 2.0, "smoothness": 4.0, "b_bar": 1.5,
+                   "b_frak": 1.5, "staleness_bound": 2, "outer_radius": 1.0, "inner_radius": 0.5,
+                   "breg_diameter": 2.0, "gap_max": 4.0}
+
+
+@pytest.mark.parametrize(
+    "argv, files, named",
+    [
+        (["plan", "--constants", "{tmp}/missing.json"], {}, "missing.json"),
+        (["plan", "--constants", "{tmp}/c.json"], {"c.json": "{"}, "c.json: invalid JSON"),
+        (["plan", "--constants", "{tmp}/c.json"], {"c.json": "5"},
+         "c.json: expected an object, got int"),
+        (["plan", "--constants", "{tmp}/c.json"],
+         {"c.json": json.dumps({**_PLAN_CONSTANTS, "lipschitz": "a"})},
+         "lipschitz must be a number, got 'a'"),
+        (["plan", "--constants", "{tmp}/c.json"],
+         {"c.json": json.dumps({**_PLAN_CONSTANTS, "n_agents": True})},
+         "n_agents must be a positive integer, got True"),
+        (["stats", "--graph", "{tmp}/missing.edges"], {}, "edge-list file not found"),
+        (["stats", "--graph", "{tmp}/g.edges", "--dims", "1,a"], {"g.edges": "1 2\n"},
+         "--dims must be comma-separated integers"),
+        (["sweep", "--config", "{tmp}/config.json", "--seeds", "0"],
+         {"config.json": json.dumps(_base_doc())}, "--seeds must be >= 1"),
+    ],
+    ids=["constants_missing", "constants_invalid_json", "constants_number", "lipschitz_string",
+         "n_agents_bool", "graph_missing", "dims_malformed", "no_seeds"],
+)
+def test_cli_refusals_exit_2_naming_the_input(tmp_path, capsys, argv, files, named):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    if argv[0] == "plan":
+        argv = ["plan", "--regime", "convex-noiseless", "--eps", "0.1", *argv[1:]]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+
+
 def test_stats_subcommand_matches_hand_value(tmp_path, capsys):
     gpath = tmp_path / "path3.edges"
     gpath.write_text("1 2\n2 3\n")
@@ -432,6 +557,21 @@ def test_sweep_subcommand(tmp_path):
     assert float(rows[-1][1]) == pytest.approx(np.mean(finals), rel=1e-12)
     std = float(rows[-1][2])
     assert std == pytest.approx(np.std(finals), rel=1e-9, abs=1e-15)
+
+
+def test_sweep_aggregate_leaves_the_gap_empty_without_a_reference(tmp_path):
+    doc = {**_base_doc(), "metric_every": 5,
+           "problem": {"kind": "routing", "groups": 2, "agents_per_group": 1, "solve": False},
+           "params": {"eta": 1e-3, "u": 1e-3, "delta": 0.05, "horizon": 10}}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write(tmp_path, doc), "--seeds", "2",
+                 "--out-dir", str(out), "--workers", "1"]) == 0
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["0", "5", "10"]
+    for row in rows[1:]:
+        assert row[3:5] == ["", ""]
+        assert all(math.isfinite(float(v)) for v in row[1:3] + row[5:])
 
 
 def test_sweep_parallel_workers_match_serial(tmp_path):

@@ -676,3 +676,27 @@ def test_row_sums_are_the_bits_of_add_reduce_but_for_zero_and_nan_signs(a):
     # the columns are added only below 8 entries, and only for enough rows
     pays = 2 <= d < 8 and a.size >= _COLUMN_SUM_ROWS * (d - 1) * d
     assert (summer is _column_sums) == pays
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: WholeSpace(0), "dim must be >= 1"),
+        (lambda: Box([0.0, 0.0], [1.0]), "box bounds must be 1-d arrays of equal length"),
+        (lambda: Box([[0.0]], [[1.0]]), "box bounds must be 1-d arrays of equal length"),
+        (lambda: Box([0.0, 2.0], [1.0, 1.0]), "box requires lower <= upper"),
+        (lambda: Ball([0.0], 0.0), "ball radius must be positive"),
+        (lambda: ShiftedSimplex(0), "dim must be >= 1"),
+        (lambda: ShiftedSimplex(2, scale=-1.0), "simplex scale must be positive"),
+        (lambda: constrain_perturbation_batch(Box([-1.0], [1.0]), np.zeros((1, 1)),
+                                              np.zeros((1, 1)), 0.0),
+         "perturbation radius u must be positive"),
+    ],
+    ids=["free_dim", "box_lengths", "box_rank", "box_order", "ball_radius", "simplex_dim",
+         "simplex_scale", "sampler_u"],
+)
+def test_set_refusals_name_the_input(make, named):
+    with pytest.raises(ConfigurationError) as info:
+        make()
+    assert str(info.value) == named
+

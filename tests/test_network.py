@@ -9,6 +9,7 @@ from zfo.errors import AssumptionViolation, ConfigurationError
 from zfo.network import (
     BernoulliDrops,
     CommGraph,
+    DelayModel,
     NoDelay,
     check_compatibility,
     network_stats,
@@ -231,6 +232,14 @@ def test_no_delay_never_drops():
     assert NoDelay().drop_mask(np.random.default_rng(0), (10,)) is None
 
 
+def test_no_delay_is_the_loss_free_bernoulli_model():
+    model = NoDelay()
+    assert isinstance(model, BernoulliDrops) and repr(model) == "NoDelay()"
+    assert (model.p, model.declared_delta, model.lossless) == (0.0, 0, True)
+    assert BernoulliDrops(0.0, 3).lossless and not BernoulliDrops(0.1, 0).lossless
+    assert not DelayModel.lossless
+
+
 def test_bernoulli_drop_rate_matches_probability():
     model = BernoulliDrops(p=0.3, declared_delta=5)
     mask = model.drop_mask(np.random.default_rng(12), (20_000,))
@@ -359,3 +368,27 @@ def test_affected_must_contain_self():
     g = CommGraph.path(2)
     with pytest.raises(ConfigurationError):
         check_compatibility(g, [{1}, {1}])
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: CommGraph(0, []), "graph needs at least one vertex"),
+        (lambda: CommGraph(3, [(0, 5)]), "edge (1, 6) outside 1..3"),
+        (lambda: CommGraph.from_edge_list_text("1 2\n2 x\n"), "edge list line 2: non-integer vertex"),
+        (lambda: CommGraph.from_edge_list_text("# no edges\n"), "edge list is empty"),
+        (lambda: network_stats(CommGraph.path(3), 0, dims=[1, 2]),
+         "dims must have one entry per agent"),
+        (lambda: check_compatibility(CommGraph.path(3), [{0}, {1}]),
+         "affected sets must have one entry per agent"),
+        (lambda: check_compatibility(CommGraph.path(3), [{0}, {1}, {2, 7}]),
+         "affected set of agent 3 out of range"),
+    ],
+    ids=["no_vertex", "edge_range", "edge_text", "no_edges", "dims_shape", "affected_length",
+         "affected_range"],
+)
+def test_network_refusals_name_the_input(make, named):
+    with pytest.raises(ConfigurationError) as info:
+        make()
+    assert str(info.value) == named
+

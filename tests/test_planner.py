@@ -689,3 +689,27 @@ def test_constants_validation():
         _constants(staleness_bound=-1)
     with pytest.raises(ConfigurationError, match="finite"):
         _constants(outer_radius=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: _constants(b_bar=-0.5), "b_bar must be >= 0, got -0.5"),
+        (lambda: _constants(lipschitz="a"), "lipschitz must be a number, got 'a'"),
+        (lambda: _constants(sigma=None), "sigma must be a number, got None"),
+        (lambda: _constants(gap_max=True), "gap_max must be a number, got True"),
+        (lambda: _constants(n_agents=True), "n_agents must be a positive integer, got True"),
+        (lambda: _constants(dim="6"), "dim must be a positive integer, got '6'"),
+        (lambda: _constants(staleness_bound=2.5),
+         "staleness_bound must be a non-negative integer, got 2.5"),
+        (lambda: _constants(n_agents=float("nan")), "n_agents must be a positive integer, got nan"),
+        (lambda: expected_stationarity_bound(_constants(smoothness=0.0), 0.1, 1e-3, 100),
+         "expected_stationarity_bound requires smoothness > 0"),
+    ],
+    ids=["negative_allowed_zero", "string", "null", "bool", "bool_integer", "string_integer",
+         "fractional_integer", "nan_integer", "stationarity_smoothness"],
+)
+def test_planner_refusals_name_the_field(make, named):
+    with pytest.raises(ConfigurationError) as info:
+        make()
+    assert str(info.value) == named

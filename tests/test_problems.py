@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from zfo.cli import main
 from zfo.errors import ConfigurationError, DomainError, OracleError
+from zfo.geometry import WholeSpace
 from zfo.problems import (
+    Problem,
     RoutingInstance,
     alloc_to_reduced,
     build_box_quadratic,
@@ -592,3 +594,22 @@ def test_problem_validates_set_dimensions():
             sets=[Box([-1.0], [1.0])],
             local_costs=lambda x, check=True: np.zeros(1),
         )
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: Problem("p", [1, 2], [WholeSpace(1)], lambda flat, check=True: flat),
+         "dims and sets must align"),
+        (lambda: build_box_quadratic(2, 1, seed=0, center_scale=1.5),
+         "need 0 < center_scale < half_width for an interior optimum"),
+        (lambda: build_routing_instance(0, 2, seed=0),
+         "need at least one group and one agent per group"),
+    ],
+    ids=["dims_sets", "center_scale", "no_groups"],
+)
+def test_problem_refusals_name_the_input(make, named):
+    with pytest.raises(ConfigurationError) as info:
+        make()
+    assert str(info.value) == named
+

@@ -997,7 +997,7 @@ def test_the_guard_settles_a_state_with_one_verdict(excess, far, agent, monkeypa
         z[far] = [50.0, -50.0, 0.0]
     signed = x + z * np.array([[[1e-2]], [[-1e-2]]])
     passes = count_membership_passes(monkeypatch, x)
-    assert zfo.runner._first_infeasible([(group, shrunk_set)], x, signed) == agent
+    assert problem.first_infeasible(x, [shrunk_set], signed) == agent
     assert passes == {"closed_form": 1, "per_row": 1}
 
 
@@ -1167,3 +1167,41 @@ def test_mixed_sets_batched_paths_match_per_agent_sets():
     )
     assert trace.feasibility_checks == horizon + 1
     assert all(row["feasible"] for row in trace.rows)
+
+
+def test_the_signed_stack_follows_the_returned_draws():
+    # round 0 of a mixed run: a box draw is clipped and a simplex draw gets the
+    # cap, so the sampler rebuilds those groups' rows of the signed stack; the
+    # guard and the observations then read x ± u z of the returned z
+    problem = _mixed_problem()
+    u = 0.05
+    config = RunConfig(
+        problem=problem, graph=CommGraph.ring(7), eta=0.05, u=u, delta=0.05, horizon=5, seed=1,
+        x0=np.linspace(-2.0, 2.0, problem.total_dim),
+    )
+    state = zfo.runner._Round(config)
+    state.t = 0
+    state.sample()
+    raw = state._draws[0]
+    assert (state.z[[0, 3]] != raw[[0, 3]]).any()  # a box draw clipped
+    assert (state.z[[1, 5]] != raw[[1, 5]]).any() and state._stats.projections > 0
+    expected = state.x + state.z * np.array([[[u]], [[-u]]])
+    assert state._signed is not None
+    assert state._signed.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (dict(sigma=-0.1), "noise level sigma must be >= 0, got -0.1"),
+        (dict(metric_every=0), "metric_every must be >= 1"),
+        (dict(history_slack=0), "history_slack must be >= 1"),
+        (dict(horizon=-1), "horizon must be >= 0, got -1"),
+    ],
+    ids=["sigma", "metric_every", "history_slack", "horizon"],
+)
+def test_run_option_refusals_name_the_option(edit, named):
+    with pytest.raises(ConfigurationError) as info:
+        run(_quadratic_config(**edit))
+    assert str(info.value) == named
+

@@ -1,10 +1,11 @@
 """Alternating benchmark pairs of two checkouts, summarised per metric.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload W [--seed S] [--pairs N]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload W [--workload W2 ...] [--seed S] [--pairs N]
 
 Runs `python3 perfbench/run.py --workload W --seed S` inside each checkout,
 N times each, as pairs whose first run alternates: the parent goes first in
-even pairs, the change in odd ones.  Each run's last line of standard
+even pairs, the change in odd ones.  Given several workloads, it runs each
+one's pairs in turn and prints each one's table and verdicts.  Each run's last line of standard
 output is its result, `{"correct", "attempted", "failed", "metrics"}`; a
 run that crashes or prints no result counts as one failed operation.
 
@@ -24,7 +25,8 @@ every change run is better than every parent run; otherwise `regressed`
 when the change's median is worse than the parent's by more than the
 bound times the parent's median, and `holds` when it is not.
 
-The exit code is 1 when any run failed or reported `correct: false`, else 0.
+The exit code is 1 when any run of any workload failed or reported
+`correct: false`, else 0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
@@ -145,13 +147,13 @@ def report(summary: dict) -> str:
     return line + f"; no-regression verdict (bound {bound}): {summary['regression']}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parse(argv)
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+def compare(checkouts: dict[str, Path], workload: str, seed: int, pairs: int) -> bool:
+    """Run one workload's pairs and print its table; whether every run was correct."""
+    print(f"workload {workload}:", flush=True)
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
+    for i in range(pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            result = run_once(checkouts[side], args.workload, args.seed)
+            result = run_once(checkouts[side], workload, seed)
             results[side].append(result)
             values = {k: m["value"] for k, m in result.get("metrics", {}).items()}
             print(f"pair {i + 1} {side}: correct={result.get('correct')} {json.dumps(values)}",
@@ -177,7 +179,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"runs not correct: parent {incorrect['parent']}, change {incorrect['change']};"
           f" failed operations: parent {failed['parent']}/{attempted['parent']},"
           f" change {failed['change']}/{attempted['change']}")
-    return 1 if any(incorrect.values()) else 0
+    return not any(incorrect.values())
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    correct = [compare(checkouts, w, args.seed, args.pairs) for w in args.workload]
+    return 0 if all(correct) else 1
 
 
 if __name__ == "__main__":
