@@ -17,7 +17,6 @@ from .errors import (
     ZfoError,
 )
 from .geometry import (
-    Ball,
     Box,
     ConvexSet,
     ShiftedSimplex,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolation",
-    "Ball",
     "BernoulliDrops",
     "Box",
     "CommGraph",

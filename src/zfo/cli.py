@@ -176,9 +176,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError("--seeds must be >= 1")
     if args.seed_base < 0:
         raise ConfigurationError(f"--seed-base must be >= 0, got {args.seed_base}")
-    config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
     if args.workers < 0:
         raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
+    config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(args.workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
     os.makedirs(args.out_dir, exist_ok=True)

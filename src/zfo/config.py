@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import json
 import os
+import types
 from typing import Any
 
 import numpy as np
@@ -30,7 +31,7 @@ from .problems import (
     centralized_solve,
     routing_problem,
 )
-from .runner import RunConfig
+from .runner import RunConfig, validate_options
 
 CONFIG_VERSION = 1
 
@@ -300,10 +301,12 @@ def build_run_config(doc: dict) -> tuple[RunConfig, dict]:
     version = _get(doc, "version", "config", required=True)
     if version != CONFIG_VERSION:
         _fail("config.version", f"expected {CONFIG_VERSION}, got {version!r}")
-    # the options are read before the problem, so a typo fails before a reference solve
+    # the options are read and checked before the problem, so a typo or an
+    # out-of-range value fails before a reference solve
     params = _require_mapping(_get(doc, "params", "config", required=True), "params")
     _check_fields(params, set(_PARAMS), "params")
     options = {**_read(params, _PARAM_OPTIONS, "params"), **_read(doc, _TOP_OPTIONS, "config")}
+    validate_options(types.SimpleNamespace(**options))
 
     problem = build_problem(_get(doc, "problem", "config", required=True))
     graph, graph_doc = build_graph(_get(doc, "graph", "config", required=True), problem.n)

@@ -3,7 +3,7 @@ constrained perturbation sampling.
 
 All sets are closed convex subsets of R^dim, and every set operation
 works on rows (one point per row). Projections are exact (closed form)
-for boxes, Euclidean balls, shifted simplices, and the whole space.
+for boxes, shifted simplices, and the whole space; none iterates.
 
 Perturbation sampling projects a standard normal draw onto the
 symmetric feasibility cap
@@ -11,6 +11,8 @@ symmetric feasibility cap
     S(x, u) = (1/u)(X - x)  intersect  -(1/u)(X - x),
 
 so that both x + u z and x - u z stay inside X for every returned z.
+For each set here the cap is a box, cut for the simplex by a slab on
+sum(z), so its projection is in closed form too.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from .errors import ConfigurationError, DomainError
 
 DEFAULT_TOL = 1e-9
 _CERT_TOL = 1e-12  # feasibility certificate for sampled perturbations
-_DYKSTRA_SWEEPS = 500
 _EPS = float(np.finfo(float).eps)
 # Rows per added column from which `_column_sums` beats
 # np.add.reduce(a, axis=-1) on a C-contiguous (rows, d) array.  Each column
@@ -52,7 +53,8 @@ class ConvexSet:
     many points, `membership` gives one verdict per point set: "all inside"
     when a subclass settles that in closed form (`_all_inside`), the
     `contains_batch` verdicts otherwise; `contains_all` is their
-    conjunction."""
+    conjunction.  A set that perturbations can be sampled in, other than
+    a box or the whole space, defines `_symmetric_cap`."""
 
     dim: int
 
@@ -124,6 +126,11 @@ class ConvexSet:
         rest = np.flatnonzero(~inside & (gap - _rounding(self.dim) * size <= tol))
         inside[rest] = ConvexSet.contains_batch(self, ys[rest], tol)
         return inside
+
+    def _symmetric_cap(self, xs: np.ndarray, zs: np.ndarray, u: float) -> np.ndarray:
+        """Row k of `zs` projected onto the symmetric cap S(xs[k], u), for
+        rows of `xs` in the set."""
+        raise NotImplementedError
 
     def shrink(self, delta: float) -> "ConvexSet":
         """Return (1 - delta) * set (the set scaled toward the origin)."""
@@ -220,55 +227,6 @@ class Box(ConvexSet):
         return f"Box(lower={self.lower!r}, upper={self.upper!r})"
 
 
-class Ball(ConvexSet):
-    """Euclidean ball {||y - center|| <= radius}."""
-
-    def __init__(self, center, radius: float):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise ConfigurationError("ball radius must be positive")
-        self.dim = self.center.size
-        self._size = self.radius + float(np.abs(self.center).sum())
-
-    def project_batch(self, ys):
-        # rows inside the ball come back unchanged, so the projection is
-        # exact on the set; only the rows outside are pulled to the sphere
-        out = np.array(ys, dtype=float)
-        diff = out - self.center
-        norms = np.linalg.norm(diff, axis=1)
-        over = norms > self.radius
-        if over.any():
-            out[over] = self.center + diff[over] * (self.radius / norms[over])[:, None]
-        return out
-
-    def contains_batch(self, ys, tol=DEFAULT_TOL):
-        # the same norms project_batch compares with the radius; a row's
-        # distance to the ball is its norm less the radius
-        ys = np.asarray(ys, dtype=float)
-        norms = np.linalg.norm(ys - self.center, axis=1)
-        return self._finish_contains(
-            ys, norms <= self.radius, norms - self.radius, norms + self._size, tol
-        )
-
-    def shrink(self, delta):
-        _check_delta(delta)
-        if delta == 0.0:
-            return self
-        self._require_origin_interior()
-        s = 1.0 - delta
-        return Ball(s * self.center, s * self.radius)
-
-    def inner_radius(self):
-        return float(self.radius - np.linalg.norm(self.center))
-
-    def outer_radius(self):
-        return float(self.radius + np.linalg.norm(self.center))
-
-    def __repr__(self):
-        return f"Ball(center={self.center!r}, radius={self.radius})"
-
-
 class ShiftedSimplex(ConvexSet):
     """Scaled and shifted capped simplex
 
@@ -349,6 +307,34 @@ class ShiftedSimplex(ConvexSet):
         a = np.maximum(-lows, 0.0)
         over = np.maximum(sums - self.scale + self.dim * a, 0.0)
         return np.sqrt(self.dim) * a + over + _rounding(self.dim) * size
+
+    def _symmetric_cap(self, xs, zs, u):
+        # with w = x - shift, S(x, u) is the box |z| <= m = w / u cut by the
+        # slab |sum z| <= c = (scale - sum w) / u
+        w = xs - self.shift
+        m = np.maximum(w, 0.0) / u
+        c = np.maximum(self.scale - w.sum(axis=1), 0.0) / u
+        z = np.clip(zs, -m, m)
+        sums = z.sum(axis=1)
+        over = np.flatnonzero(np.abs(sums) > c)
+        if over.size == 0:
+            return z
+        # past the slab, the projection is s clip(s zs - lam, -m, m) with s
+        # the sign of the clipped sum and lam >= 0 putting its sum on c.  That
+        # sum falls piecewise linearly in lam, with kinks at s zs -/+ m, and
+        # at lam = 0 it is |sums| > c: interpolate between the first kink
+        # from 0 whose sum is at most c and the one before it
+        s = np.sign(sums[over])[:, None]
+        sz, m, c = s * zs[over], m[over], c[over, None]
+        kinks = np.sort(np.concatenate((sz - m, sz + m, np.zeros_like(c)), axis=1))
+        levels = np.clip(sz[:, None] - kinks[..., None], -m[:, None], m[:, None]).sum(axis=2)
+        # a kink below 0 has a sum of at least |sums|, so `hi` >= 1 and the divisor is > 0
+        hi = (levels <= c).argmax(axis=1)[:, None]
+        k_lo, k_hi = np.take_along_axis(kinks, hi - 1, 1), np.take_along_axis(kinks, hi, 1)
+        g_lo, g_hi = np.take_along_axis(levels, hi - 1, 1), np.take_along_axis(levels, hi, 1)
+        lam = k_lo + (g_lo - c) * (k_hi - k_lo) / (g_lo - g_hi)
+        z[over] = s * np.clip(sz - lam, -m, m)
+        return z
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -441,24 +427,6 @@ def _project_orthant_cap(w: np.ndarray, cap: float) -> np.ndarray:
     return v
 
 
-def _dykstra(projectors, y, tol):
-    """Dykstra's alternating projections onto the intersection of the
-    projectors' sets. Returns the last iterate (caller certifies)."""
-    x = np.asarray(y, dtype=float).copy()
-    corrections = [np.zeros_like(x) for _ in projectors]
-    for _ in range(_DYKSTRA_SWEEPS):
-        shift = 0.0
-        for idx, proj in enumerate(projectors):
-            w = x + corrections[idx]
-            x_new = proj(w)
-            corrections[idx] = w - x_new
-            shift = max(shift, float(np.linalg.norm(x_new - x)))
-            x = x_new
-        if shift <= tol:
-            break
-    return x
-
-
 # ---------------------------------------------------------------------------
 # constrained perturbation sampling
 
@@ -476,8 +444,10 @@ def constrain_perturbation_batch(
     that xs[k] + u z and xs[k] - u z both lie in `set_`.
 
     A draw that already keeps both signed actions feasible comes back as
-    drawn; the others get the Dykstra cap projection, certified, with a
-    radial bisection of the draw as the fallback (both counted in `stats`).
+    drawn.  The others get the set's closed-form cap projection
+    (`_symmetric_cap`), in one call, and one membership verdict certifies
+    both signed actions of each; a row that fails it falls back to a
+    radial bisection of its draw (both counted in `stats`).
     When no draw needs projecting, the function returns `zhat` itself (a
     box draws within its margin).  It never writes to `zhat`.
 
@@ -511,15 +481,15 @@ def constrain_perturbation_batch(
     rows = np.flatnonzero(~ok.reshape(2, -1).all(axis=0))
     _require_members(set_, xs[rows])
     stats = SampleStats() if stats is None else stats
-    out = zhat.copy()
-    for row in rows:
-        x = xs[row]
-        stats.projections += 1
-        z = _project_symmetric_cap(set_, x, zhat[row], u)
-        if not _signed_feasible(set_, x, u * z):
+    stats.projections += len(rows)
+    z = set_._symmetric_cap(xs[rows], zhat[rows], u)
+    ok = set_.membership(xs[rows] + z * np.array([[[u]], [[-u]]]), _CERT_TOL)
+    if ok is not None:
+        for k in np.flatnonzero(~ok.reshape(2, -1).all(axis=0)):
             stats.fallbacks += 1
-            z = _bisect_feasible(set_, x, zhat[row], u)
-        out[row] = z
+            z[k] = _bisect_feasible(set_, xs[rows[k]], zhat[rows[k]], u)
+    out = zhat.copy()
+    out[rows] = z
     return out
 
 
@@ -530,18 +500,6 @@ def _require_members(set_, xs):
 
 def _signed_feasible(set_, x, uz):
     return set_.contains_all(np.stack((x + uz, x - uz)), _CERT_TOL)
-
-
-def _project_symmetric_cap(set_, x, zhat, u):
-    """Dykstra on the pair C = (X - x)/u and -C."""
-
-    def proj_fwd(p):
-        return (set_.project(x + u * p) - x) / u
-
-    def proj_bwd(p):
-        return (x - set_.project(x - u * p)) / u
-
-    return _dykstra([proj_fwd, proj_bwd], zhat, 1e-10)
 
 
 def _bisect_feasible(set_, x, zhat, u, n_steps: int = 60):

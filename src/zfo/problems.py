@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, OracleError
-from .geometry import DEFAULT_TOL, Ball, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
+from .geometry import DEFAULT_TOL, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 
 def _set_group_key(s: ConvexSet):
@@ -23,8 +23,6 @@ def _set_group_key(s: ConvexSet):
         return ("free", s.dim)
     if isinstance(s, Box):
         return ("box", s.lower.tobytes(), s.upper.tobytes())
-    if isinstance(s, Ball):
-        return ("ball", s.center.tobytes(), s.radius)
     if isinstance(s, ShiftedSimplex):
         return ("simplex", s.dim, s.shift.tobytes(), s.scale)
     return ("unique", id(s))

@@ -217,7 +217,6 @@ def metrics_snapshot(
     delta: float = 0.0,
     u: float | None = None,
     z_flat: np.ndarray | None = None,
-    fd_step: float = 1e-5,
 ) -> dict:
     """Centralized diagnostics at one state: cost, gap, gradient, feasibility.
 
@@ -225,14 +224,14 @@ def metrics_snapshot(
     and, when ``u`` and ``z_flat`` are given (both or neither), that both
     signed perturbed actions are feasible in the unshrunken sets (tolerance
     1e-9).  Uses the problem's analytic gradient when available, otherwise
-    central finite differences at ``fd_step`` with the estimate flagged.
+    central finite differences (step 1e-5) with the estimate flagged.
     `run` computes its cadence rows' other fields the same way, and takes
     their ``feasible`` from the guard that passed the round.
     """
     if (u is None) != (z_flat is None):
         raise ConfigurationError("checking the signed actions needs both u and z_flat")
     flat = np.asarray(flat, dtype=float)
-    row = _diagnostics(problem, flat, t, fd_step)
+    row = _diagnostics(problem, flat, t)
     x = problem.blocks(flat)
     signed = None if u is None else x + problem.blocks(z_flat) * np.array([[[u]], [[-u]]])
     shrunk = [g.set.shrink(delta) for g in problem.groups]
@@ -240,7 +239,7 @@ def metrics_snapshot(
     return row
 
 
-def _diagnostics(problem: Problem, flat: np.ndarray, t: int, fd_step: float = 1e-5) -> dict:
+def _diagnostics(problem: Problem, flat: np.ndarray, t: int) -> dict:
     """A trace row's cost, gap and gradient fields at the state `flat`."""
     f_value = problem.global_cost(flat, check=False)
     gap = None if problem.f_star is None else f_value - problem.f_star
@@ -248,7 +247,7 @@ def _diagnostics(problem: Problem, flat: np.ndarray, t: int, fd_step: float = 1e
         grad = problem.grad(flat)
         estimated = False
     else:
-        grad = _finite_difference_gradient(problem, flat, fd_step)
+        grad = _finite_difference_gradient(problem, flat)
         estimated = True
     return {
         "t": int(t),
@@ -263,13 +262,23 @@ def _validate(config: RunConfig) -> None:
     p, g = config.problem, config.graph
     if p.n != g.n:
         raise ConfigurationError(f"problem has {p.n} agents but the graph has {g.n} nodes")
+    validate_options(config)
+    if config.mode == "dependence" and p.affected is None:
+        raise ConfigurationError("dependence mode needs the problem's dependence sets")
+
+
+def validate_options(config) -> None:
+    """The checks of `run` that read only the scalar run options, here the
+    attributes of `config` (a `RunConfig`, or a namespace of the parsed
+    options), so that a config parser makes them before it builds the
+    problem and the graph."""
     # NaN passes every comparison below and inf passes some, so refuse both first
     for name in ("eta", "u", "sigma"):
         value = getattr(config, name)
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
     # the integer options refuse a non-integral value instead of truncating it
-    for name in (f.name for f in fields(config) if f.type == "int"):
+    for name in (f.name for f in fields(RunConfig) if f.type == "int"):
         value = getattr(config, name)
         if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
             raise ConfigurationError(f"{name} must be an integer, got {value}")
@@ -296,8 +305,6 @@ def _validate(config: RunConfig) -> None:
             f"horizon must be below 2**30 = {MAX_ROUNDS} (table stamps are int32), "
             f"got {config.horizon}"
         )
-    if config.mode == "dependence" and p.affected is None:
-        raise ConfigurationError("dependence mode needs the problem's dependence sets")
     if config.reduced_tables and config.mode != "dependence":
         raise ConfigurationError("reduced tables require dependence mode")
 

@@ -114,6 +114,45 @@ def test_unknown_params_field_fails_before_the_reference_solve(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, edit, named",
+    [
+        (["run"], {"params": {"u": 0.0}}, "smoothing radius u must be > 0, got 0.0"),
+        (["run"], {"metric_every": 0}, "metric_every must be >= 1"),
+        (["run"], {"mode": "bogus"}, "mode must be 'full' or 'dependence', got 'bogus'"),
+        (["run"], {"history_slack": 0}, "history_slack must be >= 1"),
+        (["run"], {"params": {"sigma": -1.0}}, "noise level sigma must be >= 0, got -1.0"),
+        (["sweep", "--seeds", "2", "--workers", "-1"], {}, "--workers must be >= 0, got -1"),
+    ],
+    ids=["u", "metric_every", "mode", "history_slack", "sigma", "workers"],
+)
+def test_out_of_range_options_fail_before_the_reference_solve(
+    tmp_path, monkeypatch, capsys, argv, edit, named
+):
+    import zfo.config
+
+    solve = zfo.config.centralized_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zfo.config, "centralized_solve", counted)
+    doc = {
+        "version": 1,
+        "problem": {"kind": "routing", "groups": 2, "agents_per_group": 3, "seed": 1},
+        "graph": {"kind": "complete"},
+        "params": {"eta": 1e-3, "u": 1e-3, "horizon": 30, **edit.pop("params", {})},
+        **edit,
+    }
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", _write(tmp_path, doc), "--out-dir", str(out), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"configuration error: {named}\n"
+    assert calls == []
+    assert not out.exists()
+
+
 def test_readme_config_example_lists_every_normalized_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config file format", 1)[1]

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import zfo.geometry
 from zfo.errors import ConfigurationError, DomainError
 from zfo.geometry import (
-    Ball,
     Box,
     ConvexSet,
     SampleStats,
@@ -35,8 +34,6 @@ def _raw_member(set_, v, tol=1e-12):
         return True
     if isinstance(set_, Box):
         return bool(np.all(v >= set_.lower - tol) and np.all(v <= set_.upper + tol))
-    if isinstance(set_, Ball):
-        return float(np.linalg.norm(v - set_.center)) <= set_.radius + tol
     if isinstance(set_, ShiftedSimplex):
         w = v - set_.shift
         return bool(np.all(w >= -tol) and w.sum() <= set_.scale + tol)
@@ -73,26 +70,6 @@ def test_box_projection_clamps():
     np.testing.assert_allclose(box.project(np.array([0.5, 1.5])), [0.5, 1.5])
 
 
-def test_ball_projection_scales_radially():
-    ball = Ball([1.0, 0.0], 2.0)
-    np.testing.assert_allclose(ball.project(np.array([5.0, 0.0])), [3.0, 0.0])
-    inside = np.array([0.5, 0.5])
-    np.testing.assert_allclose(ball.project(inside), inside)
-
-
-def test_ball_projection_returns_interior_rows_unchanged():
-    # center + (y - center) rounds differently from y for most rows, so the
-    # interior rows must bypass the radial formula to come back bit for bit
-    ball = Ball([0.1, -0.2, 0.3], 0.8)
-    ys = np.random.default_rng(0).normal(0.0, 0.3, size=(10_000, 3))
-    inside = np.linalg.norm(ys - ball.center, axis=1) <= ball.radius
-    assert inside.sum() > 5_000 and (~inside).any()
-    out = ball.project_batch(ys)
-    assert np.array_equal(out[inside], ys[inside])
-    assert np.all(np.linalg.norm(out[~inside] - ball.center, axis=1) <= ball.radius * (1 + 1e-15))
-    assert out is not ys
-
-
 def test_simplex_projection_matches_grid_oracle_frozen_case():
     # Oracle-derived: projecting (0.8, 0.8) onto {v >= 0, sum v <= 1}
     # lands on the diagonal face at (0.5, 0.5).
@@ -122,17 +99,14 @@ def test_project_batch_is_an_idempotent_nonexpansive_projection():
 
 @st.composite
 def _projection_case(draw):
-    """A box, ball or simplex (random shift and scale) and rows around it."""
-    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    """A box or simplex (random shift and scale) and rows around it."""
+    kind = draw(st.sampled_from(["box", "simplex"]))
     dim = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "box":
         lower = rng.normal(0.0, 1.0, dim)
         set_ = Box(lower, lower + rng.uniform(0.0, 2.0, dim))
         center = lower
-    elif kind == "ball":
-        center = rng.normal(0.0, 1.0, dim)
-        set_ = Ball(center, rng.uniform(0.01, 2.0))
     else:
         set_ = ShiftedSimplex(dim, rng.normal(0.0, 1.0, dim), rng.uniform(0.01, 2.0))
         center = set_.shift
@@ -184,7 +158,7 @@ def test_contains_batch_rejects_far_rows_without_trusting_the_projection(monkeyp
 
 @st.composite
 def _membership_case(draw):
-    """A box, ball or simplex, a tolerance, rows around its boundary, and
+    """A box or simplex, a tolerance, rows around its boundary, and
     rows inside it.
 
     Besides scattered rows, every row outside the set is also placed at
@@ -193,7 +167,7 @@ def _membership_case(draw):
     The inside rows are those projections and the midpoints between them
     and an interior anchor.
     """
-    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    kind = draw(st.sampled_from(["box", "simplex"]))
     dim = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -201,10 +175,6 @@ def _membership_case(draw):
         lower = rng.normal(0.0, size, dim)
         set_ = Box(lower, lower + rng.uniform(0.0, 2.0 * size, dim))
         center, anchor = lower, 0.5 * (set_.lower + set_.upper)
-    elif kind == "ball":
-        center = rng.normal(0.0, size, dim)
-        set_ = Ball(center, rng.uniform(0.01, 2.0) * size)
-        anchor = center
     else:
         set_ = ShiftedSimplex(dim, -rng.uniform(0.0, size, dim), rng.uniform(0.01, 2.0) * size)
         center, anchor = set_.shift, set_.shift + set_.scale / (dim + 1)
@@ -358,7 +328,7 @@ def test_shrink_requires_origin_interior():
     with pytest.raises(ConfigurationError):
         Box([0.0], [1.0]).shrink(0.1)  # origin on the boundary
     with pytest.raises(ConfigurationError):
-        Ball([2.0], 1.0).shrink(0.2)
+        ShiftedSimplex(2, shift=0.1).shrink(0.2)  # origin outside
     Box([0.0], [1.0]).shrink(0.0)  # identity shrink never needs interiority
 
 
@@ -394,12 +364,6 @@ def test_inner_outer_radius_box():
     box = Box([-0.5, -2.0], [1.5, 1.0])
     assert box.inner_radius() == pytest.approx(0.5)
     assert box.outer_radius() == pytest.approx(np.sqrt(1.5**2 + 2.0**2))
-
-
-def test_inner_outer_radius_ball():
-    ball = Ball([0.3, 0.4], 1.0)
-    assert ball.inner_radius() == pytest.approx(0.5)
-    assert ball.outer_radius() == pytest.approx(1.5)
 
 
 def test_inner_radius_simplex_centered():
@@ -456,7 +420,7 @@ def test_sample_perturbation_requires_feasible_base_point():
     rng = np.random.default_rng(0)
     cases = [
         (Box([0.0], [1.0]), [[0.5], [2.0]]),
-        (Ball([0.0, 0.0], 1.0), [[0.0, 0.0], [1.5, 0.0]]),
+        (ShiftedSimplex(1, shift=-0.7, scale=1.5), [[0.0], [0.9]]),
         (ShiftedSimplex(2, shift=-0.25), [[0.0, 0.0], [0.9, 0.9]]),
     ]
     for set_, xs in cases:
@@ -478,7 +442,7 @@ def test_sample_perturbation_requires_feasible_base_point():
     "set_,x",
     [
         (Box([-1.0, -1.0], [1.0, 1.0]), np.array([0.97, -0.99])),
-        (Ball([0.0, 0.0], 1.0), np.array([0.69, 0.69])),
+        (ShiftedSimplex(1, shift=-0.7, scale=1.5), np.array([0.78])),
         (ShiftedSimplex(3, shift=-0.25), np.array([0.2, -0.2, 0.0])),
         (ShiftedSimplex(2, shift=-1.0 / 3.0), np.array([0.6, -0.3])),
     ],
@@ -506,7 +470,7 @@ def test_sampled_perturbation_is_identity_deep_inside():
 
 def test_bisection_fallback_returns_feasible_scaling(monkeypatch):
     # Force the fallback with a cap projection that returns the raw draw.
-    monkeypatch.setattr(zfo.geometry, "_project_symmetric_cap", lambda set_, x, zhat, u: zhat)
+    monkeypatch.setattr(ShiftedSimplex, "_symmetric_cap", lambda self, xs, zs, u: zs)
     set_ = ShiftedSimplex(2, shift=-1.0 / 3.0)
     x = np.array([0.6, -0.3])
     assert set_.contains(x, tol=1e-9)
@@ -576,21 +540,98 @@ def test_constrain_perturbation_batch_box_closed_form():
     np.testing.assert_allclose(got, [[2.0, 0.3], [-0.5, 1.0]])
 
 
+def _cap_bounds(set_, x, u):
+    """S(x, u) of a shifted simplex from its definition: with w = x - shift,
+    both x +/- u z keep w +/- u z >= 0 and sum(w) +/- u sum(z) <= scale,
+    so |z| <= m and |sum z| <= c."""
+    w = x - set_.shift
+    return np.maximum(w, 0.0) / u, max(set_.scale - w.sum(), 0.0) / u
+
+
+def _reference_cap(set_, x, zhat, u):
+    """The projection of `zhat` onto S(x, u): the box clip, and where that
+    leaves the slab, the clip of zhat shifted by the lam that puts the sum
+    on the slab's face, found by 200 bisection steps on lam."""
+    m, c = _cap_bounds(set_, x, u)
+    z = np.clip(zhat, -m, m)
+    if abs(z.sum()) <= c:
+        return z
+    s = np.sign(z.sum())
+    lo, hi = 0.0, float(np.abs(zhat).max())  # at hi every clipped entry is <= 0 <= c
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(s * zhat - mid, -m, m).sum() > c:
+            lo = mid
+        else:
+            hi = mid
+    return s * np.clip(s * zhat - 0.5 * (lo + hi), -m, m)
+
+
+@st.composite
+def _cap_case(draw):
+    """A shifted simplex of dim 1 to 6 with a random dyadic shift and scale
+    (so its vertices are exact), points inside it, on its faces and at its
+    vertices, a radius u and draws over several decades."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([2.0**-10, 1.0, 2.0**10]))
+    shift, scale = size * rng.integers(-128, 128, dim) / 64, size * rng.integers(1, 128) / 64
+    set_ = ShiftedSimplex(dim, shift, scale)
+    weights = rng.dirichlet(np.ones(dim + 1), 12)  # the last weight is the slack below the cap
+    faces = rng.random((4, dim + 1)) < 0.5
+    faces[np.arange(4), rng.integers(0, dim + 1, 4)] = False  # a weight stays
+    weights[4:8][faces] = 0.0
+    weights[8:] = np.eye(dim + 1)[rng.integers(0, dim + 1, 4)]  # vertices
+    weights /= weights.sum(axis=1, keepdims=True)
+    xs = set_.shift + set_.scale * weights[:, :dim]
+    u = size * draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+    zhat = rng.normal(0.0, 1.0, (12, dim)) * 10.0 ** rng.uniform(-2.0, 3.0, (12, 1))
+    return set_, xs, zhat, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cap_case())
+def test_symmetric_cap_is_the_projection_onto_the_cap(case):
+    set_, xs, zhat, u = case
+    got = set_._symmetric_cap(xs, zhat, u)
+    assert got.shape == zhat.shape
+    for x, zh, z in zip(xs, zhat, got):
+        tol = 2e-15 * max(1.0, float(np.abs(zh).max()))
+        m, c = _cap_bounds(set_, x, u)
+        assert np.abs(z - _reference_cap(set_, x, zh, u)).max() <= tol
+        assert max(float(np.max(np.abs(z) - m)), abs(z.sum()) - c) <= tol
+        if _at_vertex(m, c):
+            assert np.abs(z).max() <= tol
+    # the vertices are exact, so each of the last four rows has S = {0}
+    assert all(_at_vertex(*_cap_bounds(set_, x, u)) for x in xs[8:])
+    # draws already in S come back as drawn (a zero may change its sign)
+    inner = 0.5 * got
+    inside = [
+        bool(np.all(np.abs(z) <= m)) and abs(z.sum()) <= c
+        for z, (m, c) in zip(inner, (_cap_bounds(set_, x, u) for x in xs))
+    ]
+    assert any(inside)
+    np.testing.assert_array_equal(set_._symmetric_cap(xs, inner, u)[inside], inner[inside])
+
+
+def _at_vertex(m, c):
+    """Whether S(x, u) = {0}: x at the vertex shift (m = 0), or at one where
+    the slab is flat (c = 0) and the box leaves one coordinate free."""
+    return np.count_nonzero(m) == 0 or (c == 0.0 and np.count_nonzero(m) == 1)
+
+
 @st.composite
 def _signed_stack_case(draw):
-    """A box, ball or simplex, points in it (on its boundary, inside, or
+    """A box or simplex, points in it (on its boundary, inside, or
     mixed), draws long enough to need the cap projection, and whether the
     cap projection is disabled so that the bisection fallback runs."""
-    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    kind = draw(st.sampled_from(["box", "simplex"]))
     dim = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "box":
         lower = rng.normal(0.0, 1.0, dim)
         set_ = Box(lower, lower + rng.uniform(0.1, 2.0, dim))
         inner = 0.5 * (set_.lower + set_.upper)
-    elif kind == "ball":
-        set_ = Ball(rng.normal(0.0, 1.0, dim), rng.uniform(0.1, 2.0))
-        inner = set_.center
     else:
         set_ = ShiftedSimplex(dim, rng.normal(0.0, 1.0, dim), rng.uniform(0.1, 2.0))
         inner = set_.shift + set_.scale / (dim + 1)
@@ -613,7 +654,7 @@ def test_sampler_given_the_signed_stack_returns_what_it_returns_alone(case):
     assert stack.reshape(-1, set_.dim).tobytes() == pair.tobytes()
     with pytest.MonkeyPatch.context() as patch:
         if no_cap:
-            patch.setattr(zfo.geometry, "_project_symmetric_cap", lambda set_, x, zhat, u: zhat)
+            patch.setattr(ShiftedSimplex, "_symmetric_cap", lambda self, xs, zs, u: zs)
         alone, shared = SampleStats(), SampleStats()
         want = constrain_perturbation_batch(set_, xs, zhat, u, alone)
         got = constrain_perturbation_batch(set_, xs, zhat, u, shared, signed=stack)
@@ -685,14 +726,13 @@ def test_row_sums_are_the_bits_of_add_reduce_but_for_zero_and_nan_signs(a):
         (lambda: Box([0.0, 0.0], [1.0]), "box bounds must be 1-d arrays of equal length"),
         (lambda: Box([[0.0]], [[1.0]]), "box bounds must be 1-d arrays of equal length"),
         (lambda: Box([0.0, 2.0], [1.0, 1.0]), "box requires lower <= upper"),
-        (lambda: Ball([0.0], 0.0), "ball radius must be positive"),
         (lambda: ShiftedSimplex(0), "dim must be >= 1"),
         (lambda: ShiftedSimplex(2, scale=-1.0), "simplex scale must be positive"),
         (lambda: constrain_perturbation_batch(Box([-1.0], [1.0]), np.zeros((1, 1)),
                                               np.zeros((1, 1)), 0.0),
          "perturbation radius u must be positive"),
     ],
-    ids=["free_dim", "box_lengths", "box_rank", "box_order", "ball_radius", "simplex_dim",
+    ids=["free_dim", "box_lengths", "box_rank", "box_order", "simplex_dim",
          "simplex_scale", "sampler_u"],
 )
 def test_set_refusals_name_the_input(make, named):

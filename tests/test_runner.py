@@ -16,7 +16,7 @@ from zfo.errors import (
     OracleError,
     ProtocolViolation,
 )
-from zfo.geometry import Ball, Box, ShiftedSimplex, WholeSpace
+from zfo.geometry import Box, ShiftedSimplex, WholeSpace
 from zfo.network import BernoulliDrops, CommGraph, NoDelay, network_stats, shortest_path_lengths
 from zfo.planner import constants_for, plan
 from zfo.problems import (
@@ -1084,7 +1084,7 @@ def test_step_bound_guard_rejects_overflowed_step(monkeypatch):
 
 
 def _mixed_problem() -> Problem:
-    """Box (dim 2), simplex (dim 3), ball (dim 1) and free (dim 2) blocks.
+    """Box (dim 2), simplex (dim 3 and dim 1) and free (dim 2) blocks.
 
     Equal sets are separate objects at non-consecutive agents, so the set
     groups gather their rows and the flat vector is a masked gather.
@@ -1092,11 +1092,11 @@ def _mixed_problem() -> Problem:
     sets = [
         Box([-1.0, -0.5], [1.0, 0.5]),
         ShiftedSimplex(3, shift=-0.25),
-        Ball([0.1], 0.8),
+        ShiftedSimplex(1, shift=-0.7, scale=1.5),
         Box([-1.0, -0.5], [1.0, 0.5]),
         WholeSpace(2),
         ShiftedSimplex(3, shift=-0.25),
-        Ball([0.1], 0.8),
+        ShiftedSimplex(1, shift=-0.7, scale=1.5),
     ]
     dims = [s.dim for s in sets]
     centers = np.random.default_rng(0).uniform(-1.5, 1.5, size=(len(sets), sum(dims)))
@@ -1151,7 +1151,7 @@ def test_mixed_sets_batched_paths_match_per_agent_sets():
     assert not metrics_snapshot(problem, x_edge, 0, delta=delta)["feasible"]
     assert metrics_snapshot(problem, x_edge, 0)["feasible"]
     z_far = z.copy()
-    z_far[problem.offsets[6]] = 4.0  # agent 7: x +/- u z leaves its ball
+    z_far[problem.offsets[6]] = 4.0  # agent 7: x +/- u z leaves its 1-D simplex
     assert not metrics_snapshot(problem, x, 0, delta=delta, u=u, z_flat=z_far)["feasible"]
     z_free = z.copy()
     z_free[problem.offsets[4]] = 1e6  # agent 5 is unconstrained
@@ -1170,13 +1170,13 @@ def test_mixed_sets_batched_paths_match_per_agent_sets():
 
 
 def test_the_signed_stack_follows_the_returned_draws():
-    # round 0 of a mixed run: a box draw is clipped and a simplex draw gets the
-    # cap, so the sampler rebuilds those groups' rows of the signed stack; the
-    # guard and the observations then read x ± u z of the returned z
+    # round 0 of a mixed run: a box draw is clipped and a 3-D and a 1-D simplex
+    # draw get the cap, so the sampler rebuilds those groups' rows of the signed
+    # stack; the guard and the observations then read x ± u z of the returned z
     problem = _mixed_problem()
     u = 0.05
     config = RunConfig(
-        problem=problem, graph=CommGraph.ring(7), eta=0.05, u=u, delta=0.05, horizon=5, seed=1,
+        problem=problem, graph=CommGraph.ring(7), eta=0.05, u=u, delta=0.05, horizon=5, seed=3,
         x0=np.linspace(-2.0, 2.0, problem.total_dim),
     )
     state = zfo.runner._Round(config)
@@ -1184,7 +1184,8 @@ def test_the_signed_stack_follows_the_returned_draws():
     state.sample()
     raw = state._draws[0]
     assert (state.z[[0, 3]] != raw[[0, 3]]).any()  # a box draw clipped
-    assert (state.z[[1, 5]] != raw[[1, 5]]).any() and state._stats.projections > 0
+    assert (state.z[[1, 5]] != raw[[1, 5]]).any() and (state.z[[2, 6]] != raw[[2, 6]]).any()
+    assert state._stats.projections == 3
     expected = state.x + state.z * np.array([[[u]], [[-u]]])
     assert state._signed is not None
     assert state._signed.tobytes() == expected.tobytes()
