@@ -3,8 +3,10 @@ the rings of past quotients and perturbations, merging of gossiped
 tables, and gradient assembly.
 
 `SwarmTables` holds every agent's table in one (n, n) stamp array so the
-simulator can process a round with a handful of vector operations.  It
-follows these rules:
+simulator can process a round with a handful of vector operations.  The
+stamps are int16 when the run's last round plus every hop offset fits,
+and int32 otherwise: a lossy round's merge and ages are bound by the
+bytes of stamps they move.  It follows these rules:
 
 * entry (i, j) is the round of the newest quotient of column j that
   agent i holds; stamp -1 means "never heard";
@@ -27,9 +29,12 @@ import numpy as np
 
 from .errors import ConfigurationError, ProtocolViolation
 
-# Stamps are int32: rounds, and rounds plus hop distances (the extra-delay
-# accounting), stay below 2**31 while a run has fewer than MAX_ROUNDS rounds.
+# Stamps are at most int32: rounds, and rounds plus hop distances (the
+# extra-delay accounting), stay below 2**31 while a run has fewer than
+# MAX_ROUNDS rounds.  MAX_ROUNDS is also the untracked entries' offset at int32.
 MAX_ROUNDS = 2**30
+# The untracked entries' offset at int16.
+_NARROW_UNTRACKED = int(np.iinfo(np.int16).max)
 
 
 class SwarmTables:
@@ -49,11 +54,16 @@ class SwarmTables:
     its largest value.  The history window holds `max_lag + headroom`
     rounds.  An entry's extra delay is its age minus its distance.
 
-    Stamps are int32 and come only from `record_own` (called once per
-    round, in order) and `merge_from` (the tables as the neighbours sent
-    them).  With no message lost (`lossless`) every entry is exactly its
-    distance old once heard, so `record_own` writes the whole table,
-    max(-1, t - distances), and the run needs no merge.
+    Stamps come only from `record_own` (called once per round, in order,
+    up to round `horizon`) and `merge_from` (the tables as the neighbours
+    sent them).  They are the true rounds.  The stamps, the offsets and
+    their sums are int16 when `horizon + max_lag` lies below the int16
+    untracked offset less one, so that no sum reaches an untracked
+    entry's, and int32 otherwise; the dtype is fixed for the tables'
+    life, and every method runs the same statements on either.  With no
+    message lost (`lossless`) every entry is exactly its distance old once
+    heard, so `record_own` writes the whole table, max(-1, t - distances),
+    and the run needs no merge.
     """
 
     def __init__(
@@ -64,6 +74,7 @@ class SwarmTables:
         d_max: int,
         distances: np.ndarray | None = None,
         lossless: bool = False,
+        horizon: int = MAX_ROUNDS - 1,
     ):
         self.n = int(n)
         tracked = np.asarray(tracked, dtype=bool)
@@ -81,16 +92,20 @@ class SwarmTables:
         distances = np.zeros((n, n), dtype=np.int32) if distances is None else distances
         if np.shape(distances) != (n, n) or (np.asarray(distances)[tracked] < 0).any():
             raise ConfigurationError("distances must be (n, n) and >= 0 on tracked entries")
-        # untracked entries lie MAX_ROUNDS away: never written, never the least extra delay
-        self._offsets = np.where(tracked, distances, MAX_ROUNDS).astype(np.int32)
         self.max_lag = int(np.max(distances, where=tracked, initial=0))
+        self.horizon = int(horizon)
+        narrow = self.horizon + self.max_lag < _NARROW_UNTRACKED - 1
+        dtype = np.int16 if narrow else np.int32
+        # untracked entries lie the sentinel away: never written, never the least extra delay
+        self._offsets = np.full((n, n), _NARROW_UNTRACKED if narrow else MAX_ROUNDS, dtype=dtype)
+        np.copyto(self._offsets, distances, where=tracked)
         self.lossless = bool(lossless)
-        self._offset_stamps = None if lossless else np.empty((n, n), dtype=np.int32)
+        self._offset_stamps = None if lossless else np.empty((n, n), dtype=dtype)
         self._agents = np.arange(n)
         self.capacity = cap = self.max_lag + int(headroom)
         size = 1 << (cap - 1).bit_length()
         self._mask = size - 1
-        self.stamps = np.full((n, n), -1, dtype=np.int32)
+        self.stamps = np.full((n, n), -1, dtype=dtype)
         # The rings are laid out agent-major, so agent i's quotients and
         # perturbations of every slot sit together.
         self._q_ring = np.zeros((n, size))
@@ -102,6 +117,8 @@ class SwarmTables:
         self._oldest: int | None = None  # oldest_stamp() of the tables as they stand
 
     def record_own(self, t: int, quotients: np.ndarray, z: np.ndarray) -> None:
+        if t > self.horizon:
+            raise ProtocolViolation(f"round {t} is past the tables' horizon {self.horizon}")
         slot = t & self._mask
         self._q_ring[:, slot] = quotients
         self._z_ring[:, slot] = z
@@ -119,7 +136,8 @@ class SwarmTables:
     def quotients(self) -> np.ndarray:
         """Derived (n, n) values, 0 where never heard or where the stamp
         left the history window (read-only)."""
-        q = self._q_ring.take((self.stamps & self._mask) + self._agent_base)
+        slots = np.bitwise_and(self.stamps, self._mask, dtype=np.intp)
+        q = self._q_ring.take(slots + self._agent_base)
         q[(self.stamps < 0) | (self.stamps <= self._t - self.capacity)] = 0.0
         return q
 
@@ -174,8 +192,9 @@ class SwarmTables:
 
     def staleness(self, t: int) -> np.ndarray:
         """Per-entry age t - stamp over tracked columns (never-heard
-        entries read t + 1); untracked entries report 0."""
-        return np.where(self.tracked, t - self.stamps, 0)
+        entries read t + 1); untracked entries report 0.  The ages are intp
+        whatever the stamps' dtype, so arithmetic on them cannot overflow."""
+        return np.where(self.tracked, np.subtract(t, self.stamps, dtype=np.intp), 0)
 
     def _check_window(self, use_mask: np.ndarray | None) -> None:
         """Raise ProtocolViolation if a used entry holds a round at least
@@ -210,7 +229,7 @@ class SwarmTables:
         oldest = self.oldest_stamp()
         if t >= cap and oldest <= t - cap:
             self._check_window(use_mask)
-        # intp slots: take and bincount would otherwise convert the int32 ones
+        # intp slots: take and bincount would otherwise convert the narrow ones
         slots = np.bitwise_and(self.stamps, self._mask, dtype=np.intp)
         q = self._q_ring.take(slots + self._agent_base)
         if oldest < 0 or self._reduced:

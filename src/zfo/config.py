@@ -183,7 +183,10 @@ def apply_overrides(doc: dict, **overrides) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_problem(doc: dict, path: str = "problem") -> Problem:
+def build_problem(doc: dict, path: str = "problem") -> tuple[Problem, float | None]:
+    """Build the problem without its reference solve; also return the
+    tolerance to solve it to, None when its optimum is known or `solve`
+    is false."""
     doc = _require_mapping(doc, path)
     kind = _as_str(_get(doc, "kind", path, required=True), f"{path}.kind")
     if kind not in _PROBLEM_FIELDS:
@@ -195,18 +198,15 @@ def build_problem(doc: dict, path: str = "problem") -> Problem:
         per = _as_int(
             _get(doc, "agents_per_group", path, required=True), f"{path}.agents_per_group", low=1
         )
-        instance = build_routing_instance(groups, per, seed=seed)
-        problem = routing_problem(instance)
+        tol = None
         if _as_bool(_get(doc, "solve", path, default=True), f"{path}.solve"):
             tol = _as_number(_get(doc, "solve_tol", path, default=1e-10), f"{path}.solve_tol")
-            result = centralized_solve(problem, tol=tol, require_convergence=True)
-            problem = dataclasses.replace(problem, f_star=result.f, x_star=result.x)
-        return problem
+        return routing_problem(build_routing_instance(groups, per, seed=seed)), tol
     agents = _as_int(_get(doc, "agents", path, required=True), f"{path}.agents", low=1)
     dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim", low=1)
     if kind == "box_quadratic":
-        return build_box_quadratic(agents, dim, seed=seed)
-    return build_trig_sum(agents, dim, seed=seed)
+        return build_box_quadratic(agents, dim, seed=seed), None
+    return build_trig_sum(agents, dim, seed=seed), None
 
 
 def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict]:
@@ -308,10 +308,11 @@ def build_run_config(doc: dict) -> tuple[RunConfig, dict]:
     options = {**_read(params, _PARAM_OPTIONS, "params"), **_read(doc, _TOP_OPTIONS, "config")}
     validate_options(types.SimpleNamespace(**options))
 
-    problem = build_problem(_get(doc, "problem", "config", required=True))
-    graph, graph_doc = build_graph(_get(doc, "graph", "config", required=True), problem.n)
+    # likewise every other field: the delay, the graph (which needs the
+    # agent count) and x0 (the dimension) are checked before the solve
     delay, delay_doc = build_delay(_get(doc, "delay", "config", default=None))
-
+    problem, solve_tol = build_problem(_get(doc, "problem", "config", required=True))
+    graph, graph_doc = build_graph(_get(doc, "graph", "config", required=True), problem.n)
     x0 = None
     if "x0" in doc:
         raw = doc["x0"]
@@ -320,6 +321,9 @@ def build_run_config(doc: dict) -> tuple[RunConfig, dict]:
         x0 = np.array([_as_number(v, f"config.x0[{k}]") for k, v in enumerate(raw)])
         if x0.size != problem.total_dim:
             _fail("config.x0", f"expected {problem.total_dim} entries, got {x0.size}")
+    if solve_tol is not None:
+        result = centralized_solve(problem, tol=solve_tol, require_convergence=True)
+        problem = dataclasses.replace(problem, f_star=result.f, x_star=result.x)
 
     normalized = {
         "version": CONFIG_VERSION,

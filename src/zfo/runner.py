@@ -302,7 +302,7 @@ def validate_options(config) -> None:
         raise ConfigurationError(f"horizon must be >= 0, got {config.horizon}")
     if config.horizon >= MAX_ROUNDS:
         raise ConfigurationError(
-            f"horizon must be below 2**30 = {MAX_ROUNDS} (table stamps are int32), "
+            f"horizon must be below 2**30 = {MAX_ROUNDS} (table stamps are at most int32), "
             f"got {config.horizon}"
         )
     if config.reduced_tables and config.mode != "dependence":
@@ -359,7 +359,9 @@ class _Round(RoundView):
             tracked = np.ones((n, n), dtype=bool)
         self._declared_delta = int(config.delay.declared_delta)
         headroom = self._declared_delta + int(config.history_slack)
-        self.tables = SwarmTables(n, tracked, headroom, d_max, distances, config.delay.lossless)
+        self.tables = SwarmTables(
+            n, tracked, headroom, d_max, distances, config.delay.lossless, self._horizon
+        )
         self._bound = self.tables.max_lag + self._declared_delta
         if self._horizon < self._bound:
             raise ConfigurationError(

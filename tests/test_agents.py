@@ -18,9 +18,13 @@ from protocol_reference import (
     local_quotient,
     merge_tables,
 )
-from zfo.agents import SwarmTables
+from zfo.agents import MAX_ROUNDS, SwarmTables
 from zfo.errors import ConfigurationError, ProtocolViolation
 from zfo.network import CommGraph
+
+# The largest horizon of int16 tables with max_lag 0: every stamp plus its
+# offset stays below the int16 untracked offset, 32767, less one.
+_NARROW_LAST = int(np.iinfo(np.int16).max) - 2
 
 
 def test_local_quotient_frozen_example():
@@ -201,6 +205,62 @@ def test_swarm_staleness_semantics():
     stale = s.staleness(3)
     assert stale[0, 0] == 0
     assert stale[0, 1] == 4  # never heard reads t + 1
+
+
+@pytest.mark.parametrize(
+    "horizon, dtype", [(_NARROW_LAST, np.int16), (MAX_ROUNDS - 1, np.int32)]
+)
+def test_swarm_reads_past_the_int16_range_on_int16_and_int32_tables(horizon, dtype):
+    # a ring of 65536 rounds, whose slot mask int16 cannot hold
+    s = SwarmTables(2, np.ones((2, 2)), 40_000, 1, horizon=horizon)
+    assert s.stamps.dtype == dtype
+    t = _NARROW_LAST
+    s.record_own(t, np.array([1.0, 2.0]), np.ones((2, 1)))
+    np.testing.assert_array_equal(s.quotients, [[1.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(s.assemble(), [[0.5], [1.0]])
+    # ages past the int16 range
+    later = t + 40_000
+    stale = s.staleness(later)
+    assert stale.dtype == np.intp
+    np.testing.assert_array_equal(stale, [[40_000, later + 1], [later + 1, 40_000]])
+    assert (stale + 2**40).min() == 2**40 + 40_000
+
+
+@pytest.mark.parametrize(
+    "horizon, lag, dtype",
+    [
+        (_NARROW_LAST, 0, np.int16),
+        (_NARROW_LAST + 1, 0, np.int32),
+        (_NARROW_LAST - 3, 3, np.int16),
+        (_NARROW_LAST - 2, 3, np.int32),
+        (40_000, 40_000, np.int32),
+    ],
+)
+def test_swarm_stamp_dtype_is_fixed_by_the_horizon(horizon, lag, dtype):
+    # at round `horizon` every stamp plus its offset is horizon + lag, the
+    # largest sum the tables hold; the round after it is refused
+    distances = np.array([[0, lag], [lag, 0]])
+    s = SwarmTables(2, np.ones((2, 2)), 1, 1, distances, horizon=horizon)
+    assert s.stamps.dtype == dtype
+    s.record_own(horizon, np.ones(2), np.ones((2, 1)))
+    s.merge_from(s.snapshot(), np.array([[1], [0]]))
+    assert s.stamps.dtype == dtype
+    np.testing.assert_array_equal(s.stamps, np.full((2, 2), horizon))
+    assert s.ages() == (0, 0)
+    with pytest.raises(
+        ProtocolViolation, match=f"^round {horizon + 1} is past the tables' horizon {horizon}$"
+    ):
+        s.record_own(horizon + 1, np.ones(2), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("horizon", [_NARROW_LAST, MAX_ROUNDS - 1])
+def test_swarm_untracked_offsets_keep_their_sentinel_whatever_the_distance_dtype(horizon):
+    # int16 distances must not wrap an untracked entry's offset: stamp -1
+    # plus a wrapped offset would read as the largest extra delay
+    distances = np.zeros((2, 2), dtype=np.int16)
+    s = SwarmTables(2, np.eye(2, dtype=bool), 1, 1, distances, horizon=horizon)
+    s.record_own(0, np.ones(2), np.ones((2, 1)))
+    assert s.ages() == (0, 0)
 
 
 def _overrun_tables():
@@ -393,11 +453,11 @@ def _neighbor_matrix(graph):
     return nb
 
 
-def _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets):
+def _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets, start=0):
     """Per-agent protocol simulation of the quotients `values` (T, n) and
-    perturbations `z_rows` (T, n, d); returns the stamps, the quotients,
-    the gradients and the gradients over the columns in `use_sets` of
-    every round."""
+    perturbations `z_rows` (T, n, d) of rounds start, ..., start + T - 1;
+    returns the stamps, the quotients, the gradients and the gradients
+    over the columns in `use_sets` of every round."""
     T, n, d = z_rows.shape
     tables = [InfoTable(sorted(tracked_sets[i])) for i in range(n)]
     histories = [PerturbationHistory(capacity=T + 1, dim=d) for _ in range(n)]
@@ -405,8 +465,8 @@ def _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets):
     rounds = []
     for t in range(T):
         for i in range(n):
-            histories[i].store(t, z_rows[t, i])
-            tables[i].record_own(i, float(values[t, i]), t)
+            histories[i].store(start + t, z_rows[t, i])
+            tables[i].record_own(i, float(values[t, i]), start + t)
         if outbox is not None:
             for i in range(n):
                 received = []
@@ -442,30 +502,40 @@ def _mask(sets, n):
     return mask
 
 
-def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops, use_sets):
-    """Run SwarmTables on the reference's inputs and compare stamps, the
-    derived quotients, the gradients and the gradients over the columns
-    in `use_sets` every round.  Its rings hold one round more than the
+def _check_swarm_against_reference(
+    graph, tracked_sets, values, z_rows, drops, use_sets, start=0, narrow=False
+):
+    """Run SwarmTables on the reference's inputs from round `start`, with
+    int16 stamps when the last round is at most _NARROW_LAST (`narrow`)
+    and int32 ones otherwise, and compare stamps, the derived quotients,
+    the ages, the gradients and the gradients over the columns in
+    `use_sets` every round.  Its rings hold one round more than the
     oldest entry the reference ever holds, so they wrap once the rounds
     outnumber them."""
     T, n, d = z_rows.shape
-    reference = _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets)
-    oldest_ages = [t - int(s[s >= 0].min()) for t, (s, *_) in enumerate(reference)]
+    reference = _run_reference(graph, tracked_sets, values, z_rows, drops, use_sets, start)
+    oldest_ages = [t - int(s[s >= 0].min()) for t, (s, *_) in enumerate(reference, start)]
     capacity = 1 + max(oldest_ages)
     tracked = _mask(tracked_sets, n)
     use_mask = _mask(use_sets, n)
     nb = _neighbor_matrix(graph)
-    swarm = SwarmTables(n, tracked, capacity, d)
+    dtype = np.int16 if narrow else np.int32
+    horizon = start + T - 1 if narrow else MAX_ROUNDS - 1
+    swarm = SwarmTables(n, tracked, capacity, d, horizon=horizon)
     snapshot = None
-    for t in range(T):
-        swarm.record_own(t, values[t], z_rows[t])
+    for t in range(start, start + T):
+        swarm.record_own(t, values[t - start], z_rows[t - start])
         if snapshot is not None:
             # drops hit pads too, as in the engine; the reference ignores them
-            swarm.merge_from(snapshot, nb, None if drops is None else drops[t])
+            swarm.merge_from(snapshot, nb, None if drops is None else drops[t - start])
         snapshot = swarm.snapshot()
-        ref_stamps, ref_quots, ref_grads, ref_used_grads = reference[t]
+        ref_stamps, ref_quots, ref_grads, ref_used_grads = reference[t - start]
+        assert swarm.stamps.dtype == dtype
         np.testing.assert_array_equal(swarm.stamps, ref_stamps)
         np.testing.assert_array_equal(swarm.quotients, ref_quots)
+        # every distance is 0, so the extra delay is the oldest tracked age
+        age = t - int(ref_stamps[tracked].min())
+        assert swarm.ages() == (age, age)
         np.testing.assert_allclose(swarm.assemble(), ref_grads, atol=1e-14)
         np.testing.assert_allclose(swarm.assemble(use_mask), ref_used_grads, atol=1e-14)
     return capacity
@@ -476,13 +546,16 @@ def _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops, u
 def _swarm_matches_reference_on_drawn_cases(reduced, with_drops, data):
     """Random connected graphs of 2-9 agents, random tracked sets (when
     `reduced`), drop rates up to 0.5 (when `with_drops`), random quotients
-    and random assembly masks, with rings that wrap."""
+    and random assembly masks, with rings that wrap, on int32 tables and
+    on int16 ones from round 0 or up to the last round they hold."""
     n = data.draw(st.integers(2, 9), label="n")
     graph = CommGraph.random_connected(
         n, seed=data.draw(st.integers(0, 2**32 - 1)), max_degree=data.draw(st.integers(2, 8))
     )
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     T = data.draw(st.integers(6, 30), label="T")
+    narrow = data.draw(st.booleans(), label="narrow")
+    start = data.draw(st.sampled_from([0, _NARROW_LAST - T + 1]), label="start")
     d = data.draw(st.integers(1, 3), label="d")
     if reduced:
         tracked_sets = [{i} | set(np.flatnonzero(rng.random(n) < 0.5).tolist()) for i in range(n)]
@@ -494,7 +567,9 @@ def _swarm_matches_reference_on_drawn_cases(reduced, with_drops, data):
         drops = rng.random(size=(T, n, max(graph.degree(i) for i in range(n)))) < rate
     values = rng.normal(size=(T, n))
     z_rows = rng.normal(size=(T, n, d))
-    _check_swarm_against_reference(graph, tracked_sets, values, z_rows, drops, _use_sets(rng, n))
+    _check_swarm_against_reference(
+        graph, tracked_sets, values, z_rows, drops, _use_sets(rng, n), start, narrow
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -518,8 +593,10 @@ def test_swarm_tables_match_reference(seed, reduced, with_drops):
     drops = rng.random(size=(T, n, max_deg)) < 0.35 if with_drops else None
     values = np.arange(1.0, n + 1) + 0.1 * np.arange(T)[:, None]
 
+    # int32 tables; int16 ones from round 0; int16 ones up to their last round
+    start, narrow = ((0, False), (0, True), (_NARROW_LAST - T + 1, True))[seed]
     capacity = _check_swarm_against_reference(
-        graph, tracked_sets, values, z_rows, drops, _use_sets(rng, n)
+        graph, tracked_sets, values, z_rows, drops, _use_sets(rng, n), start, narrow
     )
     assert capacity < T  # the rings wrapped
     _swarm_matches_reference_on_drawn_cases(reduced, with_drops)

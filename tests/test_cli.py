@@ -153,6 +153,47 @@ def test_out_of_range_options_fail_before_the_reference_solve(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        ({"delay": {"kind": "bernoulli", "p": 1.5}},
+         "delay.p: drop probability must lie in [0, 1)"),
+        ({"delay": {"kind": "bernoulli", "p": 0.1, "delta": -1}},
+         "delay.delta: declared extra delay must be >= 0"),
+        ({"graph": {"kind": "random", "seed": 0, "max_degree": 1}},
+         "graph.max_degree: must be >= 2"),
+        ({"graph": {"kind": "edges", "edges": [[1, 7]]}},
+         "graph.edges[0]: agent ids are 1-indexed and must lie in [1, 6]"),
+        ({"x0": [0.5] * 5}, "config.x0: expected 18 entries, got 5"),
+        ({"x0": "zeros"}, "config.x0: expected a list of numbers"),
+    ],
+    ids=["delay_p", "delay_delta", "max_degree", "edges", "x0_size", "x0_type"],
+)
+def test_bad_delay_graph_and_x0_fail_before_the_reference_solve(monkeypatch, edit, named):
+    import zfo.config
+
+    solve = zfo.config.centralized_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zfo.config, "centralized_solve", counted)
+    doc = {
+        "version": 1,
+        "problem": {"kind": "routing", "groups": 2, "agents_per_group": 3, "seed": 1},
+        "graph": {"kind": "complete"},
+        "params": {"eta": 1e-3, "u": 1e-3, "horizon": 30},
+    }
+    with pytest.raises(ConfigurationError) as info:
+        build_run_config({**doc, **edit})
+    assert str(info.value) == named
+    assert calls == []
+    config, _ = build_run_config(doc)
+    assert calls == [1] and config.problem.f_star is not None
+
+
 def test_readme_config_example_lists_every_normalized_field():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config file format", 1)[1]

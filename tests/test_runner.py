@@ -836,6 +836,45 @@ def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
     zfo.runner._validate(dataclasses.replace(config, horizon=2**30 - 1))  # the largest accepted
 
 
+class _StopAfterRoundZero(Exception):
+    pass
+
+
+def test_a_horizon_past_the_int16_stamps_starts_at_int32():
+    # on a path of 2 (max_lag 1) int16 stamps hold horizons up to 32,764;
+    # the probe reads round 0's dtype and stops the run
+    dtypes = []
+
+    def probe(view):
+        dtypes.append(view.tables.stamps.dtype)
+        raise _StopAfterRoundZero
+
+    problem = build_box_quadratic(2, 1, seed=0)
+    for horizon in (32_764, 32_765):
+        config = RunConfig(
+            problem=problem, graph=CommGraph.path(2), eta=1e-3, u=1e-3, delta=0.01,
+            delay=BernoulliDrops(0.3, 2), horizon=horizon, probe=probe,
+        )
+        with pytest.raises(_StopAfterRoundZero):
+            run(config)
+    assert dtypes == [np.int16, np.int32]
+
+
+def test_routing_lossy_run_keeps_int16_stamps():
+    # the 40 x 5 routing instance with lossy links gossips int16 stamps
+    problem = routing_problem(build_routing_instance(40, 5, seed=0))
+    graph = CommGraph.random_connected(problem.n, seed=1, max_degree=4)
+    dtypes = set()
+    run(
+        RunConfig(
+            problem=problem, graph=graph, eta=1e-3, u=4e-3, delta=0.1,
+            delay=BernoulliDrops(0.1, 3), horizon=30, metric_every=100,
+            probe=lambda view: dtypes.add(view.tables.stamps.dtype),
+        )
+    )
+    assert dtypes == {np.dtype(np.int16)}
+
+
 def test_x0_outside_feasible_set_is_projected_with_note():
     problem = build_box_quadratic(3, 1, seed=0)
     graph = CommGraph.path(3)
