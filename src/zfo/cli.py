@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import apply_overrides, build_run_config, load_config
+from .config import OVERRIDES, apply_overrides, build_run_config, load_config
 from .errors import AssumptionViolation, ConfigurationError, OracleError, ZfoError
 from .network import CommGraph, network_stats
 from .planner import REGIMES, ProblemConstants, plan, verify_plan
@@ -59,8 +59,7 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    keys = ("eta", "u", "delta", "sigma", "horizon", "seed", "p_drop", "mode")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in OVERRIDES if getattr(args, k, None) is not None}
 
 
 def _document(args: argparse.Namespace) -> dict:

@@ -112,6 +112,7 @@ def _as_str(value: Any, path: str) -> str:
 # "params", the rest sit at the top level.
 _PARSERS = {"float": _as_number, "int": _as_int, "str": _as_str, "bool": _as_bool}
 _PARAMS = ("eta", "u", "delta", "sigma", "horizon")
+OVERRIDES = _PARAMS + ("seed", "p_drop", "mode")  # apply_overrides' keys, the CLI's flags
 _OPTIONS = [f for f in dataclasses.fields(RunConfig) if f.type in _PARSERS]
 _PARAM_OPTIONS = [f for f in _OPTIONS if f.name in _PARAMS]
 _TOP_OPTIONS = [f for f in _OPTIONS if f.name not in _PARAMS]
@@ -151,9 +152,9 @@ def load_config(path: str) -> dict:
 def apply_overrides(doc: dict, **overrides) -> dict:
     """Return a copy of `doc` with command-line overrides folded in.
 
-    Recognized keys: eta, u, delta, sigma, horizon (params), seed, mode,
-    and p_drop (replaces the delay model, keeping any previously declared
-    extra-delay bound; with p_drop = 0 and no bound it is "none").
+    Recognized keys (`OVERRIDES`): eta, u, delta, sigma, horizon (params),
+    seed, mode, and p_drop (replaces the delay model, keeping any previously
+    declared extra-delay bound; with p_drop = 0 and no bound it is "none").
     """
     doc = copy.deepcopy(doc)
     for key in _PARAMS:

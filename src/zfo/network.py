@@ -215,6 +215,9 @@ def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
     dims = np.asarray(dims, dtype=float)
     if dims.shape != (n,):
         raise ConfigurationError("dims must have one entry per agent")
+    for i, d in enumerate(dims.tolist()):
+        if not (d >= 1 and d.is_integer()):
+            raise ConfigurationError(f"agent {i + 1} has dimension {d:g}, not a positive integer")
     shifted_sq = (dist + delta).astype(float) ** 2
     b_bar = float(np.sqrt(shifted_sq.sum() / n**2))
     d_total = float(dims.sum())

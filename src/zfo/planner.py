@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, OracleError
+from .errors import ConfigurationError, DomainError, OracleError
 from .network import NetworkStats
 from .problems import Problem
 
@@ -206,8 +206,9 @@ def constants_for(
     """Assemble :class:`ProblemConstants` from a problem and network stats.
 
     ``init_gap`` is filled in when ``x0`` is given and the problem records
-    either its optimal value or a lower bound on it.  A problem without the
-    Lipschitz and smoothness constants in its ``meta`` is refused.
+    either its optimal value or a lower bound on it.  An infeasible ``x0``
+    and a problem without the Lipschitz and smoothness constants in its
+    ``meta`` are refused.
     """
     if stats.n != problem.n:
         raise ConfigurationError(
@@ -222,9 +223,13 @@ def constants_for(
         )
     init_gap = None
     if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        agent = problem.first_infeasible(problem.blocks(x0))
+        if agent is not None:
+            raise DomainError(f"x0 puts agent {agent + 1} outside its feasible set")
         floor = problem.f_star if problem.f_star is not None else problem.f_lower
         if floor is not None:
-            init_gap = float(problem.global_cost(np.asarray(x0, dtype=float)) - floor)
+            init_gap = float(problem.global_cost(x0) - floor)
     return ProblemConstants(
         n_agents=problem.n,
         dim=problem.total_dim,

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, OracleError
+from .errors import ConfigurationError, OracleError
 from .geometry import DEFAULT_TOL, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 
@@ -63,14 +63,15 @@ class Problem:
     returning `(R, n)` and `(R, D)`.  Row r of a stacked result is bitwise
     equal to the one-vector call on row r, so a caller may stack
     evaluations (the runner's two signed actions, its owed gradient norms)
-    without changing a result.  With `check=True`, an infeasible row
-    raises `DomainError` as the one-vector call would.
+    without changing a result.  Cost closures judge nothing: the runner's
+    guard judges every action before it is observed, and `feasible` and
+    `first_infeasible` give a verdict on request.
     """
 
     name: str
     dims: list[int]
     sets: list[ConvexSet]
-    local_costs: Callable[..., np.ndarray]  # (flat, check=True) -> (n,); (R, D) -> (R, n)
+    local_costs: Callable[[np.ndarray], np.ndarray]  # (D,) -> (n,); (R, D) -> (R, n)
     grad: Callable[[np.ndarray], np.ndarray] | None = None  # gradient of f; (R, D) -> (R, D)
     affected: list[frozenset[int]] | None = None  # A_i: agents whose costs agent i affects
     f_star: float | None = None
@@ -103,9 +104,15 @@ class Problem:
         return int(self.offsets[-1])
 
     def blocks(self, flat: np.ndarray) -> np.ndarray:
-        """The `(n, d_max)` block array of a flat joint vector (a new array)."""
+        """The `(n, d_max)` block array of a flat joint vector (a new array);
+        anything but a `(D,)` vector is refused."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != (self.total_dim,):
+            raise ConfigurationError(
+                f"expected a flat vector of length {self.total_dim}, got shape {flat.shape}"
+            )
         if self._uniform:
-            return np.array(flat, dtype=float).reshape(self.n, self.d_max)
+            return flat.reshape(self.n, self.d_max).copy()
         out = np.zeros((self.n, self.d_max))
         out[self.dim_mask] = flat
         return out
@@ -117,8 +124,8 @@ class Problem:
             return blocks.reshape(blocks.shape[:-2] + (-1,))
         return blocks[..., self.dim_mask]
 
-    def global_cost(self, flat: np.ndarray, check: bool = True) -> float:
-        costs = self.local_costs(flat, check=check)
+    def global_cost(self, flat: np.ndarray) -> float:
+        costs = self.local_costs(flat)
         return float(np.add.reduce(costs) / len(costs))  # np.mean's sum and division
 
     def feasible(self, flat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -190,13 +197,8 @@ def build_box_quadratic(
     c_mean = centers.mean(axis=0)
     w = float(half_width)
 
-    def local_costs(flat, check=True):
+    def local_costs(flat):
         flat = np.asarray(flat, dtype=float)
-        if check:
-            outside = (np.abs(flat) > w + 1e-9).ravel()
-            if outside.any():
-                agent = int(np.argmax(outside)) % d // dim_per_agent
-                raise DomainError(f"agent {agent + 1} action outside its box")
         # one (R n, d) einsum: its rows sum as the one-vector call's do
         diff = (flat[..., None, :] - centers).reshape(-1, d)
         return 0.5 * np.einsum("ij,ij->i", diff, diff).reshape(flat.shape[:-1] + (n,))
@@ -248,7 +250,7 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
     amps = rng.uniform(0.3, 1.0, size=(n, d))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, d))
 
-    def local_costs(flat, check=True):
+    def local_costs(flat):
         flat = np.asarray(flat, dtype=float)
         return np.sum(amps * (1.0 - np.cos(flat[..., None, :] - phases)), axis=-1)
 
@@ -408,11 +410,10 @@ def routing_problem(inst: RoutingInstance) -> Problem:
     k = inst.routes_per_agent
     dim = k - 1
     shift = -1.0 / k
-    lo = shift  # reduced-coordinate lower bound for the fast check
     uniform = 1.0 / k
     stacks: dict[int, _StackedRoutes] = {}
 
-    def allocation(flat, check):
+    def allocation(flat):
         """The allocations v (R n, k) of the reduced actions, their route
         loads (R m,), the stacked coefficients and whether `flat` was a
         stack: reduced_to_alloc and the loads of eval_allocation, operation
@@ -423,28 +424,22 @@ def routing_problem(inst: RoutingInstance) -> Problem:
         st = stacks.get(rows)
         if st is None:
             st = stacks[rows] = _StackedRoutes(inst, rows)
-        x = flat.reshape(rows * n, dim)
-        if check:
-            w = x - lo
-            if np.min(w) < -1e-9 or np.max(w.sum(axis=1)) > 1.0 + 1e-9:
-                bad = int(np.argmax(np.maximum(-w.min(axis=1), w.sum(axis=1) - 1.0)))
-                raise DomainError(f"agent {bad % n + 1} action outside its simplex")
-        head = x + uniform
+        head = flat.reshape(rows * n, dim) + uniform
         v = np.concatenate([head, 1.0 - st.head_sums(head, 1, keepdims=True)], axis=1)
         loads = np.bincount(
             st.route_ids, weights=(v * st.traffic_col).ravel(), minlength=st.quad.size
         )
         return v, loads, st, stacked
 
-    def local_costs(flat, check=True):
+    def local_costs(flat):
         # eval_allocation(inst, reduced_to_alloc(inst, x))[0] of each row
-        v, loads, st, stacked = allocation(flat, check)
+        v, loads, st, stacked = allocation(flat)
         unit = (st.quad * loads + st.lin) * loads + st.offset
         costs = st.traffic * np.einsum("ik,ik->i", v, unit[st.routes])
         return costs.reshape(-1, n) if stacked else costs
 
     def grad(flat):
-        v, loads, st, stacked = allocation(flat, False)
+        v, loads, st, stacked = allocation(flat)
         marginal = st.offset + 2.0 * st.lin * loads + 3.0 * st.quad * loads**2
         mc = marginal[st.routes]  # (R n, k)
         g = st.grad_scale * (mc[:, :-1] - mc[:, -1:])
@@ -590,10 +585,8 @@ def centralized_solve(
     """
     if problem.grad is None:
         raise ConfigurationError("centralized solve needs a gradient")
-    x = problem.project_feasible(
-        np.zeros(problem.total_dim) if x0 is None else np.asarray(x0, dtype=float)
-    )
-    f_x = problem.global_cost(x, check=False)
+    x = problem.project_feasible(np.zeros(problem.total_dim) if x0 is None else x0)
+    f_x = problem.global_cost(x)
     x_prev = x
     theta = 1.0
     step = 1.0
@@ -604,7 +597,7 @@ def centralized_solve(
         beta = (theta - 1.0) / theta_next
         if beta > 0.0:
             y = x + beta * (x - x_prev)
-            f_y = problem.global_cost(y, check=False)
+            f_y = problem.global_cost(y)
         else:
             y, f_y = x, f_x
         g = problem.grad(y)
@@ -612,7 +605,7 @@ def centralized_solve(
             x_new = problem.project_feasible(y - step * g)
             diff = x_new - y
             sq = float(np.dot(diff, diff))
-            f_new = problem.global_cost(x_new, check=False)
+            f_new = problem.global_cost(x_new)
             slack = _SLACK_ABS + _SLACK_REL * abs(f_y)
             if f_new <= f_y + float(np.dot(g, diff)) + sq / (2.0 * step) + slack:
                 break

@@ -202,9 +202,9 @@ def _finite_difference_gradient(problem: Problem, flat: np.ndarray, step: float 
     probe = flat.copy()
     for k in range(flat.size):
         probe[k] = flat[k] + step
-        hi = problem.global_cost(probe, check=False)
+        hi = problem.global_cost(probe)
         probe[k] = flat[k] - step
-        lo = problem.global_cost(probe, check=False)
+        lo = problem.global_cost(probe)
         probe[k] = flat[k]
         grad[k] = (hi - lo) / (2.0 * step)
     return grad
@@ -231,9 +231,9 @@ def metrics_snapshot(
     if (u is None) != (z_flat is None):
         raise ConfigurationError("checking the signed actions needs both u and z_flat")
     flat = np.asarray(flat, dtype=float)
-    row = _diagnostics(problem, flat, t)
     x = problem.blocks(flat)
     signed = None if u is None else x + problem.blocks(z_flat) * np.array([[[u]], [[-u]]])
+    row = _diagnostics(problem, flat, t)
     shrunk = [g.set.shrink(delta) for g in problem.groups]
     row["feasible"] = problem.first_infeasible(x, shrunk, signed) is None
     return row
@@ -241,7 +241,7 @@ def metrics_snapshot(
 
 def _diagnostics(problem: Problem, flat: np.ndarray, t: int) -> dict:
     """A trace row's cost, gap and gradient fields at the state `flat`."""
-    f_value = problem.global_cost(flat, check=False)
+    f_value = problem.global_cost(flat)
     gap = None if problem.f_star is None else f_value - problem.f_star
     if problem.grad is not None:
         grad = problem.grad(flat)
@@ -395,12 +395,10 @@ class _Round(RoundView):
         self._draws.flags.writeable = False
         self._noise = np.zeros((self._block_rounds, 2, n)) if noisy else None  # sigma-scaled
 
-        x0 = np.zeros(problem.total_dim) if config.x0 is None else np.asarray(config.x0, dtype=float)
-        if x0.shape != (problem.total_dim,):
-            raise ConfigurationError(
-                f"x0 must be a flat vector of length {problem.total_dim}, got shape {x0.shape}"
-            )
-        x = problem.blocks(x0)
+        try:
+            x = problem.blocks(np.zeros(problem.total_dim) if config.x0 is None else config.x0)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"x0: {exc}") from None
         self.x = problem.project_blocks(x, self._shrunk)
         moved = float(np.abs(self.x - x).max(initial=0.0))
         if moved > _FEASIBILITY_TOL:
@@ -467,7 +465,7 @@ class _Round(RoundView):
         """(2)-(4) Every agent observes its cost at both signed actions, in one
         stacked call (row 0 at x + u z), and forms its difference quotient."""
         problem = self._problem
-        costs = np.asarray(problem.local_costs(problem.flat(self._signed), check=False), dtype=float)
+        costs = np.asarray(problem.local_costs(problem.flat(self._signed)), dtype=float)
         if self._noise is not None:
             costs = costs + self._noise[self._bi]
         f_plus, f_minus = costs
@@ -550,7 +548,7 @@ class _Round(RoundView):
         if self._owed_count:
             self._settle()
         x_ergodic = self._x_acc / self._samples
-        f_ergodic = problem.global_cost(x_ergodic, check=False)
+        f_ergodic = problem.global_cost(x_ergodic)
         last = self.rows[-1]
         columns = self.tables.tracked.sum(axis=1)
         degrees = np.array([config.graph.degree(i) for i in range(problem.n)])

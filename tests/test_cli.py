@@ -1,5 +1,6 @@
 """CLI and JSON-config tests: subcommands, exit codes, file artifacts."""
 
+import argparse
 import csv
 import json
 import math
@@ -10,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zfo.cli import main
-from zfo.config import apply_overrides, build_run_config, load_config
+from zfo.cli import _add_override_flags, main
+from zfo.config import OVERRIDES, apply_overrides, build_run_config, load_config
 from zfo.errors import ConfigurationError, DomainError
 from zfo.network import BernoulliDrops, CommGraph, NoDelay
 from zfo.problems import build_trig_sum
@@ -260,6 +261,15 @@ def test_apply_overrides():
     assert apply_overrides(doc, p_drop=0)["delay"] == {"kind": "none"}
     with pytest.raises(ConfigurationError, match="unknown override"):
         apply_overrides(doc, eps=0.1)
+
+
+def test_override_flags_are_the_keys_apply_overrides_accepts():
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_override_flags(parser)
+    assert tuple(action.dest for action in parser._actions) == OVERRIDES
+    values = {"mode": "dependence", "p_drop": 0.1}
+    for key in OVERRIDES:
+        assert apply_overrides(_base_doc(), **{key: values.get(key, 1)}) != _base_doc()
 
 
 def test_p_drop_zero_keeps_the_declared_extra_delay(tmp_path):
@@ -524,11 +534,16 @@ _PLAN_CONSTANTS = {"n_agents": 3, "dim": 6, "lipschitz": 2.0, "smoothness": 4.0,
         (["stats", "--graph", "{tmp}/missing.edges"], {}, "edge-list file not found"),
         (["stats", "--graph", "{tmp}/g.edges", "--dims", "1,a"], {"g.edges": "1 2\n"},
          "--dims must be comma-separated integers"),
+        (["stats", "--graph", "{tmp}/g.edges", "--dims", "0,0,0"], {"g.edges": "1 2\n2 3\n"},
+         "agent 1 has dimension 0, not a positive integer"),
+        (["stats", "--graph", "{tmp}/g.edges", "--dims", "2,-1,1"], {"g.edges": "1 2\n2 3\n"},
+         "agent 2 has dimension -1, not a positive integer"),
         (["sweep", "--config", "{tmp}/config.json", "--seeds", "0"],
          {"config.json": json.dumps(_base_doc())}, "--seeds must be >= 1"),
     ],
     ids=["constants_missing", "constants_invalid_json", "constants_number", "lipschitz_string",
-         "n_agents_bool", "graph_missing", "dims_malformed", "no_seeds"],
+         "n_agents_bool", "graph_missing", "dims_malformed", "dims_zero", "dims_negative",
+         "no_seeds"],
 )
 def test_cli_refusals_exit_2_naming_the_input(tmp_path, capsys, argv, files, named):
     for name, text in files.items():

@@ -379,13 +379,15 @@ def test_affected_must_contain_self():
         (lambda: CommGraph.from_edge_list_text("# no edges\n"), "edge list is empty"),
         (lambda: network_stats(CommGraph.path(3), 0, dims=[1, 2]),
          "dims must have one entry per agent"),
+        (lambda: network_stats(CommGraph.path(3), 0, dims=[1, 1.5, 1]),
+         "agent 2 has dimension 1.5, not a positive integer"),
         (lambda: check_compatibility(CommGraph.path(3), [{0}, {1}]),
          "affected sets must have one entry per agent"),
         (lambda: check_compatibility(CommGraph.path(3), [{0}, {1}, {2, 7}]),
          "affected set of agent 3 out of range"),
     ],
-    ids=["no_vertex", "edge_range", "edge_text", "no_edges", "dims_shape", "affected_length",
-         "affected_range"],
+    ids=["no_vertex", "edge_range", "edge_text", "no_edges", "dims_shape", "dims_fraction",
+         "affected_length", "affected_range"],
 )
 def test_network_refusals_name_the_input(make, named):
     with pytest.raises(ConfigurationError) as info:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zfo.cli import main
-from zfo.errors import ConfigurationError
+from zfo.errors import ConfigurationError, DomainError
 from zfo.network import CommGraph, network_stats
 from zfo.planner import (
     REGIMES,
@@ -595,6 +595,22 @@ def test_constants_for_box_quadratic_on_path():
     assert c.staleness_bound == stats.staleness_bound
     assert c.sigma == 0.25
     assert c.init_gap == pytest.approx(problem.global_cost(x0) - problem.f_star, rel=1e-12)
+
+
+def test_constants_for_judges_x0_with_the_guard():
+    # the box's per-coordinate slack once let this point through; the guard's
+    # Euclidean 1e-9 refuses it, for every problem kind
+    problem = build_box_quadratic(1, 2, seed=0)
+    stats = network_stats(CommGraph.path(1), delta=0, dims=problem.dims)
+    with pytest.raises(DomainError, match=r"^x0 puts agent 1 outside its feasible set$"):
+        constants_for(problem, stats, x0=np.full(2, 1.0 + 0.8e-9))
+    assert constants_for(problem, stats, x0=np.full(2, 1.0)).init_gap is not None
+    routing = routing_problem(build_routing_instance(2, 3, seed=1))
+    stats = network_stats(CommGraph.complete(routing.n), delta=0, dims=routing.dims)
+    x0 = np.zeros(routing.total_dim)
+    x0[3 * 4] = 1.0  # agent 5's first reduced share past the simplex
+    with pytest.raises(DomainError, match=r"^x0 puts agent 5 outside"):
+        constants_for(routing, stats, x0=x0)
 
 
 def test_constants_for_rejects_size_mismatch():

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zfo.cli import main
-from zfo.errors import ConfigurationError, DomainError, OracleError
+from zfo.errors import ConfigurationError, OracleError
 from zfo.geometry import WholeSpace
+from zfo.network import CommGraph, network_stats
+from zfo.planner import constants_for
 from zfo.problems import (
     Problem,
     RoutingInstance,
@@ -26,6 +28,7 @@ from zfo.problems import (
     routing_affected_sets,
     routing_problem,
 )
+from zfo.runner import metrics_snapshot
 from test_runner import _mixed_problem
 
 
@@ -133,7 +136,6 @@ def test_routing_local_costs_equal_reference_evaluation():
         for x in points:
             expected, _ = eval_allocation(inst, reduced_to_alloc(inst, x))
             np.testing.assert_array_equal(problem.local_costs(x.ravel()), expected)
-            np.testing.assert_array_equal(problem.local_costs(x.ravel(), check=False), expected)
 
 
 # The stacked contract: each row of an (R, D) call equals the one-vector call.
@@ -162,30 +164,22 @@ def test_stacked_evaluations_equal_one_vector_calls(name, rows, seed):
         rng.uniform(0.0, 1.0) * problem.project_feasible(rng.normal(0.0, 1.0, problem.total_dim))
         for _ in range(rows)
     ])
-    for check in (True, False):
-        costs = problem.local_costs(xs, check=check)
-        assert costs.shape == (rows, problem.n)
-        for r in range(rows):
-            np.testing.assert_array_equal(costs[r], problem.local_costs(xs[r], check=check))
+    costs = problem.local_costs(xs)
+    assert costs.shape == (rows, problem.n)
+    for r in range(rows):
+        np.testing.assert_array_equal(costs[r], problem.local_costs(xs[r]))
     grads = problem.grad(xs)
     assert grads.shape == (rows, problem.total_dim)
     for r in range(rows):
         np.testing.assert_array_equal(grads[r], problem.grad(xs[r]))
 
-    # an infeasible row fails the checked call as it does alone, naming its agent
+    # cost closures judge nothing; the guard names the agent pushed out of its set
     r, agent = rng.integers(rows), rng.integers(problem.n)
     bad = xs.copy()
     bad[r, problem.offsets[agent]] = 10.0
-    try:
-        problem.local_costs(bad[r])
-    except DomainError as one:
-        with pytest.raises(DomainError) as stacked:
-            problem.local_costs(bad)
-        assert str(stacked.value) == str(one)
-        if name.startswith("routing"):
-            assert str(one) == f"agent {agent + 1} action outside its simplex"
-        if name == "box_quadratic":
-            assert str(one) == f"agent {agent + 1} action outside its box"
+    pushed_out = None if isinstance(problem.sets[agent], WholeSpace) else agent
+    assert problem.first_infeasible(problem.blocks(bad[r])) == pushed_out
+    np.testing.assert_array_equal(problem.local_costs(bad)[r], problem.local_costs(bad[r]))
 
 
 def test_builder_layout():
@@ -250,7 +244,7 @@ def test_routing_gradient_matches_finite_differences():
     problem = routing_problem(inst)
     rng = np.random.default_rng(10)
     x = sample_feasible_reduced(inst, rng).ravel() * 0.8  # safely interior
-    fun = lambda z: problem.global_cost(z, check=False)
+    fun = problem.global_cost
     np.testing.assert_allclose(problem.grad(x), _fd_grad(fun, x), rtol=1e-5, atol=1e-7)
 
 
@@ -263,7 +257,7 @@ def test_routing_local_grads_match_finite_differences():
     x = sample_feasible_reduced(inst, rng) * 0.8
     rows = _routing_local_grads(inst, x)
     for i in range(problem.n):
-        fun_i = lambda z: float(problem.local_costs(z, check=False)[i])
+        fun_i = lambda z: float(problem.local_costs(z)[i])
         np.testing.assert_allclose(rows[i], _fd_grad(fun_i, x.ravel()), rtol=1e-5, atol=1e-7)
 
 
@@ -279,14 +273,14 @@ def test_local_grads_mean_equals_global_gradient():
 def test_box_quadratic_gradients():
     problem = build_box_quadratic(3, 2, seed=1)
     x = np.random.default_rng(2).uniform(-0.5, 0.5, size=6)
-    fun = lambda z: problem.global_cost(z, check=False)
+    fun = problem.global_cost
     np.testing.assert_allclose(problem.grad(x), _fd_grad(fun, x), rtol=1e-6, atol=1e-8)
 
 
 def test_trig_sum_gradients():
     problem = build_trig_sum(2, 2, seed=3)
     x = np.random.default_rng(4).normal(size=4)
-    fun = lambda z: problem.global_cost(z, check=False)
+    fun = problem.global_cost
     np.testing.assert_allclose(problem.grad(x), _fd_grad(fun, x), rtol=1e-6, atol=1e-8)
 
 
@@ -307,11 +301,11 @@ def test_affected_sets_match_finite_difference_detection():
     problem = routing_problem(inst)
     affected = problem.affected
     x = sample_feasible_reduced(inst, np.random.default_rng(7)).ravel() * 0.7
-    base = problem.local_costs(x, check=False)
+    base = problem.local_costs(x)
     for l in range(problem.n):
         bump = x.copy()
         bump[problem.offsets[l]] += 1e-4
-        delta = np.abs(problem.local_costs(bump, check=False) - base)
+        delta = np.abs(problem.local_costs(bump) - base)
         for i in range(problem.n):
             if l in affected[i]:
                 assert delta[i] > 1e-10, (i, l)
@@ -475,7 +469,7 @@ def _assert_first_order_optimal(inst, x, f, seed, samples=3000):
     for _ in range(samples):
         v = sample_feasible_reduced(inst, rng).ravel()
         assert float(np.dot(g, v - x)) >= -1e-7
-        assert problem.global_cost(v, check=False) >= f - 1e-9
+        assert problem.global_cost(v) >= f - 1e-9
 
 
 def test_solver_recovers_analytic_optimum():
@@ -583,6 +577,30 @@ def test_solver_refuses_a_problem_without_gradient():
         centralized_solve(problem)
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [build_box_quadratic(3, 2, seed=0), routing_problem(build_routing_instance(2, 3, seed=1)),
+     dataclasses.replace(_mixed_problem(), meta={"lipschitz": 1.0, "smoothness": 1.0})],
+    ids=["box_quadratic", "routing", "mixed"],
+)
+def test_flat_vector_of_the_wrong_length_is_refused_with_its_shape(problem):
+    # one check in `blocks`, ahead of any NumPy broadcast or reshape
+    stats = network_stats(CommGraph.complete(problem.n), dims=problem.dims)
+    D = problem.total_dim
+    calls = [
+        problem.blocks,
+        problem.feasible,
+        problem.project_feasible,
+        lambda x: metrics_snapshot(problem, x, 0),
+        lambda x: constants_for(problem, stats, x0=x),
+    ]
+    for bad in (np.zeros(D - 1), np.zeros(D + 1), np.zeros((1, D))):
+        for call in calls:
+            with pytest.raises(ConfigurationError) as info:
+                call(bad)
+            assert str(info.value) == f"expected a flat vector of length {D}, got shape {bad.shape}"
+
+
 def test_problem_validates_set_dimensions():
     from zfo.geometry import Box
     from zfo.problems import Problem
@@ -592,14 +610,14 @@ def test_problem_validates_set_dimensions():
             name="bad",
             dims=[2],
             sets=[Box([-1.0], [1.0])],
-            local_costs=lambda x, check=True: np.zeros(1),
+            local_costs=lambda x: np.zeros(1),
         )
 
 
 @pytest.mark.parametrize(
     "make, named",
     [
-        (lambda: Problem("p", [1, 2], [WholeSpace(1)], lambda flat, check=True: flat),
+        (lambda: Problem("p", [1, 2], [WholeSpace(1)], lambda flat: flat),
          "dims and sets must align"),
         (lambda: build_box_quadratic(2, 1, seed=0, center_scale=1.5),
          "need 0 < center_scale < half_width for an interior optimum"),

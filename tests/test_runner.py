@@ -322,7 +322,7 @@ def _routing_setup():
 def _asymmetric_setup():
     """Agent 2 affects every cost, agents 1 and 3 only their own, on a path."""
 
-    def local_costs(flat, check=True):
+    def local_costs(flat):
         x = np.asarray(flat, dtype=float)
         f = [(x[..., 0] + x[..., 1] - 1.0) ** 2, (x[..., 1] - 0.5) ** 2, (x[..., 1] - x[..., 2]) ** 2]
         return np.stack(f, axis=-1)
@@ -544,7 +544,7 @@ def test_final_values_are_the_last_cadence_row(analytic):
     last = trace.rows[-1]
     assert last["t"] == 61 and last["grad_estimated"] is not analytic
     assert (trace.f_final, trace.gap_final) == (last["f"], last["gap"])
-    assert trace.f_final == config.problem.global_cost(trace.x_final, check=False)
+    assert trace.f_final == config.problem.global_cost(trace.x_final)
     if analytic:
         assert trace.grad_sq_final == last["grad_sq"]
     else:
@@ -776,6 +776,21 @@ def test_summary_without_echo_describes_run():
     assert described["horizon"] == 60 and described["seed"] == 11
 
 
+def test_custom_problem_with_vector_only_closures_runs():
+    # the engine calls `local_costs` and `grad` with the vector alone
+    centers = np.array([[0.4, -0.3, 0.2], [0.1, 0.5, -0.6], [-0.2, 0.0, 0.3]])
+    problem = Problem(
+        name="vector_only",
+        dims=[1, 1, 1],
+        sets=[Box([-1.0], [1.0])] * 3,
+        local_costs=lambda flat: 0.5 * ((np.asarray(flat)[..., None, :] - centers) ** 2).sum(-1),
+        grad=lambda flat: np.asarray(flat) - centers.mean(axis=0),
+    )
+    trace = run(RunConfig(problem=problem, graph=CommGraph.path(3), eta=0.05, u=1e-3, horizon=40))
+    assert len(trace.rows) > 1 and all(row["feasible"] for row in trace.rows)
+    assert trace.f_final < problem.global_cost(np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
@@ -799,7 +814,7 @@ def test_config_validation_errors():
         run(RunConfig(**{**ok, "horizon": 1}))
     with pytest.raises(ConfigurationError, match="agents"):
         run(RunConfig(**{**ok, "graph": CommGraph.path(4)}))
-    with pytest.raises(ConfigurationError, match="x0"):
+    with pytest.raises(ConfigurationError, match=r"^x0: expected a flat vector of length 3, got shape \(5,\)$"):
         run(RunConfig(**{**ok, "x0": np.zeros(5)}))
     anonymous = dataclasses.replace(problem, affected=None)
     with pytest.raises(ConfigurationError, match="dependence"):
@@ -1073,8 +1088,8 @@ def test_non_finite_cost_names_agent_and_round(problem, delta):
     # not finish with f_final = nan or fail a later feasibility check
     finished = []
 
-    def local_costs(flat, check=True):
-        costs = np.array(problem.local_costs(flat, check=check), dtype=float)
+    def local_costs(flat):
+        costs = np.array(problem.local_costs(flat), dtype=float)
         if len(finished) == 5:
             costs[..., 2] = np.nan
         return costs
@@ -1140,7 +1155,7 @@ def _mixed_problem() -> Problem:
     dims = [s.dim for s in sets]
     centers = np.random.default_rng(0).uniform(-1.5, 1.5, size=(len(sets), sum(dims)))
 
-    def local_costs(flat, check=True):
+    def local_costs(flat):
         diff = np.asarray(flat, dtype=float)[..., None, :] - centers
         return 0.5 * np.einsum("...j,...j->...", diff, diff)
 
