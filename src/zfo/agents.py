@@ -51,8 +51,9 @@ class SwarmTables:
 
     `distances` is the (n, n) hop distance of each tracked entry (inside
     the column's trackers for reduced tables; default 0), and `max_lag`
-    its largest value.  The history window holds `max_lag + headroom`
-    rounds.  An entry's extra delay is its age minus its distance.
+    its largest value.  The history window holds `max_lag + headroom` rounds,
+    capped at `horizon + 1`, which no stamp outlives.  An entry's extra delay
+    is its age minus its distance.
 
     Stamps come only from `record_own` (called once per round, in order,
     up to round `horizon`) and `merge_from` (the tables as the neighbours
@@ -102,7 +103,7 @@ class SwarmTables:
         self.lossless = bool(lossless)
         self._offset_stamps = None if lossless else np.empty((n, n), dtype=dtype)
         self._agents = np.arange(n)
-        self.capacity = cap = self.max_lag + int(headroom)
+        self.capacity = cap = min(self.max_lag + int(headroom), self.horizon + 1)
         size = 1 << (cap - 1).bit_length()
         self._mask = size - 1
         self.stamps = np.full((n, n), -1, dtype=dtype)

@@ -102,10 +102,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if not os.path.exists(args.graph):
-        raise ConfigurationError(f"edge-list file not found: {args.graph}")
-    with open(args.graph, encoding="utf-8") as fh:
-        graph = CommGraph.from_edge_list_text(fh.read())
+    graph = CommGraph.from_edge_list_file(args.graph)
     dims = None
     if args.dims:
         try:

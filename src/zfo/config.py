@@ -241,12 +241,11 @@ def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict
             _fail(f"{path}.extra_edges", str(exc))
     if kind == "file":
         file_path = _as_str(_get(doc, "path", path, required=True), f"{path}.path")
-        if not os.path.exists(file_path):
-            _fail(f"{path}.path", f"edge-list file not found: {file_path}")
-        with open(file_path, encoding="utf-8") as fh:
-            graph = CommGraph.from_edge_list_text(fh.read(), n=n)
-        edges = [[a + 1, b + 1] for a, b in graph.edges]
-        return graph, {"kind": "edges", "edges": edges}
+        try:
+            graph = CommGraph.from_edge_list_file(file_path, n=n)
+        except ConfigurationError as exc:
+            _fail(f"{path}.path", str(exc))
+        return graph, {"kind": "edges", "edges": [[a + 1, b + 1] for a, b in graph.edges]}
     raw = _get(doc, "edges", path, required=True)
     if not isinstance(raw, list):
         _fail(f"{path}.edges", "expected a list of [a, b] pairs (1-indexed)")
@@ -299,7 +298,7 @@ def build_run_config(doc: dict) -> tuple[RunConfig, dict]:
     """
     doc = _require_mapping(doc, "config")
     _check_fields(doc, _TOP_FIELDS, "config")
-    version = _get(doc, "version", "config", required=True)
+    version = _as_int(_get(doc, "version", "config", required=True), "config.version")
     if version != CONFIG_VERSION:
         _fail("config.version", f"expected {CONFIG_VERSION}, got {version!r}")
     # the options are read and checked before the problem, so a typo or an

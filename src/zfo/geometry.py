@@ -141,10 +141,6 @@ class ConvexSet:
         the origin is not interior."""
         raise NotImplementedError
 
-    def outer_radius(self) -> float:
-        """max ||y|| over the set."""
-        raise NotImplementedError
-
     def _require_origin_interior(self) -> None:
         if not (self.inner_radius() > 0.0):
             raise ConfigurationError(
@@ -175,9 +171,6 @@ class WholeSpace(ConvexSet):
         return self
 
     def inner_radius(self):
-        return np.inf
-
-    def outer_radius(self):
         return np.inf
 
     def __repr__(self):
@@ -219,9 +212,6 @@ class Box(ConvexSet):
 
     def inner_radius(self):
         return float(min(np.min(-self.lower), np.min(self.upper)))
-
-    def outer_radius(self):
-        return float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
 
     def __repr__(self):
         return f"Box(lower={self.lower!r}, upper={self.upper!r})"
@@ -347,11 +337,6 @@ class ShiftedSimplex(ConvexSet):
     def inner_radius(self):
         slack_sum = (self.scale + self.shift.sum()) / np.sqrt(self.dim)
         return float(min(np.min(-self.shift), slack_sum))
-
-    def outer_radius(self):
-        base = float(np.dot(self.shift, self.shift))
-        vertex = base + 2.0 * self.scale * self.shift + self.scale**2
-        return float(np.sqrt(max(base, float(np.max(vertex)))))
 
     def __repr__(self):
         return (
@@ -498,10 +483,6 @@ def _require_members(set_, xs):
         raise DomainError("cannot sample a perturbation at a point outside the set")
 
 
-def _signed_feasible(set_, x, uz):
-    return set_.contains_all(np.stack((x + uz, x - uz)), _CERT_TOL)
-
-
 def _bisect_feasible(set_, x, zhat, u, n_steps: int = 60):
     """Shrink zhat radially until both signed actions are feasible.
 
@@ -511,7 +492,8 @@ def _bisect_feasible(set_, x, zhat, u, n_steps: int = 60):
     lo, hi = 0.0, 1.0
     for _ in range(n_steps):
         mid = 0.5 * (lo + hi)
-        if _signed_feasible(set_, x, u * (mid * zhat)):
+        uz = u * (mid * zhat)
+        if set_.contains_all(np.stack((x + uz, x - uz)), _CERT_TOL):
             lo = mid
         else:
             hi = mid

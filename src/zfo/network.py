@@ -78,6 +78,15 @@ class CommGraph:
         return cls(size, pairs)
 
     @classmethod
+    def from_edge_list_file(cls, path: str, n: int | None = None) -> "CommGraph":
+        """Read and parse a 1-indexed edge-list file (see `from_edge_list_text`)."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_edge_list_text(fh.read(), n=n)
+        except FileNotFoundError:
+            raise ConfigurationError(f"edge-list file not found: {path}") from None
+
+    @classmethod
     def path(cls, n: int) -> "CommGraph":
         return cls(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -198,7 +207,6 @@ class NetworkStats:
     n: int
     delta: int
     diameter: int
-    b_max: int
     b_bar: float
     b_frak: float
     staleness_bound: int
@@ -227,7 +235,6 @@ def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
         n=n,
         delta=int(delta),
         diameter=diameter,
-        b_max=diameter,
         b_bar=b_bar,
         b_frak=b_frak,
         staleness_bound=diameter + int(delta),

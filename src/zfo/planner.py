@@ -39,6 +39,8 @@ __all__ = [
     "ConditionCheck",
     "PlanReport",
     "constants_for",
+    "analysed_smoothing_range",
+    "in_analysed_range",
     "smoothing_condition_value",
     "plan",
     "verify_plan",
@@ -205,10 +207,10 @@ def constants_for(
 ) -> ProblemConstants:
     """Assemble :class:`ProblemConstants` from a problem and network stats.
 
+    ``inner_radius`` is the problem's own, the others come from its ``meta``;
     ``init_gap`` is filled in when ``x0`` is given and the problem records
-    either its optimal value or a lower bound on it.  An infeasible ``x0``
-    and a problem without the Lipschitz and smoothness constants in its
-    ``meta`` are refused.
+    ``f_star`` or ``f_lower``.  An infeasible ``x0`` and a problem without
+    the Lipschitz and smoothness constants in its ``meta`` are refused.
     """
     if stats.n != problem.n:
         raise ConfigurationError(
@@ -240,7 +242,7 @@ def constants_for(
         staleness_bound=stats.staleness_bound,
         sigma=float(sigma),
         outer_radius=meta.get("outer_radius"),
-        inner_radius=meta.get("inner_radius"),
+        inner_radius=problem.inner_radius(),
         breg_diameter=meta.get("breg_diameter"),
         init_gap=init_gap,
         gap_max=meta.get("gap_max"),
@@ -314,8 +316,19 @@ def _check(name: str, kind: str, value: float, bound: float) -> ConditionCheck:
 
 
 # ---------------------------------------------------------------------------
-# Smoothing-radius equation
+# Smoothing radius: the analysed range and the planner's equation
 # ---------------------------------------------------------------------------
+
+
+def analysed_smoothing_range(delta: float, inner_radius: float, dim: int) -> float:
+    """``delta * r / (3 sqrt(d))``: the convex bounds hold for smoothing radii
+    up to it (Nesterov & Spokoiny 2017), with ``r`` the problem's inner radius."""
+    return delta * inner_radius / (3.0 * math.sqrt(dim))
+
+
+def in_analysed_range(u: float, bound: float) -> bool:
+    """``u <= bound`` (an ``analysed_smoothing_range``) up to a relative 1e-12."""
+    return u <= bound * (1.0 + 1e-12)
 
 
 def smoothing_condition_value(u: float, constants: ProblemConstants, epsilon: float) -> float:
@@ -620,9 +633,9 @@ def expected_gap_bound(
 ) -> float:
     """Closed-form bound on the expected ergodic optimality gap (convex case).
 
-    Valid under the hypothesis ``0 < u <= delta * inner_radius / (3 sqrt(d))``
-    and ``horizon >= staleness_bound``; raises ``ConfigurationError`` outside
-    that range, where the formula certifies nothing.  With ``interior=True``
+    Valid for ``u > 0`` in the ``analysed_smoothing_range`` and ``horizon >=
+    staleness_bound``; raises ``ConfigurationError`` outside that range,
+    where the formula certifies nothing.  With ``interior=True``
     the variant for an optimum known to lie strictly inside the feasible set
     is evaluated.
     """
@@ -632,10 +645,10 @@ def expected_gap_bound(
     u = _require_positive("u", u)
     _require_positive("delta", delta, allow_zero=True)
     sqrt_d = math.sqrt(c.dim)
-    hypothesis = delta * c.inner_radius / (3.0 * sqrt_d)
-    if u > hypothesis * (1.0 + 1e-12):
+    bound = analysed_smoothing_range(delta, c.inner_radius, c.dim)
+    if not in_analysed_range(u, bound):
         raise ConfigurationError(
-            f"expected_gap_bound requires u <= delta * inner_radius / (3 sqrt(d)) = {hypothesis}, got u = {u}"
+            f"expected_gap_bound requires u <= delta * inner_radius / (3 sqrt(d)) = {bound}, got u = {u}"
         )
     samples = _averaged_rounds(c, horizon)
     averaging = 5.0 * c.breg_diameter / (4.0 * eta * samples)

@@ -103,6 +103,11 @@ class Problem:
     def total_dim(self) -> int:
         return int(self.offsets[-1])
 
+    def inner_radius(self) -> float | None:
+        """The least of the sets' `inner_radius()`, None when one is infinite."""
+        radii = [g.set.inner_radius() for g in self.groups]
+        return min(radii) if np.isfinite(radii).all() else None
+
     def blocks(self, flat: np.ndarray) -> np.ndarray:
         """The `(n, d_max)` block array of a flat joint vector (a new array);
         anything but a `(D,)` vector is refused."""
@@ -226,7 +231,6 @@ def build_box_quadratic(
             "lipschitz": lipschitz,
             "smoothness": 1.0,
             "outer_radius": w * np.sqrt(d),
-            "inner_radius": w,
             # exact max of 0.5||x* - x||^2 over the box: the optimum is
             # interior, so the farthest point flips every coordinate's sign
             "breg_diameter": float(0.5 * ((w + np.abs(c_mean)) ** 2).sum()),
@@ -409,7 +413,6 @@ def routing_problem(inst: RoutingInstance) -> Problem:
     n = inst.n_agents
     k = inst.routes_per_agent
     dim = k - 1
-    shift = -1.0 / k
     uniform = 1.0 / k
     stacks: dict[int, _StackedRoutes] = {}
 
@@ -448,16 +451,12 @@ def routing_problem(inst: RoutingInstance) -> Problem:
     return Problem(
         name="routing",
         dims=[dim] * n,
-        sets=[ShiftedSimplex(dim, shift=shift)] * n,
+        sets=[ShiftedSimplex(dim, shift=-uniform)] * n,
         local_costs=local_costs,
         grad=grad,
         affected=routing_affected_sets(inst),
         f_lower=0.0,
-        meta={
-            "instance": inst,
-            "inner_radius": 1.0 / (k * np.sqrt(dim)),
-            **_routing_constants(inst),
-        },
+        meta=_routing_constants(inst),
     )
 
 

@@ -36,6 +36,7 @@ from .agents import MAX_ROUNDS, SwarmTables
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
 from .geometry import SampleStats, constrain_perturbation_batch, row_summer
 from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
+from .planner import analysed_smoothing_range, in_analysed_range
 from .problems import Problem
 
 __all__ = [
@@ -373,13 +374,13 @@ class _Round(RoundView):
         self._gossip = not self.tables.lossless and n > 1
 
         self._shrunk = [g.set.shrink(self._delta) for g in problem.groups]  # one per group
-        inner_radii = [g.set.inner_radius() for g in problem.groups]
-        if all(np.isfinite(r) for r in inner_radii):
-            hypothesis = self._delta * min(inner_radii) / (3.0 * np.sqrt(problem.total_dim))
-            if self._u > hypothesis:
+        inner_radius = problem.inner_radius()
+        if inner_radius is not None:
+            bound = analysed_smoothing_range(self._delta, inner_radius, problem.total_dim)
+            if not in_analysed_range(self._u, bound):
                 self.notes.append(
                     f"smoothing radius u = {self._u} exceeds the analyzed range "
-                    f"delta * inner_radius / (3 sqrt(d)) = {hypothesis}; "
+                    f"delta * inner_radius / (3 sqrt(d)) = {bound}; "
                     "convergence guarantees may not apply"
                 )
 

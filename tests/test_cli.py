@@ -315,15 +315,50 @@ def _edit(doc: dict, path: str, value) -> dict:
         ("delay", {"kind": "bernoulli", "p": 0.1, "delta": -1},
          "delay.delta: declared extra delay must be >= 0"),
         ("x0", 0.5, "config.x0: expected a list of numbers"),
+        # JSON's true equals 1 in Python, and 1.0 is no integer
+        ("version", True, "config.version: expected an integer, got bool"),
+        ("version", 1.0, "config.version: expected an integer, got float"),
     ],
     ids=["non_object", "non_finite", "non_bool", "non_string", "problem_kind", "graph_kind",
          "delay_kind", "graph_file", "edges_not_list", "edge_not_pair", "negative_delta",
-         "x0_not_list"],
+         "x0_not_list", "version_bool", "version_float"],
 )
 def test_config_refusals_name_the_field(field, value, named):
     with pytest.raises(ConfigurationError) as info:
         build_run_config(_edit(_base_doc(), field, value))
     assert named in str(info.value)
+
+
+def test_edge_list_files_are_read_alike_by_stats_and_config(tmp_path, capsys):
+    good, bad = tmp_path / "good.edges", tmp_path / "bad.edges"
+    good.write_text("1 2\n2 3\n")
+    bad.write_text("1 2\n2 x\n")
+    config, normalized = build_run_config(_edit(_base_doc(), "graph", {"kind": "file", "path": str(good)}))
+    assert config.graph.edges == CommGraph.path(3).edges
+    assert normalized["graph"] == {"kind": "edges", "edges": [[1, 2], [2, 3]]}
+    assert main(["stats", "--graph", str(good)]) == 0
+    assert json.loads(capsys.readouterr().out)["diameter"] == 2
+    with pytest.raises(ConfigurationError, match=r"^graph\.path: edge list line 2: non-integer vertex$"):
+        build_run_config(_edit(_base_doc(), "graph", {"kind": "file", "path": str(bad)}))
+    assert main(["stats", "--graph", str(bad)]) == 2
+    assert capsys.readouterr().err == "configuration error: edge list line 2: non-integer vertex\n"
+
+
+@pytest.mark.parametrize(
+    "edit, outcome",
+    [
+        # the rings were sized by the declared delay before the horizon was checked against it
+        ({"delay": {"kind": "bernoulli", "p": 0.1, "delta": 10**20}}, 2),
+        # a window of 2**40 rounds, where the run has 41: the rings hold 41
+        ({"history_slack": 2**40}, 0),
+    ],
+    ids=["delta_1e20", "slack_2_40"],
+)
+def test_run_sized_rings_are_capped_at_the_horizon(tmp_path, capsys, edit, outcome):
+    cfg = _write(tmp_path, {**_base_doc(), **edit})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == outcome
+    if outcome == 2:
+        assert "below the staleness bound" in capsys.readouterr().err
 
 
 def test_load_config_refuses_invalid_json(tmp_path):

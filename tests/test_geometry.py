@@ -360,10 +360,9 @@ def test_shrink_rejects_bad_delta():
 # radii
 
 
-def test_inner_outer_radius_box():
+def test_inner_radius_box():
     box = Box([-0.5, -2.0], [1.5, 1.0])
     assert box.inner_radius() == pytest.approx(0.5)
-    assert box.outer_radius() == pytest.approx(np.sqrt(1.5**2 + 2.0**2))
 
 
 def test_inner_radius_simplex_centered():
@@ -374,14 +373,44 @@ def test_inner_radius_simplex_centered():
     assert set_.inner_radius() == pytest.approx(1.0 / (m * np.sqrt(m - 1)))
 
 
-def test_outer_radius_simplex_is_max_vertex_norm():
-    set_ = ShiftedSimplex(2, shift=np.array([-0.2, -0.4]), scale=0.9)
-    verts = [set_.shift.copy()]
-    for k in range(2):
-        v = set_.shift.copy()
-        v[k] += set_.scale
-        verts.append(v)
-    assert set_.outer_radius() == pytest.approx(max(np.linalg.norm(v) for v in verts))
+@st.composite
+def _origin_interior_case(draw):
+    """A box or a shifted simplex with the origin inside, the outward unit
+    normals of its faces with their distances from the origin, and unit
+    directions.  Every face lies at least 0.05 / sqrt(5) from the origin,
+    which keeps a 1e-12 relative margin above the rounding of the constraints."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eye = np.eye(d)
+    if draw(st.booleans()):
+        lower, upper = -rng.uniform(0.05, 10.0, d), rng.uniform(0.05, 10.0, d)
+        set_ = Box(lower, upper)
+        normals, distances = np.concatenate([-eye, eye]), np.concatenate([-lower, upper])
+    else:
+        shift = -rng.uniform(0.05, 1.0, d)
+        set_ = ShiftedSimplex(d, shift=shift, scale=-shift.sum() + rng.uniform(0.05, 2.0))
+        normals = np.concatenate([-eye, np.ones((1, d)) / np.sqrt(d)])
+        distances = np.append(-shift, (set_.scale + shift.sum()) / np.sqrt(d))
+    directions = rng.normal(size=(16, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return set_, normals, distances, directions
+
+
+@settings(max_examples=200, deadline=None)
+@given(_origin_interior_case())
+def test_inner_radius_is_the_largest_ball_inside(case):
+    # the planner's only source of r: the ball of radius r lies inside the set
+    # by its raw constraints, also toward the nearest face, and a point just
+    # past r toward that face does not
+    set_, normals, distances, directions = case
+    r = set_.inner_radius()
+    assert r == distances.min()
+    nearest = normals[distances.argmin()]
+    inside = r * (1.0 - 1e-12) * np.vstack([directions, nearest])
+    assert all(_raw_member(set_, p, tol=0.0) for p in inside)
+    outside = r * (1.0 + 1e-9) * nearest
+    assert not _raw_member(set_, outside, tol=0.0)
+    assert not set_.contains(outside, tol=0.0)
 
 
 # ---------------------------------------------------------------------------

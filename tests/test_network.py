@@ -160,7 +160,7 @@ def test_stats_path3_frozen_values():
     assert stats.b_bar == pytest.approx(np.sqrt(12.0 / 9.0), rel=1e-15)
     assert stats.b_frak == pytest.approx(stats.b_bar, rel=1e-12)  # unit dims
     assert stats.staleness_bound == 2
-    assert stats.b_max == 2
+    assert stats.diameter == 2
 
 
 def test_stats_path3_dimension_weighted():

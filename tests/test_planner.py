@@ -17,6 +17,7 @@ from zfo.planner import (
     ParamPlan,
     PlanReport,
     ProblemConstants,
+    analysed_smoothing_range,
     constants_for,
     expected_gap_bound,
     expected_stationarity_bound,
@@ -31,6 +32,7 @@ from zfo.problems import (
     build_trig_sum,
     routing_problem,
 )
+from zfo.runner import RunConfig, run
 
 
 def _constants(**overrides) -> ProblemConstants:
@@ -502,6 +504,33 @@ def test_expected_gap_bound_rejects_hypothesis_violation():
         expected_gap_bound(c, 1e-3, 0.5 * u_max, delta, c.staleness_bound - 1)
 
 
+def test_run_note_and_gap_bound_share_the_analysed_range():
+    # box 3 x 2 on a path at delta = 0.1: r is the box's half-width 1
+    problem = build_box_quadratic(3, 2, seed=0)
+    graph = CommGraph.path(3)
+    c = constants_for(problem, network_stats(graph, delta=0, dims=problem.dims))
+    delta = 0.1
+    bound = analysed_smoothing_range(delta, c.inner_radius, c.dim)
+    assert bound == delta * 1.0 / (3.0 * math.sqrt(6))
+    for scale, inside in ((1.0 + 1e-13, True), (1.0 + 1e-9, False)):
+        u = bound * scale
+        trace = run(RunConfig(problem, graph, eta=1e-3, u=u, horizon=10, delta=delta))
+        noted = any("exceeds the analyzed range" in note for note in trace.notes)
+        assert noted is not inside, scale
+        if inside:
+            assert expected_gap_bound(c, 1e-3, u, delta, 100) > 0.0
+        else:
+            with pytest.raises(ConfigurationError, match=r"requires u <= .* = " + re.escape(str(bound))):
+                expected_gap_bound(c, 1e-3, u, delta, 100)
+
+
+def test_constants_for_has_no_inner_radius_for_an_unconstrained_problem():
+    problem = build_trig_sum(3, 1, seed=0)
+    stats = network_stats(CommGraph.path(3), delta=0, dims=problem.dims)
+    assert problem.inner_radius() is None
+    assert constants_for(problem, stats).inner_radius is None
+
+
 def test_expected_stationarity_bound_matches_transcription():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -587,7 +616,7 @@ def test_constants_for_box_quadratic_on_path():
     assert c.lipschitz == problem.meta["lipschitz"]
     assert c.smoothness == problem.meta["smoothness"]
     assert c.outer_radius == problem.meta["outer_radius"]
-    assert c.inner_radius == problem.meta["inner_radius"]
+    assert c.inner_radius == problem.inner_radius() == 1.0  # the box's half-width
     assert c.breg_diameter == problem.meta["breg_diameter"]
     assert c.gap_max == problem.meta["gap_max"]
     assert c.b_bar == stats.b_bar
@@ -623,7 +652,7 @@ def test_constants_for_rejects_size_mismatch():
 
 def test_constants_for_names_the_missing_constants():
     problem = routing_problem(build_routing_instance(2, 3, seed=1))
-    problem = replace(problem, meta={"inner_radius": problem.meta["inner_radius"]})
+    problem = replace(problem, meta={"outer_radius": problem.meta["outer_radius"]})
     stats = network_stats(CommGraph.complete(problem.n), delta=0, dims=problem.dims)
     with pytest.raises(
         ConfigurationError, match=r"^problem 'routing' records no lipschitz or smoothness constant"
