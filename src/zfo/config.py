@@ -15,13 +15,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import os
 import types
 from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, unreadable
 from .network import BernoulliDrops, CommGraph, NoDelay
 from .problems import (
     Problem,
@@ -139,13 +138,15 @@ def _read(doc: dict, fields: list[dataclasses.Field], path: str) -> dict:
 def load_config(path: str) -> dict:
     """Read a JSON file holding one object (a config document or a constants
     file); errors carry the file path."""
-    if not os.path.exists(path):
-        raise ConfigurationError(f"file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigurationError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(path, exc) from None
     return _require_mapping(doc, path)
 
 

@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, violated runtime assumptions with 3, and a reference solver that
-fails to converge with 4.
+fails to converge with 4.  `unreadable` is the configuration error of an
+input file that cannot be read as text.
 """
 
 
@@ -32,3 +33,13 @@ class DomainError(AssumptionViolation):
 class OracleError(ZfoError):
     """The centralized reference solver did not certify convergence
     (exit code 4)."""
+
+
+def unreadable(path: str, exc: OSError | UnicodeDecodeError, what: str = "file") -> ConfigurationError:
+    """The error for the file at `path` (a `what`) when opening or decoding
+    it as UTF-8 raised `exc`, naming the path and the reason."""
+    if isinstance(exc, OSError):
+        reason = exc.strerror
+    else:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    return ConfigurationError(f"cannot read {what} {path}: {reason}")

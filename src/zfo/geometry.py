@@ -11,8 +11,9 @@ symmetric feasibility cap
     S(x, u) = (1/u)(X - x)  intersect  -(1/u)(X - x),
 
 so that both x + u z and x - u z stay inside X for every returned z.
-For each set here the cap is a box, cut for the simplex by a slab on
-sum(z), so its projection is in closed form too.
+Every set that a draw can leave defines that projection: for a box the
+cap is a box, and for the simplex a box cut by a slab on sum(z), so it
+is in closed form too.  The whole space needs none.
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ class ConvexSet:
     many points, `membership` gives one verdict per point set: "all inside"
     when a subclass settles that in closed form (`_all_inside`), the
     `contains_batch` verdicts otherwise; `contains_all` is their
-    conjunction.  A set that perturbations can be sampled in, other than
-    a box or the whole space, defines `_symmetric_cap`."""
+    conjunction.  Every set that a perturbed action can leave defines
+    `_symmetric_cap`; the whole space, which none leaves, needs none."""
 
     dim: int
 
@@ -201,6 +202,11 @@ class Box(ConvexSet):
 
     def _all_inside(self, ys, tol):
         return tol >= 0.0 and np.maximum(ys - self.upper, self.lower - ys).max(initial=0.0) <= 0.0
+
+    def _symmetric_cap(self, xs, zs, u):
+        # S(x, u) is the box |z| <= m, m the room to the nearer bound over u
+        m = np.maximum(np.minimum(self.upper - xs, xs - self.lower), 0.0) / u
+        return np.clip(zs, -m, m)
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -433,29 +439,18 @@ def constrain_perturbation_batch(
     (`_symmetric_cap`), in one call, and one membership verdict certifies
     both signed actions of each; a row that fails it falls back to a
     radial bisection of its draw (both counted in `stats`).
-    When no draw needs projecting, the function returns `zhat` itself (a
-    box draws within its margin).  It never writes to `zhat`.
+    When no draw needs projecting, the function returns `zhat` itself, as
+    it always does in the whole space.  It never writes to `zhat`.
 
     `signed` is the stack of both signed actions of the draws, shape
     `(2, len(xs), dim)`, equal bit for bit to `xs + zhat * [[[u]], [[-u]]]`
     (block 0 at xs + u zhat, block 1 at xs - u zhat).  A caller that holds
-    it passes it in; by default the function builds it.  The box and the
-    whole space ignore it.
+    it passes it in; by default the function builds it.
 
     Pre: every row of `xs` belongs to `set_`. Raises DomainError otherwise.
     """
     if u <= 0:
         raise ConfigurationError("perturbation radius u must be positive")
-    if isinstance(set_, WholeSpace):
-        return zhat
-    if isinstance(set_, Box):  # closed form: S(x, u) is itself a box
-        room = np.minimum(set_.upper - xs, xs - set_.lower)
-        if room.min(initial=0.0) < 0.0:
-            _require_members(set_, xs)
-        margin = np.maximum(room / u, 0.0)
-        if np.logical_and.reduce(np.abs(zhat) <= margin, axis=None):
-            return zhat
-        return np.clip(zhat, -margin, margin)
     # both signed actions in one membership test: x + u z, then x - u z
     if signed is None:
         signed = xs + zhat * np.array([[[u]], [[-u]]])

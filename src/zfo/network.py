@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolation, ConfigurationError
+from .errors import AssumptionViolation, ConfigurationError, unreadable
 
 
 class CommGraph:
@@ -82,9 +82,12 @@ class CommGraph:
         """Read and parse a 1-indexed edge-list file (see `from_edge_list_text`)."""
         try:
             with open(path, encoding="utf-8") as fh:
-                return cls.from_edge_list_text(fh.read(), n=n)
+                text = fh.read()
         except FileNotFoundError:
             raise ConfigurationError(f"edge-list file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise unreadable(path, exc, "edge-list file") from None
+        return cls.from_edge_list_text(text, n=n)
 
     @classmethod
     def path(cls, n: int) -> "CommGraph":

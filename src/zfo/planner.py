@@ -484,6 +484,18 @@ def _second_order_note(second: str, second_term: float, first: str, first_term: 
     return []
 
 
+def _bound_note(bound: str, terms: tuple[float, ...], names: tuple[str, ...], epsilon: float) -> list[str]:
+    """A note when the plan's own bound (the sum of its `terms`) exceeds
+    epsilon, naming the largest term."""
+    if sum(terms) > epsilon * (1.0 + _CHECK_RTOL):
+        term, name = max(zip(terms, names))
+        return [
+            f"the {bound} bound at this plan ({sum(terms):.6e}) exceeds epsilon = "
+            f"{epsilon}; its {name} term ({term:.6e}) dominates"
+        ]
+    return []
+
+
 # ---------------------------------------------------------------------------
 # Planning
 # ---------------------------------------------------------------------------
@@ -495,8 +507,10 @@ def plan(constants: ProblemConstants, epsilon: float, regime: str) -> ParamPlan:
     The smoothing radius of the constrained regimes is found by bisection on
     its defining equation to 1e-12 relative accuracy; all other parameters
     are direct substitutions.  ``verify_plan`` on the result is always clean.
-    A nonconvex plan whose ``expected_stationarity_bound`` (which needs
-    ``init_gap``) exceeds epsilon carries a note naming its dominant term.
+    A plan whose own bound exceeds epsilon carries a note naming the bound's
+    dominant term: ``expected_gap_bound`` for a convex regime (its interior
+    variant for convex-noisy-interior), ``expected_stationarity_bound``
+    (which needs ``init_gap``) for a nonconvex one.
     """
     epsilon = _check_inputs(constants, epsilon, regime, "planning")
     c = constants
@@ -520,20 +534,21 @@ def plan(constants: ProblemConstants, epsilon: float, regime: str) -> ParamPlan:
         u = _u_bound(c, epsilon, delta, regime)
     eta = _eta_bound(c, epsilon, u, regime)
     samples = _sample_bound(c, epsilon, eta, regime)
-    if regime in ("convex-noisy", "convex-noisy-interior"):
-        smooth_term, noise_term = _gap_step_terms(c, eta, u)
-        notes += _second_order_note("smoothness", smooth_term, "noise", noise_term)
-    elif regime not in _CONVEX_REGIMES:
+    if regime in _CONVEX_REGIMES:
+        if regime != "convex-noiseless":
+            smooth_term, noise_term = _gap_step_terms(c, eta, u)
+            notes += _second_order_note("smoothness", smooth_term, "noise", noise_term)
+        terms = _gap_terms(c, eta, u, delta, samples, regime == "convex-noisy-interior")
+        names = ("averaging", "smoothing-bias", "smoothness", "noise", "tail", "shrinkage-bias")
+        notes += _bound_note("gap", terms, names, epsilon)
+    else:
         if c.staleness_bound > 0:
             descent, _, _, warmup = _stationarity_terms(c, eta, u, samples, _nonconvex_budget(c)[0])
             notes += _second_order_note("warm-up", warmup, "initial-gap", descent)
-        terms = () if c.init_gap is None else _stationarity_terms(c, eta, u, samples, c.init_gap)
-        if sum(terms) > epsilon * (1.0 + _CHECK_RTOL):
-            term, name = max(zip(terms, ("descent", "drift", "smoothing-bias", "warm-up")))
-            notes.append(
-                f"the stationarity bound at this plan ({sum(terms):.6e}) exceeds epsilon = "
-                f"{epsilon}; its {name} term ({term:.6e}) dominates"
-            )
+        if c.init_gap is not None:
+            terms = _stationarity_terms(c, eta, u, samples, c.init_gap)
+            names = ("descent", "drift", "smoothing-bias", "warm-up")
+            notes += _bound_note("stationarity", terms, names, epsilon)
     return ParamPlan(regime, epsilon, delta, u, eta, c.staleness_bound - 1 + samples, tuple(notes))
 
 
@@ -610,6 +625,32 @@ def _gap_step_terms(c: ProblemConstants, eta: float, u: float) -> tuple[float, f
     return step_term, noise_term
 
 
+def _gap_terms(
+    c: ProblemConstants, eta: float, u: float, delta: float, samples: int, interior: bool
+) -> tuple[float, float, float, float, float, float]:
+    """The gap bound's terms over ``samples`` averaged rounds: averaging,
+    smoothing bias, the two step-size terms of ``_gap_step_terms``, the
+    Gaussian tail and the shrinkage bias; with ``interior``, the two biases
+    of an optimum inside the feasible set.  ``expected_gap_bound`` sums them."""
+    averaging = 5.0 * c.breg_diameter / (4.0 * eta * samples)
+    if interior:
+        smoothing_bias = 0.5 * u * u * c.smoothness * c.dim
+        shrink_bias = 0.5 * c.smoothness * c.outer_radius**2 * delta**2
+    else:
+        smoothing_bias = u * c.lipschitz * math.sqrt(c.dim)
+        shrink_bias = c.lipschitz * c.outer_radius * delta
+    step_term, noise_term = _gap_step_terms(c, eta, u)
+    tail = (
+        5.0
+        * c.lipschitz
+        * c.outer_radius**2
+        * math.sqrt(c.n_agents)
+        / (2.0 * u)
+        * math.exp(c.dim / 2.0 - (delta * c.inner_radius) ** 2 / (4.0 * u * u))
+    )
+    return averaging, smoothing_bias, step_term, noise_term, tail, shrink_bias
+
+
 def _stationarity_terms(
     c: ProblemConstants, eta: float, u: float, samples: int, gap: float
 ) -> tuple[float, float, float, float]:
@@ -644,28 +685,13 @@ def expected_gap_bound(
     eta = _require_positive("eta", eta)
     u = _require_positive("u", u)
     _require_positive("delta", delta, allow_zero=True)
-    sqrt_d = math.sqrt(c.dim)
     bound = analysed_smoothing_range(delta, c.inner_radius, c.dim)
     if not in_analysed_range(u, bound):
         raise ConfigurationError(
             f"expected_gap_bound requires u <= delta * inner_radius / (3 sqrt(d)) = {bound}, got u = {u}"
         )
-    samples = _averaged_rounds(c, horizon)
-    averaging = 5.0 * c.breg_diameter / (4.0 * eta * samples)
-    if interior:
-        smoothing_bias = 0.5 * u * u * c.smoothness * c.dim
-        shrink_bias = 0.5 * c.smoothness * c.outer_radius**2 * delta**2
-    else:
-        smoothing_bias = u * c.lipschitz * sqrt_d
-        shrink_bias = c.lipschitz * c.outer_radius * delta
-    step_term, noise_term = _gap_step_terms(c, eta, u)
-    tail = (
-        5.0
-        * c.lipschitz
-        * c.outer_radius**2
-        * math.sqrt(c.n_agents)
-        / (2.0 * u)
-        * math.exp(c.dim / 2.0 - (delta * c.inner_radius) ** 2 / (4.0 * u * u))
+    averaging, smoothing_bias, step_term, noise_term, tail, shrink_bias = _gap_terms(
+        c, eta, u, delta, _averaged_rounds(c, horizon), interior
     )
     return averaging + smoothing_bias + step_term + noise_term + tail + shrink_bias
 

@@ -27,6 +27,9 @@ run = runs[i]
 if run.get("crash"):
     sys.exit("crashed")
 print("full report line")
+if "last_line" in run:
+    print(run["last_line"])
+    sys.exit()
 print(json.dumps({"correct": run.get("correct", True), "attempted": 4,
                   "failed": run.get("failed", 0),
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in run["metrics"].items()}}))
@@ -109,6 +112,19 @@ def test_crashed_or_incorrect_change_runs_are_lost_pairs(checkouts, capsys):
     assert "parent 100 [100, 100] -> change 200 [200, 200]" in rate  # over the correct runs
     assert "change better in 8/10 pairs (higher is better); gain rule does not hold" in rate
     assert "runs not correct: parent 0, change 2; failed operations: parent 0/40, change 1/37" in out
+
+
+def test_a_last_line_that_is_no_result_object_is_a_failed_run(checkouts, capsys):
+    # JSON, but not of a result's shape: each counts as one failed, incorrect run
+    change_runs = _runs([200.0] * 5, [0.5] * 5)
+    for k, line in enumerate(["null", "[1, 2]", '{"correct": true, "metrics": {}}', "7"]):
+        change_runs[k] = {"last_line": line}
+    parent, change = checkouts(_runs([100.0] * 5, [1.0] * 5), change_runs)
+    assert ab_pairs.main([parent, change, "--workload", "w", "--pairs", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "change better in 1/5 pairs (higher is better); gain rule does not hold" in _line(
+        out, "seed_rounds_per_s")
+    assert "runs not correct: parent 0, change 4; failed operations: parent 0/20, change 4/8" in out
 
 
 def test_wins_are_counted_over_every_pair_run():

@@ -342,6 +342,17 @@ def test_edge_list_files_are_read_alike_by_stats_and_config(tmp_path, capsys):
         build_run_config(_edit(_base_doc(), "graph", {"kind": "file", "path": str(bad)}))
     assert main(["stats", "--graph", str(bad)]) == 2
     assert capsys.readouterr().err == "configuration error: edge list line 2: non-integer vertex\n"
+    # files that cannot be read as text: a directory, and a byte that is not UTF-8
+    folder, binary = tmp_path / "folder.edges", tmp_path / "binary.edges"
+    folder.mkdir()
+    binary.write_bytes(b"1 2\n2 \xff\n")
+    for path in (folder, binary):
+        with pytest.raises(ConfigurationError) as info:
+            build_run_config(_edit(_base_doc(), "graph", {"kind": "file", "path": str(path)}))
+        message = str(info.value).removeprefix("graph.path: ")
+        assert message.startswith(f"cannot read edge-list file {path}: ")
+        assert main(["stats", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -575,20 +586,36 @@ _PLAN_CONSTANTS = {"n_agents": 3, "dim": 6, "lipschitz": 2.0, "smoothness": 4.0,
          "agent 2 has dimension -1, not a positive integer"),
         (["sweep", "--config", "{tmp}/config.json", "--seeds", "0"],
          {"config.json": json.dumps(_base_doc())}, "--seeds must be >= 1"),
+        # a directory, and a file that is not UTF-8 text
+        (["plan", "--constants", "{tmp}/d"], {"d": None}, "cannot read file {tmp}/d: "),
+        (["plan", "--constants", "{tmp}/c.json"], {"c.json": b"\xff{}"},
+         "cannot read file {tmp}/c.json: not UTF-8 text"),
+        (["run", "--config", "{tmp}/d"], {"d": None}, "cannot read file {tmp}/d: "),
+        (["run", "--config", "{tmp}/config.json"], {"config.json": b'{"version": 1\xff}'},
+         "cannot read file {tmp}/config.json: not UTF-8 text"),
+        (["stats", "--graph", "{tmp}/d"], {"d": None}, "cannot read edge-list file {tmp}/d: "),
+        (["stats", "--graph", "{tmp}/g.edges"], {"g.edges": b"1 2\n\xff"},
+         "cannot read edge-list file {tmp}/g.edges: not UTF-8 text"),
     ],
     ids=["constants_missing", "constants_invalid_json", "constants_number", "lipschitz_string",
          "n_agents_bool", "graph_missing", "dims_malformed", "dims_zero", "dims_negative",
-         "no_seeds"],
+         "no_seeds", "constants_directory", "constants_not_utf8", "config_directory",
+         "config_not_utf8", "graph_directory", "graph_not_utf8"],
 )
 def test_cli_refusals_exit_2_naming_the_input(tmp_path, capsys, argv, files, named):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():  # None makes a directory
+        if content is None:
+            (tmp_path / name).mkdir()
+        elif isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
     if argv[0] == "plan":
         argv = ["plan", "--regime", "convex-noiseless", "--eps", "0.1", *argv[1:]]
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and named in err
+    assert err.startswith("configuration error: ") and named.replace("{tmp}", str(tmp_path)) in err
 
 
 def test_stats_subcommand_matches_hand_value(tmp_path, capsys):

@@ -499,19 +499,19 @@ def test_sampled_perturbation_is_identity_deep_inside():
 
 def test_bisection_fallback_returns_feasible_scaling(monkeypatch):
     # Force the fallback with a cap projection that returns the raw draw.
-    monkeypatch.setattr(ShiftedSimplex, "_symmetric_cap", lambda self, xs, zs, u: zs)
-    set_ = ShiftedSimplex(2, shift=-1.0 / 3.0)
-    x = np.array([0.6, -0.3])
-    assert set_.contains(x, tol=1e-9)
-    stats = SampleStats()
-    zhat = np.array([40.0, -25.0])
-    z = constrain_perturbation_batch(set_, x[None, :], zhat[None, :], 0.05, stats=stats)[0]
-    assert stats.fallbacks == 1
-    assert set_.contains(x + 0.05 * z, tol=1e-9)
-    assert set_.contains(x - 0.05 * z, tol=1e-9)
-    # fallback shrinks the raw draw radially
-    cross = z[0] * zhat[1] - z[1] * zhat[0]
-    assert abs(cross) < 1e-9
+    for set_ in (Box([-1.0, -1.0], [1.0, 1.0]), ShiftedSimplex(2, shift=-1.0 / 3.0)):
+        monkeypatch.setattr(type(set_), "_symmetric_cap", lambda self, xs, zs, u: zs)
+        x = np.array([0.6, -0.3])
+        assert set_.contains(x, tol=1e-9)
+        stats = SampleStats()
+        zhat = np.array([40.0, -25.0])
+        z = constrain_perturbation_batch(set_, x[None, :], zhat[None, :], 0.05, stats=stats)[0]
+        assert stats.fallbacks == stats.projections == 1
+        assert set_.contains(x + 0.05 * z, tol=1e-9)
+        assert set_.contains(x - 0.05 * z, tol=1e-9)
+        # fallback shrinks the raw draw radially
+        cross = z[0] * zhat[1] - z[1] * zhat[0]
+        assert abs(cross) < 1e-9
 
 
 def count_membership_passes(monkeypatch, points):
@@ -565,8 +565,10 @@ def test_constrain_perturbation_batch_box_closed_form():
     box = Box([0.0, -1.0], [1.0, 1.0])
     xs = np.array([[0.8, 0.0], [0.05, 0.9]])
     zh = np.array([[5.0, 0.3], [-2.0, 4.0]])
-    got = constrain_perturbation_batch(box, xs, zh, 0.1)
+    stats = SampleStats()
+    got = constrain_perturbation_batch(box, xs, zh, 0.1, stats)
     np.testing.assert_allclose(got, [[2.0, 0.3], [-0.5, 1.0]])
+    assert stats.projections == 2 and stats.fallbacks == 0
 
 
 def _cap_bounds(set_, x, u):

@@ -466,6 +466,36 @@ def test_nonconvex_plan_that_misses_its_bound_names_the_dominant_term(
     assert name == "drift" and float(term) == pytest.approx(drift, rel=0.01)
 
 
+@pytest.mark.parametrize(
+    "regime, sigma, eps, bound",
+    [
+        ("convex-noisy", 0.01, 2.0, 20.38),
+        ("convex-noisy-interior", 0.1, 2.0, 15.49),
+        ("convex-noisy-interior", 0.01, 1.0, 343.5),
+        ("convex-noiseless", 0.0, 2.0, 1.349),  # acceptance 5's plan
+        ("convex-noisy", 0.5, 2.0, 1.069),
+    ],
+)
+def test_convex_plan_states_its_own_gap_bound_when_it_misses_epsilon(regime, sigma, eps, bound):
+    problem = build_box_quadratic(3, 2, seed=0)
+    stats = network_stats(CommGraph.path(3), delta=0, dims=problem.dims)
+    c = constants_for(problem, stats, sigma=sigma)
+    p = plan(c, eps, regime)
+    got = expected_gap_bound(c, p.eta, p.u, p.delta, p.horizon, interior=regime.endswith("interior"))
+    assert got == pytest.approx(bound, rel=1e-3)
+    notes = [n for n in p.notes if "gap bound" in n]
+    if bound <= eps:
+        assert notes == []
+        return
+    (note,) = notes
+    assert note.startswith(f"the gap bound at this plan ({got:.6e}) exceeds epsilon = {eps}")
+    name, term = re.search(r"its (\S+) term \(([^)]+)\) dominates$", note).groups()
+    # the step size is sized from the noise term alone, so at small sigma the
+    # smoothness term leads: the one the second-order note already names
+    assert name == "smoothness"
+    assert any(n.startswith(f"second-order smoothness term ({term})") for n in p.notes)
+
+
 def test_nonconvex_plan_within_its_bound_carries_no_bound_note():
     # noise-dominated moment: the step size covers it and the bound holds
     c = _constants(sigma=5.0)

@@ -1224,9 +1224,9 @@ def test_mixed_sets_batched_paths_match_per_agent_sets():
 
 
 def test_the_signed_stack_follows_the_returned_draws():
-    # round 0 of a mixed run: a box draw is clipped and a 3-D and a 1-D simplex
-    # draw get the cap, so the sampler rebuilds those groups' rows of the signed
-    # stack; the guard and the observations then read x ± u z of the returned z
+    # round 0 of a mixed run: a box draw and a 3-D and a 1-D simplex draw get
+    # the cap, so the sampler counts them and rebuilds those groups' rows of the
+    # signed stack; the guard and the observations then read x ± u z of the returned z
     problem = _mixed_problem()
     u = 0.05
     config = RunConfig(
@@ -1239,10 +1239,25 @@ def test_the_signed_stack_follows_the_returned_draws():
     raw = state._draws[0]
     assert (state.z[[0, 3]] != raw[[0, 3]]).any()  # a box draw clipped
     assert (state.z[[1, 5]] != raw[[1, 5]]).any() and (state.z[[2, 6]] != raw[[2, 6]]).any()
-    assert state._stats.projections == 3
+    assert state._stats.projections == 4
     expected = state.x + state.z * np.array([[[u]], [[-u]]])
     assert state._signed is not None
     assert state._signed.tobytes() == expected.tobytes()
+
+
+def test_box_runs_count_every_capped_draw(monkeypatch):
+    # the run's cap count is the number of draws the sampler handed back changed
+    sampler, changed = zfo.runner.constrain_perturbation_batch, []
+
+    def counted(set_, xs, zhat, u, stats=None, **kwargs):
+        got = sampler(set_, xs, zhat, u, stats, **kwargs)
+        changed.append(int((got != zhat).any(axis=1).sum()))
+        return got
+
+    monkeypatch.setattr(zfo.runner, "constrain_perturbation_batch", counted)
+    trace = run(_quadratic_config(eta=0.05, u=0.5, delta=0.1, horizon=200, seed=0))
+    assert trace.cap_projections == sum(changed) == 89
+    assert trace.fallback_projections == 0
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ N times each, as pairs whose first run alternates: the parent goes first in
 even pairs, the change in odd ones.  Given several workloads, it runs each
 one's pairs in turn and prints each one's table and verdicts.  Each run's last line of standard
 output is its result, `{"correct", "attempted", "failed", "metrics"}`; a
-run that crashes or prints no result counts as one failed operation.
+run that crashes or whose last line is no such object (not JSON, or JSON
+of another shape) counts as one failed operation and is not correct.
 
 For every end-to-end metric it prints each side's median and quartiles
 over its correct runs, the pairs the change won (ties count for neither),
@@ -40,6 +41,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 BENCH_COMMAND = [sys.executable, "perfbench/run.py"]
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 
 
 def _parse(argv):
@@ -63,6 +65,9 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
+        result = None
+    if not (isinstance(result, dict) and RESULT_KEYS <= result.keys()
+            and isinstance(result["metrics"], dict)):
         return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     if proc.returncode != 0:
         result["correct"] = False
