@@ -14,6 +14,11 @@ so that both x + u z and x - u z stay inside X for every returned z.
 Every set that a draw can leave defines that projection: for a box the
 cap is a box, and for the simplex a box cut by a slab on sum(z), so it
 is in closed form too.  The whole space needs none.
+
+Every verdict on "inside", the sampler's and the engine guard's alike, is
+Euclidean distance at most `DEFAULT_TOL` = 1e-9 to the set.  It is absolute:
+it covers the caps' rounding for set coordinates up to about 1e6, and at
+1e7 a simplex's caps start to fail it and fall back to bisection.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 DEFAULT_TOL = 1e-9
-_CERT_TOL = 1e-12  # feasibility certificate for sampled perturbations
 _EPS = float(np.finfo(float).eps)
 # Rows per added column from which `_column_sums` beats
 # np.add.reduce(a, axis=-1) on a C-contiguous (rows, d) array.  Each column
@@ -436,9 +440,9 @@ def constrain_perturbation_batch(
 
     A draw that already keeps both signed actions feasible comes back as
     drawn.  The others get the set's closed-form cap projection
-    (`_symmetric_cap`), in one call, and one membership verdict certifies
-    both signed actions of each; a row that fails it falls back to a
-    radial bisection of its draw (both counted in `stats`).
+    (`_symmetric_cap`), in one call, and one membership verdict at the
+    guard's `DEFAULT_TOL` certifies both signed actions of each; a failing
+    row falls back to a radial bisection of its draw (both counted in `stats`).
     When no draw needs projecting, the function returns `zhat` itself, as
     it always does in the whole space.  It never writes to `zhat`.
 
@@ -454,16 +458,17 @@ def constrain_perturbation_batch(
     # both signed actions in one membership test: x + u z, then x - u z
     if signed is None:
         signed = xs + zhat * np.array([[[u]], [[-u]]])
-    ok = set_.membership(signed, _CERT_TOL)
+    ok = set_.membership(signed)
     if ok is None or ok.all():
         return zhat
     # x is the midpoint of x + u z and x - u z: rows passing both are members
     rows = np.flatnonzero(~ok.reshape(2, -1).all(axis=0))
-    _require_members(set_, xs[rows])
+    if not set_.contains_all(xs[rows]):
+        raise DomainError("cannot sample a perturbation at a point outside the set")
     stats = SampleStats() if stats is None else stats
     stats.projections += len(rows)
     z = set_._symmetric_cap(xs[rows], zhat[rows], u)
-    ok = set_.membership(xs[rows] + z * np.array([[[u]], [[-u]]]), _CERT_TOL)
+    ok = set_.membership(xs[rows] + z * np.array([[[u]], [[-u]]]))
     if ok is not None:
         for k in np.flatnonzero(~ok.reshape(2, -1).all(axis=0)):
             stats.fallbacks += 1
@@ -473,22 +478,17 @@ def constrain_perturbation_batch(
     return out
 
 
-def _require_members(set_, xs):
-    if not set_.contains_all(xs, DEFAULT_TOL):
-        raise DomainError("cannot sample a perturbation at a point outside the set")
-
-
-def _bisect_feasible(set_, x, zhat, u, n_steps: int = 60):
+def _bisect_feasible(set_, x, zhat, u):
     """Shrink zhat radially until both signed actions are feasible.
 
     Feasibility of x +/- u*s*zhat is monotone in s because S(x, u) is
     convex, symmetric, and contains the origin.
     """
     lo, hi = 0.0, 1.0
-    for _ in range(n_steps):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         uz = u * (mid * zhat)
-        if set_.contains_all(np.stack((x + uz, x - uz)), _CERT_TOL):
+        if set_.contains_all(np.stack((x + uz, x - uz))):
             lo = mid
         else:
             hi = mid

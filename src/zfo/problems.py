@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, OracleError
-from .geometry import DEFAULT_TOL, Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
+from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 
 def _set_group_key(s: ConvexSet):
@@ -133,8 +133,8 @@ class Problem:
         costs = self.local_costs(flat)
         return float(np.add.reduce(costs) / len(costs))  # np.mean's sum and division
 
-    def feasible(self, flat: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return self.first_infeasible(self.blocks(flat), tol=tol) is None
+    def feasible(self, flat: np.ndarray) -> bool:
+        return self.first_infeasible(self.blocks(flat)) is None
 
     def project_feasible(self, flat: np.ndarray) -> np.ndarray:
         return self.flat(self.project_blocks(self.blocks(flat)))
@@ -156,20 +156,19 @@ class Problem:
         x: np.ndarray,
         sets: list[ConvexSet] | None = None,
         signed: np.ndarray | None = None,
-        tol: float = DEFAULT_TOL,
     ) -> int | None:
         """The first agent (0-based; groups in order, then members) whose
         block of `x` leaves its group's set in `sets` (one per group, by
         default the groups' own) or, when `signed` holds the stacked
         `(x + u z, x - u z)`, whose signed actions leave its own set; None
         when every agent is feasible.  Each point set gets one `membership`
-        verdict at `tol`."""
+        verdict at `geometry.DEFAULT_TOL`, the one tolerance of a run."""
         if sets is None:
             sets = [g.set for g in self.groups]
         for g, set_ in zip(self.groups, sets):
-            ok = set_.membership(x[g.index], tol)
+            ok = set_.membership(x[g.index])
             if signed is not None:
-                ok_signed = g.set.membership(signed[g.signed_index], tol)
+                ok_signed = g.set.membership(signed[g.signed_index])
                 if ok_signed is not None:
                     ok_signed = ok_signed.reshape(2, -1).all(axis=0)
                     ok = ok_signed if ok is None else ok & ok_signed

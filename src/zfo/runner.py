@@ -34,7 +34,7 @@ import numpy as np
 
 from .agents import MAX_ROUNDS, SwarmTables
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
-from .geometry import SampleStats, constrain_perturbation_batch, row_summer
+from .geometry import DEFAULT_TOL, SampleStats, constrain_perturbation_batch, row_summer
 from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
 from .planner import analysed_smoothing_range, in_analysed_range
 from .problems import Problem
@@ -52,7 +52,6 @@ __all__ = [
 
 TRACE_COLUMNS = ("t", "f", "gap", "grad_sq", "stale_max", "feasible", "fallbacks")
 
-_FEASIBILITY_TOL = 1e-9
 _STEP_BOUND_TOL = 1e-9
 
 # Stream purposes: every generator is seeded by (master seed, purpose, index).
@@ -223,9 +222,9 @@ def metrics_snapshot(
 
     The feasibility flag asserts ``x`` lies in every agent's shrunken set
     and, when ``u`` and ``z_flat`` are given (both or neither), that both
-    signed perturbed actions are feasible in the unshrunken sets (tolerance
-    1e-9).  Uses the problem's analytic gradient when available, otherwise
-    central finite differences (step 1e-5) with the estimate flagged.
+    signed perturbed actions are feasible in the unshrunken sets, all at
+    the guard's `DEFAULT_TOL`.  Uses the analytic gradient when available,
+    otherwise central finite differences (step 1e-5) with the estimate flagged.
     `run` computes its cadence rows' other fields the same way, and takes
     their ``feasible`` from the guard that passed the round.
     """
@@ -401,10 +400,11 @@ class _Round(RoundView):
         except ConfigurationError as exc:
             raise ConfigurationError(f"x0: {exc}") from None
         self.x = problem.project_blocks(x, self._shrunk)
-        moved = float(np.abs(self.x - x).max(initial=0.0))
-        if moved > _FEASIBILITY_TOL:
+        moved = np.linalg.norm(self.x - x, axis=1)  # membership's ||y - P(y)||, per agent
+        for i in np.flatnonzero(moved > DEFAULT_TOL)[:1]:  # the first agent outside
             self.notes.append(
-                f"initial point was projected into the shrunken feasible set (moved {moved:.3e})"
+                f"initial point was projected into the shrunken feasible set "
+                f"(agent {i} moved {moved[i]:.3e})"
             )
         if problem.grad is None:
             self.notes.append("no analytic gradient available; cadence rows use finite differences")

@@ -35,15 +35,19 @@ print(json.dumps({"correct": run.get("correct", True), "attempted": 4,
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in run["metrics"].items()}}))
 """
 
+STUB_WORKLOADS = ("w", "a", "b")
+
 
 @pytest.fixture
 def checkouts(tmp_path, monkeypatch):
     """A parent and a change checkout whose benchmark is the stub, fed the
-    given runs."""
+    given runs; their `BENCHMARK.json` also declares the stub's workloads."""
     stub = tmp_path / "stub.py"
     stub.write_text(STUB, encoding="utf-8")
     monkeypatch.setattr(ab_pairs, "BENCH_COMMAND", [sys.executable, str(stub)])
-    spec = (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec["workloads"] += [{"name": name} for name in STUB_WORKLOADS]
+    spec = json.dumps(spec)
 
     def make(parent_runs, change_runs):
         for name, runs in (("parent", parent_runs), ("change", change_runs)):
@@ -196,3 +200,29 @@ def test_each_workload_runs_its_pairs_in_turn_and_prints_its_table(checkouts, tm
     assert "runs not correct: parent 0, change 0" in table_a
     assert "change better in 0/2 pairs" in _line(table_b, "seed_rounds_per_s")
     assert "runs not correct: parent 0, change 1" in table_b
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        (None, "cannot read"),
+        ("{not json", "cannot read"),
+        ('{"workloads": [{"name": "w"}], "end_to_end": []}', "no end_to_end metrics"),
+        ('{"workloads": [{"name": "a"}], "end_to_end": [{"name": "m"}]}', "no workload w"),
+    ],
+    ids=["missing", "unreadable", "no_metrics", "no_workload"],
+)
+def test_refuses_to_start_without_the_parents_declaration(checkouts, tmp_path, capsys, spec,
+                                                          named):
+    parent, change = checkouts(_runs([100.0], [1.0]), _runs([100.0], [1.0]))
+    declaration = Path(parent) / "BENCHMARK.json"
+    if spec is None:
+        declaration.unlink()
+    else:
+        declaration.write_text(spec, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_:
+        ab_pairs.main([parent, change, "--workload", "a", "--workload", "w", "--pairs", "1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert str(declaration.resolve()) in err and named in err
+    assert not (tmp_path / "log.txt").exists()  # no benchmark run started

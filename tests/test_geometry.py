@@ -459,10 +459,13 @@ def test_sample_perturbation_requires_feasible_base_point():
             with pytest.raises(DomainError, match="outside the set"):
                 constrain_perturbation_batch(set_, xs, zhat, u)
             constrain_perturbation_batch(set_, xs[:1], zhat[:1], u)
-    # membership is up to distance 1e-9, as for `contains`
+    # membership is up to distance 1e-9, as for `contains`, and the capped
+    # draw is certified at that tolerance too: no bisection fallback
     box = Box([0.0], [1.0])
-    z = constrain_perturbation_batch(box, np.array([[1.0 + 5e-10]]), np.array([[1.0]]), 0.1)
+    stats = SampleStats()
+    z = constrain_perturbation_batch(box, np.array([[1.0 + 5e-10]]), np.array([[1.0]]), 0.1, stats)
     np.testing.assert_array_equal(z, [[0.0]])
+    assert stats == SampleStats(fallbacks=0, projections=1)
     with pytest.raises(DomainError):
         constrain_perturbation_batch(box, np.array([[1.0 + 5e-9]]), np.array([[1.0]]), 0.1)
 
@@ -512,6 +515,31 @@ def test_bisection_fallback_returns_feasible_scaling(monkeypatch):
         # fallback shrinks the raw draw radially
         cross = z[0] * zhat[1] - z[1] * zhat[0]
         assert abs(cross) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "set_",
+    [
+        ShiftedSimplex(3, shift=-2.5e3, scale=1e4),
+        ShiftedSimplex(3, shift=-2.5e5, scale=1e6),
+        Box([-1e6] * 3, [1e6] * 3),
+    ],
+    ids=["simplex_1e4", "simplex_1e6", "box_1e6"],
+)
+def test_closed_form_caps_of_large_sets_need_no_fallback(set_):
+    # the caps' rounding grows with the set's coordinates; at up to 1e6 it
+    # stays inside the one tolerance, so no capped row takes the bisection
+    rng = np.random.default_rng(0)
+    if isinstance(set_, Box):
+        xs = rng.uniform(set_.lower, set_.upper, (5000, 3))
+    else:
+        xs = rng.dirichlet(np.ones(4), 5000)[:, :3] * set_.scale + set_.shift
+    zhat = rng.standard_normal(xs.shape)
+    u = 0.3 * set_.inner_radius()
+    stats = SampleStats()
+    z = constrain_perturbation_batch(set_, xs, zhat, u, stats)
+    assert stats.projections > 1000 and stats.fallbacks == 0
+    assert set_.contains_all(xs + u * z) and set_.contains_all(xs - u * z)
 
 
 def count_membership_passes(monkeypatch, points):

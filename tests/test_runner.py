@@ -906,6 +906,35 @@ def test_x0_outside_feasible_set_is_projected_with_note():
     assert any("projected" in note for note in trace.notes)
 
 
+def test_the_initial_point_note_is_membership_in_the_shrunken_set():
+    # routing 2x3 at delta = 0.05: each shrunken set is {w >= 0, sum w <= 0.95}
+    # with w = y + 0.2375; the note fires when an agent's block of x0 lies
+    # more than 1e-9 (Euclidean) from it, and names the first such agent
+    problem = routing_problem(build_routing_instance(2, 3, seed=1))
+    shrunk = [problem.sets[0].shrink(0.05)]
+    face = np.full(3, 0.95 / 3.0) - 0.2375  # on the face sum w = 0.95
+    normal = np.ones(3) / np.sqrt(3.0)
+
+    def initial_notes(block):
+        x0 = np.zeros(problem.total_dim)
+        x0[6:9] = block  # agent 2
+        trace = run(RunConfig(problem=problem, graph=CommGraph.complete(6), eta=0.02, u=1e-3,
+                              delta=0.05, horizon=5, x0=x0))
+        notes = [note for note in trace.notes if note.startswith("initial point")]
+        assert bool(notes) == (problem.first_infeasible(problem.blocks(x0), shrunk) == 2)
+        return notes
+
+    assert initial_notes(np.zeros(3)) == []
+    assert initial_notes(face + 5e-10 * normal) == []
+    # a vertex of the unshrunken simplex (w = 0) moves 0.0125 sqrt(3)
+    assert initial_notes(np.full(3, -0.25)) == [
+        "initial point was projected into the shrunken feasible set (agent 2 moved 2.165e-02)"
+    ]
+    # 1.5e-9 out of the face: under 1e-9 in every coordinate, not in norm
+    (note,) = initial_notes(face + 1.5e-9 * normal)
+    assert note.endswith("(agent 2 moved 1.500e-09)")
+
+
 def test_smoothing_radius_hypothesis_note():
     problem = build_box_quadratic(3, 1, seed=0)
     graph = CommGraph.path(3)
@@ -1076,6 +1105,7 @@ def test_the_guard_keeps_its_own_membership_tests(monkeypatch):
     assert trace.cap_projections == 0
     assert len(trace.rows) == 4  # rounds 0, 20, 40 and 50
     assert len(calls) == 3 * (horizon + 1)
+    assert set(calls) == {1e-9}  # the sampler judges at the guard's tolerance
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,13 @@ of another shape) counts as one failed operation and is not correct.
 For every end-to-end metric it prints each side's median and quartiles
 over its correct runs, the pairs the change won (ties count for neither),
 and the median per-pair ratio change / parent - 1.  A metric's better
-direction comes from the parent's `BENCHMARK.json`.  The gain rule holds
-when the change won at least nine tenths of all pairs run, its median is
-better than the parent's by more than the parent's interquartile range,
-every run is correct and the change fails no larger share of operations
-than the parent.  A pair with a run that is not correct is not a win.
+direction comes from the parent's `BENCHMARK.json`; the script refuses to
+start (exit 2, naming the file or the workload) when that file is
+unreadable, lists no `end_to_end` metric or lacks a requested workload.
+The gain rule holds when the change won at least nine tenths of all pairs
+run, its median is better than the parent's by more than the parent's
+interquartile range, every run is correct and the change fails no larger
+share of operations than the parent.  A pair with a run that is not correct is not a win.
 
 Each metric also gets a no-regression verdict from its relative `bound`
 in the parent's `BENCHMARK.json`: `unresolved` when either side's
@@ -54,6 +56,10 @@ def _parse(argv):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        args.declared = _end_to_end(args.parent.resolve(), args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args
 
 
@@ -121,12 +127,22 @@ def _regression(correct: dict, sign: float, bound: float, out: dict) -> str:
     return "regressed" if sign * (p_med - c_med) > bound * abs(p_med) else "holds"
 
 
-def _end_to_end(parent: Path) -> dict[str, dict]:
+def _end_to_end(parent: Path, workloads: list[str]) -> dict[str, dict]:
+    """The end-to-end metrics the parent's `BENCHMARK.json` declares, by name.
+    Raises ValueError when it cannot judge these workloads' runs."""
+    path = parent / "BENCHMARK.json"
     try:
-        spec = json.loads((parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    return {m["name"]: m for m in spec.get("end_to_end", [])}
+        spec = json.loads(path.read_text(encoding="utf-8"))
+        metrics = {m["name"]: m for m in spec.get("end_to_end", [])}
+        names = {w["name"] for w in spec.get("workloads", [])}
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    if not metrics:
+        raise ValueError(f"{path} lists no end_to_end metrics")
+    missing = [w for w in workloads if w not in names]
+    if missing:
+        raise ValueError(f"{path} lists no workload {', '.join(missing)}")
+    return metrics
 
 
 def _fmt(stats: list | None) -> str:
@@ -152,7 +168,8 @@ def report(summary: dict) -> str:
     return line + f"; no-regression verdict (bound {bound}): {summary['regression']}"
 
 
-def compare(checkouts: dict[str, Path], workload: str, seed: int, pairs: int) -> bool:
+def compare(checkouts: dict[str, Path], declared: dict[str, dict], workload: str, seed: int,
+            pairs: int) -> bool:
     """Run one workload's pairs and print its table; whether every run was correct."""
     print(f"workload {workload}:", flush=True)
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -170,7 +187,6 @@ def compare(checkouts: dict[str, Path], workload: str, seed: int, pairs: int) ->
     clean = not any(incorrect.values()) and (
         failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
     )
-    declared = _end_to_end(checkouts["parent"])
     names = sorted(set().union(*(r.get("metrics", {}) for side in SIDES for r in results[side])))
     for name in names:
         values = {side: [r["metrics"][name]["value"]
@@ -190,7 +206,8 @@ def compare(checkouts: dict[str, Path], workload: str, seed: int, pairs: int) ->
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    correct = [compare(checkouts, w, args.seed, args.pairs) for w in args.workload]
+    correct = [compare(checkouts, args.declared, w, args.seed, args.pairs)
+               for w in args.workload]
     return 0 if all(correct) else 1
 
 
