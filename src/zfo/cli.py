@@ -9,9 +9,10 @@ Subcommands:
   oracle  centralized reference solve of a configured problem
   sweep   repeat a run over many seeds, in parallel; write per-seed
           traces and an aggregate trajectory CSV over the seeds that
-          finished; failed seeds are listed in failures.csv and the
-          first one sets the exit code; files an earlier sweep left
-          under these names are removed first
+          finished; prints one line per seed as it finishes, with its
+          run's wall time or its error; failed seeds are listed in
+          failures.csv and the first one sets the exit code; files an
+          earlier sweep left under these names are removed first
 
 Exit codes: 0 success, 2 configuration error, 3 assumption/protocol
 violation, 4 oracle non-convergence.
@@ -27,7 +28,7 @@ import json
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
@@ -141,18 +142,19 @@ def _trace_name(seed: int) -> str:
     return f"trace_seed{seed}.csv"
 
 
-def _sweep_one(config, out_dir: str, seed: int) -> tuple[int, list[dict] | ZfoError]:
-    """The seed with its cadence rows, or with the error its run raised."""
+def _sweep_one(config, out_dir: str, seed: int) -> tuple[int, list[dict] | ZfoError, float]:
+    """The seed with its cadence rows and its run's wall time, or with the
+    error its run raised (and NaN)."""
     try:
         trace = run(dataclasses.replace(config, seed=seed))
     except ZfoError as exc:
-        return seed, exc
+        return seed, exc, float("nan")
     write_trace_csv(trace, os.path.join(out_dir, _trace_name(seed)))
     rows = [
         {"t": r["t"], "f": r["f"], "gap": r["gap"], "grad_sq": r["grad_sq"]}
         for r in trace.rows
     ]
-    return seed, rows
+    return seed, rows, trace.wall_time
 
 
 _worker_sweep: tuple = ()  # (config, out_dir) in a sweep's pool worker
@@ -163,7 +165,7 @@ def _init_sweep_worker(config, out_dir: str) -> None:
     _worker_sweep = (config, out_dir)
 
 
-def _sweep_worker(seed: int) -> tuple[int, list[dict] | ZfoError]:
+def _sweep_worker(seed: int) -> tuple[int, list[dict] | ZfoError, float]:
     return _sweep_one(*_worker_sweep, seed)
 
 
@@ -184,8 +186,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name in ("failures.csv", "aggregate.csv", *map(_trace_name, seeds)):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(args.out_dir, name))
+    results = []
+
+    def finish(seed: int, out: list[dict] | ZfoError, wall: float) -> None:
+        """Report one seed as it finishes and keep its outcome."""
+        if isinstance(out, ZfoError):
+            print(f"seed {seed}: {type(out).__name__}: {out}", flush=True)
+        else:
+            print(f"seed {seed}: finished in {wall:.3f} s", flush=True)
+        results.append((seed, out))
+
     if workers == 1:
-        results = [_sweep_one(config, args.out_dir, seed) for seed in seeds]
+        for seed in seeds:
+            finish(*_sweep_one(config, args.out_dir, seed))
     else:
         # forked workers inherit the config: its problem's cost closures do not pickle
         with ProcessPoolExecutor(
@@ -194,7 +207,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             initializer=_init_sweep_worker,
             initargs=(config, args.out_dir),
         ) as pool:
-            results = list(pool.map(_sweep_worker, seeds))
+            for future in as_completed([pool.submit(_sweep_worker, seed) for seed in seeds]):
+                finish(*future.result())
     results.sort(key=lambda item: item[0])
     failures = [(seed, out) for seed, out in results if isinstance(out, ZfoError)]
     finished = [(seed, out) for seed, out in results if not isinstance(out, ZfoError)]

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, unreadable
 from .network import BernoulliDrops, CommGraph, NoDelay
 from .problems import (
+    MAX_COORDINATES,
+    ROUTES_PER_AGENT,
     Problem,
     build_box_quadratic,
     build_routing_instance,
@@ -86,11 +88,13 @@ def _as_number(value: Any, path: str) -> float:
     return value
 
 
-def _as_int(value: Any, path: str, low: int | None = None) -> int:
+def _as_int(value: Any, path: str, low: int | None = None, high: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {type(value).__name__}")
     if low is not None and value < low:
         _fail(path, f"must be >= {low}")
+    if high is not None and value > high:
+        _fail(path, f"must be <= {high}")
     return int(value)
 
 
@@ -188,27 +192,42 @@ def apply_overrides(doc: dict, **overrides) -> dict:
 def build_problem(doc: dict, path: str = "problem") -> tuple[Problem, float | None]:
     """Build the problem without its reference solve; also return the
     tolerance to solve it to, None when its optimum is known or `solve`
-    is false."""
+    is false.  Sizes above `MAX_COORDINATES` are refused before any
+    builder runs."""
     doc = _require_mapping(doc, path)
     kind = _as_str(_get(doc, "kind", path, required=True), f"{path}.kind")
     if kind not in _PROBLEM_FIELDS:
         _fail(f"{path}.kind", f"unknown problem kind '{kind}'; one of {sorted(_PROBLEM_FIELDS)}")
     _check_fields(doc, _PROBLEM_FIELDS[kind], path)
     seed = _as_int(_get(doc, "seed", path, default=0), f"{path}.seed", low=0)
+    # each size is held to the coordinate ceiling alone, then their product
+    high = MAX_COORDINATES
     if kind == "routing":
-        groups = _as_int(_get(doc, "groups", path, required=True), f"{path}.groups", low=1)
+        groups = _as_int(_get(doc, "groups", path, required=True), f"{path}.groups", 1, high)
         per = _as_int(
-            _get(doc, "agents_per_group", path, required=True), f"{path}.agents_per_group", low=1
+            _get(doc, "agents_per_group", path, required=True), f"{path}.agents_per_group", 1, high
         )
+        _check_coordinates(path, groups * per, ROUTES_PER_AGENT - 1)
         tol = None
         if _as_bool(_get(doc, "solve", path, default=True), f"{path}.solve"):
             tol = _as_number(_get(doc, "solve_tol", path, default=1e-10), f"{path}.solve_tol")
         return routing_problem(build_routing_instance(groups, per, seed=seed)), tol
-    agents = _as_int(_get(doc, "agents", path, required=True), f"{path}.agents", low=1)
-    dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim", low=1)
+    agents = _as_int(_get(doc, "agents", path, required=True), f"{path}.agents", 1, high)
+    dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim", 1, high)
+    _check_coordinates(path, agents, dim)
     if kind == "box_quadratic":
         return build_box_quadratic(agents, dim, seed=seed), None
     return build_trig_sum(agents, dim, seed=seed), None
+
+
+def _check_coordinates(path: str, agents: int, dim: int) -> None:
+    """Refuse `agents` agents of `dim` coordinates each above the ceiling."""
+    if agents * dim > MAX_COORDINATES:
+        _fail(
+            path,
+            f"{agents} agents of dim {dim} make {agents * dim} coordinates, above the "
+            f"ceiling of {MAX_COORDINATES}",
+        )
 
 
 def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict]:

@@ -2,8 +2,11 @@
 constrained perturbation sampling.
 
 All sets are closed convex subsets of R^dim, and every set operation
-works on rows (one point per row). Projections are exact (closed form)
-for boxes, shifted simplices, and the whole space; none iterates.
+works on rows (one point per row): boxes, the whole space (the box with
+bounds -inf and +inf, whose members are the finite points) and shifted
+simplices.  Projections are exact (closed form); none iterates.  Each
+set's `group_key` says which sets are equal, so no other module tests
+a set's type.
 
 Perturbation sampling projects a standard normal draw onto the
 symmetric feasibility cap
@@ -11,9 +14,9 @@ symmetric feasibility cap
     S(x, u) = (1/u)(X - x)  intersect  -(1/u)(X - x),
 
 so that both x + u z and x - u z stay inside X for every returned z.
-Every set that a draw can leave defines that projection: for a box the
-cap is a box, and for the simplex a box cut by a slab on sum(z), so it
-is in closed form too.  The whole space needs none.
+Boxes and simplices define that projection in closed form: for a box the
+cap is a box (all of R^dim in the whole space), and for the simplex a box
+cut by a slab on sum(z).
 
 Every verdict on "inside", the sampler's and the engine guard's alike, is
 Euclidean distance at most `DEFAULT_TOL` = 1e-9 to the set.  It is absolute:
@@ -58,8 +61,8 @@ class ConvexSet:
     many points, `membership` gives one verdict per point set: "all inside"
     when a subclass settles that in closed form (`_all_inside`), the
     `contains_batch` verdicts otherwise; `contains_all` is their
-    conjunction.  Every set that a perturbed action can leave defines
-    `_symmetric_cap`; the whole space, which none leaves, needs none."""
+    conjunction.  A set the sampler perturbs in defines `_symmetric_cap`.
+    `group_key` decides which sets are equal, so their agents share calls."""
 
     dim: int
 
@@ -146,40 +149,16 @@ class ConvexSet:
         the origin is not interior."""
         raise NotImplementedError
 
+    def group_key(self):
+        """Sets with equal keys are equal; by default a set equals only itself."""
+        return ("unique", id(self))
+
     def _require_origin_interior(self) -> None:
         if not (self.inner_radius() > 0.0):
             raise ConfigurationError(
                 f"{type(self).__name__}: shrinking requires the origin in the "
                 "interior of the set"
             )
-
-
-class WholeSpace(ConvexSet):
-    """Unconstrained R^dim."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ConfigurationError("dim must be >= 1")
-        self.dim = int(dim)
-
-    def project_batch(self, ys):
-        return np.asarray(ys, dtype=float).copy()
-
-    def contains_batch(self, ys, tol=DEFAULT_TOL):
-        return np.ones(ys.shape[0], dtype=bool)
-
-    def _all_inside(self, ys, tol):
-        return True
-
-    def shrink(self, delta):
-        _check_delta(delta)
-        return self
-
-    def inner_radius(self):
-        return np.inf
-
-    def __repr__(self):
-        return f"WholeSpace(dim={self.dim})"
 
 
 class Box(ConvexSet):
@@ -223,8 +202,28 @@ class Box(ConvexSet):
     def inner_radius(self):
         return float(min(np.min(-self.lower), np.min(self.upper)))
 
+    def group_key(self):
+        return ("box", self.lower.tobytes(), self.upper.tobytes())
+
     def __repr__(self):
         return f"Box(lower={self.lower!r}, upper={self.upper!r})"
+
+
+class WholeSpace(Box):
+    """Unconstrained R^dim: the box with bounds -inf and +inf, whose members
+    are the finite points."""
+
+    def __init__(self, dim: int):
+        if dim < 1:
+            raise ConfigurationError("dim must be >= 1")
+        super().__init__(np.full(int(dim), -np.inf), np.full(int(dim), np.inf))
+
+    def shrink(self, delta):
+        _check_delta(delta)
+        return self
+
+    def __repr__(self):
+        return f"WholeSpace(dim={self.dim})"
 
 
 class ShiftedSimplex(ConvexSet):
@@ -348,6 +347,9 @@ class ShiftedSimplex(ConvexSet):
         slack_sum = (self.scale + self.shift.sum()) / np.sqrt(self.dim)
         return float(min(np.min(-self.shift), slack_sum))
 
+    def group_key(self):
+        return ("simplex", self.dim, self.shift.tobytes(), self.scale)
+
     def __repr__(self):
         return (
             f"ShiftedSimplex(dim={self.dim}, shift={self.shift!r}, "
@@ -443,8 +445,8 @@ def constrain_perturbation_batch(
     (`_symmetric_cap`), in one call, and one membership verdict at the
     guard's `DEFAULT_TOL` certifies both signed actions of each; a failing
     row falls back to a radial bisection of its draw (both counted in `stats`).
-    When no draw needs projecting, the function returns `zhat` itself, as
-    it always does in the whole space.  It never writes to `zhat`.
+    When no draw needs projecting (always, at finite points of the whole
+    space), the function returns `zhat` itself.  It never writes to `zhat`.
 
     `signed` is the stack of both signed actions of the draws, shape
     `(2, len(xs), dim)`, equal bit for bit to `xs + zhat * [[[u]], [[-u]]]`

@@ -16,16 +16,17 @@ import numpy as np
 from .errors import ConfigurationError, OracleError
 from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
+# The ceiling on a problem's total coordinates D, and so on its agent count
+# n <= D (every agent has at least one coordinate).  A run's largest arrays
+# are the (n, n) int64 hop distances, 8 n^2 bytes, and the builders' (n, D)
+# cost coefficients, 8 n D bytes; at the ceiling each is at most
+# 8 * 8192^2 bytes = 512 MiB.  The config parser checks a document's sizes
+# against it before any builder runs, and `run` checks every problem.
+MAX_COORDINATES = 8192
 
-def _set_group_key(s: ConvexSet):
-    """Agents whose sets compare equal under this key share batched calls."""
-    if isinstance(s, WholeSpace):
-        return ("free", s.dim)
-    if isinstance(s, Box):
-        return ("box", s.lower.tobytes(), s.upper.tobytes())
-    if isinstance(s, ShiftedSimplex):
-        return ("simplex", s.dim, s.shift.tobytes(), s.scale)
-    return ("unique", id(s))
+# Routes of each routing agent (group g uses 2g, ..., 2g + 3); its action
+# has one reduced coordinate fewer.
+ROUTES_PER_AGENT = 4
 
 
 class _SetGroup:
@@ -55,8 +56,8 @@ class Problem:
     Besides the flat joint vector, actions are laid out as an `(n, d_max)`
     block array, row i holding agent i's block zero-padded past its
     dimension (`dim_mask` marks the real entries).  `groups` collects the
-    agents whose feasible sets are equal, ordered by their first member,
-    so every set operation is one batched call per group.
+    agents whose feasible sets are equal (equal `group_key()`), ordered by
+    their first member, so every set operation is one batched call per group.
 
     `local_costs` and `grad` take one flat joint vector `(D,)`, returning
     `(n,)` costs and the `(D,)` gradient of f, or a stack of them `(R, D)`,
@@ -92,7 +93,7 @@ class Problem:
         self._uniform = bool(self.dim_mask.all())
         members: dict = {}
         for i, s in enumerate(self.sets):
-            members.setdefault(_set_group_key(s), (s, []))[1].append(i)
+            members.setdefault(s.group_key(), (s, []))[1].append(i)
         self.groups = [_SetGroup(s, agents) for s, agents in members.values()]
 
     @property
@@ -321,7 +322,7 @@ def build_routing_instance(
     n = n_groups * agents_per_group
     m = 2 * n_groups + 2
     groups = np.repeat(np.arange(n_groups), agents_per_group)
-    routes = np.stack([2 * g + np.arange(4) for g in groups])
+    routes = np.stack([2 * g + np.arange(ROUTES_PER_AGENT) for g in groups])
     traffic = np.abs(rng.normal(1.0, np.sqrt(0.2), size=n))
     quad = np.abs(rng.normal(0.0, np.sqrt(0.8), size=m))
     lin = np.abs(rng.normal(0.0, np.sqrt(0.8), size=m))

@@ -37,7 +37,7 @@ from .errors import AssumptionViolation, ConfigurationError, DomainError, Oracle
 from .geometry import DEFAULT_TOL, SampleStats, constrain_perturbation_batch, row_summer
 from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
 from .planner import analysed_smoothing_range, in_analysed_range
-from .problems import Problem
+from .problems import MAX_COORDINATES, Problem
 
 __all__ = [
     "RunConfig",
@@ -260,6 +260,11 @@ def _diagnostics(problem: Problem, flat: np.ndarray, t: int) -> dict:
 
 def _validate(config: RunConfig) -> None:
     p, g = config.problem, config.graph
+    if p.total_dim > MAX_COORDINATES:
+        raise ConfigurationError(
+            f"problem with n = {p.n} and D = {p.total_dim} coordinates exceeds the "
+            f"ceiling of {MAX_COORDINATES} coordinates (problems.MAX_COORDINATES)"
+        )
     if p.n != g.n:
         raise ConfigurationError(f"problem has {p.n} agents but the graph has {g.n} nodes")
     validate_options(config)
@@ -399,6 +404,9 @@ class _Round(RoundView):
             x = problem.blocks(np.zeros(problem.total_dim) if config.x0 is None else config.x0)
         except ConfigurationError as exc:
             raise ConfigurationError(f"x0: {exc}") from None
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise ConfigurationError(f"x0: agent {int(np.argmin(finite)) + 1} has a non-finite entry")
         self.x = problem.project_blocks(x, self._shrunk)
         moved = np.linalg.norm(self.x - x, axis=1)  # membership's ||y - P(y)||, per agent
         for i in np.flatnonzero(moved > DEFAULT_TOL)[:1]:  # the first agent outside
@@ -444,9 +452,16 @@ class _Round(RoundView):
             draw = raw[g.index]
             if draw.flags.writeable:  # a gathered copy; views of raw are read-only
                 draw.flags.writeable = False
-            got = constrain_perturbation_batch(
-                g.set, x[g.index], draw, u, stats, signed=signed[g.signed_index]
-            )
+            try:
+                got = constrain_perturbation_batch(
+                    g.set, x[g.index], draw, u, stats, signed=signed[g.signed_index]
+                )
+            except DomainError:  # a member's x lies outside its set: name the first
+                agent = self._problem.first_infeasible(x)
+                raise DomainError(
+                    f"agent {agent + 1} is outside its feasible set at round {t}, "
+                    "so no perturbation can be sampled there"
+                ) from None
             if got is not draw:
                 if z is raw:
                     z = raw.copy()

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,43 @@ def test_bad_delay_graph_and_x0_fail_before_the_reference_solve(monkeypatch, edi
     assert calls == []
     config, _ = build_run_config(doc)
     assert calls == [1] and config.problem.f_star is not None
+
+
+@pytest.mark.parametrize(
+    "problem, named",
+    [
+        ({"kind": "box_quadratic", "agents": 10**20, "dim": 2}, "problem.agents: must be <= 8192"),
+        ({"kind": "box_quadratic", "agents": 3, "dim": 10**20}, "problem.dim: must be <= 8192"),
+        ({"kind": "routing", "groups": 10**20, "agents_per_group": 3},
+         "problem.groups: must be <= 8192"),
+        ({"kind": "routing", "groups": 2, "agents_per_group": 10**20},
+         "problem.agents_per_group: must be <= 8192"),
+        ({"kind": "box_quadratic", "agents": 10**6, "dim": 2}, "problem.agents: must be <= 8192"),
+        ({"kind": "routing", "groups": 10**5, "agents_per_group": 3},
+         "problem.groups: must be <= 8192"),
+        ({"kind": "trig_sum", "agents": 100, "dim": 100},
+         "problem: 100 agents of dim 100 make 10000 coordinates, above the ceiling of 8192"),
+        ({"kind": "routing", "groups": 1000, "agents_per_group": 3},
+         "problem: 3000 agents of dim 3 make 9000 coordinates, above the ceiling of 8192"),
+    ],
+    ids=["box_agents_1e20", "box_dim_1e20", "routing_groups_1e20", "routing_per_group_1e20",
+         "box_agents_1e6", "routing_groups_1e5", "trig_coordinates", "routing_coordinates"],
+)
+def test_hostile_sizes_exit_2_before_any_builder_runs(tmp_path, monkeypatch, capsys, problem, named):
+    import zfo.config
+
+    called = []
+    for name in ("build_box_quadratic", "build_trig_sum", "build_routing_instance",
+                 "routing_problem", "centralized_solve"):
+        def refuse(*args, _name=name, **kwargs):
+            called.append(_name)
+            raise AssertionError(f"{_name} ran on a document above the size ceiling")
+
+        monkeypatch.setattr(zfo.config, name, refuse)
+    cfg = _write(tmp_path, {**_base_doc(), "problem": problem})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {named}\n"
+    assert called == []
 
 
 def test_readme_config_example_lists_every_normalized_field():
@@ -770,7 +808,8 @@ def test_sweep_solves_the_reference_once(tmp_path, monkeypatch):
 
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs the
-    worker initializer and maps in this process, so no worker is started."""
+    worker initializer and each submitted call in this process, so no
+    worker is started."""
 
     created: list[int] = []
 
@@ -785,8 +824,10 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
 
 
 def test_sweep_workers_capped_at_usable_cpus(tmp_path, monkeypatch):
@@ -823,7 +864,7 @@ def test_sweep_keeps_going_when_a_seed_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("zfo.cli.run", flaky)
     monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for workers in ("1", "2"):  # serial, and through the pool's map
+    for workers in ("1", "2"):  # serial, and through the pool
         out = tmp_path / f"workers{workers}"
         sweep = ["sweep", "--config", cfg, "--seeds", "3", "--out-dir", str(out),
                  "--workers", workers]
@@ -858,6 +899,43 @@ def test_sweep_keeps_going_when_a_seed_fails(tmp_path, monkeypatch, capsys):
         assert [r[0] for r in csv.reader(fh)] == ["seed", "0", "1", "2"]
 
 
+def test_sweep_reports_each_seed_as_it_finishes(tmp_path, monkeypatch, capsys):
+    import time
+
+    import zfo.cli
+
+    doc = _base_doc()
+    doc["params"]["horizon"] = 10
+    cfg = _write(tmp_path, doc)
+    real_run = zfo.cli.run
+
+    def uneven(config):  # the forked workers inherit this patch
+        if config.seed == 0:
+            time.sleep(1.0)
+        if config.seed == 2:
+            raise DomainError("agent 2 would act outside its feasible set at round 3")
+        return real_run(config)
+
+    monkeypatch.setattr("zfo.cli.run", uneven)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        sweep = ["sweep", "--config", cfg, "--seeds", "3", "--out-dir", str(out),
+                 "--workers", workers]
+        assert main(sweep) == 3
+        lines = capsys.readouterr().out.splitlines()
+        # serially in seed order; with two workers, seed 0 finishes last
+        order = [0, 1, 2] if workers == "1" else [1, 2, 0]
+        assert [int(re.match(r"seed (\d+): ", line)[1]) for line in lines[:3]] == order
+        by_seed = dict(zip(order, lines))
+        for seed in (0, 1):
+            assert re.fullmatch(rf"seed {seed}: finished in \d+\.\d{{3}} s", by_seed[seed])
+        assert by_seed[2] == (
+            "seed 2: DomainError: agent 2 would act outside its feasible set at round 3"
+        )
+        assert lines[3].startswith("sweep: 1 of 3 seeds failed") and len(lines) == 4
+
+
 def test_sweep_clears_what_an_earlier_sweep_left(tmp_path, monkeypatch, capsys):
     import zfo.cli
 
@@ -877,7 +955,7 @@ def test_sweep_clears_what_an_earlier_sweep_left(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("zfo.cli.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     traces = ["trace_seed0.csv", "trace_seed1.csv", "trace_seed2.csv"]
-    for workers in ("1", "2"):  # serial, and through the pool's map
+    for workers in ("1", "2"):  # serial, and through the pool
         out = tmp_path / f"workers{workers}"
         out.mkdir()
         (out / "notes.txt").write_text("not the sweep's\n")

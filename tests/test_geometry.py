@@ -349,6 +349,20 @@ def test_shrink_whole_space_identity():
     assert ws.shrink(0.3) is ws
 
 
+def test_whole_space_is_the_unbounded_box():
+    # its verdicts, projections, radius and group are those of Box(-inf, inf):
+    # every finite point is inside, and a NaN coordinate is not
+    ws, box = WholeSpace(2), Box([-np.inf] * 2, [np.inf] * 2)
+    assert isinstance(ws, Box) and ws.group_key() == box.group_key()
+    ys = np.array([[1e300, -3.0], [0.0, 0.0], [np.nan, 0.0], [0.0, np.nan]])
+    for set_ in (ws, box):
+        np.testing.assert_array_equal(set_.contains_batch(ys), [True, True, False, False])
+        np.testing.assert_array_equal(set_.project_batch(ys), ys)
+        assert set_.contains_all(ys[:2]) and not set_.contains_all(ys)
+        assert set_.inner_radius() == np.inf
+    assert not ws.contains([np.nan, 0.0])
+
+
 def test_shrink_rejects_bad_delta():
     with pytest.raises(ConfigurationError):
         Box([-1.0], [1.0]).shrink(1.0)
@@ -451,6 +465,7 @@ def test_sample_perturbation_requires_feasible_base_point():
         (Box([0.0], [1.0]), [[0.5], [2.0]]),
         (ShiftedSimplex(1, shift=-0.7, scale=1.5), [[0.0], [0.9]]),
         (ShiftedSimplex(2, shift=-0.25), [[0.0, 0.0], [0.9, 0.9]]),
+        (WholeSpace(2), [[0.0, 0.0], [np.nan, 0.0]]),
     ]
     for set_, xs in cases:
         xs = np.array(xs)

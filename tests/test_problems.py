@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zfo.cli import main
 from zfo.errors import ConfigurationError, OracleError
-from zfo.geometry import WholeSpace
+from zfo.geometry import Box, ConvexSet, WholeSpace
 from zfo.network import CommGraph, network_stats
 from zfo.planner import constants_for
 from zfo.problems import (
@@ -180,6 +180,36 @@ def test_stacked_evaluations_equal_one_vector_calls(name, rows, seed):
     pushed_out = None if isinstance(problem.sets[agent], WholeSpace) else agent
     assert problem.first_infeasible(problem.blocks(bad[r])) == pushed_out
     np.testing.assert_array_equal(problem.local_costs(bad)[r], problem.local_costs(bad[r]))
+    # a NaN lies outside every set, the whole space's too
+    bad[r, problem.offsets[agent]] = np.nan
+    assert problem.first_infeasible(problem.blocks(bad[r])) == agent
+
+
+def test_first_infeasible_names_the_agent_whose_block_holds_a_nan():
+    problem = build_trig_sum(3, 2, seed=0)
+    for agent in range(3):
+        x = np.zeros((3, 2))
+        x[agent, 1] = np.nan
+        assert problem.first_infeasible(x) == agent
+    assert problem.first_infeasible(np.zeros((3, 2))) is None
+
+
+class _Disc(ConvexSet):
+    """The unit disc: a set with no group key of its own."""
+
+    dim = 2
+
+    def project_batch(self, ys):
+        return ys / np.maximum(np.linalg.norm(ys, axis=1, keepdims=True), 1.0)
+
+
+def test_equal_sets_share_a_group_and_other_sets_stand_alone():
+    # two WholeSpace(2) objects and the equal Box(-inf, inf) are one group; a
+    # ConvexSet subclass without a group key is a group per object
+    disc = _Disc()
+    sets = [WholeSpace(2), disc, Box([-np.inf] * 2, [np.inf] * 2), _Disc(), WholeSpace(2), disc]
+    problem = Problem("p", [2] * 6, sets, lambda flat: np.zeros(6))
+    assert [g.members.tolist() for g in problem.groups] == [[0, 2, 4], [1, 5], [3]]
 
 
 def test_builder_layout():

@@ -906,6 +906,51 @@ def test_x0_outside_feasible_set_is_projected_with_note():
     assert any("projected" in note for note in trace.notes)
 
 
+@pytest.mark.parametrize(
+    "build", [build_box_quadratic, build_trig_sum], ids=["box_quadratic", "trig_sum"]
+)
+def test_non_finite_x0_is_refused_before_round_0_naming_the_agent(build):
+    # in a box and in the whole space alike, naming the agent whose block holds it
+    problem = build(3, 2, seed=0)
+    for value in (np.nan, np.inf, -np.inf):
+        x0 = np.zeros(problem.total_dim)
+        x0[4] = value  # agent 3's block
+        config = RunConfig(
+            problem=problem, graph=CommGraph.path(3), eta=1e-3, u=1e-3, horizon=5, x0=x0
+        )
+        with pytest.raises(ConfigurationError, match=r"^x0: agent 3 has a non-finite entry$"):
+            run(config)
+
+
+def test_a_state_outside_its_set_is_refused_by_the_sampler_naming_agent_and_round():
+    class Drifting(Box):
+        """A box whose projection lands outside it."""
+
+        def project_batch(self, ys):
+            return super().project_batch(ys) + 10.0
+
+    problem = Problem(
+        "drift", [1, 1, 1], [Box([-1.0], [1.0]), Drifting([-2.0], [2.0]), Box([-1.0], [1.0])],
+        local_costs=lambda flat: np.asarray(flat, dtype=float) ** 2,
+    )
+    config = RunConfig(problem=problem, graph=CommGraph.path(3), eta=1e-3, u=1e-3, horizon=5)
+    with pytest.raises(DomainError, match=(
+        r"^agent 2 is outside its feasible set at round 0, so no perturbation can be sampled there$"
+    )):
+        run(config)
+
+
+def test_run_refuses_problems_above_the_coordinate_ceiling():
+    config = RunConfig(
+        problem=Problem("wide", [8193], [WholeSpace(8193)], lambda flat: np.zeros(1)),
+        graph=CommGraph.path(1), eta=1e-3, u=1e-3, horizon=5,
+    )
+    with pytest.raises(ConfigurationError, match=(
+        r"^problem with n = 1 and D = 8193 coordinates exceeds the ceiling of 8192 "
+    )):
+        run(config)
+
+
 def test_the_initial_point_note_is_membership_in_the_shrunken_set():
     # routing 2x3 at delta = 0.05: each shrunken set is {w >= 0, sum w <= 0.95}
     # with w = y + 0.2375; the note fires when an agent's block of x0 lies
