@@ -55,53 +55,55 @@ class SampleStats:
 
 
 class ConvexSet:
-    """Base class. A subclass defines the exact row-wise `project_batch` and,
-    where one exists, a closed-form `contains_batch` with the same verdicts;
-    the one-point `project` and `contains` are their one-row cases.  Over
-    many points, `membership` gives one verdict per point set: "all inside"
-    when a subclass settles that in closed form (`_all_inside`), the
-    `contains_batch` verdicts otherwise; `contains_all` is their
-    conjunction.  A set the sampler perturbs in defines `_symmetric_cap`.
-    `group_key` decides which sets are equal, so their agents share calls."""
+    """Base class. A subclass defines the exact row-wise `project_batch`
+    and, where it has a closed form, `membership`, the one verdict on a
+    point set; `contains_batch`, `contains_all` and `contains` are views
+    of `membership`, and `project` is `project_batch`'s one-row case.  The
+    views refuse points whose last axis is not `dim` long.  A set the
+    sampler perturbs in defines `_symmetric_cap`.  `group_key` decides
+    which sets are equal, so their agents share calls."""
 
     dim: int
 
     def project_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains_batch(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Row-wise membership up to Euclidean distance `tol`."""
-        diff = ys - self.project_batch(ys)
-        return np.linalg.norm(diff, axis=-1) <= tol
+    def membership(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+        """The membership up to Euclidean distance `tol` of the points of
+        `ys` (any leading shape, points along the last axis): None only when
+        every point is inside, else the verdicts on the points as rows, in
+        their C order.  Here by the definition ||y - P(y)|| <= tol; a set's
+        closed form gives the same verdicts with at most one per-row pass,
+        so a caller settles a point set with one call."""
+        rows = np.reshape(ys, (-1, self.dim))
+        return np.linalg.norm(rows - self.project_batch(rows), axis=-1) <= tol
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """Projection of one point."""
-        return self.project_batch(np.asarray(y, dtype=float)[None, :])[0]
+    def contains_batch(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`membership`'s verdicts, in the shape of the points of `ys`."""
+        ys = self._points(ys)
+        ok = self.membership(ys, tol)
+        return np.ones(ys.shape[:-1], bool) if ok is None else ok.reshape(ys.shape[:-1])
+
+    def contains_all(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+        """Whether every point of `ys` (as for `membership`) is a member up to `tol`."""
+        ok = self.membership(self._points(ys), tol)
+        return ok is None or bool(ok.all())
 
     def contains(self, y: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Membership of one point up to Euclidean distance `tol`."""
-        return bool(self.contains_batch(np.asarray(y, dtype=float)[None, :], tol)[0])
+        return self.contains_all(self._points(y, one=True), tol)
 
-    def membership(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
-        """The membership up to `tol` of the points of `ys` (any leading
-        shape, points along the last axis): None when `_all_inside` finds
-        every point inside, else `contains_batch`'s verdicts on the points as
-        rows, in their C order.  One closed-form test and at most one per-row
-        pass, so a caller settles a point set with one call."""
-        if self._all_inside(ys, tol):
-            return None
-        return self.contains_batch(np.reshape(ys, (-1, self.dim)), tol)
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """Projection of one point."""
+        return self.project_batch(self._points(y, one=True)[None, :])[0]
 
-    def contains_all(self, ys: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Whether every point of `ys` (as for `membership`) is a member up
-        to `tol`: the conjunction of `contains_batch` on the points as rows."""
-        ok = self.membership(ys, tol)
-        return ok is None or bool(ok.all())
-
-    def _all_inside(self, ys: np.ndarray, tol: float) -> bool:
-        """A closed-form test, true only when `contains_batch` passes every
-        point of `ys` (any leading shape); False when it cannot tell."""
-        return False
+    def _points(self, ys, one: bool = False) -> np.ndarray:
+        """`ys` as floats, refused unless its last axis (its shape, if `one`) is `dim` long."""
+        ys = np.asarray(ys, dtype=float)
+        if (ys.shape if one else ys.shape[-1:]) != (self.dim,):
+            name = type(self).__name__
+            raise ConfigurationError(f"{name} of dim {self.dim} got points of shape {ys.shape}")
+        return ys
 
     # Largest distance between a row that passes a set's closed-form
     # membership test and its computed projection (rounding only).
@@ -110,7 +112,7 @@ class ConvexSet:
     def _finish_contains(
         self, ys: np.ndarray, inside: np.ndarray, gap: np.ndarray, size: np.ndarray, tol: float
     ) -> np.ndarray:
-        """Complete a closed-form membership verdict.
+        """Complete a closed-form membership verdict on the rows of `ys`.
 
         `inside` marks the rows that satisfy the set's defining
         inequalities; their projection is the row itself up to
@@ -125,14 +127,12 @@ class ConvexSet:
         and the projection is rejected without projecting it, so a faulty
         projection cannot certify it.  Every other row gets the defining
         test ||y - P(y)|| <= tol, which makes the verdict equal to
-        `ConvexSet.contains_batch` row by row.
+        `ConvexSet.membership`'s row by row.
         """
         if tol < self._inside_slack:
             inside[:] = False
-        elif inside.all():
-            return inside
         rest = np.flatnonzero(~inside & (gap - _rounding(self.dim) * size <= tol))
-        inside[rest] = ConvexSet.contains_batch(self, ys[rest], tol)
+        inside[rest] = ConvexSet.membership(self, ys[rest], tol)
         return inside
 
     def _symmetric_cap(self, xs: np.ndarray, zs: np.ndarray, u: float) -> np.ndarray:
@@ -150,7 +150,8 @@ class ConvexSet:
         raise NotImplementedError
 
     def group_key(self):
-        """Sets with equal keys are equal; by default a set equals only itself."""
+        """Sets with equal keys are equal and run the same operations, so a
+        key begins with the set's type; by default a set equals only itself."""
         return ("unique", id(self))
 
     def _require_origin_interior(self) -> None:
@@ -169,22 +170,23 @@ class Box(ConvexSet):
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ConfigurationError("box bounds must be 1-d arrays of equal length")
-        if np.any(self.lower > self.upper):
+        if not np.all(self.lower <= self.upper):
             raise ConfigurationError("box requires lower <= upper")
         self.dim = self.lower.size
+        # the bounds clamped to the finite floats: no infinite point lies
+        # between them, and a point's difference to them is never inf - inf
+        self._low, self._high = np.nan_to_num(self.lower), np.nan_to_num(self.upper)
 
     def project_batch(self, ys):
         return np.clip(np.asarray(ys, dtype=float), self.lower, self.upper)
 
-    def contains_batch(self, ys, tol=DEFAULT_TOL):
-        ys = np.asarray(ys, dtype=float)
-        # per coordinate, the larger excess over a bound is |y - clip(y)|
-        # bit for bit when positive, so the norm is that of ys - clip(ys)
-        excess = np.maximum(ys - self.upper, self.lower - ys)
-        return np.linalg.norm(np.maximum(excess, 0.0), axis=1) <= tol
-
-    def _all_inside(self, ys, tol):
-        return tol >= 0.0 and np.maximum(ys - self.upper, self.lower - ys).max(initial=0.0) <= 0.0
+    def membership(self, ys, tol=DEFAULT_TOL):
+        if tol >= 0.0 and ((ys >= self._low) & (ys <= self._high)).all():
+            return None
+        # a finite point's difference to its clip to the clamped bounds is
+        # y - clip(y) bit for bit; an infinite or NaN point's is not finite
+        rows = np.reshape(ys, (-1, self.dim))
+        return np.linalg.norm(rows - np.clip(rows, self._low, self._high), axis=-1) <= tol
 
     def _symmetric_cap(self, xs, zs, u):
         # S(x, u) is the box |z| <= m, m the room to the nearer bound over u
@@ -203,7 +205,7 @@ class Box(ConvexSet):
         return float(min(np.min(-self.lower), np.min(self.upper)))
 
     def group_key(self):
-        return ("box", self.lower.tobytes(), self.upper.tobytes())
+        return (type(self), self.lower.tobytes(), self.upper.tobytes())
 
     def __repr__(self):
         return f"Box(lower={self.lower!r}, upper={self.upper!r})"
@@ -221,6 +223,11 @@ class WholeSpace(Box):
     def shrink(self, delta):
         _check_delta(delta)
         return self
+
+    def group_key(self):
+        # its operations are the box's (its `shrink` returns an equal set),
+        # so it groups with an equal Box
+        return (Box, self.lower.tobytes(), self.upper.tobytes())
 
     def __repr__(self):
         return f"WholeSpace(dim={self.dim})"
@@ -256,23 +263,9 @@ class ShiftedSimplex(ConvexSet):
         w = np.asarray(ys, dtype=float) - self.shift
         return _project_orthant_cap(w, self.scale) + self.shift
 
-    def contains_batch(self, ys, tol=DEFAULT_TOL):
-        ys = np.asarray(ys, dtype=float)
-        w = ys - self.shift
-        sums = w.sum(axis=1)
-        lows = w.min(axis=1)
-        size = np.abs(w).sum(axis=1) + self._size
-        # rows in the set, and rows whose distance bound certifies them
-        inside = ((lows >= 0.0) & (sums <= self.scale)) | (self._reach(sums, lows, size) <= tol)
-        # a row is at least as far as from the orthant and from the half-space sum(v) <= scale
-        gap = np.maximum(-lows, (sums - self.scale) / np.sqrt(self.dim))
-        return self._finish_contains(ys, inside, gap, size, tol)
-
-    def _all_inside(self, ys, tol):
+    def membership(self, ys, tol=DEFAULT_TOL):
         # the same `w` and sums project_batch tests: points with w >= 0 and
         # sum(w) <= scale are left in place by the orthant-cap projection
-        if tol < self._inside_slack:
-            return False
         w = ys - self.shift
         # the size test inline, as this runs three times a round at any n
         if w.size >= self._column_entries:
@@ -282,17 +275,20 @@ class ShiftedSimplex(ConvexSet):
         else:
             row_sums = np.add.reduce
         sums = row_sums(w, -1)
-        low = np.minimum.reduce(w, axis=None, initial=0.0)
-        high = np.maximum.reduce(sums, axis=None, initial=0.0)
-        if low >= 0.0 and high <= self.scale:
-            return True
-        # points a rounding step outside a face: certified by the distance
-        # bound, which is at least -min w and sum w - scale
-        if -low > tol or high - self.scale > tol:
-            return False
+        if (tol >= self._inside_slack and np.minimum.reduce(w, axis=None, initial=0.0) >= 0.0
+                and np.maximum.reduce(sums, axis=None, initial=0.0) <= self.scale):
+            return None
+        w, sums = w.reshape(-1, self.dim), sums.reshape(-1)
+        lows = np.minimum.reduce(w, axis=-1)
         size = row_sums(np.abs(w), -1) + self._size
-        reach = self._reach(sums, np.minimum.reduce(w, axis=-1), size)
-        return np.maximum.reduce(reach, axis=None, initial=0.0) <= tol
+        # rows in the set, and rows a rounding step outside a face, which
+        # the distance bound certifies
+        inside = ((lows >= 0.0) & (sums <= self.scale)) | (self._reach(sums, lows, size) <= tol)
+        if tol >= self._inside_slack and inside.all():
+            return None
+        # a row is at least as far as from the orthant and from the half-space sum(v) <= scale
+        gap = np.maximum(-lows, (sums - self.scale) / np.sqrt(self.dim))
+        return self._finish_contains(np.reshape(ys, (-1, self.dim)), inside, gap, size, tol)
 
     def _reach(self, sums, lows, size):
         """An upper bound on the distance to the set of points whose
@@ -348,7 +344,7 @@ class ShiftedSimplex(ConvexSet):
         return float(min(np.min(-self.shift), slack_sum))
 
     def group_key(self):
-        return ("simplex", self.dim, self.shift.tobytes(), self.scale)
+        return (type(self), self.dim, self.shift.tobytes(), self.scale)
 
     def __repr__(self):
         return (

@@ -4,6 +4,8 @@ Projection expectations are checked against an independent grid-refinement
 oracle that only uses the raw constraint definitions of each set, never the
 production projection code.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ import zfo.geometry
 from zfo.errors import ConfigurationError, DomainError
 from zfo.geometry import (
     Box,
-    ConvexSet,
     SampleStats,
     ShiftedSimplex,
     WholeSpace,
@@ -229,7 +230,9 @@ def _contains_all_case(draw):
 def test_contains_all_is_the_conjunction_of_contains_batch(case):
     # and `membership` is "all inside" only when every row passes, else the row verdicts
     set_, rows, tol = case
-    verdicts = set_.contains_batch(rows.reshape(-1, set_.dim), tol)
+    flat = rows.reshape(-1, set_.dim)
+    verdicts = np.linalg.norm(flat - set_.project_batch(flat), axis=-1) <= tol
+    np.testing.assert_array_equal(set_.contains_batch(rows, tol), verdicts.reshape(rows.shape[:-1]))
     assert set_.contains_all(rows, tol) == bool(verdicts.all())
     got = set_.membership(rows, tol)
     if got is None:
@@ -263,7 +266,7 @@ def _simplex_face_case(draw):
 @given(_simplex_face_case())
 def test_simplex_verdicts_near_the_faces_equal_the_distance_definition(case):
     set_, rows, tol = case
-    expected = ConvexSet.contains_batch(set_, rows, tol)
+    expected = np.linalg.norm(rows - set_.project_batch(rows), axis=-1) <= tol
     np.testing.assert_array_equal(set_.contains_batch(rows, tol), expected)
     assert set_.contains_all(rows, tol) == bool(expected.all())
     for part in (rows[:4], rows[4:]):
@@ -308,8 +311,10 @@ def test_contains_all_settles_plainly_inside_points_in_closed_form(set_, monkeyp
     def per_row(*args, **kwargs):
         raise AssertionError("per-row membership test called")
 
-    monkeypatch.setattr(type(set_), "contains_batch", per_row)
+    monkeypatch.setattr(type(set_), "project_batch", per_row)
+    monkeypatch.setattr(type(set_), "_finish_contains", per_row)
     points = np.random.default_rng(3).uniform(-0.1, 0.1, (2, 3, 4, 2))
+    assert set_.membership(points, 1e-9) is None
     assert set_.contains_all(points, 1e-9)
     assert set_.contains_all(points[0, 0], 1e-9)
 
@@ -361,6 +366,53 @@ def test_whole_space_is_the_unbounded_box():
         assert set_.contains_all(ys[:2]) and not set_.contains_all(ys)
         assert set_.inner_radius() == np.inf
     assert not ws.contains([np.nan, 0.0])
+
+
+@pytest.mark.parametrize(
+    "set_", [WholeSpace(2), Box([-1.0, 0.0], [1.0, np.inf])], ids=["whole", "half_open"]
+)
+def test_non_finite_points_lie_outside_unbounded_boxes_without_warnings(set_):
+    # the verdicts never compute inf - inf, whose RuntimeWarning the block turns into an error
+    finite = np.array([[0.5, 1e300], [-5.0, 3.0], [2.0, -1e3], [0.0, 0.0], [1.0 + 5e-10, 0.0]])
+    bad = np.array([[np.inf, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]])
+    definition = np.linalg.norm(finite - set_.project_batch(finite), axis=-1) <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = set_.contains_batch(np.concatenate([finite, bad]))
+        np.testing.assert_array_equal(got, np.concatenate([definition, np.zeros(len(bad), bool)]))
+        np.testing.assert_array_equal(set_.membership(bad), np.zeros(len(bad), bool))
+        for row in bad:
+            assert not set_.contains(row)
+            assert not set_.contains_all(np.stack([np.zeros(2), row]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert WholeSpace(2).contains([np.inf, 0.0]) is False
+
+
+@pytest.mark.parametrize(
+    "set_", [Box([0.0], [1.0]), WholeSpace(2), ShiftedSimplex(3)], ids=["box", "whole", "simplex"]
+)
+@pytest.mark.parametrize(
+    "view, shape",
+    [
+        ("contains", lambda d: (d + 1,)),
+        ("contains", lambda d: (d - 1,)),
+        ("contains", lambda d: (1, d)),
+        ("project", lambda d: (d + 1,)),
+        ("project", lambda d: (1, d)),
+        ("contains_batch", lambda d: (4, d + 1)),
+        ("contains_all", lambda d: (2, 3, d + 1)),
+        ("contains_all", lambda d: ()),
+    ],
+    ids=["contains_long", "contains_short", "contains_row", "project_long", "project_row",
+         "contains_batch_long", "contains_all_long", "contains_all_scalar"],
+)
+def test_points_of_the_wrong_length_are_refused_naming_dim_and_shape(set_, view, shape):
+    points = np.full(shape(set_.dim), 0.1)
+    with pytest.raises(ConfigurationError) as info:
+        getattr(set_, view)(points)
+    name = type(set_).__name__
+    assert str(info.value) == f"{name} of dim {set_.dim} got points of shape {points.shape}"
 
 
 def test_shrink_rejects_bad_delta():
@@ -558,10 +610,10 @@ def test_closed_form_caps_of_large_sets_need_no_fallback(set_):
 
 
 def count_membership_passes(monkeypatch, points):
-    """Count the simplex's closed-form tests (`_all_inside`) and per-row
-    passes (`_finish_contains`) over data that shares memory with `points`."""
-    passes = {"closed_form": 0, "per_row": 0}
-    all_inside, finish = ShiftedSimplex._all_inside, ShiftedSimplex._finish_contains
+    """Count the simplex's verdicts (`membership` calls) and per-row passes
+    (`_finish_contains`) over data that shares memory with `points`."""
+    passes = {"membership": 0, "per_row": 0}
+    membership, finish = ShiftedSimplex.membership, ShiftedSimplex._finish_contains
 
     def counted(kind, method):
         def wrapper(self, ys, *args):
@@ -570,14 +622,14 @@ def count_membership_passes(monkeypatch, points):
 
         return wrapper
 
-    monkeypatch.setattr(ShiftedSimplex, "_all_inside", counted("closed_form", all_inside))
+    monkeypatch.setattr(ShiftedSimplex, "membership", counted("membership", membership))
     monkeypatch.setattr(ShiftedSimplex, "_finish_contains", counted("per_row", finish))
     return passes
 
 
 def test_the_sampler_settles_its_signed_stack_with_one_verdict(monkeypatch):
     # the first draw needs the cap, the second is plainly inside: the stack of
-    # signed actions gets one closed-form test and one per-row pass
+    # signed actions gets one verdict and one per-row pass
     set_ = ShiftedSimplex(2, shift=-1.0 / 3.0)
     xs = np.array([[0.6, -0.3], [0.0, 0.0]])
     zhat = np.array([[40.0, -25.0], [0.1, 0.2]])
@@ -586,7 +638,7 @@ def test_the_sampler_settles_its_signed_stack_with_one_verdict(monkeypatch):
     passes = count_membership_passes(monkeypatch, signed)
     stats = SampleStats()
     z = constrain_perturbation_batch(set_, xs, zhat, u, stats, signed=signed)
-    assert passes == {"closed_form": 1, "per_row": 1}
+    assert passes == {"membership": 1, "per_row": 1}
     assert stats.projections == 1
     np.testing.assert_array_equal(z[1], zhat[1])
 
@@ -800,13 +852,14 @@ def test_row_sums_are_the_bits_of_add_reduce_but_for_zero_and_nan_signs(a):
         (lambda: Box([0.0, 0.0], [1.0]), "box bounds must be 1-d arrays of equal length"),
         (lambda: Box([[0.0]], [[1.0]]), "box bounds must be 1-d arrays of equal length"),
         (lambda: Box([0.0, 2.0], [1.0, 1.0]), "box requires lower <= upper"),
+        (lambda: Box([0.0, np.nan], [1.0, 1.0]), "box requires lower <= upper"),
         (lambda: ShiftedSimplex(0), "dim must be >= 1"),
         (lambda: ShiftedSimplex(2, scale=-1.0), "simplex scale must be positive"),
         (lambda: constrain_perturbation_batch(Box([-1.0], [1.0]), np.zeros((1, 1)),
                                               np.zeros((1, 1)), 0.0),
          "perturbation radius u must be positive"),
     ],
-    ids=["free_dim", "box_lengths", "box_rank", "box_order", "simplex_dim",
+    ids=["free_dim", "box_lengths", "box_rank", "box_order", "box_nan", "simplex_dim",
          "simplex_scale", "sampler_u"],
 )
 def test_set_refusals_name_the_input(make, named):

@@ -212,6 +212,31 @@ def test_equal_sets_share_a_group_and_other_sets_stand_alone():
     assert [g.members.tolist() for g in problem.groups] == [[0, 2, 4], [1, 5], [3]]
 
 
+class _Drifting(Box):
+    """A box whose projection lands 10 past it: equal bounds, other operations."""
+
+    def project_batch(self, ys):
+        return super().project_batch(ys) + 10.0
+
+
+def test_a_set_subclass_never_shares_the_group_of_its_base_set():
+    # the group's first set serves every member, so the subclass needs its own group
+    sets = [Box([-1.0], [1.0]), _Drifting([-1.0], [1.0])]
+    problem = Problem("p", [1, 1], sets, lambda flat: np.zeros(2))
+    assert [g.members.tolist() for g in problem.groups] == [[0], [1]]
+    np.testing.assert_array_equal(problem.project_feasible(np.zeros(2)), [0.0, 10.0])
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [routing_problem(build_routing_instance(2, 3, seed=1)), build_box_quadratic(4, 2, seed=0),
+     build_trig_sum(4, 2, seed=1)],
+    ids=["routing", "box_quadratic", "trig_sum"],
+)
+def test_the_benchmark_builders_make_one_set_group(problem):
+    assert len(problem.groups) == 1
+
+
 def test_builder_layout():
     inst = build_routing_instance(10, 6, seed=7)
     assert inst.n_agents == 60

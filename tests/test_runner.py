@@ -1113,7 +1113,7 @@ def test_the_guard_settles_a_state_with_one_verdict(excess, far, agent, monkeypa
     # one row's sum is past the shrunken cap by more than the tolerance, so the
     # closed-form test cannot settle the state: the row is outside, or within
     # 1e-9 of the set while another agent's signed actions leave it; either
-    # way the state gets one closed-form test and one per-row pass
+    # way the state gets one verdict and one per-row pass
     problem = routing_problem(build_routing_instance(2, 3, seed=1))
     (group,) = problem.groups
     shrunk_set = group.set.shrink(0.05)
@@ -1126,7 +1126,7 @@ def test_the_guard_settles_a_state_with_one_verdict(excess, far, agent, monkeypa
     signed = x + z * np.array([[[1e-2]], [[-1e-2]]])
     passes = count_membership_passes(monkeypatch, x)
     assert problem.first_infeasible(x, [shrunk_set], signed) == agent
-    assert passes == {"closed_form": 1, "per_row": 1}
+    assert passes == {"membership": 1, "per_row": 1}
 
 
 def test_the_guard_keeps_its_own_membership_tests(monkeypatch):
