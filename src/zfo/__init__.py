@@ -30,6 +30,7 @@ from .network import (
     NetworkStats,
     NoDelay,
     check_compatibility,
+    dependence_mask,
     network_stats,
     shortest_path_lengths,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "centralized_solve",
     "check_compatibility",
     "constants_for",
+    "dependence_mask",
     "expected_gap_bound",
     "expected_stationarity_bound",
     "load_config",

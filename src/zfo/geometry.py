@@ -186,7 +186,12 @@ class Box(ConvexSet):
         # a finite point's difference to its clip to the clamped bounds is
         # y - clip(y) bit for bit; an infinite or NaN point's is not finite
         rows = np.reshape(ys, (-1, self.dim))
-        return np.linalg.norm(rows - np.clip(rows, self._low, self._high), axis=-1) <= tol
+        gaps = rows - np.clip(rows, self._low, self._high)
+        # a row is at least its largest gap away, so one beyond tol is out
+        # before its squares can overflow
+        near = np.maximum.reduce(np.abs(gaps), axis=-1) <= tol
+        near[near] = np.linalg.norm(gaps[near], axis=-1) <= tol
+        return near
 
     def _symmetric_cap(self, xs, zs, u):
         # S(x, u) is the box |z| <= m, m the room to the nearer bound over u
@@ -279,6 +284,12 @@ class ShiftedSimplex(ConvexSet):
                 and np.maximum.reduce(sums, axis=None, initial=0.0) <= self.scale):
             return None
         w, sums = w.reshape(-1, self.dim), sums.reshape(-1)
+        far = ~np.isfinite(sums)
+        if far.any():  # outside the bounded set; the bounds below would take inf - inf
+            verdicts = np.zeros(sums.shape, bool)
+            rest = self.membership(np.reshape(ys, (-1, self.dim))[~far], tol)
+            verdicts[~far] = True if rest is None else rest
+            return verdicts
         lows = np.minimum.reduce(w, axis=-1)
         size = row_sums(np.abs(w), -1) + self._size
         # rows in the set, and rows a rounding step outside a face, which

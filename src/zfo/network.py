@@ -313,6 +313,29 @@ class CompatibilityReport:
     # (the path column j's quotients travel by); -1 when l is not in V_j or
     # cannot reach j there
     distances: np.ndarray
+    tracked: np.ndarray  # the (n, n) dependence_mask: row l marks A_l
+
+
+def dependence_mask(affected, n: int) -> np.ndarray:
+    """The (n, n) bool mask of the dependence sets: row i marks A_i, the
+    agents whose costs agent i affects.  Refuses sets that are not one per
+    agent, a set that leaves out its own agent, and a set with an index
+    outside 0..n-1, naming the first such agent (1-based).  Each set is
+    converted once; agents that share one set object share its conversion."""
+    if len(affected) != n:
+        raise ConfigurationError("affected sets must have one entry per agent")
+    mask = np.zeros((n, n), dtype=bool)
+    previous = None
+    for i, s in enumerate(affected):
+        if s is not previous:
+            previous, cols = s, np.fromiter(s, dtype=np.int64, count=len(s))
+            in_range = bool(((cols >= 0) & (cols < n)).all())
+        if not (cols == i).any():
+            raise ConfigurationError(f"agent {i + 1} must belong to its own affected set")
+        if not in_range:
+            raise ConfigurationError(f"affected set of agent {i + 1} out of range")
+        mask[i, cols] = True
+    return mask
 
 
 def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
@@ -324,38 +347,28 @@ def check_compatibility(graph: CommGraph, affected) -> CompatibilityReport:
     that needs column j (j in A_l) must reach j inside the subgraph
     induced by V_j. Witnesses name a non-tracking cut vertex on a full
     shortest path from a stranded needer to j; only they need distances
-    in the full graph, which raises if it is disconnected.
+    in the full graph, which raises if it is disconnected.  The report
+    carries the sets' `dependence_mask` as the tracked entries.
     """
-    n = graph.n
-    affected = [frozenset(int(a) for a in s) for s in affected]
-    if len(affected) != n:
-        raise ConfigurationError("affected sets must have one entry per agent")
-    for i, s in enumerate(affected):
-        if i not in s:
-            raise ConfigurationError(f"agent {i + 1} must belong to its own affected set")
-        if any(a < 0 or a >= n for a in s):
-            raise ConfigurationError(f"affected set of agent {i + 1} out of range")
-    tracked = np.zeros((n, n), dtype=bool)
-    for l, s in enumerate(affected):
-        tracked[l, list(s)] = True
+    tracked = dependence_mask(affected, graph.n)
     # the sweep from column j runs through its trackers V_j: within = tracked.T
     distances = shortest_path_lengths(graph, within=tracked.T).T
     # stranded (column, needer) pairs, column by column
     stranded = np.argwhere((tracked & (distances < 0)).T)
     full_dist = shortest_path_lengths(graph) if len(stranded) else None
     witnesses = [
-        (_blocking_vertex(graph, full_dist, affected, int(l), int(j)), int(j), int(l))
+        (_blocking_vertex(graph, full_dist, tracked, int(l), int(j)), int(j), int(l))
         for j, l in stranded
     ]
     return CompatibilityReport(
-        compatible=not witnesses, witnesses=witnesses, distances=distances
+        compatible=not witnesses, witnesses=witnesses, distances=distances, tracked=tracked
     )
 
 
-def _blocking_vertex(graph, dist, affected, l, j):
+def _blocking_vertex(graph, dist, tracked, l, j):
     """First vertex on a shortest l-to-j path that does not track j; the
     path must meet one, since the trackers strand l."""
     v = l
-    while j in affected[v]:
+    while tracked[v, j]:
         v = next(int(w) for w in graph.neighbors[v] if dist[w, j] == dist[v, j] - 1)
     return v

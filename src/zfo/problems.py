@@ -20,8 +20,12 @@ from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 # n <= D (every agent has at least one coordinate).  A run's largest arrays
 # are the (n, n) int64 hop distances, 8 n^2 bytes, and the builders' (n, D)
 # cost coefficients, 8 n D bytes; at the ceiling each is at most
-# 8 * 8192^2 bytes = 512 MiB.  The config parser checks a document's sizes
-# against it before any builder runs, and `run` checks every problem.
+# 8 * 8192^2 bytes = 512 MiB.  A dependence-mode run adds the sets' (n, n)
+# bool mask, n^2 bytes = 64 MiB at the ceiling; the sets themselves hold
+# O(n) indices when, as in the builders where every agent affects every
+# cost, the agents share one set object.  The config parser checks a
+# document's sizes against it before any builder runs, and `run` checks
+# every problem.
 MAX_COORDINATES = 8192
 
 # Routes of each routing agent (group g uses 2g, ..., 2g + 3); its action
@@ -223,7 +227,7 @@ def build_box_quadratic(
         sets=sets,
         local_costs=local_costs,
         grad=grad,
-        affected=[frozenset(range(n)) for _ in range(n)],
+        affected=[frozenset(range(n))] * n,  # one set object: every agent affects every cost
         f_star=f_star,
         x_star=c_mean.copy(),
         f_lower=f_star,
@@ -268,7 +272,7 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
         sets=[WholeSpace(dim_per_agent) for _ in range(n)],
         local_costs=local_costs,
         grad=grad,
-        affected=[frozenset(range(n)) for _ in range(n)],
+        affected=[frozenset(range(n))] * n,  # one set object: every agent affects every cost
         f_lower=0.0,
         meta={
             "lipschitz": float(np.linalg.norm(amps, axis=1).max()),

@@ -35,7 +35,9 @@ import numpy as np
 from .agents import MAX_ROUNDS, SwarmTables
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
 from .geometry import DEFAULT_TOL, SampleStats, constrain_perturbation_batch, row_summer
-from .network import CommGraph, DelayModel, NoDelay, check_compatibility, shortest_path_lengths
+from .network import (
+    CommGraph, DelayModel, NoDelay, check_compatibility, dependence_mask, shortest_path_lengths,
+)
 from .planner import analysed_smoothing_range, in_analysed_range
 from .problems import MAX_COORDINATES, Problem
 
@@ -85,10 +87,13 @@ class RunConfig:
 
     ``mode`` selects the estimator: ``"full"`` sums every tracked column,
     ``"dependence"`` sums only the columns of costs the agent actually
-    affects (requires the problem to carry dependence sets).
+    affects (requires the problem to carry dependence sets, which the run
+    judges with `network.dependence_mask` before it starts).
     ``reduced_tables`` additionally stops tracking and forwarding the other
-    columns, which is sound only when the graph is compatible with the
-    dependence sets; the run refuses to start otherwise.
+    columns: the tables track exactly the sets' mask, so a column outside
+    it is never heard and assembly needs no second mask.  This is sound
+    only when the graph is compatible with the dependence sets; the run
+    refuses to start otherwise.
 
     ``seed`` is the master seed of every random stream.  ``metric_every``
     sets the cadence of the trace rows: round 0, every ``metric_every``
@@ -343,13 +348,12 @@ class _Round(RoundView):
         # delay, so the staleness bound is the largest tracked distance plus the
         # declared extra delay.  Reduced tables relay column j only through its
         # trackers, so their distances are taken inside each column's trackers.
+        # Agent i's block of the gradient of f needs the costs i affects, A_i:
+        # full tables hear every column and assembly masks them by A_i, while
+        # reduced tables track only A_i, and an entry never heard sums nothing.
         distances = shortest_path_lengths(graph)
+        tracked = np.ones((n, n), dtype=bool)
         self._use_mask = None
-        if config.mode == "dependence":
-            # agent i's block of the gradient of f needs the costs i affects, A_i
-            self._use_mask = np.zeros((n, n), dtype=bool)
-            for i, costs in enumerate(problem.affected):
-                self._use_mask[i, list(costs)] = True
         if config.reduced_tables:
             report = check_compatibility(graph, problem.affected)
             if not report.compatible:
@@ -357,11 +361,9 @@ class _Round(RoundView):
                     "reduced tables need a graph compatible with the dependence sets; "
                     f"blocking (tracker, non-tracker, column) triples: {report.witnesses[:5]}"
                 )
-            tracked = self._use_mask.copy()
-            np.fill_diagonal(tracked, True)
-            distances = report.distances
-        else:
-            tracked = np.ones((n, n), dtype=bool)
+            tracked, distances = report.tracked, report.distances
+        elif config.mode == "dependence":
+            self._use_mask = dependence_mask(problem.affected, n)
         self._declared_delta = int(config.delay.declared_delta)
         headroom = self._declared_delta + int(config.history_slack)
         self.tables = SwarmTables(
@@ -412,7 +414,7 @@ class _Round(RoundView):
         for i in np.flatnonzero(moved > DEFAULT_TOL)[:1]:  # the first agent outside
             self.notes.append(
                 f"initial point was projected into the shrunken feasible set "
-                f"(agent {i} moved {moved[i]:.3e})"
+                f"(agent {i + 1} moved {moved[i]:.3e})"
             )
         if problem.grad is None:
             self.notes.append("no analytic gradient available; cadence rows use finite differences")

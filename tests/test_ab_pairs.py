@@ -1,6 +1,8 @@
 """tools/ab_pairs.py, driven by a stub benchmark that prints canned results."""
 import importlib.util
 import json
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -226,3 +228,38 @@ def test_refuses_to_start_without_the_parents_declaration(checkouts, tmp_path, c
     err = capsys.readouterr().err
     assert str(declaration.resolve()) in err and named in err
     assert not (tmp_path / "log.txt").exists()  # no benchmark run started
+
+
+def test_the_json_record_round_trips_and_records_failed_runs(checkouts, tmp_path, capsys):
+    # the change's second run of a crashes and its first of b reports incorrect
+    change_runs = _runs([110.0, 111.0, 90.0, 91.0], [1.0] * 4)
+    change_runs[1] = {"crash": True}
+    change_runs[2]["correct"] = False
+    parent, change = checkouts(_runs([100.0, 101.0, 100.0, 101.0], [1.0] * 4), change_runs)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "c"]):
+        subprocess.run(git + args, cwd=change, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=change, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    path = tmp_path / "record.json"
+    code = ab_pairs.main([parent, change, "--workload", "a", "--workload", "b", "--pairs", "2",
+                          "--seed", "5", "--json", str(path)])
+    assert code == 1
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["host"]["python"] == platform.python_version()
+    assert record["host"]["cpus_usable"] >= 1 and record["host"]["numpy"]
+    assert record["checkouts"] == {"parent": {"path": parent, "commit": None},
+                                   "change": {"path": change, "commit": head}}
+    assert (record["seed"], record["pairs"], list(record["workloads"])) == (5, 2, ["a", "b"])
+    declared = ab_pairs._end_to_end(Path(parent), ["a"])
+    out = capsys.readouterr().out
+    for workload in record["workloads"].values():
+        assert [len(workload["runs"][side]) for side in ab_pairs.SIDES] == [2, 2]
+        # the recorded runs alone give back the recorded summaries and the printed lines
+        assert ab_pairs.summarize_runs(workload["runs"], declared) == workload["metrics"]
+        for summary in workload["metrics"].values():
+            assert ab_pairs.report(summary) in out
+    runs_a, runs_b = (record["workloads"][w]["runs"]["change"] for w in ("a", "b"))
+    assert runs_a[1] == {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+    assert runs_b[0]["correct"] is False and runs_b[0]["metrics"]["seed_rounds_per_s"]["value"] == 90.0
+    assert record["workloads"]["b"]["metrics"]["seed_rounds_per_s"]["change"] == [91.0] * 3

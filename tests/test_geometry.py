@@ -369,21 +369,34 @@ def test_whole_space_is_the_unbounded_box():
 
 
 @pytest.mark.parametrize(
-    "set_", [WholeSpace(2), Box([-1.0, 0.0], [1.0, np.inf])], ids=["whole", "half_open"]
+    "set_, huge_inside",
+    [
+        (WholeSpace(2), [True] * 4),
+        (Box([-1.0, 0.0], [1.0, np.inf]), [False, True, False, False]),
+        (Box([-1.0, -1.0], [1.0, 1.0]), [False] * 4),
+        (ShiftedSimplex(2, shift=-0.25), [False] * 4),
+    ],
+    ids=["whole", "half_open", "bounded", "simplex"],
 )
-def test_non_finite_points_lie_outside_unbounded_boxes_without_warnings(set_):
-    # the verdicts never compute inf - inf, whose RuntimeWarning the block turns into an error
-    finite = np.array([[0.5, 1e300], [-5.0, 3.0], [2.0, -1e3], [0.0, 0.0], [1.0 + 5e-10, 0.0]])
-    bad = np.array([[np.inf, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]])
+def test_non_finite_and_huge_points_get_verdicts_without_warnings(set_, huge_inside):
+    # the verdicts never compute inf - inf nor square a huge gap, whose
+    # RuntimeWarnings the block turns into errors; a huge point is a member
+    # exactly where the projection leaves it in place
+    finite = np.array([[0.5, 0.3], [-5.0, 3.0], [2.0, -1e3], [0.0, 0.0], [1.0 + 5e-10, 0.0]])
+    huge = np.array([[1e200, 0.0], [0.0, 1e200], [-1e200, 0.0], [0.0, -1e200]])
+    bad = np.array([[np.inf, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0],
+                    [0.0, np.nan]])
     definition = np.linalg.norm(finite - set_.project_batch(finite), axis=-1) <= 1e-9
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = set_.contains_batch(np.concatenate([finite, bad]))
-        np.testing.assert_array_equal(got, np.concatenate([definition, np.zeros(len(bad), bool)]))
+        got = set_.contains_batch(np.concatenate([finite, huge, bad]))
+        np.testing.assert_array_equal(
+            got, np.concatenate([definition, huge_inside, np.zeros(len(bad), bool)])
+        )
         np.testing.assert_array_equal(set_.membership(bad), np.zeros(len(bad), bool))
-        for row in bad:
-            assert not set_.contains(row)
-            assert not set_.contains_all(np.stack([np.zeros(2), row]))
+        for row, inside in zip(np.concatenate([huge, bad]), huge_inside + [False] * len(bad)):
+            assert set_.contains(row) is inside
+            assert set_.contains_all(np.stack([np.zeros(2), row])) is inside
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert WholeSpace(2).contains([np.inf, 0.0]) is False

@@ -12,6 +12,7 @@ from zfo.network import (
     DelayModel,
     NoDelay,
     check_compatibility,
+    dependence_mask,
     network_stats,
     shortest_path_lengths,
 )
@@ -362,6 +363,18 @@ def test_masked_sweep_keeps_unreachable_entries_at_minus_one():
         shortest_path_lengths(CommGraph.path(3), within),
         [[0, -1, -1], [1, 0, 1], [2, 1, 0]],
     )
+
+
+def test_dependence_mask_marks_each_agents_set():
+    every = frozenset(range(4))
+    affected = [every, {1, 0, 2}, every, [3, 2]]
+    mask = dependence_mask(affected, 4)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, [[j in s for j in range(4)] for s in affected])
+    np.testing.assert_array_equal(check_compatibility(CommGraph.path(4), affected).tracked, mask)
+    # agents sharing one set object share its conversion, not their own-agent test
+    with pytest.raises(ConfigurationError, match="^agent 3 must belong to its own affected set$"):
+        dependence_mask([frozenset({0, 1})] * 3, 3)
 
 
 def test_affected_must_contain_self():

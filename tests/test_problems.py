@@ -686,3 +686,11 @@ def test_problem_refusals_name_the_input(make, named):
         make()
     assert str(info.value) == named
 
+
+
+@pytest.mark.parametrize("build", [build_box_quadratic, build_trig_sum])
+def test_every_agent_shares_one_all_agents_set(build):
+    # n copies of one n-element set would be O(n^2) Python objects
+    problem = build(5, 2, seed=0)
+    assert problem.affected[0] == frozenset(range(5))
+    assert all(s is problem.affected[0] for s in problem.affected)

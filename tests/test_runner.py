@@ -404,6 +404,63 @@ def test_reduced_tables_payload_and_compatibility():
     )
 
 
+_EVERY = frozenset({0, 1, 2})
+
+
+@pytest.mark.parametrize(
+    "affected, named",
+    [
+        ([frozenset({0, -1}), _EVERY, _EVERY], "affected set of agent 1 out of range"),
+        ([_EVERY, frozenset({0, 2}), _EVERY], "agent 2 must belong to its own affected set"),
+        ([_EVERY], "affected sets must have one entry per agent"),
+        ([frozenset({0, 3}), _EVERY, _EVERY], "affected set of agent 1 out of range"),
+    ],
+    ids=["wraps", "leaves_out_own", "one_for_all", "past_n"],
+)
+def test_malformed_dependence_sets_are_refused_where_they_are_read(monkeypatch, affected, named):
+    # the dependence modes judge the sets before any table is built; full
+    # mode never reads them, so the same problem runs there
+    problem = dataclasses.replace(build_box_quadratic(3, 1, seed=0), affected=affected)
+    common = dict(problem=problem, graph=CommGraph.path(3), eta=1e-2, u=1e-3, horizon=50, seed=0)
+    assert np.isfinite(run(RunConfig(**common)).f_final)
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("tables built before the sets were judged")
+
+    monkeypatch.setattr(zfo.runner, "SwarmTables", no_tables)
+    for reduced in (False, True):
+        with pytest.raises(ConfigurationError) as info:
+            run(RunConfig(mode="dependence", reduced_tables=reduced, **common))
+        assert str(info.value) == named
+
+
+def test_reduced_tables_assemble_with_no_second_mask(monkeypatch):
+    # the tables track exactly the dependence mask, so assembly is handed
+    # none; full tables in dependence mode are handed the mask
+    problem = routing_problem(build_routing_instance(6, 1, seed=0))
+    graph = _dependence_graph(problem)
+    masks = []
+    assemble = SwarmTables.assemble
+
+    def recording(tables, use_mask=None):
+        masks.append(use_mask)
+        return assemble(tables, use_mask)
+
+    monkeypatch.setattr(SwarmTables, "assemble", recording)
+    common = dict(problem=problem, graph=graph, eta=1e-3, u=1e-3, delta=0.02, horizon=10,
+                  mode="dependence")
+    run(RunConfig(reduced_tables=True, **common))
+    assert len(masks) == 11 and all(mask is None for mask in masks)
+    masks.clear()
+    run(RunConfig(**common))
+    tracked = np.zeros((problem.n, problem.n), dtype=bool)
+    for i, costs in enumerate(problem.affected):
+        tracked[i, list(costs)] = True
+    assert len(masks) == 11
+    for mask in masks:
+        np.testing.assert_array_equal(mask, tracked)
+
+
 def test_reduced_tables_stale_by_distances_inside_the_trackers():
     # Agent 5 does not track column 1, so on the 5-cycle column 1 reaches
     # agent 4 in 3 hops through agents 3 and 2, not in 2 through agent 5.
@@ -962,7 +1019,7 @@ def test_the_initial_point_note_is_membership_in_the_shrunken_set():
 
     def initial_notes(block):
         x0 = np.zeros(problem.total_dim)
-        x0[6:9] = block  # agent 2
+        x0[6:9] = block  # agent 3, 0-based 2
         trace = run(RunConfig(problem=problem, graph=CommGraph.complete(6), eta=0.02, u=1e-3,
                               delta=0.05, horizon=5, x0=x0))
         notes = [note for note in trace.notes if note.startswith("initial point")]
@@ -973,11 +1030,11 @@ def test_the_initial_point_note_is_membership_in_the_shrunken_set():
     assert initial_notes(face + 5e-10 * normal) == []
     # a vertex of the unshrunken simplex (w = 0) moves 0.0125 sqrt(3)
     assert initial_notes(np.full(3, -0.25)) == [
-        "initial point was projected into the shrunken feasible set (agent 2 moved 2.165e-02)"
+        "initial point was projected into the shrunken feasible set (agent 3 moved 2.165e-02)"
     ]
     # 1.5e-9 out of the face: under 1e-9 in every coordinate, not in norm
     (note,) = initial_notes(face + 1.5e-9 * normal)
-    assert note.endswith("(agent 2 moved 1.500e-09)")
+    assert note.endswith("(agent 3 moved 1.500e-09)")
 
 
 def test_smoothing_radius_hypothesis_note():

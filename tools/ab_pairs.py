@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of two checkouts, summarised per metric.
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload W [--workload W2 ...] [--seed S] [--pairs N]
+        [--json PATH]
 
 Runs `python3 perfbench/run.py --workload W --seed S` inside each checkout,
 N times each, as pairs whose first run alternates: the parent goes first in
@@ -28,6 +29,12 @@ every change run is better than every parent run; otherwise `regressed`
 when the change's median is worse than the parent's by more than the
 bound times the parent's median, and `holds` when it is not.
 
+With `--json PATH` it also writes the record of the runs to PATH: the
+host's usable CPUs and its Python and NumPy versions, each checkout's
+path as given and its `git rev-parse HEAD` (null outside git), the seed
+and the pair count, and per workload each side's run results, in run
+order, and each metric's summary.  It holds only the runs that were made.
+
 The exit code is 1 when any run of any workload failed or reported
 `correct: false`, else 0.
 """
@@ -35,7 +42,10 @@ The exit code is 1 when any run of any workload failed or reported
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -53,6 +63,7 @@ def _parse(argv):
     parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path, help="write the record of the runs to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -169,8 +180,9 @@ def report(summary: dict) -> str:
 
 
 def compare(checkouts: dict[str, Path], declared: dict[str, dict], workload: str, seed: int,
-            pairs: int) -> bool:
-    """Run one workload's pairs and print its table; whether every run was correct."""
+            pairs: int) -> dict:
+    """Run one workload's pairs and print its table: each side's results, in
+    run order, and each metric's summary."""
     print(f"workload {workload}:", flush=True)
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(pairs):
@@ -180,14 +192,33 @@ def compare(checkouts: dict[str, Path], declared: dict[str, dict], workload: str
             values = {k: m["value"] for k, m in result.get("metrics", {}).items()}
             print(f"pair {i + 1} {side}: correct={result.get('correct')} {json.dumps(values)}",
                   flush=True)
+    summaries = summarize_runs(results, declared)
+    for summary in summaries.values():
+        print(report(summary))
+    incorrect, failed, attempted = _tally(results)
+    print(f"runs not correct: parent {incorrect['parent']}, change {incorrect['change']};"
+          f" failed operations: parent {failed['parent']}/{attempted['parent']},"
+          f" change {failed['change']}/{attempted['change']}")
+    return {"runs": results, "metrics": summaries}
+
+
+def _tally(results: dict[str, list[dict]]) -> tuple[dict, dict, dict]:
+    """Per side: the runs not correct, the failed operations and the attempted ones."""
     incorrect = {side: sum(not r.get("correct") for r in results[side]) for side in SIDES}
     failed = {side: sum(r["failed"] for r in results[side]) for side in SIDES}
     attempted = {side: sum(r["attempted"] for r in results[side]) for side in SIDES}
+    return incorrect, failed, attempted
+
+
+def summarize_runs(results: dict[str, list[dict]], declared: dict[str, dict]) -> dict[str, dict]:
+    """Each metric's `summarize` dict over one workload's paired results, by name."""
+    incorrect, failed, attempted = _tally(results)
     # the gain rule needs every run correct and no larger share of failed operations
     clean = not any(incorrect.values()) and (
         failed["change"] * attempted["parent"] <= failed["parent"] * attempted["change"]
     )
     names = sorted(set().union(*(r.get("metrics", {}) for side in SIDES for r in results[side])))
+    summaries = {}
     for name in names:
         values = {side: [r["metrics"][name]["value"]
                          if r.get("correct") and name in r.get("metrics", {}) else None
@@ -196,19 +227,42 @@ def compare(checkouts: dict[str, Path], declared: dict[str, dict], workload: str
         summary = summarize(name, values["parent"], values["change"], spec.get("better"),
                             spec.get("bound"))
         summary["rule_holds"] = summary["rule_holds"] and clean
-        print(report(summary))
-    print(f"runs not correct: parent {incorrect['parent']}, change {incorrect['change']};"
-          f" failed operations: parent {failed['parent']}/{attempted['parent']},"
-          f" change {failed['change']}/{attempted['change']}")
-    return not any(incorrect.values())
+        summaries[name] = summary
+    return summaries
+
+
+def _commit(checkout: Path) -> str | None:
+    """`git rev-parse HEAD` in `checkout`, or None outside git."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                              text=True, check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(argv)
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    correct = [compare(checkouts, args.declared, w, args.seed, args.pairs)
-               for w in args.workload]
-    return 0 if all(correct) else 1
+    given = {"parent": args.parent, "change": args.change}
+    checkouts = {side: path.resolve() for side, path in given.items()}
+    record = {
+        "host": {"cpus_usable": len(os.sched_getaffinity(0)),
+                 "python": platform.python_version(),
+                 "numpy": importlib.metadata.version("numpy")},
+        "checkouts": {side: {"path": str(given[side]), "commit": _commit(checkouts[side])}
+                      for side in SIDES},
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    for workload in args.workload:
+        record["workloads"][workload] = compare(checkouts, args.declared, workload, args.seed,
+                                                args.pairs)
+        if args.json is not None:  # rewritten after each workload, so it holds the runs made
+            args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    correct = all(r.get("correct") for w in record["workloads"].values()
+                  for side in SIDES for r in w["runs"][side])
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
