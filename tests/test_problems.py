@@ -687,7 +687,6 @@ def test_problem_refusals_name_the_input(make, named):
     assert str(info.value) == named
 
 
-
 @pytest.mark.parametrize("build", [build_box_quadratic, build_trig_sum])
 def test_every_agent_shares_one_all_agents_set(build):
     # n copies of one n-element set would be O(n^2) Python objects
