@@ -37,6 +37,12 @@ MAX_ROUNDS = 2**30
 _NARROW_UNTRACKED = int(np.iinfo(np.int16).max)
 
 
+def max_lag(distances: np.ndarray, tracked: np.ndarray) -> int:
+    """The largest hop distance of a tracked entry (0 with none): how old a
+    tracked entry is, at most, when no message is lost."""
+    return int(np.max(distances, where=tracked, initial=0))
+
+
 class SwarmTables:
     """All agents' tables as one (n, n) stamp array: row i is agent i's
     table.  `record_own` keeps each round's own quotients (n,) and
@@ -93,7 +99,7 @@ class SwarmTables:
         distances = np.zeros((n, n), dtype=np.int32) if distances is None else distances
         if np.shape(distances) != (n, n) or (np.asarray(distances)[tracked] < 0).any():
             raise ConfigurationError("distances must be (n, n) and >= 0 on tracked entries")
-        self.max_lag = int(np.max(distances, where=tracked, initial=0))
+        self.max_lag = max_lag(distances, tracked)
         self.horizon = int(horizon)
         narrow = self.horizon + self.max_lag < _NARROW_UNTRACKED - 1
         dtype = np.int16 if narrow else np.int32

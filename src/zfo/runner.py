@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .agents import MAX_ROUNDS, SwarmTables
+from .agents import MAX_ROUNDS, SwarmTables, max_lag
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
 from .geometry import DEFAULT_TOL, SampleStats, constrain_perturbation_batch, row_summer
 from .network import (
@@ -365,16 +365,16 @@ class _Round(RoundView):
         elif config.mode == "dependence":
             self._use_mask = dependence_mask(problem.affected, n)
         self._declared_delta = int(config.delay.declared_delta)
-        headroom = self._declared_delta + int(config.history_slack)
-        self.tables = SwarmTables(
-            n, tracked, headroom, d_max, distances, config.delay.lossless, self._horizon
-        )
-        self._bound = self.tables.max_lag + self._declared_delta
+        self._bound = max_lag(distances, tracked) + self._declared_delta
         if self._horizon < self._bound:
             raise ConfigurationError(
                 f"horizon {self._horizon} is below the staleness bound {self._bound}; "
                 "no round would enter the ergodic window"
             )
+        headroom = self._declared_delta + int(config.history_slack)
+        self.tables = SwarmTables(
+            n, tracked, headroom, d_max, distances, config.delay.lossless, self._horizon
+        )
         # neighbours padded with the agent itself; a lone agent has none to hear
         self._neighbors = graph.neighbor_matrix()
         self._gossip = not self.tables.lossless and n > 1

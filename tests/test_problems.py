@@ -617,6 +617,45 @@ def test_solver_converged_point_is_stationary_by_the_step_one_residual(groups, p
     assert float(np.linalg.norm(moved)) <= 1e-10
 
 
+# The grid the solver's constants were chosen on: routing groups x agents per
+# group, instance seeds 0-5.
+_SOLVER_GRID = [
+    (groups, per_group, seed)
+    for groups, per_group in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (5, 3), (10, 6), (40, 5), (20, 2)]
+    for seed in range(6)
+]
+
+
+@pytest.mark.parametrize("groups, per_group, seed", _SOLVER_GRID)
+def test_solver_certifies_the_point_it_returns(groups, per_group, seed):
+    # the certificate at the extrapolated point alone returned points whose
+    # step-1 residual was up to 1.16e-10 (1x2 seed 2, 3x2 seed 2, 10x6 seed 5,
+    # 20x2 seed 1)
+    problem = routing_problem(build_routing_instance(groups, per_group, seed=seed))
+    res = centralized_solve(problem, tol=1e-10)
+    assert res.converged and res.residual <= 1e-10
+    moved = problem.project_feasible(res.x - problem.grad(res.x)) - res.x
+    assert float(np.linalg.norm(moved)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [build_box_quadratic(3, 2, seed=0), routing_problem(build_routing_instance(2, 3, seed=1))],
+    ids=["box_quadratic", "routing"],
+)
+def test_solver_safeguard_refuses_an_ascent_direction(problem):
+    # with the gradient's sign flipped every step climbs f; without the
+    # safeguard the curvature step certified a maximizer in 9 iterations
+    # (box: f = 4.22 against f(x0) = 0.337; routing: 17.4 against 1.69)
+    flipped = dataclasses.replace(problem, grad=lambda x: -problem.grad(x))
+    f0 = problem.global_cost(problem.project_feasible(np.zeros(problem.total_dim)))
+    res = centralized_solve(flipped, max_iter=2000, tol=1e-10)
+    assert not res.converged
+    assert res.f == pytest.approx(f0, rel=1e-8)
+    with pytest.raises(OracleError):
+        centralized_solve(flipped, max_iter=2000, tol=1e-10, require_convergence=True)
+
+
 def test_solver_reports_non_convergence():
     problem = routing_problem(build_routing_instance(2, 2, seed=16))
     res = centralized_solve(problem, max_iter=1, tol=1e-14)

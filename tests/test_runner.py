@@ -908,6 +908,27 @@ def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
     zfo.runner._validate(dataclasses.replace(config, horizon=2**30 - 1))  # the largest accepted
 
 
+def test_a_horizon_below_the_staleness_bound_is_refused_before_the_tables(monkeypatch):
+    # the refusal needs only the bound; the (n, n) stamps and the rings are not built
+    built = []
+
+    class CountingTables(SwarmTables):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(zfo.runner, "SwarmTables", CountingTables)
+    config = _quadratic_config(delay=BernoulliDrops(0.3, 4), horizon=5)  # path of 3: bound 2 + 4
+    with pytest.raises(
+        ConfigurationError,
+        match="^horizon 5 is below the staleness bound 6; no round would enter the ergodic window$",
+    ):
+        run(config)
+    assert built == []
+    run(dataclasses.replace(config, horizon=6))
+    assert len(built) == 1
+
+
 class _StopAfterRoundZero(Exception):
     pass
 
