@@ -188,12 +188,29 @@ def shortest_path_lengths(graph: CommGraph, within: np.ndarray | None = None) ->
         reached |= nxt
         frontier = nxt
     if within is None and not reached.all():
-        i, j = np.argwhere(~reached)[0]
-        raise AssumptionViolation(
-            f"communication graph is disconnected: no path between vertices "
-            f"{i + 1} and {j + 1}"
-        )
+        raise _disconnected(*np.argwhere(~reached)[0])
     return dist
+
+
+def require_connected(graph: CommGraph) -> None:
+    """Refuse a disconnected graph with `shortest_path_lengths`'s message
+    (its first unreached pair starts at vertex 1), from one BFS out of
+    vertex 1 rather than a sweep from every source."""
+    neighbors = graph.neighbor_matrix()
+    reached = frontier = np.arange(graph.n) == 0
+    while frontier.any():
+        nxt = np.zeros_like(reached)
+        nxt[neighbors[frontier]] = True
+        frontier = nxt & ~reached
+        reached = reached | frontier
+    if not reached.all():
+        raise _disconnected(0, np.argmin(reached))
+
+
+def _disconnected(i, j) -> AssumptionViolation:
+    return AssumptionViolation(
+        f"communication graph is disconnected: no path between vertices {i + 1} and {j + 1}"
+    )
 
 
 @dataclass
@@ -217,7 +234,7 @@ class NetworkStats:
 
 
 def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
-    if not float(delta).is_integer() or delta < 0:
+    if isinstance(delta, bool) or not float(delta).is_integer() or delta < 0:
         raise ConfigurationError(f"extra delay bound must be an integer >= 0, got {delta}")
     dist = shortest_path_lengths(graph)
     n = graph.n
@@ -275,8 +292,8 @@ class BernoulliDrops(DelayModel):
     def __init__(self, p: float, declared_delta: int):
         if not (0.0 <= p < 1.0):
             raise ConfigurationError("drop probability must lie in [0, 1)")
-        if not float(declared_delta).is_integer() or declared_delta < 0:
-            delta = declared_delta
+        delta = declared_delta
+        if isinstance(delta, bool) or not float(delta).is_integer() or delta < 0:
             raise ConfigurationError(f"declared extra delay must be an integer >= 0, got {delta}")
         self.p = float(p)
         self.declared_delta = int(declared_delta)

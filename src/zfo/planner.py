@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -87,46 +87,8 @@ def _require_positive(name: str, value: float, *, allow_zero: bool = False) -> f
     return value
 
 
-class _Record:
-    """Dict round trip of a frozen dataclass, read off its own fields.
-
-    On construction every field is cast to its annotated type (a JSON
-    integer given for a float field is stored as a float).  ``as_dict``
-    lists the fields in order, with tuples as lists and nested records as
-    dicts; ``from_dict`` refuses unknown keys and missing keys that have
-    no default.
-    """
-
-    _label: str  # names the record in from_dict's errors
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                object.__setattr__(self, f.name, _CASTS[f.type](value))
-
-    def as_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigurationError(f"unknown {cls._label} field(s): {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
-        if missing:
-            raise ConfigurationError(f"missing {cls._label} field(s): {sorted(missing)}")
-        return cls(**data)
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value.as_dict() if isinstance(value, _Record) else value
-
-
 @dataclass(frozen=True)
-class ProblemConstants(_Record):
+class ProblemConstants:
     """Scalar constants describing a problem instance on a network.
 
     Attributes
@@ -164,8 +126,6 @@ class ProblemConstants(_Record):
         range of the convex noiseless regime.
     """
 
-    _label = "constants"
-
     n_agents: int
     dim: int
     lipschitz: float
@@ -181,6 +141,8 @@ class ProblemConstants(_Record):
     gap_max: float | None = None
 
     def __post_init__(self) -> None:
+        # each field is stored in its plain type as it is checked, so a JSON
+        # integer given for a float field serialises as a float
         for name, floor, kind in (
             ("n_agents", 1, "a positive"),
             ("dim", 1, "a positive"),
@@ -189,14 +151,29 @@ class ProblemConstants(_Record):
             value = getattr(self, name)
             if not (_is_number(value) and float(value).is_integer()) or value < floor:
                 raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
-        _require_positive("lipschitz", self.lipschitz)
-        for name in ("smoothness", "b_bar", "b_frak", "sigma"):
-            _require_positive(name, getattr(self, name), allow_zero=True)
+            object.__setattr__(self, name, int(value))
+        for name in ("lipschitz", "smoothness", "b_bar", "b_frak", "sigma"):
+            value = _require_positive(name, getattr(self, name), allow_zero=name != "lipschitz")
+            object.__setattr__(self, name, value)
         for name in ("outer_radius", "inner_radius", "breg_diameter", "gap_max", "init_gap"):
             value = getattr(self, name)
             if value is not None:
-                _require_positive(name, value, allow_zero=name == "init_gap")
-        super().__post_init__()
+                value = _require_positive(name, value, allow_zero=name == "init_gap")
+                object.__setattr__(self, name, value)
+
+    as_dict = asdict
+
+    @classmethod
+    def from_dict(cls, data: dict) -> ProblemConstants:
+        """The constants of a parsed JSON object; refuses unknown fields and
+        missing required ones."""
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown constants field(s): {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ConfigurationError(f"missing constants field(s): {sorted(missing)}")
+        return cls(**data)
 
 
 def constants_for(
@@ -250,10 +227,8 @@ def constants_for(
 
 
 @dataclass(frozen=True)
-class ParamPlan(_Record):
+class ParamPlan:
     """A full parameter tuple for one regime at one target accuracy."""
-
-    _label = "plan"
 
     regime: str
     epsilon: float
@@ -263,12 +238,12 @@ class ParamPlan(_Record):
     horizon: int
     notes: tuple[str, ...] = ()
 
+    as_dict = asdict
+
 
 @dataclass(frozen=True)
-class ConditionCheck(_Record):
+class ConditionCheck:
     """One re-evaluated inequality: ``value <= bound`` or ``value >= bound``."""
-
-    _label = "check"
 
     name: str
     kind: str  # "max": value must be <= bound; "min": value must be >= bound
@@ -277,12 +252,12 @@ class ConditionCheck(_Record):
     satisfied: bool
     slack: float  # bound - value for "max", value - bound for "min"
 
+    as_dict = asdict
+
 
 @dataclass(frozen=True)
-class PlanReport(_Record):
+class PlanReport:
     """Verification report for a parameter tuple against its regime."""
-
-    _label = "report"
 
     regime: str
     epsilon: float
@@ -290,19 +265,7 @@ class PlanReport(_Record):
     satisfied: bool
     notes: tuple[str, ...] = ()
 
-
-# Field annotation -> cast applied on construction (see _Record).
-_CASTS = {
-    "int": int,
-    "float": float,
-    "float | None": float,
-    "str": str,
-    "bool": bool,
-    "tuple[str, ...]": tuple,
-    "tuple[ConditionCheck, ...]": lambda checks: tuple(
-        ConditionCheck.from_dict(ch) if isinstance(ch, dict) else ch for ch in checks
-    ),
-}
+    as_dict = asdict
 
 
 def _check(name: str, kind: str, value: float, bound: float) -> ConditionCheck:
@@ -312,7 +275,7 @@ def _check(name: str, kind: str, value: float, bound: float) -> ConditionCheck:
         satisfied, slack = value <= bound + tol, bound - value
     else:
         satisfied, slack = value >= bound - tol, value - bound
-    return ConditionCheck(name, kind, value, bound, satisfied, slack)
+    return ConditionCheck(name, kind, float(value), float(bound), bool(satisfied), float(slack))
 
 
 # ---------------------------------------------------------------------------

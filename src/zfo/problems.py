@@ -624,7 +624,8 @@ def centralized_solve(
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         y = x + beta * (x - x_prev) if beta > 0.0 else x
-        g = problem.grad(y)
+        # after a refused step at beta = 0, y is the last gradient point again
+        g = g_prev if y is y_prev else problem.grad(y)
         if y_prev is not None:
             step = min(step * _STEP_GROWTH, 1e6)
             dg = _norm(g - g_prev)

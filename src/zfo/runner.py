@@ -36,7 +36,8 @@ from .agents import MAX_ROUNDS, SwarmTables, max_lag
 from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
 from .geometry import DEFAULT_TOL, SampleStats, constrain_perturbation_batch, row_summer
 from .network import (
-    CommGraph, DelayModel, NoDelay, check_compatibility, dependence_mask, shortest_path_lengths,
+    CommGraph, DelayModel, NoDelay, check_compatibility, dependence_mask, require_connected,
+    shortest_path_lengths,
 )
 from .planner import analysed_smoothing_range, in_analysed_range
 from .problems import MAX_COORDINATES, Problem
@@ -287,10 +288,11 @@ def validate_options(config) -> None:
         value = getattr(config, name)
         if not np.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value}")
-    # the integer options refuse a non-integral value instead of truncating it
+    # the integer options refuse a boolean and a non-integral value instead of truncating it
     for name in (f.name for f in fields(RunConfig) if f.type == "int"):
         value = getattr(config, name)
-        if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+        integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
+        if isinstance(value, bool) or not integral:
             raise ConfigurationError(f"{name} must be an integer, got {value}")
     if config.u <= 0:
         raise ConfigurationError(f"smoothing radius u must be > 0, got {config.u}")
@@ -351,10 +353,9 @@ class _Round(RoundView):
         # Agent i's block of the gradient of f needs the costs i affects, A_i:
         # full tables hear every column and assembly masks them by A_i, while
         # reduced tables track only A_i, and an entry never heard sums nothing.
-        distances = shortest_path_lengths(graph)
-        tracked = np.ones((n, n), dtype=bool)
         self._use_mask = None
         if config.reduced_tables:
+            require_connected(graph)
             report = check_compatibility(graph, problem.affected)
             if not report.compatible:
                 raise ConfigurationError(
@@ -362,8 +363,10 @@ class _Round(RoundView):
                     f"blocking (tracker, non-tracker, column) triples: {report.witnesses[:5]}"
                 )
             tracked, distances = report.tracked, report.distances
-        elif config.mode == "dependence":
-            self._use_mask = dependence_mask(problem.affected, n)
+        else:
+            tracked, distances = np.ones((n, n), dtype=bool), shortest_path_lengths(graph)
+            if config.mode == "dependence":
+                self._use_mask = dependence_mask(problem.affected, n)
         self._declared_delta = int(config.delay.declared_delta)
         self._bound = max_lag(distances, tracked) + self._declared_delta
         if self._horizon < self._bound:

@@ -656,6 +656,22 @@ def test_solver_safeguard_refuses_an_ascent_direction(problem):
         centralized_solve(flipped, max_iter=2000, tol=1e-10, require_convergence=True)
 
 
+def test_solver_takes_no_gradient_twice_in_a_row():
+    # after a refused step at beta = 0 the next gradient point is the same x;
+    # on this instance the solver took its gradient there again 4 times
+    problem = routing_problem(build_routing_instance(1, 1, seed=2))
+    points = []
+
+    def grad(x):
+        points.append(np.array(x, copy=True))
+        return problem.grad(x)
+
+    res = centralized_solve(dataclasses.replace(problem, grad=grad), tol=1e-10)
+    assert res.converged
+    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+    assert res.x.tobytes() == centralized_solve(problem, tol=1e-10).x.tobytes()
+
+
 def test_solver_reports_non_convergence():
     problem = routing_problem(build_routing_instance(2, 2, seed=16))
     res = centralized_solve(problem, max_iter=1, tol=1e-14)

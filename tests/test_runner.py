@@ -26,6 +26,7 @@ from zfo.problems import (
     build_trig_sum,
     routing_problem,
 )
+import zfo.network
 import zfo.runner
 from test_geometry import count_membership_passes
 from zfo.runner import (
@@ -517,6 +518,28 @@ def test_reduced_tables_window_holds_at_the_tracked_bound():
     assert trace.stale_max_overall < 36 and trace.assumption_clean
 
 
+def test_each_run_sweeps_the_graph_once(monkeypatch):
+    # a reduced-table run reads only the distances inside the trackers; the
+    # full graph's sweep was made and thrown away on every such run
+    sweeps = []
+    real = zfo.network.shortest_path_lengths
+
+    def counted(graph, within=None):
+        sweeps.append("trackers" if within is not None else "graph")
+        return real(graph, within)
+
+    monkeypatch.setattr(zfo.network, "shortest_path_lengths", counted)
+    monkeypatch.setattr(zfo.runner, "shortest_path_lengths", counted)
+    problem = routing_problem(build_routing_instance(2, 2, seed=0))
+    common = dict(problem=problem, graph=_dependence_graph(problem), eta=1e-3, u=1e-3, delta=0.02,
+                  horizon=10, mode="dependence")
+    run(RunConfig(reduced_tables=True, **common))
+    assert sweeps == ["trackers"]
+    sweeps.clear()
+    run(RunConfig(**common))
+    assert sweeps == ["graph"]
+
+
 def test_disconnected_graph_refused_in_every_mode():
     # each half's tracker sets are connected, so only the graph check refuses
     problem = build_trig_sum(4, 1, seed=0)
@@ -897,6 +920,24 @@ def test_integer_options_refuse_non_integral_values():
     assert trace.seed == 11 and trace.x_final.tobytes() == run(
         _quadratic_config(horizon=10, metric_every=5, history_slack=4)
     ).x_final.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: run(_quadratic_config(horizon=True)), "horizon must be an integer, got True"),
+        (lambda: run(_quadratic_config(seed=True)), "seed must be an integer, got True"),
+        (lambda: network_stats(CommGraph.path(3), True),
+         "extra delay bound must be an integer >= 0, got True"),
+        (lambda: BernoulliDrops(0.1, True), "declared extra delay must be an integer >= 0, got True"),
+    ],
+    ids=["horizon", "seed", "network_stats", "BernoulliDrops"],
+)
+def test_counts_refuse_booleans(make, message):
+    # True is an int equal to 1: taken as a count, horizon=True ran rounds 0
+    # and 1, seed=True ran seed 1 and a delay of True planned one extra round
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        make()
 
 
 def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
