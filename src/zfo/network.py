@@ -234,7 +234,7 @@ class NetworkStats:
 
 
 def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
-    if isinstance(delta, bool) or not float(delta).is_integer() or delta < 0:
+    if isinstance(delta, (bool, np.bool_)) or not float(delta).is_integer() or delta < 0:
         raise ConfigurationError(f"extra delay bound must be an integer >= 0, got {delta}")
     dist = shortest_path_lengths(graph)
     n = graph.n
@@ -293,7 +293,7 @@ class BernoulliDrops(DelayModel):
         if not (0.0 <= p < 1.0):
             raise ConfigurationError("drop probability must lie in [0, 1)")
         delta = declared_delta
-        if isinstance(delta, bool) or not float(delta).is_integer() or delta < 0:
+        if isinstance(delta, (bool, np.bool_)) or not float(delta).is_integer() or delta < 0:
             raise ConfigurationError(f"declared extra delay must be an integer >= 0, got {delta}")
         self.p = float(p)
         self.declared_delta = int(declared_delta)

@@ -292,7 +292,7 @@ def validate_options(config) -> None:
     for name in (f.name for f in fields(RunConfig) if f.type == "int"):
         value = getattr(config, name)
         integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
-        if isinstance(value, bool) or not integral:
+        if isinstance(value, (bool, np.bool_)) or not integral:
             raise ConfigurationError(f"{name} must be an integer, got {value}")
     if config.u <= 0:
         raise ConfigurationError(f"smoothing radius u must be > 0, got {config.u}")

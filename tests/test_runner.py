@@ -922,22 +922,23 @@ def test_integer_options_refuse_non_integral_values():
     ).x_final.tobytes()
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy"])
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: run(_quadratic_config(horizon=True)), "horizon must be an integer, got True"),
-        (lambda: run(_quadratic_config(seed=True)), "seed must be an integer, got True"),
-        (lambda: network_stats(CommGraph.path(3), True),
-         "extra delay bound must be an integer >= 0, got True"),
-        (lambda: BernoulliDrops(0.1, True), "declared extra delay must be an integer >= 0, got True"),
+        (lambda flag: run(_quadratic_config(horizon=flag)), "horizon must be an integer"),
+        (lambda flag: run(_quadratic_config(seed=flag)), "seed must be an integer"),
+        (lambda flag: network_stats(CommGraph.path(3), flag),
+         "extra delay bound must be an integer >= 0"),
+        (lambda flag: BernoulliDrops(0.1, flag), "declared extra delay must be an integer >= 0"),
     ],
     ids=["horizon", "seed", "network_stats", "BernoulliDrops"],
 )
-def test_counts_refuse_booleans(make, message):
-    # True is an int equal to 1: taken as a count, horizon=True ran rounds 0
-    # and 1, seed=True ran seed 1 and a delay of True planned one extra round
-    with pytest.raises(ConfigurationError, match=f"^{message}$"):
-        make()
+def test_counts_refuse_booleans(make, message, flag):
+    # True equals 1: taken as a count, horizon=True ran rounds 0 and 1,
+    # seed=True ran seed 1 and a delay of True planned one extra round
+    with pytest.raises(ConfigurationError, match=f"^{message}, got True$"):
+        make(flag)
 
 
 def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
