@@ -658,7 +658,7 @@ def test_solver_safeguard_refuses_an_ascent_direction(problem):
 
 def test_solver_takes_no_gradient_twice_in_a_row():
     # after a refused step at beta = 0 the next gradient point is the same x;
-    # on this instance the solver took its gradient there again 4 times
+    # this instance refuses 4 such steps
     problem = routing_problem(build_routing_instance(1, 1, seed=2))
     points = []
 

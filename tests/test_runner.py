@@ -519,8 +519,8 @@ def test_reduced_tables_window_holds_at_the_tracked_bound():
 
 
 def test_each_run_sweeps_the_graph_once(monkeypatch):
-    # a reduced-table run reads only the distances inside the trackers; the
-    # full graph's sweep was made and thrown away on every such run
+    # a reduced-table run reads only the distances inside the trackers, so it
+    # makes no sweep of the full graph
     sweeps = []
     real = zfo.network.shortest_path_lengths
 
@@ -935,8 +935,8 @@ def test_integer_options_refuse_non_integral_values():
     ids=["horizon", "seed", "network_stats", "BernoulliDrops"],
 )
 def test_counts_refuse_booleans(make, message, flag):
-    # True equals 1: taken as a count, horizon=True ran rounds 0 and 1,
-    # seed=True ran seed 1 and a delay of True planned one extra round
+    # True equals 1: taken as a count, horizon=True would run rounds 0 and 1,
+    # seed=True seed 1, and a delay of True would plan one extra round
     with pytest.raises(ConfigurationError, match=f"^{message}, got True$"):
         make(flag)
 
