@@ -178,7 +178,8 @@ class Box(ConvexSet):
         self._low, self._high = np.nan_to_num(self.lower), np.nan_to_num(self.upper)
 
     def project_batch(self, ys):
-        return np.clip(np.asarray(ys, dtype=float), self.lower, self.upper)
+        # np.clip's Python wrapper costs more than the two ufuncs it computes
+        return np.minimum(np.maximum(np.asarray(ys, dtype=float), self.lower), self.upper)
 
     def membership(self, ys, tol=DEFAULT_TOL):
         if tol >= 0.0 and ((ys >= self._low) & (ys <= self._high)).all():

@@ -157,60 +157,60 @@ class CommGraph:
 
 
 def shortest_path_lengths(graph: CommGraph, within: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs hop distances via BFS from every source at once; raises if
-    the graph is disconnected.
-
-    `frontier[s, v]` marks the vertices at the current distance from source
-    s.  A vertex joins the next frontier when one of its neighbors is on the
-    current one, so each level is a column gather per neighbor slot (pads
-    point at the vertex itself, which is already reached).
-
-    With `within`, an (n, n) mask where `within[s, v]` lets v relay what
-    source s sends, the sweep from s enters only such vertices: row s holds
-    the hops from s through them, -1 where none leads, and nothing raises.
-    """
-    n = graph.n
-    neighbors = graph.neighbor_matrix()
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.copy()
-    if within is not None:
-        reached |= ~np.asarray(within, dtype=bool)  # never entered, so never at a distance
-    d = 0
-    while frontier.any():
-        d += 1
-        nxt = frontier[:, neighbors[:, 0]]
-        for k in range(1, neighbors.shape[1]):
-            nxt |= frontier[:, neighbors[:, k]]
-        nxt &= ~reached
-        dist[nxt] = d
-        reached |= nxt
-        frontier = nxt
-    if within is None and not reached.all():
-        raise _disconnected(*np.argwhere(~reached)[0])
-    return dist
+    """All-pairs hop distances, (n, n) int32, from one sweep out of every source;
+    a disconnected graph raises, naming its first unreached pair in row-major
+    order.  With `within`, where `within[s, v]` lets v relay what source s sends,
+    row s holds the hops through such vertices, -1 where none leads; nothing raises."""
+    hops = _hops(graph, np.arange(graph.n), within)  # column s: the sweep from s
+    return hops if within is None else np.ascontiguousarray(hops.T)  # undirected: symmetric
 
 
 def require_connected(graph: CommGraph) -> None:
-    """Refuse a disconnected graph with `shortest_path_lengths`'s message
-    (its first unreached pair starts at vertex 1), from one BFS out of
-    vertex 1 rather than a sweep from every source."""
-    neighbors = graph.neighbor_matrix()
-    reached = frontier = np.arange(graph.n) == 0
-    while frontier.any():
-        nxt = np.zeros_like(reached)
-        nxt[neighbors[frontier]] = True
-        frontier = nxt & ~reached
-        reached = reached | frontier
-    if not reached.all():
-        raise _disconnected(0, np.argmin(reached))
+    """Refuse a disconnected graph with `shortest_path_lengths`'s message, from vertex 1 alone."""
+    _hops(graph, np.zeros(1, dtype=np.int64))
 
 
-def _disconnected(i, j) -> AssumptionViolation:
-    return AssumptionViolation(
-        f"communication graph is disconnected: no path between vertices {i + 1} and {j + 1}"
-    )
+def _hops(graph, sources, within=None):
+    """Hops (n, m), column c from sources[c], a level a pass.  A sparse level
+    expands the frontier (flat positions v * m + c) into the neighbors still at
+    -1 (`within`'s closed entries hold -2 until the end), keeping of duplicates
+    the one whose mark, written into the entry, stayed; a level with candidates
+    for over a quarter of the entries ORs contiguous rows of the frontier mask."""
+    n, neighbors, m = graph.n, graph.neighbor_matrix(), len(sources)
+    hops = np.full((n, m), -1, dtype=np.int32)
+    if within is not None:
+        hops[~np.asarray(within, dtype=bool)[sources].T] = -2
+    hops[sources, np.arange(m)] = 0
+    flat, frontier, size, d = hops.reshape(-1), sources * m + np.arange(m), m, 0
+    waiting = flat.size - size if within is None else int(np.count_nonzero(flat == -1))
+    sparse = flat.size // 4 // neighbors.shape[1]  # the largest frontier a sparse level takes
+    while waiting and size:
+        d += 1
+        if size <= sparse:
+            vertices, columns = np.divmod(frontier, m)
+            candidates = neighbors[vertices]
+            candidates *= m
+            candidates += columns[:, None]
+            candidates = candidates[flat[candidates] == -1]
+            flat[candidates] = marks = np.arange(-3, -3 - len(candidates), -1, dtype=np.int32)
+            frontier = candidates[flat[candidates] == marks]
+            flat[frontier], size = d, len(frontier)
+        else:
+            on = hops == d - 1
+            nxt = on[neighbors[:, 0]]
+            for slot in neighbors.T[1:]:
+                nxt |= on[slot]
+            nxt &= hops == -1
+            hops[nxt], size = d, int(np.count_nonzero(nxt))
+            frontier = np.flatnonzero(nxt) if size <= sparse else None
+        waiting -= size
+    if within is not None:
+        np.maximum(hops, -1, out=hops)
+    elif waiting:
+        row, v = divmod(int(np.argmax(hops.T < 0)), n)
+        raise AssumptionViolation("communication graph is disconnected: no path between "
+                                  f"vertices {sources[row] + 1} and {v + 1}")
+    return hops
 
 
 @dataclass
@@ -230,7 +230,7 @@ class NetworkStats:
     b_bar: float
     b_frak: float
     staleness_bound: int
-    distances: np.ndarray = field(repr=False)
+    distances: np.ndarray = field(repr=False)  # the int32 hops, widened to add delta
 
 
 def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
@@ -246,7 +246,7 @@ def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
     for i, d in enumerate(dims.tolist()):
         if not (d >= 1 and d.is_integer()):
             raise ConfigurationError(f"agent {i + 1} has dimension {d:g}, not a positive integer")
-    shifted_sq = (dist + delta).astype(float) ** 2
+    shifted_sq = (dist.astype(np.int64) + delta).astype(float) ** 2
     b_bar = float(np.sqrt(shifted_sq.sum() / n**2))
     d_total = float(dims.sum())
     b_frak = float(np.sqrt((shifted_sq * dims[:, None]).sum() / (n * d_total)))

@@ -20,14 +20,14 @@ from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 # The ceiling on a problem's total coordinates D, and so on its agent count
 # n <= D (every agent has at least one coordinate).  A run's largest arrays
-# are the (n, n) int64 hop distances, 8 n^2 bytes, and the builders' (n, D)
-# cost coefficients, 8 n D bytes; at the ceiling each is at most
-# 8 * 8192^2 bytes = 512 MiB.  A dependence-mode run adds the sets' (n, n)
-# bool mask, n^2 bytes = 64 MiB at the ceiling; the sets themselves hold
-# O(n) indices when, as in the builders where every agent affects every
-# cost, the agents share one set object.  The config parser checks a
-# document's sizes against it before any builder runs, and `run` checks
-# every problem.
+# are the (n, n) int32 hop distances, 4 n^2 bytes (8 n^2 where network_stats
+# widens them to add delta), and the builders' (n, D) cost coefficients,
+# 8 n D bytes; at the ceiling each is at most 8 * 8192^2 bytes = 512 MiB.  A
+# dependence-mode run adds the sets' (n, n) bool mask, n^2 bytes = 64 MiB at
+# the ceiling; the sets themselves hold O(n) indices when, as in the builders
+# where every agent affects every cost, the agents share one set object.  The
+# config parser checks a document's sizes against it before any builder runs,
+# and `run` checks every problem.
 MAX_COORDINATES = 8192
 
 # Routes of each routing agent (group g uses 2g, ..., 2g + 3); its action
@@ -615,7 +615,7 @@ def centralized_solve(
     x = problem.project_feasible(np.zeros(problem.total_dim) if x0 is None else x0)
     accepted = deque([problem.global_cost(x)], maxlen=_WINDOW)  # f at the accepted points
     x_prev = x
-    y_prev = g_prev = None
+    y_prev = g_prev = x_checked = g_checked = None
     theta = 1.0
     step = 1.0
     residual = np.inf
@@ -624,8 +624,9 @@ def centralized_solve(
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         y = x + beta * (x - x_prev) if beta > 0.0 else x
-        # after a refused step at beta = 0, y is the last gradient point again
-        g = g_prev if y is y_prev else problem.grad(y)
+        # after a refused step at beta = 0, y is the last gradient point again;
+        # after a failed check and a restart, it is the point the check took
+        g = g_prev if y is y_prev else g_checked if y is x_checked else problem.grad(y)
         if y_prev is not None:
             step = min(step * _STEP_GROWTH, 1e6)
             dg = _norm(g - g_prev)
@@ -644,8 +645,8 @@ def centralized_solve(
         diff = x_new - y
         residual = _norm(diff) / step
         if residual <= tol:
-            s = min(step, 1.0)
-            moved = problem.project_feasible(x_new - s * problem.grad(x_new)) - x_new
+            s, x_checked, g_checked = min(step, 1.0), x_new, problem.grad(x_new)
+            moved = problem.project_feasible(x_new - s * g_checked) - x_new
             residual = _norm(moved) / s
             if residual <= tol:
                 return SolveResult(x=x_new, f=f_new, n_iter=it, converged=True, residual=residual)

@@ -71,6 +71,33 @@ def test_box_projection_clamps():
     np.testing.assert_allclose(box.project(np.array([0.5, 1.5])), [0.5, 1.5])
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -np.inf, np.inf, 1e308, -5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bounds=st.lists(st.tuples(_EDGE_FLOATS | st.floats(-10, 10), _EDGE_FLOATS), min_size=1,
+                    max_size=4),
+    data=st.data(),
+)
+def test_box_projection_is_np_clip_bit_for_bit(bounds, data):
+    # signed zeros, infinite bounds and NaN rows included
+    lower, upper = np.array([sorted(b) for b in bounds]).T
+    points = _EDGE_FLOATS | st.floats(-20, 20) | st.just(np.nan)
+    ys = np.array(data.draw(st.lists(st.lists(points, min_size=len(bounds), max_size=len(bounds)),
+                                     min_size=1, max_size=5)))
+    got, want = Box(lower, upper).project_batch(ys), np.clip(ys, lower, upper)
+    if len(bounds) > 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # np.clip treats one-coordinate bounds as scalars and then keeps the
+        # point's zero at an equal zero bound, where it otherwise returns the
+        # bound's, as the two ufuncs always do; the values are equal
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == np.clip(ys, np.repeat(lower, len(ys)).reshape(ys.shape),
+                                        np.repeat(upper, len(ys)).reshape(ys.shape)).tobytes()
+
+
 def test_simplex_projection_matches_grid_oracle_frozen_case():
     # Oracle-derived: projecting (0.8, 0.8) onto {v >= 0, sum v <= 1}
     # lands on the diagonal face at (0.5, 0.5).

@@ -1,5 +1,7 @@
 """Network tests; distances are cross-checked against an independent
 Floyd-Warshall oracle."""
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from zfo.network import (
     check_compatibility,
     dependence_mask,
     network_stats,
+    require_connected,
     shortest_path_lengths,
 )
 
@@ -134,6 +137,67 @@ def test_disconnected_graph_raises():
         shortest_path_lengths(CommGraph(5, [(0, 1), (1, 2), (2, 4)]))
 
 
+def _bfs_per_source(graph, within=None):
+    """Hops from each source by a plain queue over `graph.neighbors`,
+    entering only vertices `within` allows; -1 where none leads."""
+    dist = np.full((graph.n, graph.n), -1)
+    for s in range(graph.n):
+        dist[s, s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in graph.neighbors[u]:
+                if dist[s, w] < 0 and (within is None or within[s, w]):
+                    dist[s, w] = dist[s, u] + 1
+                    queue.append(w)
+    return dist
+
+
+@st.composite
+def _sweep_case(draw):
+    """A graph (path, ring, complete, random, or any edge set, often
+    disconnected) and no mask or a drawn `within` mask."""
+    kind = draw(st.sampled_from(["path", "ring", "complete", "random", "edges"]))
+    n = draw(st.integers(2 if kind == "edges" else 1, 40))
+    if kind == "random":
+        g = CommGraph.random_connected(
+            n, seed=draw(st.integers(0, 2**32 - 1)), max_degree=draw(st.integers(2, 8))
+        )
+    elif kind == "edges":
+        ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        pairs = draw(st.lists(ends, max_size=2 * n))
+        g = CommGraph(n, [(i, (i + k) % n) for i, k in pairs])
+    else:
+        g = getattr(CommGraph, kind)(n)
+    density = draw(st.sampled_from([None, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g, None if density is None else rng.random((n, n)) < density
+
+
+@settings(max_examples=250, deadline=None)
+@given(_sweep_case())
+def test_sweep_matches_a_per_source_bfs(case):
+    g, within = case
+    want = _bfs_per_source(g, within)
+    if within is not None:
+        got = shortest_path_lengths(g, within)
+    elif (want < 0).any():
+        # the first unreached pair in row-major order, which starts at vertex 1
+        i, j = np.argwhere(want < 0)[0]
+        message = f"no path between vertices {i + 1} and {j + 1}$"
+        with pytest.raises(AssumptionViolation, match=message):
+            shortest_path_lengths(g)
+        with pytest.raises(AssumptionViolation, match=message):
+            require_connected(g)
+        return
+    else:
+        got = shortest_path_lengths(g)
+        require_connected(g)
+    # row-major like the sums over it, whose rounding follows the memory order
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
 def test_ring_diameter():
     stats = network_stats(CommGraph.ring(6))
     assert stats.diameter == 3
@@ -162,6 +226,16 @@ def test_stats_path3_frozen_values():
     assert stats.b_frak == pytest.approx(stats.b_bar, rel=1e-12)  # unit dims
     assert stats.staleness_bound == 2
     assert stats.diameter == 2
+
+
+def test_stats_add_a_delay_beyond_the_int32_distances():
+    # the hops are int32; delta is added in int64, as `zfo stats --delta` allows
+    delta = 3_000_000_000
+    stats = network_stats(CommGraph.path(3), delta=delta)
+    assert stats.distances.dtype == np.int32
+    assert stats.staleness_bound == delta + 2
+    shifted = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int64) + delta
+    assert stats.b_bar == float(np.sqrt((shifted.astype(float) ** 2).sum() / 9))
 
 
 def test_stats_path3_dimension_weighted():

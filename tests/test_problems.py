@@ -672,6 +672,21 @@ def test_solver_takes_no_gradient_twice_in_a_row():
     assert res.x.tobytes() == centralized_solve(problem, tol=1e-10).x.tobytes()
 
 
+def test_solver_reuses_the_gradient_of_a_failed_return_check():
+    # the check at x+ fails here and theta restarts, so the next gradient
+    # point is x+ itself: calls 35 and 36 of 38 took one input twice
+    problem = routing_problem(build_routing_instance(1, 2, seed=2))
+    points = []
+
+    def grad(x):
+        points.append(np.array(x, copy=True))
+        return problem.grad(x)
+
+    res = centralized_solve(dataclasses.replace(problem, grad=grad), tol=1e-10)
+    assert res.converged and len(points) == 37
+    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+
 def test_solver_reports_non_convergence():
     problem = routing_problem(build_routing_instance(2, 2, seed=16))
     res = centralized_solve(problem, max_iter=1, tol=1e-14)
