@@ -656,10 +656,13 @@ def test_solver_safeguard_refuses_an_ascent_direction(problem):
         centralized_solve(flipped, max_iter=2000, tol=1e-10, require_convergence=True)
 
 
-def test_solver_takes_no_gradient_twice_in_a_row():
-    # after a refused step at beta = 0 the next gradient point is the same x;
-    # this instance refuses 4 such steps
-    problem = routing_problem(build_routing_instance(1, 1, seed=2))
+@pytest.mark.parametrize("per_group, calls", [(1, 50), (2, 37)])
+def test_solver_takes_no_gradient_twice_in_a_row(per_group, calls):
+    # routing 1x1 refuses 4 steps at beta = 0, after each of which the next
+    # gradient point is the same x; on routing 1x2 a return check at x+ fails
+    # and theta restarts, so the next gradient point is x+, whose gradient
+    # the check took
+    problem = routing_problem(build_routing_instance(1, per_group, seed=2))
     points = []
 
     def grad(x):
@@ -667,24 +670,9 @@ def test_solver_takes_no_gradient_twice_in_a_row():
         return problem.grad(x)
 
     res = centralized_solve(dataclasses.replace(problem, grad=grad), tol=1e-10)
-    assert res.converged
+    assert res.converged and len(points) == calls
     assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
     assert res.x.tobytes() == centralized_solve(problem, tol=1e-10).x.tobytes()
-
-
-def test_solver_reuses_the_gradient_of_a_failed_return_check():
-    # the check at x+ fails here and theta restarts, so the next gradient
-    # point is x+ itself: calls 35 and 36 of 38 took one input twice
-    problem = routing_problem(build_routing_instance(1, 2, seed=2))
-    points = []
-
-    def grad(x):
-        points.append(np.array(x, copy=True))
-        return problem.grad(x)
-
-    res = centralized_solve(dataclasses.replace(problem, grad=grad), tol=1e-10)
-    assert res.converged and len(points) == 37
-    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
 
 
 def test_solver_reports_non_convergence():
