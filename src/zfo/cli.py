@@ -32,8 +32,8 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
-from .config import OVERRIDES, apply_overrides, build_run_config, load_config
-from .errors import AssumptionViolation, ConfigurationError, OracleError, ZfoError
+from .config import OVERRIDES, SOLVE_TOL, apply_overrides, build_run_config, load_config
+from .errors import AssumptionViolation, ConfigurationError, OracleError, ZfoError, require_count
 from .network import CommGraph, network_stats
 from .planner import REGIMES, ProblemConstants, plan, verify_plan
 from .problems import centralized_solve
@@ -119,11 +119,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     doc = _document(args)
     problem_doc = doc.get("problem")
     if isinstance(problem_doc, dict) and problem_doc.get("kind") == "routing":
-        # the reference is solved once, below, at --tol
+        # the reference is solved once, below
         doc["problem"] = {**problem_doc, "solve": False}
-    config, _ = build_run_config(doc)
+    config, _ = build_run_config(doc)  # checks solve_tol also where solve is false
+    tol = args.tol if args.tol is not None else float(doc["problem"].get("solve_tol", SOLVE_TOL))
     result = centralized_solve(
-        config.problem, tol=args.tol, max_iter=args.max_iter, require_convergence=True
+        config.problem, tol=tol, max_iter=args.max_iter, require_convergence=True
     )
     _write_json(
         {
@@ -170,12 +171,9 @@ def _sweep_worker(seed: int) -> tuple[int, list[dict] | ZfoError, float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise ConfigurationError("--seeds must be >= 1")
-    if args.seed_base < 0:
-        raise ConfigurationError(f"--seed-base must be >= 0, got {args.seed_base}")
-    if args.workers < 0:
-        raise ConfigurationError(f"--workers must be >= 0, got {args.workers}")
+    require_count("--seeds", args.seeds, 1)
+    require_count("--seed-base", args.seed_base)
+    require_count("--workers", args.workers)
     config, _ = _configure(args)  # the seed only seeds the run: one build serves every seed
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(args.workers or cpus, cpus, args.seeds)  # 0 means every usable CPU
@@ -214,11 +212,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     finished = [(seed, out) for seed, out in results if not isinstance(out, ZfoError)]
 
     agg_path = os.path.join(args.out_dir, "aggregate.csv")
-    if finished:
+    if finished:  # every seed runs one config, so every trace has the same cadence rows
         rounds = [row["t"] for row in finished[0][1]]
-        for seed, rows in finished:
-            if [row["t"] for row in rows] != rounds:
-                raise OracleError(f"seed {seed} produced a different metric cadence")
         _write_aggregate(agg_path, rounds, [rows for _, rows in finished])
     if not failures:
         print(f"sweep complete: {len(seeds)} seeds, aggregate at {agg_path}")
@@ -292,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="centralized reference solve")
     p_oracle.add_argument("--config", required=True, help="path to JSON config")
-    p_oracle.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p_oracle.add_argument(
+        "--tol", type=float,
+        help=f"residual tolerance (default: the document's solve_tol, else {SOLVE_TOL:g})",
+    )
     p_oracle.add_argument("--max-iter", type=int, default=200_000, dest="max_iter")
     p_oracle.add_argument("--out", help="write solve JSON here instead of stdout")
     _add_override_flags(p_oracle)

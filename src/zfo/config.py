@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError, unreadable
+from .errors import ConfigurationError, require_number, unreadable
 from .network import BernoulliDrops, CommGraph, NoDelay
 from .problems import (
     MAX_COORDINATES,
@@ -35,6 +35,7 @@ from .problems import (
 from .runner import RunConfig, validate_options
 
 CONFIG_VERSION = 1
+SOLVE_TOL = 1e-10  # the reference solve's residual tolerance when a document gives none
 
 _PROBLEM_FIELDS = {
     "routing": {"kind", "groups", "agents_per_group", "seed", "solve", "solve_tol"},
@@ -82,10 +83,10 @@ def _get(doc: dict, field: str, path: str, *, required: bool = False, default=No
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if not np.isfinite(value):
+    try:
+        return require_number(path, value)
+    except ConfigurationError:  # NaN, an infinity or an integer beyond the floats
         _fail(path, "must be finite")
-    return value
 
 
 def _as_int(value: Any, path: str, low: int | None = None, high: int | None = None) -> int:
@@ -208,10 +209,10 @@ def build_problem(doc: dict, path: str = "problem") -> tuple[Problem, float | No
             _get(doc, "agents_per_group", path, required=True), f"{path}.agents_per_group", 1, high
         )
         _check_coordinates(path, groups * per, ROUTES_PER_AGENT - 1)
-        tol = None
-        if _as_bool(_get(doc, "solve", path, default=True), f"{path}.solve"):
-            tol = _as_number(_get(doc, "solve_tol", path, default=1e-10), f"{path}.solve_tol")
-        return routing_problem(build_routing_instance(groups, per, seed=seed)), tol
+        solve = _as_bool(_get(doc, "solve", path, default=True), f"{path}.solve")
+        tol = _as_number(_get(doc, "solve_tol", path, default=SOLVE_TOL), f"{path}.solve_tol")
+        problem = routing_problem(build_routing_instance(groups, per, seed=seed))
+        return problem, tol if solve else None
     agents = _as_int(_get(doc, "agents", path, required=True), f"{path}.agents", 1, high)
     dim = _as_int(_get(doc, "dim", path, required=True), f"{path}.dim", 1, high)
     _check_coordinates(path, agents, dim)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_count, require_number, require_positive
 
 DEFAULT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
@@ -222,9 +222,8 @@ class WholeSpace(Box):
     are the finite points."""
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ConfigurationError("dim must be >= 1")
-        super().__init__(np.full(int(dim), -np.inf), np.full(int(dim), np.inf))
+        dim = require_count("dim", dim, 1)
+        super().__init__(np.full(dim, -np.inf), np.full(dim, np.inf))
 
     def shrink(self, delta):
         _check_delta(delta)
@@ -251,15 +250,10 @@ class ShiftedSimplex(ConvexSet):
     """
 
     def __init__(self, dim: int, shift=None, scale: float = 1.0):
-        if dim < 1:
-            raise ConfigurationError("dim must be >= 1")
-        self.dim = int(dim)
-        if shift is None:
-            shift = np.zeros(dim)
-        self.shift = np.broadcast_to(np.asarray(shift, dtype=float), (dim,)).astype(float)
-        self.scale = float(scale)
-        if self.scale <= 0:
-            raise ConfigurationError("simplex scale must be positive")
+        self.dim = dim = require_count("dim", dim, 1)
+        shift = np.zeros(dim) if shift is None else np.asarray(shift, dtype=float)
+        self.shift = np.broadcast_to(shift, (dim,)).astype(float)
+        self.scale = require_positive("simplex scale", scale)
         self._size = self.scale + float(np.abs(self.shift).sum())
         # an inside row projects to (y - shift) + shift: two roundings
         self._inside_slack = 2.0 * _EPS * (2.0 * self.scale + float(np.linalg.norm(self.shift)))
@@ -407,8 +401,8 @@ def row_summer(rows: int, d: int):
 
 
 def _check_delta(delta: float) -> None:
-    if not (0.0 <= delta < 1.0):
-        raise ConfigurationError(f"shrink factor must lie in [0, 1), got {delta}")
+    if not (0.0 <= require_number("shrink factor delta", delta) < 1.0):
+        raise ConfigurationError(f"shrink factor delta must lie in [0, 1), got {delta!r}")
 
 
 def _project_scaled_simplex(w: np.ndarray, cap: float) -> np.ndarray:

@@ -10,16 +10,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolation, ConfigurationError, unreadable
+from .errors import (
+    AssumptionViolation, ConfigurationError, require_count, require_number, unreadable,
+)
 
 
 class CommGraph:
     """Undirected communication graph with sorted neighbor lists."""
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise ConfigurationError("graph needs at least one vertex")
-        self.n = int(n)
+        self.n = n = require_count("vertex count n", n, 1)
         seen: set[tuple[int, int]] = set()
         for i, j in edges:
             i, j = int(i), int(j)
@@ -116,8 +116,8 @@ class CommGraph:
         The default count, n // 2, is "up to"; an explicit `extra_edges` above
         the degree budget or the free vertex pairs, or one the draw falls
         short of, is refused."""
-        if extra_edges is not None and extra_edges < 0:
-            raise ConfigurationError(f"extra_edges must be >= 0, got {extra_edges}")
+        if extra_edges is not None:
+            extra_edges = require_count("extra_edges", extra_edges)
         if n >= 3 and max_degree < 2:
             raise ConfigurationError(f"max_degree must be >= 2 for n >= 3, got {max_degree}")
         cap = max(0, min(n * (max_degree - 2) // 2, n * (n - 3) // 2))
@@ -133,7 +133,7 @@ class CommGraph:
         edges = [(int(order[k]), int(order[(k + 1) % n])) for k in range(n)]
         deg = {i: 2 for i in range(n)}
         have = {(min(e), max(e)) for e in edges}
-        want = min(n // 2, cap) if extra_edges is None else int(extra_edges)
+        want = min(n // 2, cap) if extra_edges is None else extra_edges
         attempts = 0
         while want > 0 and attempts < 50 * n:
             attempts += 1
@@ -230,34 +230,32 @@ class NetworkStats:
     b_bar: float
     b_frak: float
     staleness_bound: int
-    distances: np.ndarray = field(repr=False)  # the int32 hops, widened to add delta
+    distances: np.ndarray = field(repr=False)  # the int32 hops
 
 
 def network_stats(graph: CommGraph, delta: int = 0, dims=None) -> NetworkStats:
-    if isinstance(delta, (bool, np.bool_)) or not float(delta).is_integer() or delta < 0:
-        raise ConfigurationError(f"extra delay bound must be an integer >= 0, got {delta}")
+    delta = require_count("extra delay bound", delta, int64=True)
     dist = shortest_path_lengths(graph)
     n = graph.n
-    if dims is None:
-        dims = np.ones(n, dtype=float)
-    dims = np.asarray(dims, dtype=float)
+    dims = np.ones(n) if dims is None else np.asarray(dims, dtype=float)
     if dims.shape != (n,):
         raise ConfigurationError("dims must have one entry per agent")
     for i, d in enumerate(dims.tolist()):
         if not (d >= 1 and d.is_integer()):
             raise ConfigurationError(f"agent {i + 1} has dimension {d:g}, not a positive integer")
-    shifted_sq = (dist.astype(np.int64) + delta).astype(float) ** 2
+    # in floats, where hops + delta is exact below 2**53 and cannot wrap as an int64 would
+    shifted_sq = (dist + float(delta)) ** 2
     b_bar = float(np.sqrt(shifted_sq.sum() / n**2))
     d_total = float(dims.sum())
     b_frak = float(np.sqrt((shifted_sq * dims[:, None]).sum() / (n * d_total)))
     diameter = int(dist.max())
     return NetworkStats(
         n=n,
-        delta=int(delta),
+        delta=delta,
         diameter=diameter,
         b_bar=b_bar,
         b_frak=b_frak,
-        staleness_bound=diameter + int(delta),
+        staleness_bound=diameter + delta,
         distances=dist,
     )
 
@@ -290,13 +288,10 @@ class BernoulliDrops(DelayModel):
     """
 
     def __init__(self, p: float, declared_delta: int):
-        if not (0.0 <= p < 1.0):
-            raise ConfigurationError("drop probability must lie in [0, 1)")
-        delta = declared_delta
-        if isinstance(delta, (bool, np.bool_)) or not float(delta).is_integer() or delta < 0:
-            raise ConfigurationError(f"declared extra delay must be an integer >= 0, got {delta}")
-        self.p = float(p)
-        self.declared_delta = int(declared_delta)
+        self.p = require_number("drop probability p", p)
+        if not (0.0 <= self.p < 1.0):
+            raise ConfigurationError(f"drop probability p must lie in [0, 1), got {p!r}")
+        self.declared_delta = require_count("declared extra delay", declared_delta)
         self.lossless = self.p == 0.0
 
     def drop_mask(self, rng, shape):

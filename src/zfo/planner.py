@@ -23,12 +23,13 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, OracleError
+from .errors import (
+    ConfigurationError, DomainError, OracleError, require_count, require_number, require_positive,
+)
 from .network import NetworkStats
 from .problems import Problem
 
@@ -66,25 +67,6 @@ _BISECT_MAX_ITER = 300
 # Tolerance used when judging whether a re-checked inequality holds; plan()
 # output satisfies every condition with slack 0 up to this tolerance.
 _CHECK_RTOL = 1e-9
-
-
-def _is_number(value) -> bool:
-    """A real number that is not a boolean (JSON's true and false included)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _require_positive(name: str, value: float, *, allow_zero: bool = False) -> float:
-    if not _is_number(value):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    if allow_zero:
-        if value < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
-    elif value <= 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -143,22 +125,15 @@ class ProblemConstants:
     def __post_init__(self) -> None:
         # each field is stored in its plain type as it is checked, so a JSON
         # integer given for a float field serialises as a float
-        for name, floor, kind in (
-            ("n_agents", 1, "a positive"),
-            ("dim", 1, "a positive"),
-            ("staleness_bound", 0, "a non-negative"),
-        ):
-            value = getattr(self, name)
-            if not (_is_number(value) and float(value).is_integer()) or value < floor:
-                raise ConfigurationError(f"{name} must be {kind} integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, low in (("n_agents", 1), ("dim", 1), ("staleness_bound", 0)):
+            object.__setattr__(self, name, require_count(name, getattr(self, name), low))
         for name in ("lipschitz", "smoothness", "b_bar", "b_frak", "sigma"):
-            value = _require_positive(name, getattr(self, name), allow_zero=name != "lipschitz")
+            value = require_positive(name, getattr(self, name), allow_zero=name != "lipschitz")
             object.__setattr__(self, name, value)
         for name in ("outer_radius", "inner_radius", "breg_diameter", "gap_max", "init_gap"):
             value = getattr(self, name)
             if value is not None:
-                value = _require_positive(name, value, allow_zero=name == "init_gap")
+                value = require_positive(name, value, allow_zero=name == "init_gap")
                 object.__setattr__(self, name, value)
 
     as_dict = asdict
@@ -300,8 +275,7 @@ def smoothing_condition_value(u: float, constants: ProblemConstants, epsilon: fl
     Returns ``u * sqrt(d + (4/9) * max(0, ln(20 G R^2 sqrt(n) / (u eps))))``
     which must stay below ``delta * r / 3``.  Strictly increasing in ``u``.
     """
-    if u <= 0:
-        raise ConfigurationError(f"smoothing radius must be > 0, got {u!r}")
+    u = require_positive("smoothing radius", u)
     c = constants
     if c.outer_radius is None:
         raise ConfigurationError("smoothing condition needs outer_radius (bounded feasible set)")
@@ -370,7 +344,7 @@ def _check_inputs(constants: ProblemConstants, epsilon: float, regime: str, purp
     ``purpose`` ("planning" or "verification") names the caller in messages.
     """
     _require_regime(regime)
-    epsilon = _require_positive("epsilon", epsilon)
+    epsilon = require_positive("epsilon", epsilon)
     c = constants
     noiseless = regime.endswith("-noiseless")
     if noiseless != (c.sigma == 0.0):  # sigma >= 0 by construction
@@ -522,17 +496,16 @@ def verify_plan(constants: ProblemConstants, epsilon: float, candidate: ParamPla
     it.  Inputs on which the regime's bounds are undefined are refused with
     the same check as in ``plan``, and so is a candidate outside the
     parameters' domain (``eta <= 0``, ``u <= 0``, ``delta`` outside
-    ``[0, 1)`` or ``horizon < 0``).  ``plan()`` output verifies clean with
+    ``[0, 1)`` or a ``horizon`` that is no count).  ``plan()`` output verifies clean with
     zero slack (up to 1e-9) on the equality-tight conditions.
     """
     regime = candidate.regime
     epsilon = _check_inputs(constants, epsilon, regime, "verification")
-    _require_positive("candidate eta", candidate.eta)
-    _require_positive("candidate u", candidate.u)
-    if not 0.0 <= candidate.delta < 1.0:
+    require_positive("candidate eta", candidate.eta)
+    require_positive("candidate u", candidate.u)
+    if not 0.0 <= require_number("candidate delta", candidate.delta) < 1.0:
         raise ConfigurationError(f"candidate delta must lie in [0, 1), got {candidate.delta!r}")
-    if candidate.horizon < 0:
-        raise ConfigurationError(f"candidate horizon must be >= 0, got {candidate.horizon!r}")
+    require_count("candidate horizon", candidate.horizon)
     c = constants
     checks: list[ConditionCheck] = []
     notes: list[str] = []
@@ -564,6 +537,7 @@ def verify_plan(constants: ProblemConstants, epsilon: float, candidate: ParamPla
 
 def _averaged_rounds(c: ProblemConstants, horizon: int) -> int:
     """Rounds ``T - B + 1`` in a bound's ergodic average; refuses an empty one."""
+    horizon = require_count("horizon", horizon)
     if horizon < c.staleness_bound:
         raise ConfigurationError(
             f"horizon {horizon} is below the staleness bound {c.staleness_bound}; "
@@ -645,9 +619,9 @@ def expected_gap_bound(
     """
     c = constants
     _require_constrained_constants(c, "expected_gap_bound")
-    eta = _require_positive("eta", eta)
-    u = _require_positive("u", u)
-    _require_positive("delta", delta, allow_zero=True)
+    eta = require_positive("eta", eta)
+    u = require_positive("u", u)
+    require_positive("delta", delta, allow_zero=True)
     bound = analysed_smoothing_range(delta, c.inner_radius, c.dim)
     if not in_analysed_range(u, bound):
         raise ConfigurationError(
@@ -677,8 +651,8 @@ def expected_stationarity_bound(
         raise ConfigurationError("expected_stationarity_bound requires init_gap")
     if c.smoothness <= 0:
         raise ConfigurationError("expected_stationarity_bound requires smoothness > 0")
-    eta = _require_positive("eta", eta)
-    u = _require_positive("u", u)
+    eta = require_positive("eta", eta)
+    u = require_positive("u", u)
     samples = _averaged_rounds(c, horizon)
     descent, drift, smoothing_bias, warmup = _stationarity_terms(c, eta, u, samples, c.init_gap)
     return descent + drift + smoothing_bias + warmup
@@ -700,11 +674,9 @@ def scaling_report(
     least three accuracies spanning a factor of four or more.
     """
     _require_regime(regime)
-    eps = [float(e) for e in epsilons]
+    eps = [require_positive("epsilon", e) for e in epsilons]
     if len(eps) < 3:
         raise ConfigurationError(f"scaling_report needs at least 3 accuracies, got {len(eps)}")
-    for e in eps:
-        _require_positive("epsilon", e)
     if max(eps) / min(eps) < 4.0:
         raise ConfigurationError(
             "scaling_report needs accuracies spanning at least a factor of 4, "

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, OracleError
+from .errors import ConfigurationError, OracleError, require_count
 from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 # The ceiling on a problem's total coordinates D, and so on its agent count
@@ -322,8 +322,8 @@ class RoutingInstance:
 def build_routing_instance(
     n_groups: int, agents_per_group: int, seed: int
 ) -> RoutingInstance:
-    if n_groups < 1 or agents_per_group < 1:
-        raise ConfigurationError("need at least one group and one agent per group")
+    n_groups = require_count("n_groups", n_groups, 1)
+    agents_per_group = require_count("agents_per_group", agents_per_group, 1)
     rng = np.random.default_rng(seed)
     n = n_groups * agents_per_group
     m = 2 * n_groups + 2

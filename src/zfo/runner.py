@@ -33,7 +33,10 @@ from typing import Callable
 import numpy as np
 
 from .agents import MAX_ROUNDS, SwarmTables, max_lag
-from .errors import AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation
+from .errors import (
+    AssumptionViolation, ConfigurationError, DomainError, OracleError, ProtocolViolation,
+    require_count, require_flag, require_number, require_positive,
+)
 from .geometry import DEFAULT_TOL, SampleStats, constrain_perturbation_batch, row_summer
 from .network import (
     CommGraph, DelayModel, NoDelay, check_compatibility, dependence_mask, require_connected,
@@ -282,43 +285,26 @@ def validate_options(config) -> None:
     """The checks of `run` that read only the scalar run options, here the
     attributes of `config` (a `RunConfig`, or a namespace of the parsed
     options), so that a config parser makes them before it builds the
-    problem and the graph."""
-    # NaN passes every comparison below and inf passes some, so refuse both first
-    for name in ("eta", "u", "sigma"):
-        value = getattr(config, name)
-        if not np.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    # the integer options refuse a boolean and a non-integral value instead of truncating it
-    for name in (f.name for f in fields(RunConfig) if f.type == "int"):
-        value = getattr(config, name)
-        integral = isinstance(value, (int, np.integer)) or float(value).is_integer()
-        if isinstance(value, (bool, np.bool_)) or not integral:
-            raise ConfigurationError(f"{name} must be an integer, got {value}")
-    if config.u <= 0:
-        raise ConfigurationError(f"smoothing radius u must be > 0, got {config.u}")
-    if config.eta < 0:
-        raise ConfigurationError(f"step size eta must be >= 0, got {config.eta}")
-    if not (0.0 <= config.delta < 1.0):
+    problem and the graph.  Each option is a number, a count or a flag by
+    the input rule of `errors.py`, and then in its range."""
+    require_positive("smoothing radius u", config.u)
+    require_positive("step size eta", config.eta, allow_zero=True)
+    require_positive("noise level sigma", config.sigma, allow_zero=True)
+    if not (0.0 <= require_number("shrinkage factor delta", config.delta) < 1.0):
         raise ConfigurationError(f"shrinkage factor delta must lie in [0, 1), got {config.delta}")
-    if config.sigma < 0:
-        raise ConfigurationError(f"noise level sigma must be >= 0, got {config.sigma}")
+    for name, low in (("horizon", 0), ("seed", 0), ("metric_every", 1), ("history_slack", 1)):
+        require_count(name, getattr(config, name), low)
+    for name in ("reduced_tables", "strict_staleness", "track_gradients"):
+        require_flag(name, getattr(config, name))
     if config.mode not in ("full", "dependence"):
         raise ConfigurationError(f"mode must be 'full' or 'dependence', got {config.mode!r}")
-    if config.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {config.seed}")
-    if config.metric_every < 1:
-        raise ConfigurationError("metric_every must be >= 1")
-    if config.history_slack < 1:
-        raise ConfigurationError("history_slack must be >= 1")
-    if config.horizon < 0:
-        raise ConfigurationError(f"horizon must be >= 0, got {config.horizon}")
     if config.horizon >= MAX_ROUNDS:
         raise ConfigurationError(
             f"horizon must be below 2**30 = {MAX_ROUNDS} (table stamps are at most int32), "
             f"got {config.horizon}"
         )
     if config.reduced_tables and config.mode != "dependence":
-        raise ConfigurationError("reduced tables require dependence mode")
+        raise ConfigurationError("reduced_tables requires dependence mode")
 
 
 class _Round(RoundView):

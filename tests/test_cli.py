@@ -120,11 +120,11 @@ def test_unknown_params_field_fails_before_the_reference_solve(monkeypatch):
     "argv, edit, named",
     [
         (["run"], {"params": {"u": 0.0}}, "smoothing radius u must be > 0, got 0.0"),
-        (["run"], {"metric_every": 0}, "metric_every must be >= 1"),
+        (["run"], {"metric_every": 0}, "metric_every must be an integer >= 1, got 0"),
         (["run"], {"mode": "bogus"}, "mode must be 'full' or 'dependence', got 'bogus'"),
-        (["run"], {"history_slack": 0}, "history_slack must be >= 1"),
+        (["run"], {"history_slack": 0}, "history_slack must be an integer >= 1, got 0"),
         (["run"], {"params": {"sigma": -1.0}}, "noise level sigma must be >= 0, got -1.0"),
-        (["sweep", "--seeds", "2", "--workers", "-1"], {}, "--workers must be >= 0, got -1"),
+        (["sweep", "--seeds", "2", "--workers", "-1"], {}, "--workers must be an integer >= 0, got -1"),
     ],
     ids=["u", "metric_every", "mode", "history_slack", "sigma", "workers"],
 )
@@ -341,6 +341,8 @@ def _edit(doc: dict, path: str, value) -> dict:
     [
         ("problem", 5, "problem: expected an object, got int"),
         ("params.eta", float("inf"), "params.eta: must be finite"),
+        # a JSON integer beyond the floats, which float() refuses with OverflowError
+        ("params.eta", 10**400, "params.eta: must be finite"),
         ("strict_staleness", 1, "config.strict_staleness: expected true/false, got int"),
         ("mode", 3, "config.mode: expected a string, got int"),
         ("problem.kind", "lasso", "problem.kind: unknown problem kind 'lasso'"),
@@ -357,7 +359,7 @@ def _edit(doc: dict, path: str, value) -> dict:
         ("version", True, "config.version: expected an integer, got bool"),
         ("version", 1.0, "config.version: expected an integer, got float"),
     ],
-    ids=["non_object", "non_finite", "non_bool", "non_string", "problem_kind", "graph_kind",
+    ids=["non_object", "non_finite", "beyond_floats", "non_bool", "non_string", "problem_kind", "graph_kind",
          "delay_kind", "graph_file", "edges_not_list", "edge_not_pair", "negative_delta",
          "x0_not_list", "version_bool", "version_float"],
 )
@@ -489,14 +491,14 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, edit, named",
     [
-        (["run", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+        (["run", "--seed", "-1"], {}, "seed must be an integer >= 0, got -1"),
         (
             ["run"],
             {"problem": {"kind": "box_quadratic", "agents": 3, "dim": 2, "seed": -3}},
             "problem.seed: must be >= 0",
         ),
         (["run"], {"graph": {"kind": "random", "seed": -2}}, "graph.seed: must be >= 0"),
-        (["sweep", "--seeds", "2", "--seed-base", "-1"], {}, "--seed-base must be >= 0, got -1"),
+        (["sweep", "--seeds", "2", "--seed-base", "-1"], {}, "--seed-base must be an integer >= 0, got -1"),
     ],
 )
 def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys, argv, edit, named):
@@ -614,7 +616,7 @@ _PLAN_CONSTANTS = {"n_agents": 3, "dim": 6, "lipschitz": 2.0, "smoothness": 4.0,
          "lipschitz must be a number, got 'a'"),
         (["plan", "--constants", "{tmp}/c.json"],
          {"c.json": json.dumps({**_PLAN_CONSTANTS, "n_agents": True})},
-         "n_agents must be a positive integer, got True"),
+         "n_agents must be an integer >= 1, got True"),
         (["stats", "--graph", "{tmp}/missing.edges"], {}, "edge-list file not found"),
         (["stats", "--graph", "{tmp}/g.edges", "--dims", "1,a"], {"g.edges": "1 2\n"},
          "--dims must be comma-separated integers"),
@@ -623,7 +625,7 @@ _PLAN_CONSTANTS = {"n_agents": 3, "dim": 6, "lipschitz": 2.0, "smoothness": 4.0,
         (["stats", "--graph", "{tmp}/g.edges", "--dims", "2,-1,1"], {"g.edges": "1 2\n2 3\n"},
          "agent 2 has dimension -1, not a positive integer"),
         (["sweep", "--config", "{tmp}/config.json", "--seeds", "0"],
-         {"config.json": json.dumps(_base_doc())}, "--seeds must be >= 1"),
+         {"config.json": json.dumps(_base_doc())}, "--seeds must be an integer >= 1, got 0"),
         # a directory, and a file that is not UTF-8 text
         (["plan", "--constants", "{tmp}/d"], {"d": None}, "cannot read file {tmp}/d: "),
         (["plan", "--constants", "{tmp}/c.json"], {"c.json": b"\xff{}"},
@@ -727,6 +729,39 @@ def test_oracle_solves_the_reference_once_at_tol(tmp_path, monkeypatch):
     assert list(result) == ["f", "x", "n_iter", "converged", "residual"]
     assert result["converged"] is True
     assert result["residual"] <= 1e-9
+
+
+def test_oracle_solves_at_the_documents_solve_tol(tmp_path, monkeypatch):
+    # without --tol the oracle solves where the build does, to the same optimum
+    import zfo.cli
+
+    calls = []
+    real = zfo.cli.centralized_solve
+
+    def counting(problem, **kwargs):
+        calls.append(kwargs["tol"])
+        return real(problem, **kwargs)
+
+    doc = {
+        "version": 1,
+        "problem": {"kind": "routing", "groups": 2, "agents_per_group": 3, "seed": 1,
+                    "solve_tol": 1e-12},
+        "graph": {"kind": "complete"},
+        "params": {"eta": 1e-3, "u": 1e-3, "delta": 0.02, "horizon": 30},
+    }
+    f_star = build_run_config(doc)[0].problem.f_star
+    monkeypatch.setattr(zfo.cli, "centralized_solve", counting)
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "solve.json"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == [1e-12]
+    result = json.loads(out.read_text())
+    assert result["f"] == f_star
+    assert result["residual"] <= 1e-12
+    # solve_tol is checked also where solve is false
+    doc["problem"].update(solve=False, solve_tol="tight")
+    with pytest.raises(ConfigurationError, match="^problem.solve_tol: expected a number, got str$"):
+        build_run_config(doc)
 
 
 def test_sweep_subcommand(tmp_path):
@@ -984,5 +1019,5 @@ def test_sweep_rejects_bad_worker_counts(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sweep"
     sweep = ["sweep", "--config", cfg, "--seeds", "2", "--out-dir", str(out)]
     assert main(sweep + ["--workers", "-1"]) == 2
-    assert "--workers must be >= 0" in capsys.readouterr().err
+    assert "--workers must be an integer >= 0" in capsys.readouterr().err
     assert not out.exists()

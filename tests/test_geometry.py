@@ -888,13 +888,13 @@ def test_row_sums_are_the_bits_of_add_reduce_but_for_zero_and_nan_signs(a):
 @pytest.mark.parametrize(
     "make, named",
     [
-        (lambda: WholeSpace(0), "dim must be >= 1"),
+        (lambda: WholeSpace(0), "dim must be an integer >= 1, got 0"),
         (lambda: Box([0.0, 0.0], [1.0]), "box bounds must be 1-d arrays of equal length"),
         (lambda: Box([[0.0]], [[1.0]]), "box bounds must be 1-d arrays of equal length"),
         (lambda: Box([0.0, 2.0], [1.0, 1.0]), "box requires lower <= upper"),
         (lambda: Box([0.0, np.nan], [1.0, 1.0]), "box requires lower <= upper"),
-        (lambda: ShiftedSimplex(0), "dim must be >= 1"),
-        (lambda: ShiftedSimplex(2, scale=-1.0), "simplex scale must be positive"),
+        (lambda: ShiftedSimplex(0), "dim must be an integer >= 1, got 0"),
+        (lambda: ShiftedSimplex(2, scale=-1.0), "simplex scale must be > 0, got -1.0"),
         (lambda: constrain_perturbation_batch(Box([-1.0], [1.0]), np.zeros((1, 1)),
                                               np.zeros((1, 1)), 0.0),
          "perturbation radius u must be positive"),

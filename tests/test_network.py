@@ -70,7 +70,7 @@ def test_distances_match_floyd_warshall_on_drawn_graphs(kind, n, seed, max_degre
 def test_random_graph_refuses_degree_and_edge_counts_it_cannot_honour():
     with pytest.raises(ConfigurationError, match="^max_degree must be >= 2 for n >= 3, got 1$"):
         CommGraph.random_connected(6, seed=0, max_degree=1)
-    with pytest.raises(ConfigurationError, match="^extra_edges must be >= 0, got -3$"):
+    with pytest.raises(ConfigurationError, match="^extra_edges must be an integer >= 0, got -3$"):
         CommGraph.random_connected(6, seed=0, extra_edges=-3)
     # two agents form a path whatever the degree bound
     assert CommGraph.random_connected(2, seed=0, max_degree=1).edges == [(0, 1)]
@@ -460,7 +460,7 @@ def test_affected_must_contain_self():
 @pytest.mark.parametrize(
     "make, named",
     [
-        (lambda: CommGraph(0, []), "graph needs at least one vertex"),
+        (lambda: CommGraph(0, []), "vertex count n must be an integer >= 1, got 0"),
         (lambda: CommGraph(3, [(0, 5)]), "edge (1, 6) outside 1..3"),
         (lambda: CommGraph.from_edge_list_text("1 2\n2 x\n"), "edge list line 2: non-integer vertex"),
         (lambda: CommGraph.from_edge_list_text("# no edges\n"), "edge list is empty"),

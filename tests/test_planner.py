@@ -764,11 +764,11 @@ def test_constants_validation():
         (lambda: _constants(lipschitz="a"), "lipschitz must be a number, got 'a'"),
         (lambda: _constants(sigma=None), "sigma must be a number, got None"),
         (lambda: _constants(gap_max=True), "gap_max must be a number, got True"),
-        (lambda: _constants(n_agents=True), "n_agents must be a positive integer, got True"),
-        (lambda: _constants(dim="6"), "dim must be a positive integer, got '6'"),
+        (lambda: _constants(n_agents=True), "n_agents must be an integer >= 1, got True"),
+        (lambda: _constants(dim="6"), "dim must be an integer >= 1, got '6'"),
         (lambda: _constants(staleness_bound=2.5),
-         "staleness_bound must be a non-negative integer, got 2.5"),
-        (lambda: _constants(n_agents=float("nan")), "n_agents must be a positive integer, got nan"),
+         "staleness_bound must be an integer >= 0, got 2.5"),
+        (lambda: _constants(n_agents=float("nan")), "n_agents must be an integer >= 1, got nan"),
         (lambda: expected_stationarity_bound(_constants(smoothness=0.0), 0.1, 1e-3, 100),
          "expected_stationarity_bound requires smoothness > 0"),
     ],

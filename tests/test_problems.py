@@ -735,7 +735,7 @@ def test_problem_validates_set_dimensions():
         (lambda: build_box_quadratic(2, 1, seed=0, center_scale=1.5),
          "need 0 < center_scale < half_width for an interior optimum"),
         (lambda: build_routing_instance(0, 2, seed=0),
-         "need at least one group and one agent per group"),
+         "n_groups must be an integer >= 1, got 0"),
     ],
     ids=["dims_sets", "center_scale", "no_groups"],
 )

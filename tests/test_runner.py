@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -888,7 +889,7 @@ def test_config_validation_errors():
         run(RunConfig(**{**ok, "delta": 1.0}))
     with pytest.raises(ConfigurationError, match="mode"):
         run(RunConfig(**{**ok, "mode": "partial"}))
-    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0, got -1"):
         run(RunConfig(**{**ok, "seed": -1}))
     with pytest.raises(ConfigurationError, match="staleness bound"):
         run(RunConfig(**{**ok, "horizon": 1}))
@@ -901,18 +902,22 @@ def test_config_validation_errors():
         run(RunConfig(**{**ok, "mode": "dependence", "problem": anonymous}))
     # non-finite numbers would run as a noiseless run or fail later as a
     # misleading oracle or domain error; the field is named instead
+    labels = {"sigma": "noise level sigma", "eta": "step size eta", "u": "smoothing radius u"}
     for name, value in (("sigma", math.nan), ("eta", math.nan), ("eta", math.inf),
                         ("u", math.inf), ("u", math.nan)):
-        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}$"):
+        message = f"^{labels[name]} must be finite, got {value}$"
+        with pytest.raises(ConfigurationError, match=message):
             run(RunConfig(**{**ok, name: value}))
 
 
 def test_integer_options_refuse_non_integral_values():
     # truncated, metric_every = 2.5 would write rows at t = 0, 5 and 10, and
     # seed = 1.7 would run and report seed 1
-    for name, value in (("horizon", 10.5), ("seed", 1.7), ("metric_every", 2.5),
-                        ("history_slack", 2.5), ("seed", math.nan), ("horizon", math.inf)):
-        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got {value}$"):
+    for name, value, low in (("horizon", 10.5, 0), ("seed", 1.7, 0), ("metric_every", 2.5, 1),
+                             ("history_slack", 2.5, 1), ("seed", math.nan, 0),
+                             ("horizon", math.inf, 0)):
+        message = f"^{name} must be an integer >= {low}, got {value}$"
+        with pytest.raises(ConfigurationError, match=message):
             run(_quadratic_config(**{name: value}))
     # integral floats keep working
     trace = run(_quadratic_config(horizon=10.0, seed=11.0, metric_every=5.0, history_slack=4.0))
@@ -926,8 +931,8 @@ def test_integer_options_refuse_non_integral_values():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda flag: run(_quadratic_config(horizon=flag)), "horizon must be an integer"),
-        (lambda flag: run(_quadratic_config(seed=flag)), "seed must be an integer"),
+        (lambda flag: run(_quadratic_config(horizon=flag)), "horizon must be an integer >= 0"),
+        (lambda flag: run(_quadratic_config(seed=flag)), "seed must be an integer >= 0"),
         (lambda flag: network_stats(CommGraph.path(3), flag),
          "extra delay bound must be an integer >= 0"),
         (lambda flag: BernoulliDrops(0.1, flag), "declared extra delay must be an integer >= 0"),
@@ -937,8 +942,19 @@ def test_integer_options_refuse_non_integral_values():
 def test_counts_refuse_booleans(make, message, flag):
     # True equals 1: taken as a count, horizon=True would run rounds 0 and 1,
     # seed=True seed 1, and a delay of True would plan one extra round
-    with pytest.raises(ConfigurationError, match=f"^{message}, got True$"):
+    with pytest.raises(ConfigurationError, match=f"^{message}, got {re.escape(repr(flag))}$"):
         make(flag)
+
+
+@pytest.mark.parametrize("name", ["reduced_tables", "strict_staleness", "track_gradients"])
+def test_flags_refuse_anything_but_a_boolean(name):
+    # "no" is truthy: strict_staleness="no" ran strict, track_gradients="no"
+    # tracked, and reduced_tables="no" failed as "require dependence mode"
+    for value in ("no", None, 0, 1.0):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a boolean, got {value!r}$"):
+            run(_quadratic_config(**{name: value}))
+    off = run(_quadratic_config(**{name: np.False_}))
+    assert off.x_final.tobytes() == run(_quadratic_config(**{name: False})).x_final.tobytes()
 
 
 def test_horizon_beyond_int32_stamps_is_refused_before_any_round():
@@ -1459,9 +1475,9 @@ def test_box_runs_count_every_capped_draw(monkeypatch):
     "edit, named",
     [
         (dict(sigma=-0.1), "noise level sigma must be >= 0, got -0.1"),
-        (dict(metric_every=0), "metric_every must be >= 1"),
-        (dict(history_slack=0), "history_slack must be >= 1"),
-        (dict(horizon=-1), "horizon must be >= 0, got -1"),
+        (dict(metric_every=0), "metric_every must be an integer >= 1, got 0"),
+        (dict(history_slack=0), "history_slack must be an integer >= 1, got 0"),
+        (dict(horizon=-1), "horizon must be an integer >= 0, got -1"),
     ],
     ids=["sigma", "metric_every", "history_slack", "horizon"],
 )
