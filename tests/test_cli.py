@@ -124,7 +124,8 @@ def test_unknown_params_field_fails_before_the_reference_solve(monkeypatch):
         (["run"], {"mode": "bogus"}, "mode must be 'full' or 'dependence', got 'bogus'"),
         (["run"], {"history_slack": 0}, "history_slack must be an integer >= 1, got 0"),
         (["run"], {"params": {"sigma": -1.0}}, "noise level sigma must be >= 0, got -1.0"),
-        (["sweep", "--seeds", "2", "--workers", "-1"], {}, "--workers must be an integer >= 0, got -1"),
+        (["sweep", "--seeds", "2", "--workers", "-1"], {},
+         "--workers must be an integer >= 0, got -1"),
     ],
     ids=["u", "metric_every", "mode", "history_slack", "sigma", "workers"],
 )
@@ -359,9 +360,9 @@ def _edit(doc: dict, path: str, value) -> dict:
         ("version", True, "config.version: expected an integer, got bool"),
         ("version", 1.0, "config.version: expected an integer, got float"),
     ],
-    ids=["non_object", "non_finite", "beyond_floats", "non_bool", "non_string", "problem_kind", "graph_kind",
-         "delay_kind", "graph_file", "edges_not_list", "edge_not_pair", "negative_delta",
-         "x0_not_list", "version_bool", "version_float"],
+    ids=["non_object", "non_finite", "beyond_floats", "non_bool", "non_string", "problem_kind",
+         "graph_kind", "delay_kind", "graph_file", "edges_not_list", "edge_not_pair",
+         "negative_delta", "x0_not_list", "version_bool", "version_float"],
 )
 def test_config_refusals_name_the_field(field, value, named):
     with pytest.raises(ConfigurationError) as info:
@@ -498,7 +499,8 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
             "problem.seed: must be >= 0",
         ),
         (["run"], {"graph": {"kind": "random", "seed": -2}}, "graph.seed: must be >= 0"),
-        (["sweep", "--seeds", "2", "--seed-base", "-1"], {}, "--seed-base must be an integer >= 0, got -1"),
+        (["sweep", "--seeds", "2", "--seed-base", "-1"], {},
+         "--seed-base must be an integer >= 0, got -1"),
     ],
 )
 def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys, argv, edit, named):
