@@ -278,6 +278,8 @@ def build_graph(doc: dict, n: int, path: str = "graph") -> tuple[CommGraph, dict
         a, b = _as_int(pair[0], p), _as_int(pair[1], p)
         if not (1 <= a <= n and 1 <= b <= n):
             _fail(p, f"agent ids are 1-indexed and must lie in [1, {n}]")
+        if a == b:
+            _fail(p, f"self-loop on vertex {a}")
         edges.append((a - 1, b - 1))
     return CommGraph(n, edges), dict(doc)
 

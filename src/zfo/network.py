@@ -91,16 +91,19 @@ class CommGraph:
 
     @classmethod
     def path(cls, n: int) -> "CommGraph":
+        n = require_count("vertex count n", n, 1)
         return cls(n, [(i, i + 1) for i in range(n - 1)])
 
     @classmethod
     def ring(cls, n: int) -> "CommGraph":
+        n = require_count("vertex count n", n, 1)
         if n < 3:
             return cls.path(n)
         return cls(n, [(i, (i + 1) % n) for i in range(n)])
 
     @classmethod
     def complete(cls, n: int) -> "CommGraph":
+        n = require_count("vertex count n", n, 1)
         return cls(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
     @classmethod
@@ -116,6 +119,9 @@ class CommGraph:
         The default count, n // 2, is "up to"; an explicit `extra_edges` above
         the degree budget or the free vertex pairs, or one the draw falls
         short of, is refused."""
+        n = require_count("vertex count n", n, 1)
+        seed = require_count("seed", seed)
+        max_degree = require_count("max_degree", max_degree)
         if extra_edges is not None:
             extra_edges = require_count("extra_edges", extra_edges)
         if n >= 3 and max_degree < 2:

@@ -42,6 +42,7 @@ __all__ = [
     "constants_for",
     "analysed_smoothing_range",
     "in_analysed_range",
+    "averaged_rounds",
     "smoothing_condition_value",
     "plan",
     "verify_plan",
@@ -535,15 +536,16 @@ def verify_plan(constants: ProblemConstants, epsilon: float, candidate: ParamPla
 # ---------------------------------------------------------------------------
 
 
-def _averaged_rounds(c: ProblemConstants, horizon: int) -> int:
-    """Rounds ``T - B + 1`` in a bound's ergodic average; refuses an empty one."""
+def averaged_rounds(horizon: int, staleness_bound: int) -> int:
+    """Rounds ``T - B + 1`` in the ergodic window, the rounds ``t >= B`` of a
+    run that its trace averages and the bounds certify; refuses an empty one."""
     horizon = require_count("horizon", horizon)
-    if horizon < c.staleness_bound:
+    if horizon < staleness_bound:
         raise ConfigurationError(
-            f"horizon {horizon} is below the staleness bound {c.staleness_bound}; "
-            "the ergodic average would be empty"
+            f"horizon {horizon} is below the staleness bound {staleness_bound}; "
+            "no round would enter the ergodic window"
         )
-    return horizon - c.staleness_bound + 1
+    return horizon - staleness_bound + 1
 
 
 def _grad_sq(c: ProblemConstants) -> float:
@@ -627,10 +629,8 @@ def expected_gap_bound(
         raise ConfigurationError(
             f"expected_gap_bound requires u <= delta * inner_radius / (3 sqrt(d)) = {bound}, got u = {u}"
         )
-    averaging, smoothing_bias, step_term, noise_term, tail, shrink_bias = _gap_terms(
-        c, eta, u, delta, _averaged_rounds(c, horizon), interior
-    )
-    return averaging + smoothing_bias + step_term + noise_term + tail + shrink_bias
+    samples = averaged_rounds(horizon, c.staleness_bound)
+    return sum(_gap_terms(c, eta, u, delta, samples, interior))
 
 
 def expected_stationarity_bound(
@@ -653,9 +653,8 @@ def expected_stationarity_bound(
         raise ConfigurationError("expected_stationarity_bound requires smoothness > 0")
     eta = require_positive("eta", eta)
     u = require_positive("u", u)
-    samples = _averaged_rounds(c, horizon)
-    descent, drift, smoothing_bias, warmup = _stationarity_terms(c, eta, u, samples, c.init_gap)
-    return descent + drift + smoothing_bias + warmup
+    samples = averaged_rounds(horizon, c.staleness_bound)
+    return sum(_stationarity_terms(c, eta, u, samples, c.init_gap))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +689,7 @@ def scaling_report(
             {
                 "epsilon": e,
                 "horizon": p.horizon,
-                "samples": p.horizon - constants.staleness_bound + 1,
+                "samples": averaged_rounds(p.horizon, constants.staleness_bound),
             }
         )
     log_inv_eps = np.log([1.0 / r["epsilon"] for r in rows])

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, OracleError, require_count
+from .errors import ConfigurationError, OracleError, require_count, require_number
 from .geometry import Box, ConvexSet, ShiftedSimplex, WholeSpace, row_summer
 
 # The ceiling on a problem's total coordinates D, and so on its agent count
@@ -89,9 +89,10 @@ class Problem:
     def __post_init__(self):
         if len(self.dims) != len(self.sets):
             raise ConfigurationError("dims and sets must align")
-        for d, s in zip(self.dims, self.sets):
-            if s.dim != d:
-                raise ConfigurationError("set dimension mismatch")
+        for i, (d, s) in enumerate(zip(self.dims, self.sets)):
+            d = require_count(f"agent {i + 1}'s dimension", d, 1)
+            if d != s.dim:
+                raise ConfigurationError(f"agent {i + 1}'s dimension {d} is not its set's {s.dim}")
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
         dims = np.asarray(self.dims, dtype=np.int64)
         self.d_max = int(dims.max(initial=0))
@@ -184,6 +185,12 @@ class Problem:
         return None
 
 
+def _require_sizes(n, dim_per_agent, seed) -> tuple[int, int, int]:
+    """A builder's agent count and dimension (each >= 1) and seed (>= 0)."""
+    return (require_count("agent count n", n, 1), require_count("dim_per_agent", dim_per_agent, 1),
+            require_count("seed", seed))
+
+
 # ---------------------------------------------------------------------------
 # box-constrained quadratic
 
@@ -200,7 +207,9 @@ def build_box_quadratic(
     Every constant the complexity bounds need is exact here, which is
     what makes this the calibration problem for bound checks.
     """
-    if not (0 < center_scale < half_width):
+    n, dim_per_agent, seed = _require_sizes(n, dim_per_agent, seed)
+    center_scale = require_number("center_scale", center_scale)
+    if not (0 < center_scale < require_number("half_width", half_width)):
         raise ConfigurationError("need 0 < center_scale < half_width for an interior optimum")
     rng = np.random.default_rng(seed)
     d = n * dim_per_agent
@@ -255,6 +264,7 @@ def build_trig_sum(n: int, dim_per_agent: int, seed: int) -> Problem:
     Smooth and nonconvex with exact Lipschitz/smoothness constants
     (G = max_i ||a_i||, L = max_ik a_ik) and a global lower bound of 0.
     """
+    n, dim_per_agent, seed = _require_sizes(n, dim_per_agent, seed)
     rng = np.random.default_rng(seed)
     d = n * dim_per_agent
     amps = rng.uniform(0.3, 1.0, size=(n, d))
@@ -324,7 +334,7 @@ def build_routing_instance(
 ) -> RoutingInstance:
     n_groups = require_count("n_groups", n_groups, 1)
     agents_per_group = require_count("agents_per_group", agents_per_group, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count("seed", seed))
     n = n_groups * agents_per_group
     m = 2 * n_groups + 2
     groups = np.repeat(np.arange(n_groups), agents_per_group)

@@ -42,7 +42,7 @@ from .network import (
     CommGraph, DelayModel, NoDelay, check_compatibility, dependence_mask, require_connected,
     shortest_path_lengths,
 )
-from .planner import analysed_smoothing_range, in_analysed_range
+from .planner import analysed_smoothing_range, averaged_rounds, in_analysed_range
 from .problems import MAX_COORDINATES, Problem
 
 __all__ = [
@@ -150,30 +150,6 @@ class RunConfig:
                 if f.type in _PLAIN
             },
         }
-
-
-@dataclass
-class RoundView:
-    """The engine's round state, handed to a probe after each round's step.
-
-    One object serves the whole run and the engine rebinds its fields every
-    round; the arrays are its working storage, so copy anything you keep.
-    ``z`` may be a read-only view of the round's block of raw draws.
-    ``x`` is the round's pre-step state; ``x_next`` the post-step state.
-    The age of every table entry is ``tables.staleness(t)``.
-    """
-
-    t: int
-    x: np.ndarray
-    z: np.ndarray
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    quotients: np.ndarray
-    tables: SwarmTables
-    gradient: np.ndarray
-    x_next: np.ndarray
-    dims: np.ndarray
-    dim_mask: np.ndarray
 
 
 @dataclass
@@ -307,19 +283,29 @@ def validate_options(config) -> None:
         raise ConfigurationError("reduced_tables requires dependence mode")
 
 
-class _Round(RoundView):
-    """One run's engine state, advanced a round at a time by its phases and
-    handed to the probe as the round's `RoundView`.  The phases look module
-    globals and methods up at each call, so a patched or traced one applies.
-    The private state lives in slots: in the instance dict it slowed rounds."""
+class RoundView:
+    """The engine's round state, advanced a round at a time by its phases and
+    handed to the probe after each round's step.  Its public fields, named in
+    ``FIELDS``: the round ``t``; the states ``x`` before and ``x_next`` after
+    the step and the perturbations ``z``, all ``(n, d_max)`` blocks (``z`` may
+    be a read-only view of the round's raw draws); each agent's costs
+    ``f_plus`` at ``x + u z`` and ``f_minus`` at ``x - u z`` and its
+    ``quotients``; the ``tables``, whose entry ages are ``tables.staleness(t)``;
+    the assembled ``gradient`` blocks; the agents' ``dims`` and the blocks'
+    ``dim_mask``.  One object serves the whole run and its fields are rebound
+    every round: every field is working storage, so copy anything you keep.
+    Every attribute lives in a slot, so a probe cannot add one.  The phases
+    look module globals and methods up at each call, so a patched or traced
+    one applies."""
 
-    __slots__ = (
-        "_config", "_problem", "_eta", "_u", "_delta", "_horizon", "_metric_every", "_use_mask",
+    FIELDS = ("t", "x", "z", "f_plus", "f_minus", "quotients", "tables", "gradient", "x_next",
+              "dims", "dim_mask")
+    __slots__ = FIELDS + (
+        "_config", "_problem", "_eta", "_u", "_horizon", "_metric_every", "_use_mask",
         "_declared_delta", "_bound", "_neighbors", "_gossip", "_shrunk", "_perturb_gens",
         "_noise_gens", "_net_gen", "_block_rounds", "_zhat", "_draws", "_noise", "_bi", "_stats",
-        "_signs_u", "_signed", "_x_acc", "_owed", "_owed_count", "_samples", "_checks",
-        "_stale_now", "_stale_max", "_delta_hat", "_grad_sq_acc", "_step_excess", "_flat",
-        "_norm_sums",
+        "_signs_u", "_signed", "_x_acc", "_owed", "_owed_count", "_stale_now", "_stale_max",
+        "_delta_hat", "_grad_sq_acc", "_step_excess", "_flat", "_norm_sums", "_notes", "_rows",
     )
 
     def __init__(self, config: RunConfig):
@@ -328,9 +314,9 @@ class _Round(RoundView):
         self._config, self._problem = config, problem
         self.dims = np.asarray(problem.dims, dtype=np.int64)
         self.dim_mask = problem.dim_mask
-        self._eta, self._u, self._delta = config.eta, config.u, config.delta
+        self._eta, self._u, delta = config.eta, config.u, config.delta
         self._horizon, self._metric_every = int(config.horizon), config.metric_every
-        self.notes: list[str] = []
+        self._notes: list[str] = []
 
         # A tracked entry (i, j) is at most its hop distance old plus the extra
         # delay, so the staleness bound is the largest tracked distance plus the
@@ -355,11 +341,7 @@ class _Round(RoundView):
                 self._use_mask = dependence_mask(problem.affected, n)
         self._declared_delta = int(config.delay.declared_delta)
         self._bound = max_lag(distances, tracked) + self._declared_delta
-        if self._horizon < self._bound:
-            raise ConfigurationError(
-                f"horizon {self._horizon} is below the staleness bound {self._bound}; "
-                "no round would enter the ergodic window"
-            )
+        averaged_rounds(self._horizon, self._bound)  # refuses an empty window before the tables
         headroom = self._declared_delta + int(config.history_slack)
         self.tables = SwarmTables(
             n, tracked, headroom, d_max, distances, config.delay.lossless, self._horizon
@@ -368,12 +350,12 @@ class _Round(RoundView):
         self._neighbors = graph.neighbor_matrix()
         self._gossip = not self.tables.lossless and n > 1
 
-        self._shrunk = [g.set.shrink(self._delta) for g in problem.groups]  # one per group
+        self._shrunk = [g.set.shrink(delta) for g in problem.groups]  # one per group
         inner_radius = problem.inner_radius()
         if inner_radius is not None:
-            bound = analysed_smoothing_range(self._delta, inner_radius, problem.total_dim)
+            bound = analysed_smoothing_range(delta, inner_radius, problem.total_dim)
             if not in_analysed_range(self._u, bound):
-                self.notes.append(
+                self._notes.append(
                     f"smoothing radius u = {self._u} exceeds the analyzed range "
                     f"delta * inner_radius / (3 sqrt(d)) = {bound}; "
                     "convergence guarantees may not apply"
@@ -401,12 +383,12 @@ class _Round(RoundView):
         self.x = problem.project_blocks(x, self._shrunk)
         moved = np.linalg.norm(self.x - x, axis=1)  # membership's ||y - P(y)||, per agent
         for i in np.flatnonzero(moved > DEFAULT_TOL)[:1]:  # the first agent outside
-            self.notes.append(
+            self._notes.append(
                 f"initial point was projected into the shrunken feasible set "
                 f"(agent {i + 1} moved {moved[i]:.3e})"
             )
         if problem.grad is None:
-            self.notes.append("no analytic gradient available; cadence rows use finite differences")
+            self._notes.append("no analytic gradient available; cadence rows use finite differences")
 
         self._stats = SampleStats()
         self._signs_u = np.array([[[self._u]], [[-self._u]]])  # x + z * signs_u: (x + u z, x - u z)
@@ -414,11 +396,11 @@ class _Round(RoundView):
         track_grad = config.track_gradients and problem.grad is not None
         owed_rows = max(1, _OWED_FLOATS // problem.total_dim)
         self._owed = np.empty((owed_rows, problem.total_dim)) if track_grad else None
-        self._samples = self._owed_count = self._checks = self._stale_max = self._delta_hat = 0
+        self._owed_count = self._stale_max = self._delta_hat = 0
         self._grad_sq_acc = self._step_excess = 0.0
         # the step bound sums the squares of 2n rows of d_max
         self._norm_sums = row_summer(2 * n, d_max)
-        self.rows: list[dict] = []
+        self._rows: list[dict] = []
 
     def sample(self) -> None:
         """(1) Constrained Gaussian perturbations, from draws made in blocks of
@@ -462,7 +444,6 @@ class _Round(RoundView):
 
     def guard(self) -> None:
         """Hard constraints: the state and both signed actions are feasible."""
-        self._checks += 1
         agent = self._problem.first_infeasible(self.x, self._shrunk, self._signed)
         if agent is not None:
             t = self.t
@@ -526,7 +507,6 @@ class _Round(RoundView):
         self._flat = flat = problem.flat(self.x)
         if t >= self._bound:
             self._x_acc += flat
-            self._samples += 1
             owed = self._owed
             if owed is not None:
                 owed[self._owed_count] = flat
@@ -538,7 +518,7 @@ class _Round(RoundView):
             row["feasible"] = True  # the guard passed this round's state and signed actions
             row["stale_max"] = self._stale_now
             row["fallbacks"] = self._stats.fallbacks
-            self.rows.append(row)
+            self._rows.append(row)
 
     def _settle(self) -> None:
         """Add ‖∇f‖² at each owed state in round order: one stacked gradient
@@ -554,13 +534,14 @@ class _Round(RoundView):
         problem, config = self._problem, self._config
         if self._owed_count:
             self._settle()
-        x_ergodic = self._x_acc / self._samples
+        samples = averaged_rounds(self._horizon, self._bound)
+        x_ergodic = self._x_acc / samples
         f_ergodic = problem.global_cost(x_ergodic)
-        last = self.rows[-1]
+        last = self._rows[-1]
         columns = self.tables.tracked.sum(axis=1)
         degrees = np.array([config.graph.degree(i) for i in range(problem.n)])
         return RunTrace(
-            rows=self.rows,
+            rows=self._rows,
             x_final=self._flat.copy(),
             x_ergodic=x_ergodic,
             f_final=last["f"],
@@ -568,13 +549,13 @@ class _Round(RoundView):
             gap_final=last["gap"],
             gap_ergodic=None if problem.f_star is None else f_ergodic - problem.f_star,
             grad_sq_final=None if problem.grad is None else last["grad_sq"],
-            grad_sq_mean_ergodic=None if self._owed is None else self._grad_sq_acc / self._samples,
-            samples=self._samples,
+            grad_sq_mean_ergodic=None if self._owed is None else self._grad_sq_acc / samples,
+            samples=samples,
             stale_max_overall=self._stale_max,
             delta_hat=self._delta_hat,
             assumption_clean=self._delta_hat <= self._declared_delta,
             staleness_bound=self._bound,
-            feasibility_checks=self._checks,
+            feasibility_checks=self._horizon + 1,  # the guard raises: every round passed one
             feasibility_violations=0,
             cap_projections=self._stats.projections,
             fallback_projections=self._stats.fallbacks,
@@ -583,7 +564,7 @@ class _Round(RoundView):
             payload_floats_per_round=2 * int(degrees @ columns),
             wall_time=time.perf_counter() - started,
             seed=int(config.seed),
-            notes=tuple(self.notes),
+            notes=tuple(self._notes),
         )
 
 
@@ -600,7 +581,7 @@ def run(config: RunConfig) -> RunTrace:
     """
     started = time.perf_counter()
     _validate(config)
-    state = _Round(config)
+    state = RoundView(config)
     probe = config.probe
     for t in range(state._horizon + 1):
         state.t = t

@@ -167,10 +167,12 @@ def test_out_of_range_options_fail_before_the_reference_solve(
          "graph.max_degree: must be >= 2"),
         ({"graph": {"kind": "edges", "edges": [[1, 7]]}},
          "graph.edges[0]: agent ids are 1-indexed and must lie in [1, 6]"),
+        ({"graph": {"kind": "edges", "edges": [[1, 1], [2, 3]]}},
+         "graph.edges[0]: self-loop on vertex 1"),
         ({"x0": [0.5] * 5}, "config.x0: expected 18 entries, got 5"),
         ({"x0": "zeros"}, "config.x0: expected a list of numbers"),
     ],
-    ids=["delay_p", "delay_delta", "max_degree", "edges", "x0_size", "x0_type"],
+    ids=["delay_p", "delay_delta", "max_degree", "edges", "self_loop", "x0_size", "x0_type"],
 )
 def test_bad_delay_graph_and_x0_fail_before_the_reference_solve(monkeypatch, edit, named):
     import zfo.config

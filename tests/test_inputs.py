@@ -14,7 +14,7 @@ from zfo.errors import ConfigurationError, is_number, require_count, require_fla
 from zfo.geometry import Box, ShiftedSimplex, WholeSpace
 from zfo.network import BernoulliDrops, CommGraph, network_stats
 from zfo.planner import ProblemConstants
-from zfo.problems import build_box_quadratic, build_routing_instance
+from zfo.problems import Problem, build_box_quadratic, build_routing_instance, build_trig_sum
 from zfo.runner import RunConfig, run
 
 _PROBLEM = build_box_quadratic(3, 1, seed=0)
@@ -34,7 +34,9 @@ def _constants(name):
 
 # (the name its refusals carry, the call, the largest finite value drawn for it)
 # Sizes stay at 10**4, so that no call starts a huge allocation, and the
-# horizon at 60 rounds.  eta, u and sigma stay at 1e150: far above it a
+# horizon at 60 rounds; sizes that the builders square (a complete graph's
+# edges, a problem's (n, n d) centres) and a random graph's chord draws stay
+# at 100.  eta, u and sigma stay at 1e150: far above it a
 # run overflows (ROADMAP item 12), at sigma = 1e153 in the step bound's squares.
 _ENTRIES = [
     *((name, _run(name), 1e150) for name in ("eta", "u", "sigma")),
@@ -52,8 +54,24 @@ _ENTRIES = [
     ("simplex scale", lambda v: ShiftedSimplex(2, scale=v), None),
     ("dim", WholeSpace, 1e4),
     ("vertex count n", lambda v: CommGraph(v, []), 1e4),
+    ("vertex count n", CommGraph.path, 1e4),
+    ("vertex count n", CommGraph.ring, 1e4),
+    ("vertex count n", CommGraph.complete, 100),
+    ("vertex count n", lambda v: CommGraph.random_connected(v, 0), 100),
+    ("seed", lambda v: CommGraph.random_connected(5, v), None),
+    ("max_degree", lambda v: CommGraph.random_connected(5, 0, max_degree=v), None),
     ("n_groups", lambda v: build_routing_instance(v, 2, seed=0), 1e4),
     ("agents_per_group", lambda v: build_routing_instance(2, v, seed=0), 1e4),
+    ("seed", lambda v: build_routing_instance(2, 2, seed=v), None),
+    *(("agent count n", lambda v, b=build: b(v, 1, seed=0), 100)
+      for build in (build_box_quadratic, build_trig_sum)),
+    *(("dim_per_agent", lambda v, b=build: b(3, v, seed=0), 1e4)
+      for build in (build_box_quadratic, build_trig_sum)),
+    *(("seed", lambda v, b=build: b(3, 2, seed=v), None)
+      for build in (build_box_quadratic, build_trig_sum)),
+    ("center_scale", lambda v: build_box_quadratic(3, 1, 0, center_scale=v), None),
+    ("half_width", lambda v: build_box_quadratic(3, 1, 0, half_width=v), 1e150),
+    ("agent 1's dimension", lambda v: Problem("p", [v], [WholeSpace(1)], lambda x: x), None),
     *((name, _constants(name), None) for name in (
         "n_agents", "dim", "staleness_bound", "lipschitz", "smoothness", "b_bar", "sigma",
         "outer_radius", "init_gap",

@@ -472,9 +472,13 @@ def test_affected_must_contain_self():
          "affected sets must have one entry per agent"),
         (lambda: check_compatibility(CommGraph.path(3), [{0}, {1}, {2, 7}]),
          "affected set of agent 3 out of range"),
+        (lambda: CommGraph.path(2.5), "vertex count n must be an integer >= 1, got 2.5"),
+        (lambda: CommGraph.random_connected(5, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: CommGraph.random_connected(5, 0, max_degree="x"),
+         "max_degree must be an integer >= 0, got 'x'"),
     ],
     ids=["no_vertex", "edge_range", "edge_text", "no_edges", "dims_shape", "dims_fraction",
-         "affected_length", "affected_range"],
+         "affected_length", "affected_range", "path_fraction", "negative_seed", "text_degree"],
 )
 def test_network_refusals_name_the_input(make, named):
     with pytest.raises(ConfigurationError) as info:

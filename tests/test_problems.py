@@ -736,8 +736,18 @@ def test_problem_validates_set_dimensions():
          "need 0 < center_scale < half_width for an interior optimum"),
         (lambda: build_routing_instance(0, 2, seed=0),
          "n_groups must be an integer >= 1, got 0"),
+        (lambda: Problem("p", [0], [WholeSpace(1)], lambda flat: flat),
+         "agent 1's dimension must be an integer >= 1, got 0"),
+        (lambda: Problem("p", [1, 2], [WholeSpace(1), WholeSpace(3)], lambda flat: flat),
+         "agent 2's dimension 2 is not its set's 3"),
+        (lambda: build_box_quadratic(3, 0, 0),
+         "dim_per_agent must be an integer >= 1, got 0"),
+        (lambda: build_box_quadratic(3, 2, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: build_trig_sum(3, 2, seed="a"), "seed must be an integer >= 0, got 'a'"),
+        (lambda: build_box_quadratic(True, 1, 0), "agent count n must be an integer >= 1, got True"),
     ],
-    ids=["dims_sets", "center_scale", "no_groups"],
+    ids=["dims_sets", "center_scale", "no_groups", "zero_dim", "dim_mismatch", "no_coordinates",
+         "negative_seed", "text_seed", "bool_count"],
 )
 def test_problem_refusals_name_the_input(make, named):
     with pytest.raises(ConfigurationError) as info:

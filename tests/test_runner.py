@@ -19,7 +19,7 @@ from zfo.errors import (
 )
 from zfo.geometry import Box, ShiftedSimplex, WholeSpace
 from zfo.network import BernoulliDrops, CommGraph, NoDelay, network_stats, shortest_path_lengths
-from zfo.planner import constants_for, plan
+from zfo.planner import averaged_rounds, constants_for, plan
 from zfo.problems import (
     Problem,
     build_box_quadratic,
@@ -638,8 +638,10 @@ def test_probe_receives_one_round_view_for_the_whole_run():
 
     def probe(view):
         assert isinstance(view, zfo.runner.RoundView) and view.t == len(views)
-        for f in dataclasses.fields(zfo.runner.RoundView):
-            assert getattr(view, f.name) is not None, f.name
+        for name in zfo.runner.RoundView.FIELDS:
+            assert getattr(view, name) is not None, name
+        with pytest.raises(AttributeError):
+            view.mine = 1  # every attribute is a slot: a probe adds none
         if x_next:
             np.testing.assert_array_equal(view.x, x_next[-1])
         views.append(view)
@@ -647,6 +649,30 @@ def test_probe_receives_one_round_view_for_the_whole_run():
 
     run(_quadratic_config(horizon=30, delay=BernoulliDrops(0.2, 2), probe=probe))
     assert len(views) == 31 and all(view is views[0] for view in views)
+    assert not hasattr(views[0], "__dict__")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(mode="full"),
+        dict(mode="dependence"),
+        dict(mode="dependence", reduced_tables=True),
+        dict(delay=BernoulliDrops(0.2, 2)),
+    ],
+    ids=["full", "dependence", "reduced_tables", "drops"],
+)
+def test_samples_and_checks_are_the_window_and_the_rounds(options):
+    # routing 2 x 2 on a path of 4: the counts follow from T and B alone
+    _, problem, graph = _routing_setup()
+    horizon = 25
+    trace = run(
+        RunConfig(problem=problem, graph=graph, eta=1e-3, u=1e-3, delta=0.02, horizon=horizon,
+                  seed=5, **options)
+    )
+    bound = trace.staleness_bound
+    assert trace.samples == averaged_rounds(horizon, bound) == horizon + 1 - bound
+    assert trace.feasibility_checks == horizon + 1
 
 
 def test_reduced_tables_refused_without_dependence_mode():
@@ -1444,7 +1470,7 @@ def test_the_signed_stack_follows_the_returned_draws():
         problem=problem, graph=CommGraph.ring(7), eta=0.05, u=u, delta=0.05, horizon=5, seed=3,
         x0=np.linspace(-2.0, 2.0, problem.total_dim),
     )
-    state = zfo.runner._Round(config)
+    state = zfo.runner.RoundView(config)
     state.t = 0
     state.sample()
     raw = state._draws[0]
